@@ -11,6 +11,7 @@ from __future__ import annotations
 from time import monotonic
 from typing import Optional, Sequence
 
+from didom import bitset
 from didom.errors import SolveTimeout
 
 POLL_INTERVAL = 4096
@@ -93,7 +94,7 @@ def min_set_cover(
             if not uncovered:
                 if count < best[0]:
                     best[0] = count
-                    best[1] = _mask_to_tuple(chosen)
+                    best[1] = tuple(bitset.to_list(chosen))
                 return
             # Scan elements: dead branch, forced set, or min-coverage branch
             # element.  Counting stops early once a count cannot win.
@@ -188,15 +189,6 @@ def min_set_cover(
 
     dfs(universe, (1 << n_sets) - 1, 0, 0)
     return best[0], best[1]
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def max_independent_set(

@@ -30,55 +30,39 @@ CLAIM_CLOSED_HELLY = "lemma:closed-helly"
 CLAIM_OPEN_HELLY = "lemma:open-helly"
 
 
+def _clique_union(n: int, sets) -> UndirectedGraph:
+    """The graph on n vertices in which every set of the family induces a
+    clique (and no other edges)."""
+    adj = [0] * n
+    for m in sets:
+        for u in bitset.iter_bits(m):
+            adj[u] |= m
+    for v in range(n):
+        adj[v] &= ~(1 << v)
+    return UndirectedGraph(n, tuple(adj))
+
+
 def closed_in_neighborhood_graph(d: Digraph) -> UndirectedGraph:
     """Edge uv iff the closed in-neighborhoods of u and v intersect.
 
     Equivalently: every closed out-neighborhood N+[w] induces a clique.
     """
-    adj = [0] * d.n
-    for w in range(d.n):
-        m = d.out_closed(w)
-        for u in bitset.iter_bits(m):
-            adj[u] |= m
-    for v in range(d.n):
-        adj[v] &= ~(1 << v)
-    return UndirectedGraph(d.n, tuple(adj))
+    return _clique_union(d.n, [d.out_closed(w) for w in range(d.n)])
 
 
 def open_in_neighborhood_graph(d: Digraph) -> UndirectedGraph:
     """Edge uv iff the open in-neighborhoods of u and v intersect."""
-    adj = [0] * d.n
-    for w in range(d.n):
-        m = d.out_adj[w]
-        for u in bitset.iter_bits(m):
-            adj[u] |= m
-    for v in range(d.n):
-        adj[v] &= ~(1 << v)
-    return UndirectedGraph(d.n, tuple(adj))
+    return _clique_union(d.n, d.out_adj)
 
 
 def closed_neighborhood_graph(g: UndirectedGraph) -> UndirectedGraph:
     """The square of g: edges between vertices at distance at most 2."""
-    adj = [0] * g.n
-    for w in range(g.n):
-        m = g.closed_neighborhood(w)
-        for u in bitset.iter_bits(m):
-            adj[u] |= m
-    for v in range(g.n):
-        adj[v] &= ~(1 << v)
-    return UndirectedGraph(g.n, tuple(adj))
+    return _clique_union(g.n, [g.closed_neighborhood(w) for w in range(g.n)])
 
 
 def open_neighborhood_graph(g: UndirectedGraph) -> UndirectedGraph:
     """Edge uv iff u and v share a common neighbor in g."""
-    adj = [0] * g.n
-    for w in range(g.n):
-        m = g.adj[w]
-        for u in bitset.iter_bits(m):
-            adj[u] |= m
-    for v in range(g.n):
-        adj[v] &= ~(1 << v)
-    return UndirectedGraph(g.n, tuple(adj))
+    return _clique_union(g.n, g.adj)
 
 
 @dataclass(frozen=True)

@@ -82,14 +82,10 @@ def _cmd_verify(args) -> int:
         config.seed = args.seed
     if args.timeout_ms is not None:
         config.timeout_ms = args.timeout_ms
-    if args.jobs is not None:
-        config.jobs = args.jobs
     if args.out is not None:
         config.out = args.out
     tasks = verify.build_tasks(config)
-    result = verify.run_suite(
-        tasks, jobs=config.jobs, out_path=config.out, include_timings=True
-    )
+    result = verify.run_suite(tasks, out_path=config.out, include_timings=True)
     print(result.summary())
     if config.out:
         print(f"records appended to {config.out}")
@@ -156,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("config", nargs="?", help="suite config file (default: built-in suite)")
     p_ver.add_argument("--out", help="append JSON-lines records to this file")
-    p_ver.add_argument("--jobs", type=int, help="worker threads")
     p_ver.add_argument("--seed", type=int, help="override the suite seed")
     p_ver.add_argument("--timeout-ms", type=float, dest="timeout_ms")
     p_ver.set_defaults(func=_cmd_verify)

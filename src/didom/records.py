@@ -13,8 +13,9 @@ HOLDS = "holds"
 FAILS = "fails"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 TIMEOUT = "timeout"
+ERROR = "error"  # the checker raised; extras["error"] holds the exception
 
-VERDICTS = (HOLDS, FAILS, HYPOTHESIS_NOT_MET, TIMEOUT)
+VERDICTS = (HOLDS, FAILS, HYPOTHESIS_NOT_MET, TIMEOUT, ERROR)
 
 
 @dataclass

@@ -255,8 +255,8 @@ def partition_two_dominating_sets(
     if found is None:
         return None
     side_a, side_b = found
-    assert validate.is_dominating_set(d, side_a)
-    assert validate.is_dominating_set(d, side_b)
+    if not (validate.is_dominating_set(d, side_a) and validate.is_dominating_set(d, side_b)):
+        raise AssertionError("partition side failed re-validation")
     return side_a, side_b
 
 
@@ -372,7 +372,9 @@ def compute_invariants(
         lambda: open_packing_number(d, timeout_ms=timeout_ms)
     )
     if report.rho.status == STATUS_OK and report.gamma.status == STATUS_OK:
-        assert report.rho.value <= report.gamma.value
+        if report.rho.value > report.gamma.value:
+            raise AssertionError("packing number exceeds domination number")
     if report.rho_open.status == STATUS_OK and report.gamma_t.status == STATUS_OK:
-        assert report.rho_open.value <= report.gamma_t.value
+        if report.rho_open.value > report.gamma_t.value:
+            raise AssertionError("open packing number exceeds total domination number")
     return report

@@ -11,9 +11,8 @@ reporting and claim ``holds`` only when the sandwich pins the value.
 from __future__ import annotations
 
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Callable, Iterator, Optional
 
@@ -41,10 +40,12 @@ from didom.core import (
 from didom.errors import SolveTimeout
 from didom.products import cartesian_product, direct_product
 from didom.records import (
+    ERROR,
     FAILS,
     HOLDS,
     HYPOTHESIS_NOT_MET,
     TIMEOUT,
+    VERDICTS,
     VerificationRecord,
     digraph_descriptor,
 )
@@ -73,24 +74,6 @@ CLAIM_STRONG_SUPPORT = "thm:strong-support-necessary"
 CLAIM_ISOLATED_LEAF = "cor:isolated-leaf-extension"
 CLAIM_MAX_PACKING = "thm:max-packing-dominates"
 CLAIM_ACYCLIC = "problem:acyclic-packing-domination"
-
-ALL_CLAIMS = (
-    CLAIM_MEIR_MOON,
-    CLAIM_DITREE_PACKING,
-    CLAIM_DITREE_OPEN_PACKING,
-    CLAIM_DIRECT_TOTAL,
-    CLAIM_PACKING_LOWER,
-    CLAIM_VIZING,
-    CLAIM_HALF_VIZING,
-    CLAIM_GM_FAILURE,
-    CLAIM_C4_EQUALITY,
-    CLAIM_STRONG_SUPPORT,
-    CLAIM_ISOLATED_LEAF,
-    CLAIM_MAX_PACKING,
-    CLAIM_ACYCLIC,
-    CLAIM_CLOSED_HELLY,
-    CLAIM_OPEN_HELLY,
-)
 
 # Claims where a `fails` verdict is a first-class finding, not a suite error:
 # the product inequality is known false in general, and the acyclic question
@@ -167,6 +150,29 @@ def _gamma_of_cartesian(
     upper = upper_witness.bit_count()
     value = lower if lower == upper else None
     return _ProductGamma(value, lower, upper, False, upper_witness)
+
+
+def _product_verdict(
+    pg: _ProductGamma, rhs: int, extras: dict, witnesses: dict
+) -> tuple[Optional[int], str]:
+    """(lhs, verdict) for gamma(G [] H) >= rhs: decided by the exact or
+    pinned value, else by the sandwich's lower or upper end, else left
+    unresolved.  A ``fails`` verdict gets the product dominating set as its
+    counterwitness."""
+    if pg.pinned:
+        lhs = pg.value
+        verdict = HOLDS if lhs >= rhs else FAILS
+    elif pg.lower >= rhs:
+        lhs, verdict = None, HOLDS
+        extras["product_lower_bound"] = pg.lower
+    elif pg.upper < rhs:
+        lhs, verdict = pg.upper, FAILS
+    else:
+        lhs, verdict = None, HYPOTHESIS_NOT_MET
+        extras["reason"] = "product exceeds exact-solve threshold; bounds do not resolve"
+    if verdict == FAILS and pg.witness is not None:
+        witnesses["product_dominating_set"] = bitset.to_list(pg.witness)
+    return lhs, verdict
 
 
 def _pair_instance(spec_g, spec_h) -> str:
@@ -374,23 +380,8 @@ def check_packing_lower_bound(
             "rho_H": rho_h,
             "exact": pg.exact,
         }
-        if pg.exact or pg.pinned:
-            verdict = HOLDS if pg.value >= rhs else FAILS
-            lhs = pg.value
-        elif pg.lower >= rhs:
-            verdict = HOLDS
-            lhs = None
-            extras["product_lower_bound"] = pg.lower
-        elif pg.upper < rhs:
-            verdict = FAILS
-            lhs = pg.upper
-        else:
-            verdict = HYPOTHESIS_NOT_MET
-            lhs = None
-            extras["reason"] = "product exceeds exact-solve threshold; bounds do not resolve"
         witnesses = {}
-        if verdict == FAILS and pg.witness is not None:
-            witnesses["product_dominating_set"] = bitset.to_list(pg.witness)
+        lhs, verdict = _product_verdict(pg, rhs, extras, witnesses)
         return VerificationRecord(
             CLAIM_PACKING_LOWER, inst, True, lhs, rhs, verdict, witnesses, extras=extras
         )
@@ -420,19 +411,7 @@ def check_vizing_inequality(
         )
         extras = {"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": pg.exact}
         witnesses = {}
-        if pg.exact or pg.pinned:
-            lhs = pg.value
-            verdict = HOLDS if lhs >= rhs else FAILS
-        elif pg.lower >= rhs:
-            lhs, verdict = None, HOLDS
-            extras["product_lower_bound"] = pg.lower
-        elif pg.upper < rhs:
-            lhs, verdict = pg.upper, FAILS
-        else:
-            lhs, verdict = None, HYPOTHESIS_NOT_MET
-            extras["reason"] = "product exceeds exact-solve threshold; bounds do not resolve"
-        if verdict == FAILS and pg.witness is not None:
-            witnesses["product_dominating_set"] = bitset.to_list(pg.witness)
+        lhs, verdict = _product_verdict(pg, rhs, extras, witnesses)
         return VerificationRecord(
             CLAIM_VIZING, inst, True, lhs, rhs, verdict, witnesses, extras=extras
         )
@@ -468,20 +447,9 @@ def check_half_vizing_bound(
         )
         extras = {"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": pg.exact}
         witnesses = {}
-        if pg.exact or pg.pinned:
-            lhs = pg.value
-            verdict = HOLDS if lhs >= rhs else FAILS
+        lhs, verdict = _product_verdict(pg, rhs, extras, witnesses)
+        if pg.pinned:
             extras["slack_x2"] = 2 * lhs - (gamma_g * gamma_h + max(gamma_g, gamma_h))
-        elif pg.lower >= rhs:
-            lhs, verdict = None, HOLDS
-            extras["product_lower_bound"] = pg.lower
-        elif pg.upper < rhs:
-            lhs, verdict = pg.upper, FAILS
-        else:
-            lhs, verdict = None, HYPOTHESIS_NOT_MET
-            extras["reason"] = "product exceeds exact-solve threshold; bounds do not resolve"
-        if verdict == FAILS and pg.witness is not None:
-            witnesses["product_dominating_set"] = bitset.to_list(pg.witness)
         return VerificationRecord(
             CLAIM_HALF_VIZING, inst, True, lhs, rhs, verdict, witnesses, extras=extras
         )
@@ -612,7 +580,7 @@ def check_C4_equality(
         extras["exact"] = pg.exact
         if pg.exact and pg.witness is not None:
             witnesses["product_dominating_set"] = bitset.to_list(pg.witness)
-        if not (pg.exact or pg.pinned):
+        if not pg.pinned:
             extras["reason"] = "product exceeds exact-solve threshold; bounds do not resolve"
             return VerificationRecord(
                 CLAIM_C4_EQUALITY, inst, hyp, None, rhs, HYPOTHESIS_NOT_MET,
@@ -672,7 +640,7 @@ def check_strong_support_condition(
                 CLAIM_STRONG_SUPPORT, inst, False, pg.value, rhs,
                 HYPOTHESIS_NOT_MET, extras=extras,
             )
-        if not (pg.exact or pg.pinned):
+        if not pg.pinned:
             extras["reason"] = "product exceeds exact-solve threshold"
             return VerificationRecord(
                 CLAIM_STRONG_SUPPORT, inst, hyp, None, rhs,
@@ -733,11 +701,11 @@ def check_isolated_leaf_extension(
         hyp = (
             is_ditree(t)
             and gamma_ext == gamma_t_val + 1
-            and (base.exact or base.pinned)
+            and base.pinned
             and base.value == gamma_t_val * gamma_h
         )
         extras["base_equality"] = (
-            base.value == gamma_t_val * gamma_h if (base.exact or base.pinned) else None
+            base.value == gamma_t_val * gamma_h if base.pinned else None
         )
         ext = _gamma_of_cartesian(
             t_ext, h, threshold=product_threshold, timeout_ms=timeout_ms
@@ -748,7 +716,7 @@ def check_isolated_leaf_extension(
                 CLAIM_ISOLATED_LEAF, inst, False, ext.value, rhs,
                 HYPOTHESIS_NOT_MET, extras=extras,
             )
-        if not (ext.exact or ext.pinned):
+        if not ext.pinned:
             extras["reason"] = "extended product exceeds exact-solve threshold"
             return VerificationRecord(
                 CLAIM_ISOLATED_LEAF, inst, hyp, None, rhs,
@@ -788,7 +756,7 @@ def check_max_packing_dominates(
             t1, t2, threshold=product_threshold, timeout_ms=timeout_ms
         )
         extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2, "exact": pg.exact}
-        if not (pg.exact or pg.pinned):
+        if not pg.pinned:
             extras["reason"] = "product exceeds exact-solve threshold"
             return VerificationRecord(
                 CLAIM_MAX_PACKING, inst, False, None, rhs,
@@ -911,6 +879,7 @@ def search_acyclic_problem(
 class SuiteTask:
     claim: str
     run: Callable[[], VerificationRecord]
+    source: str = ""  # the configured instance source, named by error records
 
 
 @dataclass
@@ -930,17 +899,22 @@ class SuiteResult:
             if r.verdict == FAILS and r.claim not in EXPECTED_FAILURE_CLAIMS
         ]
 
+    def errors(self) -> list[VerificationRecord]:
+        return [r for r in self.records if r.verdict == ERROR]
+
     @property
     def ok(self) -> bool:
-        return not self.unexpected_failures()
+        return not self.unexpected_failures() and not self.errors()
 
     def summary(self) -> str:
         counts = self.counts()
         parts = [f"{len(self.records)} records"]
-        parts += [f"{v}={counts.get(v, 0)}" for v in (HOLDS, FAILS, HYPOTHESIS_NOT_MET, TIMEOUT)]
+        parts += [f"{v}={counts.get(v, 0)}" for v in VERDICTS]
         lines = ["suite: " + " ".join(parts)]
         for r in self.unexpected_failures():
             lines.append(f"UNEXPECTED FAIL {r.claim} on {r.instance}: {r.lhs} vs {r.rhs}")
+        for r in self.errors():
+            lines.append(f"ERROR {r.claim} on {r.instance}: {r.extras['error']}")
         for claim in sorted({r.claim for r in self.records}):
             sub = [r for r in self.records if r.claim == claim]
             c = {}
@@ -954,31 +928,32 @@ class SuiteResult:
 def run_suite(
     tasks: list[SuiteTask],
     *,
-    jobs: int = 1,
     out_path: Optional[str] = None,
     include_timings: bool = True,
 ) -> SuiteResult:
-    """Run the tasks (optionally on a bounded worker pool), appending each
-    record to ``out_path`` as JSON lines under a lock; one timeout never
-    aborts the rest."""
+    """Run the tasks in order, appending each record to ``out_path`` as
+    JSON lines.  A task that raises becomes an ``error`` record naming its
+    source and the run goes on; a failed re-validation (AssertionError) is
+    re-raised once its record is written."""
     result = SuiteResult()
-    lock = threading.Lock()
     sink = open(out_path, "a", encoding="ascii") if out_path else None
-
-    def execute(task: SuiteTask) -> None:
-        record = task.run()
-        with lock:
+    try:
+        for task in tasks:
+            fatal = None
+            try:
+                record = task.run()
+            except Exception as exc:
+                record = VerificationRecord(
+                    task.claim, task.source, False, None, None, ERROR,
+                    extras={"error": f"{type(exc).__name__}: {exc}"},
+                )
+                if isinstance(exc, AssertionError):
+                    fatal = exc
             result.records.append(record)
             if sink is not None:
                 sink.write(record.to_json(include_timings) + "\n")
-
-    try:
-        if jobs <= 1:
-            for task in tasks:
-                execute(task)
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(execute, tasks))
+            if fatal is not None:
+                raise fatal
     finally:
         if sink is not None:
             sink.close()
@@ -991,7 +966,6 @@ def run_suite(
 #   seed 42                   # global RNG seed
 #   timeout_ms 60000          # per-solve deadline
 #   product_threshold 64      # exact product solves up to this many vertices
-#   jobs 1
 #   out results.jsonl
 #   check <claim-id> <instance-source>
 #
@@ -1013,7 +987,6 @@ def run_suite(
 class SuiteConfig:
     seed: int = 42
     timeout_ms: float = DEFAULT_TIMEOUT_MS
-    jobs: int = 1
     product_threshold: int = DEFAULT_PRODUCT_THRESHOLD
     out: Optional[str] = None
     checks: list[tuple[str, str]] = field(default_factory=list)
@@ -1038,8 +1011,6 @@ def parse_suite_config(text: str) -> SuiteConfig:
                 config.seed = int(value)
             elif key == "timeout_ms":
                 config.timeout_ms = float(value)
-            elif key == "jobs":
-                config.jobs = int(value)
             elif key == "product_threshold":
                 config.product_threshold = int(value)
             elif key == "out":
@@ -1154,6 +1125,116 @@ def default_attach_vertex(t: Digraph) -> int:
     return 0
 
 
+def _pair_source(source: str, rng: random.Random):
+    for label, a, b, _ in _pair_instances(source, rng):
+        yield label, a, b
+
+
+def _attach_source(source: str, rng: random.Random):
+    for label, a, b, options in _pair_instances(source, rng):
+        attach = int(options["attach"]) if "attach" in options else default_attach_vertex(a)
+        yield f"{label};attach={attach}", a, b, attach
+
+
+def _m_source(source: str, rng: random.Random):
+    if not source.startswith("m:"):
+        raise SuiteConfigError(f"{CLAIM_GM_FAILURE} wants source m:1,2,..., got {source!r}")
+    for m_str in source[2:].split(","):
+        yield (int(m_str),)
+
+
+def _dags_source(source: str, rng: random.Random):
+    if not source.startswith("dags:"):
+        raise SuiteConfigError(f"{CLAIM_ACYCLIC} wants source dags:..., got {source!r}")
+    kv = _source_kv(source[len("dags:") :])
+    yield int(kv.get("exhaustive", "4")), int(kv.get("random", "0")), int(kv.get("n", "9"))
+
+
+def _run_acyclic(
+    config: SuiteConfig, exhaustive: int, budget: int, max_n: int
+) -> VerificationRecord:
+    """The acyclic search folded into one summary record carrying the first
+    failure's witnesses."""
+    records = list(
+        search_acyclic_problem(
+            max_n=max_n,
+            budget=budget,
+            seed=config.seed,
+            exhaustive_n=exhaustive,
+            timeout_ms=config.timeout_ms,
+        )
+    )
+    bad = [r for r in records if r.verdict == FAILS]
+    return VerificationRecord(
+        CLAIM_ACYCLIC,
+        f"dags:exhaustive={exhaustive},random={budget},n={max_n}",
+        True,
+        sum(1 for r in records if r.verdict == HOLDS),
+        len(records),
+        FAILS if bad else HOLDS,
+        witnesses={} if not bad else bad[0].witnesses,
+        seed=config.seed,
+    )
+
+
+def _product_check(checker):
+    """Run for a checker of the form checker(*graphs, instance, timeout_ms,
+    product_threshold)."""
+
+    def run(config: SuiteConfig, label: str, *args) -> VerificationRecord:
+        return checker(
+            *args,
+            instance=label,
+            timeout_ms=config.timeout_ms,
+            product_threshold=config.product_threshold,
+        )
+
+    return run
+
+
+# claim -> (instance source, run).  A source yields one argument tuple per
+# instance; each task calls run(config, *args).  Sources draw from the rng
+# in a fixed order, which keeps suites reproducible from their seed.
+_CLAIM_TABLE = {
+    CLAIM_MEIR_MOON: (
+        _digraph_instances,
+        lambda c, label, d: check_meir_moon(
+            underlying_graph(d), instance=label, timeout_ms=c.timeout_ms
+        ),
+    ),
+    CLAIM_DITREE_PACKING: (
+        _digraph_instances,
+        lambda c, label, d: check_packing_equals_domination(
+            d, instance=label, timeout_ms=c.timeout_ms
+        ),
+    ),
+    CLAIM_DITREE_OPEN_PACKING: (
+        _digraph_instances,
+        lambda c, label, d: check_open_packing_equals_total_domination(
+            d, instance=label, timeout_ms=c.timeout_ms
+        ),
+    ),
+    CLAIM_DIRECT_TOTAL: (_pair_source, _product_check(check_total_domination_direct_product)),
+    CLAIM_PACKING_LOWER: (_pair_source, _product_check(check_packing_lower_bound)),
+    CLAIM_VIZING: (_pair_source, _product_check(check_vizing_inequality)),
+    CLAIM_HALF_VIZING: (_pair_source, _product_check(check_half_vizing_bound)),
+    CLAIM_GM_FAILURE: (
+        _m_source,
+        lambda c, m: check_Gm_vizing_failure(m, timeout_ms=c.timeout_ms),
+    ),
+    CLAIM_C4_EQUALITY: (_digraph_instances, _product_check(check_C4_equality)),
+    CLAIM_STRONG_SUPPORT: (_pair_source, _product_check(check_strong_support_condition)),
+    CLAIM_ISOLATED_LEAF: (_attach_source, _product_check(check_isolated_leaf_extension)),
+    CLAIM_MAX_PACKING: (_pair_source, _product_check(check_max_packing_dominates)),
+    CLAIM_ACYCLIC: (_dags_source, _run_acyclic),
+    # Helly records name their instance by digraph_descriptor, not the label
+    CLAIM_CLOSED_HELLY: (_digraph_instances, lambda c, label, d: check_closed_helly_lemma(d)),
+    CLAIM_OPEN_HELLY: (_digraph_instances, lambda c, label, d: check_open_helly_lemma(d)),
+}
+
+ALL_CLAIMS = tuple(_CLAIM_TABLE)
+
+
 def build_tasks(config: SuiteConfig) -> list[SuiteTask]:
     """Expand configured checks into runnable suite tasks (deterministic
     given the config seed)."""
@@ -1161,185 +1242,9 @@ def build_tasks(config: SuiteConfig) -> list[SuiteTask]:
     for index, (claim, source) in enumerate(config.checks):
         # string seeding hashes via sha512: stable across platforms and runs
         rng = random.Random(f"{config.seed}:{index}:{claim}:{source}")
-        t_ms = config.timeout_ms
-        thr = config.product_threshold
-
-        if claim == CLAIM_MEIR_MOON:
-            for label, d in _digraph_instances(source, rng):
-                tree = underlying_graph(d)
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda tree=tree, label=label: check_meir_moon(
-                            tree, instance=label, timeout_ms=t_ms
-                        ),
-                    )
-                )
-        elif claim == CLAIM_DITREE_PACKING:
-            for label, d in _digraph_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda d=d, label=label: check_packing_equals_domination(
-                            d, instance=label, timeout_ms=t_ms
-                        ),
-                    )
-                )
-        elif claim == CLAIM_DITREE_OPEN_PACKING:
-            for label, d in _digraph_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda d=d, label=label: check_open_packing_equals_total_domination(
-                            d, instance=label, timeout_ms=t_ms
-                        ),
-                    )
-                )
-        elif claim == CLAIM_C4_EQUALITY:
-            for label, d in _digraph_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda d=d, label=label: check_C4_equality(
-                            d, instance=label, timeout_ms=t_ms, product_threshold=thr
-                        ),
-                    )
-                )
-        elif claim in (CLAIM_CLOSED_HELLY, CLAIM_OPEN_HELLY):
-            checker = (
-                check_closed_helly_lemma
-                if claim == CLAIM_CLOSED_HELLY
-                else check_open_helly_lemma
-            )
-            for _, d in _digraph_instances(source, rng):
-                tasks.append(SuiteTask(claim, lambda d=d, c=checker: c(d)))
-        elif claim == CLAIM_DIRECT_TOTAL:
-            for label, a, b, _ in _pair_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda a=a, b=b, label=label: check_total_domination_direct_product(
-                            a, b, instance=label, timeout_ms=t_ms, product_threshold=thr
-                        ),
-                    )
-                )
-        elif claim == CLAIM_PACKING_LOWER:
-            for label, a, b, _ in _pair_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda a=a, b=b, label=label: check_packing_lower_bound(
-                            a, b, instance=label, timeout_ms=t_ms, product_threshold=thr
-                        ),
-                    )
-                )
-        elif claim == CLAIM_VIZING:
-            for label, a, b, _ in _pair_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda a=a, b=b, label=label: check_vizing_inequality(
-                            a, b, instance=label, timeout_ms=t_ms, product_threshold=thr
-                        ),
-                    )
-                )
-        elif claim == CLAIM_HALF_VIZING:
-            for label, a, b, _ in _pair_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda a=a, b=b, label=label: check_half_vizing_bound(
-                            a, b, instance=label, timeout_ms=t_ms, product_threshold=thr
-                        ),
-                    )
-                )
-        elif claim == CLAIM_STRONG_SUPPORT:
-            for label, a, b, _ in _pair_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda a=a, b=b, label=label: check_strong_support_condition(
-                            a, b, instance=label, timeout_ms=t_ms, product_threshold=thr
-                        ),
-                    )
-                )
-        elif claim == CLAIM_MAX_PACKING:
-            for label, a, b, _ in _pair_instances(source, rng):
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda a=a, b=b, label=label: check_max_packing_dominates(
-                            a, b, instance=label, timeout_ms=t_ms, product_threshold=thr
-                        ),
-                    )
-                )
-        elif claim == CLAIM_ISOLATED_LEAF:
-            for label, a, b, options in _pair_instances(source, rng):
-                attach = (
-                    int(options["attach"])
-                    if "attach" in options
-                    else default_attach_vertex(a)
-                )
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda a=a, b=b, attach=attach, label=label: check_isolated_leaf_extension(
-                            a,
-                            b,
-                            attach,
-                            instance=f"{label};attach={attach}",
-                            timeout_ms=t_ms,
-                            product_threshold=thr,
-                        ),
-                    )
-                )
-        elif claim == CLAIM_GM_FAILURE:
-            if not source.startswith("m:"):
-                raise SuiteConfigError(f"{claim} wants source m:1,2,..., got {source!r}")
-            for m_str in source[2:].split(","):
-                m = int(m_str)
-                tasks.append(
-                    SuiteTask(
-                        claim,
-                        lambda m=m: check_Gm_vizing_failure(m, timeout_ms=t_ms),
-                    )
-                )
-        elif claim == CLAIM_ACYCLIC:
-            if not source.startswith("dags:"):
-                raise SuiteConfigError(f"{claim} wants source dags:..., got {source!r}")
-            kv = _source_kv(source[len("dags:") :])
-            exhaustive = int(kv.get("exhaustive", "4"))
-            budget = int(kv.get("random", "0"))
-            max_n = int(kv.get("n", "9"))
-            seed = config.seed
-
-            def acyclic_task(exhaustive=exhaustive, budget=budget, max_n=max_n, seed=seed):
-                records = list(
-                    search_acyclic_problem(
-                        max_n=max_n,
-                        budget=budget,
-                        seed=seed,
-                        exhaustive_n=exhaustive,
-                        timeout_ms=t_ms,
-                    )
-                )
-                # fold the stream into one summary record plus the failures
-                bad = [r for r in records if r.verdict == FAILS]
-                summary = VerificationRecord(
-                    CLAIM_ACYCLIC,
-                    f"dags:exhaustive={exhaustive},random={budget},n={max_n}",
-                    True,
-                    sum(1 for r in records if r.verdict == HOLDS),
-                    len(records),
-                    FAILS if bad else HOLDS,
-                    witnesses={} if not bad else bad[0].witnesses,
-                    seed=seed,
-                )
-                return summary
-
-            tasks.append(SuiteTask(claim, acyclic_task))
-        else:  # pragma: no cover - ALL_CLAIMS is exhaustive
-            raise SuiteConfigError(f"no task builder for claim {claim!r}")
+        instances, run = _CLAIM_TABLE[claim]
+        for args in instances(source, rng):
+            tasks.append(SuiteTask(claim, partial(run, config, *args), source))
     return tasks
 
 

@@ -143,14 +143,20 @@ class TestVerify:
         assert code == 0
         assert "fails=1" in out
 
-    def test_jobs_flag(self, capsys, tmp_path):
-        cfg = tmp_path / "par.cfg"
+    def test_checker_error_recorded_and_run_continues(self, capsys, tmp_path):
+        # random pairs break the checker's factor-order precondition
+        cfg = tmp_path / "err.cfg"
         cfg.write_text(
-            "seed 2\ncheck thm:meir-moon random-ditrees:count=8,n=8\n"
+            "seed 42\ncheck thm:max-packing-dominates random-pairs:count=3,n=5\n"
         )
-        code, out, _ = run_cli(capsys, "verify", str(cfg), "--jobs", "3")
-        assert code == 0
-        assert "thm:meir-moon: 8" in out
+        out_file = tmp_path / "records.jsonl"
+        code, out, _ = run_cli(capsys, "verify", str(cfg), "--out", str(out_file))
+        assert code == 1
+        assert "suite: 3 records" in out and "error=3" in out
+        records = [json.loads(l) for l in out_file.read_text().splitlines()]
+        assert [r["verdict"] for r in records] == ["error"] * 3
+        assert records[0]["instance"] == "random-pairs:count=3,n=5"
+        assert records[0]["extras"]["error"].startswith("ValueError: ")
 
 
 class TestSearchAcyclic:

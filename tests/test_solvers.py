@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import didom
 from didom import bitset, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
@@ -301,3 +306,39 @@ class TestInvariantReport:
         a = compute_invariants(directed_triangle, digraph_id="t").to_json(False)
         b = compute_invariants(directed_triangle, digraph_id="t").to_json(False)
         assert a == b
+
+
+class TestRevalidationSurvivesOptimize:
+    """Re-validation raises explicitly, so it still runs under ``python -O``,
+    which strips ``assert`` statements."""
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            # a partition whose sides fail re-validation
+            """
+            from didom import families, solvers, validate
+            validate.is_dominating_set = lambda d, s: False
+            solvers.partition_two_dominating_sets(families.fig5_corona())
+            """,
+            # a report whose packing number exceeds its domination number
+            """
+            from didom import families, solvers
+            solvers.packing_number = lambda d, timeout_ms=None: (d.n + 1, 0)
+            solvers.compute_invariants(families.build_family("cycle:3"))
+            """,
+        ],
+        ids=["partition", "invariant-report"],
+    )
+    def test_raises_under_O(self, script):
+        src = os.path.dirname(os.path.dirname(didom.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", textwrap.dedent(script)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode != 0
+        assert "AssertionError" in proc.stderr

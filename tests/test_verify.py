@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -15,6 +16,7 @@ from didom.families import (
     random_ditree,
 )
 from didom.records import (
+    ERROR,
     FAILS,
     HOLDS,
     HYPOTHESIS_NOT_MET,
@@ -403,10 +405,10 @@ class TestAcyclicSearch:
 class TestSuite:
     def test_config_parsing(self):
         cfg = verify.parse_suite_config(
-            "# comment\nseed 7\ntimeout_ms 1000\njobs 2\n"
+            "# comment\nseed 7\ntimeout_ms 1000\n"
             "check thm:meir-moon random-ditrees:count=2,n=5\n"
         )
-        assert cfg.seed == 7 and cfg.jobs == 2
+        assert cfg.seed == 7 and cfg.timeout_ms == 1000
         assert cfg.checks == [("thm:meir-moon", "random-ditrees:count=2,n=5")]
 
     def test_config_rejects_unknown_claim(self):
@@ -441,16 +443,54 @@ class TestSuite:
         run2 = [r.instance for r in verify.run_suite(verify.build_tasks(cfg)).records]
         assert run1 == run2
 
-    def test_parallel_jobs_same_records(self):
-        cfg = verify.parse_suite_config(
-            "seed 5\ncheck thm:meir-moon random-ditrees:count=6,n=8\n"
-        )
-        serial = verify.run_suite(verify.build_tasks(cfg), jobs=1)
-        threaded = verify.run_suite(verify.build_tasks(cfg), jobs=4)
-        assert sorted(r.instance for r in serial.records) == sorted(
-            r.instance for r in threaded.records
-        )
-        assert threaded.ok
+    @pytest.mark.parametrize(
+        "threshold, seed, digest",
+        [
+            (64, 42, "7e7ef5cb47faca79898c2de7311487c0317b747ce89c4776f85315e142e8c69a"),
+            (64, 7, "c7b2364d3a03481044c74e1b37f6f257ac6535df5c3d550e75e0feed600bd51e"),
+            # threshold 1 sends every product check down the bound sandwich
+            (1, 42, "8cac6916eab6f05b7965977d7126385913cfd23b65cba0875f25da8cff87d445"),
+            (1, 7, "54bf77c97d348eacebb6518ff6cd760b9b39d5f30b4b3b3cca1215cae96ec8e3"),
+        ],
+    )
+    def test_default_suite_byte_stable(self, threshold, seed, digest):
+        cfg = verify.default_suite_config()
+        cfg.seed, cfg.product_threshold = seed, threshold
+        records = verify.run_suite(verify.build_tasks(cfg)).records
+        text = "".join(r.to_json(False) + "\n" for r in records)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    def test_config_rejects_removed_jobs_key(self):
+        with pytest.raises(verify.SuiteConfigError, match="unknown key"):
+            verify.parse_suite_config("jobs 2\n")
+
+    def test_checker_exception_becomes_error_record(self):
+        def boom():
+            raise ValueError("bad instance")
+
+        edge = build_undirected(2, [(0, 1)])
+        tasks = [
+            verify.SuiteTask("thm:meir-moon", boom, "family:x"),
+            verify.SuiteTask("thm:meir-moon", lambda: verify.check_meir_moon(edge)),
+        ]
+        result = verify.run_suite(tasks)
+        first, second = result.records
+        assert first.verdict == ERROR and first.instance == "family:x"
+        assert first.extras == {"error": "ValueError: bad instance"}
+        assert second.verdict == HOLDS
+        assert not result.ok
+        assert "error=1" in result.summary()
+
+    def test_revalidation_failure_recorded_then_raised(self, tmp_path):
+        def broken():
+            raise AssertionError("witness failed re-validation")
+
+        out = tmp_path / "records.jsonl"
+        tasks = [verify.SuiteTask("thm:meir-moon", broken, "family:x")]
+        with pytest.raises(AssertionError):
+            verify.run_suite(tasks, out_path=str(out))
+        (line,) = out.read_text().splitlines()
+        assert VerificationRecord.from_json(line).verdict == ERROR
 
     def test_expected_failures_whitelisted(self):
         cfg = verify.parse_suite_config(
