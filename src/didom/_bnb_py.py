@@ -14,22 +14,19 @@ from typing import Optional, Sequence
 from didom import bitset
 from didom.errors import SolveTimeout
 
-POLL_INTERVAL = 4096
-
 
 class _Deadline:
-    __slots__ = ("at", "ticks")
+    """Checked once per search node; a set deadline reads the clock every
+    time, so a timeout stops within one node of it."""
+
+    __slots__ = ("at",)
 
     def __init__(self, at: Optional[float]):
         self.at = at
-        self.ticks = 0
 
     def poll(self) -> None:
-        self.ticks += 1
-        if self.ticks >= POLL_INTERVAL:
-            self.ticks = 0
-            if self.at is not None and monotonic() > self.at:
-                raise SolveTimeout("solve exceeded its deadline")
+        if self.at is not None and monotonic() > self.at:
+            raise SolveTimeout("solve exceeded its deadline")
 
 
 def _greedy_cover(masks: Sequence[int], universe: int) -> list[int]:
@@ -57,6 +54,13 @@ def min_set_cover(
     all sets misses an element.  Branching: take the uncovered element with
     the fewest live covering sets, try those sets in decreasing-coverage
     order, and exclude each tried set from later branches.
+
+    A set is live when it is still available and covers some uncovered
+    element.  Every available set that contains an uncovered element e is
+    therefore live, so e's live count is the popcount of
+    ``covers[e] & avail`` and the live sets are the union of those masks
+    over the uncovered elements.  The search works on these set-index
+    masks rather than testing set by set.
     """
     if universe == 0:
         return 0, ()
@@ -68,21 +72,13 @@ def min_set_cover(
         return None
 
     n_sets = len(masks)
-    covers = {}  # element -> bitmask over set indices
-    conflict = {}  # element -> union of all sets containing it
-    rem = universe
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        e = low.bit_length() - 1
-        cov = 0
-        conf = 0
-        for i in range(n_sets):
-            if masks[i] >> e & 1:
-                cov |= 1 << i
-                conf |= masks[i]
-        covers[e] = cov
-        conflict[e] = conf
+    width = universe.bit_length()
+    covers = [0] * width  # element -> bitmask over the sets containing it
+    conflict = [0] * width  # element -> union of all sets containing it
+    for i, m in enumerate(masks):
+        for e in bitset.iter_bits(m):
+            covers[e] |= 1 << i
+            conflict[e] |= m
 
     greedy = _greedy_cover(masks, universe)
     best = [len(greedy), tuple(sorted(greedy))]
@@ -96,67 +92,64 @@ def min_set_cover(
                     best[0] = count
                     best[1] = tuple(bitset.to_list(chosen))
                 return
-            # Scan elements: dead branch, forced set, or min-coverage branch
-            # element.  Counting stops early once a count cannot win.
-            forced = -1
+            # Scan elements in increasing order: one with no live set ends
+            # the branch, the first with a single live set forces it, and
+            # otherwise the first with the fewest is the branch element.
+            forced = 0
             branch_cnt = n_sets + 1
             branch_e = -1
-            rem2 = uncovered
-            while rem2:
-                low2 = rem2 & -rem2
-                rem2 ^= low2
-                e = low2.bit_length() - 1
+            live = 0
+            rem = uncovered
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                e = low.bit_length() - 1
                 cand = covers[e] & avail
-                cnt = 0
-                last = -1
-                while cand:
-                    lc = cand & -cand
-                    cand ^= lc
-                    i = lc.bit_length() - 1
-                    if masks[i] & uncovered:
-                        cnt += 1
-                        last = i
-                        if cnt >= 2 and cnt >= branch_cnt:
-                            break
-                if cnt == 0:
-                    return
-                if cnt == 1:
-                    forced = last
-                    break
+                cnt = cand.bit_count()
                 if cnt < branch_cnt:
+                    if cnt <= 1:
+                        if not cnt:
+                            return
+                        forced = cand
+                        break
                     branch_cnt = cnt
                     branch_e = e
-            if forced >= 0:
-                chosen |= 1 << forced
+                live |= cand
+            if forced:
+                chosen |= forced
                 count += 1
-                uncovered &= ~masks[forced]
-                avail &= ~(1 << forced)
+                uncovered &= ~masks[forced.bit_length() - 1]
+                avail &= ~forced
                 if count >= best[0]:
                     return
                 continue
             # Subsumption: a live set whose coverage lies inside another live
-            # set's coverage can be dropped (ties keep the lower index).
-            live = []
+            # set's coverage can be dropped (ties keep the lower index).  The
+            # sets whose coverage contains c_i are those covering each
+            # element of c_i: the AND of their covers masks.
             cov_of = {}
-            a = avail
+            a = live
             while a:
-                la = a & -a
-                a ^= la
-                i = la.bit_length() - 1
-                c = masks[i] & uncovered
-                if c:
-                    live.append(i)
-                    cov_of[i] = c
+                low = a & -a
+                a ^= low
+                i = low.bit_length() - 1
+                cov_of[i] = masks[i] & uncovered
             dropped = 0
             max_cov = 0
-            for i in live:
-                ci = cov_of[i]
-                for j in live:
-                    if j == i:
-                        continue
-                    cj = cov_of[j]
-                    if ci & ~cj == 0 and (ci != cj or j < i):
-                        dropped |= 1 << i
+            for i, ci in cov_of.items():
+                bit = 1 << i
+                sup = live
+                c = ci
+                while c and sup != bit:
+                    low = c & -c
+                    c ^= low
+                    sup &= covers[low.bit_length() - 1]
+                sup ^= bit
+                while sup:
+                    low = sup & -sup
+                    sup ^= low
+                    if low < bit or cov_of[low.bit_length() - 1] != ci:
+                        dropped |= bit
                         break
                 else:
                     if ci.bit_count() > max_cov:
@@ -168,18 +161,18 @@ def min_set_cover(
         # Lower bound: elements no single set co-covers each need their own
         # set (conflict masks are a static relaxation), or count/max-size.
         lb = 0
-        rem2 = uncovered
-        while rem2:
-            low2 = rem2 & -rem2
-            e = low2.bit_length() - 1
+        rem = uncovered
+        while rem:
+            low = rem & -rem
+            e = low.bit_length() - 1
             lb += 1
-            rem2 &= ~conflict[e]
+            rem &= ~conflict[e]
         simple = -(-uncovered.bit_count() // max_cov)
         if simple > lb:
             lb = simple
         if count + lb >= best[0]:
             return
-        cands = [i for i in live if not dropped >> i & 1 and cov_of[i] >> branch_e & 1]
+        cands = bitset.to_list(live & covers[branch_e])
         cands.sort(key=lambda i: (-cov_of[i].bit_count(), i))
         excl = 0
         for i in cands:

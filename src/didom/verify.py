@@ -742,13 +742,19 @@ def check_max_packing_dominates(
     """For ditree pairs attaining the product equality, every maximum packing
     dominates its underlying tree, and all maximum packings of one factor
     contain all of its isolated leaves (a disjunction across the pair)."""
-    if t1.n < 3 or t2.n < 3:
-        raise ValueError("both factors must have order at least 3")
-    if not (is_ditree(t1) and is_ditree(t2)):
-        raise ValueError("both factors must be ditrees")
     inst = instance or _pair_instance(t1, t2)
 
     def build():
+        reason = None
+        if t1.n < 3 or t2.n < 3:
+            reason = "both factors must have order at least 3"
+        elif not (is_ditree(t1) and is_ditree(t2)):
+            reason = "both factors must be ditrees"
+        if reason:
+            return VerificationRecord(
+                CLAIM_MAX_PACKING, inst, False, None, None,
+                HYPOTHESIS_NOT_MET, extras={"reason": reason},
+            )
         gamma_1, _ = domination_number(t1, timeout_ms=timeout_ms)
         gamma_2, _ = domination_number(t2, timeout_ms=timeout_ms)
         rhs = gamma_1 * gamma_2

@@ -144,19 +144,39 @@ class TestVerify:
         assert "fails=1" in out
 
     def test_checker_error_recorded_and_run_continues(self, capsys, tmp_path):
-        # random pairs break the checker's factor-order precondition
+        # an attach vertex outside every factor makes the checker raise
         cfg = tmp_path / "err.cfg"
+        cfg.write_text(
+            "seed 42\n"
+            "check cor:isolated-leaf-extension random-pairs:count=3,n=5;attach=99\n"
+            "check conj:vizing-inequality pair:cycle:4|cycle:4\n"
+        )
+        out_file = tmp_path / "records.jsonl"
+        code, out, _ = run_cli(capsys, "verify", str(cfg), "--out", str(out_file))
+        assert code == 1
+        assert "suite: 4 records" in out and "error=3" in out
+        records = [json.loads(l) for l in out_file.read_text().splitlines()]
+        assert [r["verdict"] for r in records] == ["error"] * 3 + ["holds"]
+        assert records[0]["instance"] == "random-pairs:count=3,n=5;attach=99"
+        assert records[0]["extras"]["error"] == "ValueError: attach vertex 99 out of range"
+
+    def test_max_packing_unmet_hypotheses_are_records(self, capsys, tmp_path):
+        # factors of order below 3 or not ditrees fail the claim's hypotheses
+        cfg = tmp_path / "mp.cfg"
         cfg.write_text(
             "seed 42\ncheck thm:max-packing-dominates random-pairs:count=3,n=5\n"
         )
         out_file = tmp_path / "records.jsonl"
         code, out, _ = run_cli(capsys, "verify", str(cfg), "--out", str(out_file))
-        assert code == 1
-        assert "suite: 3 records" in out and "error=3" in out
+        assert code == 0
+        assert "hypothesis_not_met=3" in out and "error=0" in out
         records = [json.loads(l) for l in out_file.read_text().splitlines()]
-        assert [r["verdict"] for r in records] == ["error"] * 3
-        assert records[0]["instance"] == "random-pairs:count=3,n=5"
-        assert records[0]["extras"]["error"].startswith("ValueError: ")
+        assert [r["verdict"] for r in records] == ["hypothesis_not_met"] * 3
+        assert [r["extras"]["reason"] for r in records] == [
+            "both factors must have order at least 3",
+            "both factors must have order at least 3",
+            "both factors must be ditrees",
+        ]
 
 
 class TestSearchAcyclic:

@@ -1,9 +1,12 @@
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from didom import _bnb_py, bitset, kernels
+from didom import _bnb_py, bitset, families, kernels, products
 from didom.errors import SolveTimeout
 
 try:
@@ -14,6 +17,54 @@ except ImportError:
 needs_compiled = pytest.mark.skipif(
     _kernels is None, reason="compiled kernel not built"
 )
+
+
+def _exhaustive_cover_size(sets, universe):
+    """Smallest number of sets covering universe, by subset enumeration."""
+    for size in range(len(sets) + 1):
+        for combo in itertools.combinations(sets, size):
+            covered = 0
+            for m in combo:
+                covered |= m
+            if covered & universe == universe:
+                return size
+    return None
+
+
+@pytest.fixture
+def node_count(monkeypatch):
+    """Counts pure-kernel search nodes: poll runs once per dfs entry."""
+    count = [0]
+    poll = _bnb_py._Deadline.poll
+
+    def counting_poll(self):
+        count[0] += 1
+        poll(self)
+
+    monkeypatch.setattr(_bnb_py._Deadline, "poll", counting_poll)
+    return count
+
+
+@st.composite
+def set_systems(draw):
+    """Up to 14 sets over at most 12 elements, with duplicate and nested sets
+    inserted at random positions, so that equal coverages meet on both sides
+    of the lower-index tie rule and subsumption drops run.  Small sets make
+    the greedy incumbent miss the optimum often enough for the search to
+    matter; the universe is the union of the sets or all n elements."""
+    n = draw(st.integers(1, 12))
+    full = bitset.full(n)
+    small = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(bitset.from_iter)
+    sets = draw(st.lists(st.one_of(small, st.integers(0, full)), min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 14 - len(sets)))):
+        base = sets[draw(st.integers(0, len(sets) - 1))]
+        other = draw(st.integers(0, full))
+        derived = draw(st.sampled_from((base, base & other, base | other)))
+        sets.insert(draw(st.integers(0, len(sets))), derived)
+    union = 0
+    for m in sets:
+        union |= m
+    return sets, draw(st.sampled_from((union, full)))
 
 
 class TestPureSetCover:
@@ -41,8 +92,6 @@ class TestPureSetCover:
         assert covered == 0b111
 
     def test_matches_exhaustive(self):
-        from itertools import combinations
-
         rng = random.Random(3)
         for _ in range(150):
             n = rng.randint(1, 8)
@@ -50,18 +99,24 @@ class TestPureSetCover:
             sets = [rng.getrandbits(n) for _ in range(k)]
             universe = bitset.full(n)
             result = _bnb_py.min_set_cover(sets, universe)
-            best = None
-            for size in range(0, k + 1):
-                for combo in combinations(range(k), size):
-                    covered = 0
-                    for i in combo:
-                        covered |= sets[i]
-                    if covered & universe == universe:
-                        best = size
-                        break
-                if best is not None:
-                    break
-            assert (result[0] if result else None) == best
+            assert (result[0] if result else None) == _exhaustive_cover_size(
+                sets, universe
+            )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(set_systems())
+    def test_differential_random_systems(self, system):
+        sets, universe = system
+        result = _bnb_py.min_set_cover(sets, universe)
+        best = _exhaustive_cover_size(sets, universe)
+        assert (result[0] if result else None) == best
+        if result is not None:
+            size, chosen = result
+            assert list(chosen) == sorted(set(chosen)) and len(chosen) == size
+            covered = 0
+            for i in chosen:
+                covered |= sets[i]
+            assert covered & universe == universe
 
     def test_wide_instance(self):
         # beyond 64 bits: pure backend handles arbitrary width
@@ -69,6 +124,44 @@ class TestPureSetCover:
         sets = [0b11 << i for i in range(0, n, 2)]
         size, chosen = _bnb_py.min_set_cover(sets, bitset.full(n))
         assert size == 45
+
+
+class TestSearchTreePinned:
+    """Node counts and witnesses of the pure cover kernel on fixed products.
+
+    The counts do not depend on the machine: any change to the branching
+    order, tie-breaks, reductions or bounds moves them.  The compiled twin
+    must reproduce the same tree, so these values hold for both backends.
+    """
+
+    @pytest.mark.parametrize(
+        "left, right, nodes, witness",
+        [
+            ("Gm:2", "Gm:3", 57, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
+            (
+                "Gm:3", "Gm:3", 435,
+                (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42),
+            ),
+            (
+                "K1star", "path:7", 217,
+                (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48),
+            ),
+            ("cycle:5", "path:7", 609, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
+            ("chord5", "path:7", 340, (1, 5, 8, 11, 12, 17, 22, 26, 28, 31, 34)),
+            (
+                "fig5corona", "path:8", 199,
+                (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45),
+            ),
+        ],
+    )
+    def test_cartesian_domination_tree(self, node_count, left, right, nodes, witness):
+        prod, _ = products.cartesian_product(
+            families.build_family(left), families.build_family(right)
+        )
+        sets = [prod.out_closed(v) for v in range(prod.n)]
+        result = _bnb_py.min_set_cover(sets, bitset.full(prod.n))
+        assert result == (len(witness), witness)
+        assert node_count[0] == nodes
 
 
 class TestPureMis:
@@ -123,6 +216,14 @@ class TestBackendAgreement:
                 sets, universe
             )
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(set_systems())
+    def test_cover_agreement_random_systems(self, system):
+        sets, universe = system
+        assert _kernels.min_set_cover(sets, universe) == _bnb_py.min_set_cover(
+            sets, universe
+        )
+
     def test_mis_agreement(self):
         rng = random.Random(10)
         for _ in range(500):
@@ -156,8 +257,8 @@ class TestBackendAgreement:
 
 class TestTimeouts:
     def _hard_cover(self):
-        # sparse 4-element sets over 40 elements: enough search nodes that
-        # the deadline poll (every 4096 nodes) is guaranteed to trigger
+        # sparse 4-element sets over 40 elements: a search of thousands of
+        # nodes, where the deadline is checked on every one
         rng = random.Random(7)
         n, k = 40, 62
         sets = []
@@ -185,6 +286,29 @@ class TestTimeouts:
         deadline = time.monotonic() - 1.0
         with pytest.raises(SolveTimeout):
             _kernels.min_set_cover(sets, universe, deadline)
+
+    @pytest.mark.parametrize("kernel", ["cover", "mis"])
+    def test_pure_timeout_on_first_node_past_deadline(
+        self, monkeypatch, node_count, kernel
+    ):
+        # a fake clock that advances one tick per read passes the deadline
+        # 5.0 on its 6th read; every node reads it, so node 6 must raise
+        clock = itertools.count(1)
+        monkeypatch.setattr(_bnb_py, "monotonic", lambda: next(clock))
+        with pytest.raises(SolveTimeout):
+            if kernel == "cover":
+                _bnb_py.min_set_cover(*self._hard_cover(), deadline=5.0)
+            else:
+                rng = random.Random(5)
+                n = 30
+                adj = [0] * n
+                for u, v in itertools.combinations(range(n), 2):
+                    if rng.random() < 0.2:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                _bnb_py.max_independent_set(adj, n, deadline=5.0)
+        assert node_count[0] == 6
+        assert next(clock) == 7
 
     def test_no_deadline_still_solves(self):
         sets, universe = self._hard_cover()

@@ -355,10 +355,18 @@ class TestMaxPackingDominates:
         assert rec.lhs == 3 and rec.rhs == 1
 
     def test_small_factor_rejected(self):
-        with pytest.raises(ValueError):
-            verify.check_max_packing_dominates(
-                gen_bidirected_path(2), gen_bidirected_path(4)
-            )
+        # order at least 3 is a hypothesis of the claim, not a usage error
+        rec = verify.check_max_packing_dominates(
+            gen_bidirected_path(2), gen_bidirected_path(4)
+        )
+        assert rec.verdict == HYPOTHESIS_NOT_MET and not rec.hypotheses_met
+        assert rec.extras == {"reason": "both factors must have order at least 3"}
+
+    def test_non_ditree_factor_rejected(self):
+        cycle = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
+        rec = verify.check_max_packing_dominates(cycle, gen_bidirected_path(4))
+        assert rec.verdict == HYPOTHESIS_NOT_MET
+        assert rec.extras == {"reason": "both factors must be ditrees"}
 
 
 class TestAcyclicSearch:
