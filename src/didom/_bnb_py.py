@@ -61,6 +61,16 @@ def min_set_cover(
     ``covers[e] & avail`` and the live sets are the union of those masks
     over the uncovered elements.  The search works on these set-index
     masks rather than testing set by set.
+
+    Subsumption is incremental.  Along a branch the uncovered elements and
+    the available sets only shrink, so every coverage only shrinks.  After
+    a pass, no live set is subsumed.  A live set k whose coverage c_k has
+    lost no element since then still is not: a subsuming c_j' ⊆ c_j would
+    have let that pass drop k already.  So a pass checks only the live
+    sets that contain an element covered since the previous pass (all of
+    them at the root).  A pass whose drops cover no element enables no
+    further drops, so after it the search re-scans for forced sets and
+    runs another pass only if a forced pick covered something.
     """
     if universe == 0:
         return 0, ()
@@ -84,7 +94,9 @@ def min_set_cover(
     best = [len(greedy), tuple(sorted(greedy))]
     dl = _Deadline(deadline)
 
-    def dfs(uncovered: int, avail: int, chosen: int, count: int) -> None:
+    def dfs(uncovered: int, avail: int, chosen: int, count: int, gone: int) -> None:
+        # gone: the elements covered since the last subsumption pass; -1
+        # (every element) at the root, which has had no pass.
         dl.poll()
         while True:
             if not uncovered:
@@ -116,28 +128,51 @@ def min_set_cover(
                     branch_e = e
                 live |= cand
             if forced:
+                picked = masks[forced.bit_length() - 1] & uncovered
                 chosen |= forced
                 count += 1
-                uncovered &= ~masks[forced.bit_length() - 1]
+                gone |= picked
+                uncovered &= ~picked
                 avail &= ~forced
                 if count >= best[0]:
                     return
                 continue
+            if not gone:
+                # Only drops since the last pass: it stands, cov_of and
+                # max_cov included, and no further set can be dropped.
+                break
             # Subsumption: a live set whose coverage lies inside another live
             # set's coverage can be dropped (ties keep the lower index).  The
             # sets whose coverage contains c_i are those covering each
-            # element of c_i: the AND of their covers masks.
+            # element of c_i: the AND of their covers masks.  Only sets that
+            # lost an element since the last pass are checked.  Every
+            # dropped set lies inside a kept one, so max_cov may include it.
             cov_of = {}
+            max_cov = 0
             a = live
             while a:
                 low = a & -a
                 a ^= low
                 i = low.bit_length() - 1
-                cov_of[i] = masks[i] & uncovered
+                ci = masks[i] & uncovered
+                cov_of[i] = ci
+                if ci.bit_count() > max_cov:
+                    max_cov = ci.bit_count()
+            if gone < 0:
+                check = live
+            else:
+                check = 0
+                while gone:
+                    low = gone & -gone
+                    gone ^= low
+                    check |= covers[low.bit_length() - 1]
+                check &= live
+            gone = 0
             dropped = 0
-            max_cov = 0
-            for i, ci in cov_of.items():
-                bit = 1 << i
+            while check:
+                bit = check & -check
+                check ^= bit
+                ci = cov_of[bit.bit_length() - 1]
                 sup = live
                 c = ci
                 while c and sup != bit:
@@ -151,9 +186,6 @@ def min_set_cover(
                     if low < bit or cov_of[low.bit_length() - 1] != ci:
                         dropped |= bit
                         break
-                else:
-                    if ci.bit_count() > max_cov:
-                        max_cov = ci.bit_count()
             if dropped:
                 avail &= ~dropped
                 continue
@@ -178,9 +210,13 @@ def min_set_cover(
         for i in cands:
             excl |= 1 << i
             if count + 1 < best[0]:
-                dfs(uncovered & ~masks[i], avail & ~excl, chosen | (1 << i), count + 1)
+                picked = masks[i] & uncovered
+                dfs(
+                    uncovered & ~picked, avail & ~excl, chosen | (1 << i),
+                    count + 1, picked,
+                )
 
-    dfs(universe, (1 << n_sets) - 1, 0, 0)
+    dfs(universe, (1 << n_sets) - 1, 0, 0, -1)
     return best[0], best[1]
 
 

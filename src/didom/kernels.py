@@ -2,10 +2,10 @@
 
 At import time we pick up the compiled extension when it is available; it
 handles word-sized instances (at most 64 vertices / 64 sets), which is
-where virtually all solver time is spent.  Wider instances, or any call
-with ``DIDOM_PURE_PYTHON`` set in the environment, use the pure-Python
-reference implementation.  Both backends implement the same algorithm and
-return identical results.
+where virtually all solver time is spent.  Wider instances, or every call
+when ``DIDOM_PURE_PYTHON`` is set in the environment at import, use the
+pure-Python reference implementation.  Both backends implement the same
+algorithm and return identical results.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ except ImportError:  # pragma: no cover - depends on build environment
     _compiled = None
 
 _WORD = 64
-
-
-def _force_pure() -> bool:
-    return bool(os.environ.get("DIDOM_PURE_PYTHON"))
+_FORCE_PURE = bool(os.environ.get("DIDOM_PURE_PYTHON"))
 
 
 def has_compiled_kernels() -> bool:
@@ -35,7 +32,7 @@ def backend_for(n_bits: int, n_sets: int = 0) -> str:
     """Name of the backend a call of this shape would use."""
     if (
         _compiled is not None
-        and not _force_pure()
+        and not _FORCE_PURE
         and n_bits <= _WORD
         and n_sets <= _WORD
     ):

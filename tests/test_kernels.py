@@ -152,6 +152,20 @@ class TestSearchTreePinned:
                 "fig5corona", "path:8", 199,
                 (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45),
             ),
+            # larger trees, where most nodes skip unchanged sets in the
+            # incremental subsumption pass
+            (
+                "Gm:3", "Gm:4", 1005,
+                (2, 4, 6, 8, 9, 19, 21, 23, 25, 27, 37, 39, 41, 43, 45, 55, 57, 59, 61),
+            ),
+            (
+                "K1star", "path:10", 2117,
+                (1, 2, 5, 8, 15, 20, 23, 27, 29, 36, 41, 42, 44, 48, 56, 60, 63, 66, 69),
+            ),
+            (
+                "cycle:5", "path:9", 2008,
+                (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43),
+            ),
         ],
     )
     def test_cartesian_domination_tree(self, node_count, left, right, nodes, witness):
@@ -239,13 +253,13 @@ class TestBackendAgreement:
             )
 
     def test_dispatcher_uses_compiled_for_word_sized(self, monkeypatch):
-        monkeypatch.delenv("DIDOM_PURE_PYTHON", raising=False)
+        monkeypatch.setattr(kernels, "_FORCE_PURE", False)
         assert kernels.backend_for(40, 40) == "compiled"
         assert kernels.backend_for(100, 10) == "pure"
         assert kernels.backend_for(10, 100) == "pure"
 
     def test_dispatcher_env_override(self, monkeypatch):
-        monkeypatch.setenv("DIDOM_PURE_PYTHON", "1")
+        monkeypatch.setattr(kernels, "_FORCE_PURE", True)
         assert kernels.backend_for(10, 10) == "pure"
 
     def test_compiled_rejects_wide(self):
@@ -310,7 +324,12 @@ class TestTimeouts:
         assert node_count[0] == 6
         assert next(clock) == 7
 
-    def test_no_deadline_still_solves(self):
+    def test_no_deadline_still_solves(self, node_count):
         sets, universe = self._hard_cover()
         result = _bnb_py.min_set_cover(sets, universe)
         assert result[0] == 12
+        assert node_count[0] > 4096, (
+            f"_hard_cover takes {node_count[0]} nodes; test_compiled_timeout_raises "
+            "needs more than the compiled kernel's 4096-node poll interval, or it "
+            "solves before reading its expired deadline"
+        )
