@@ -3,9 +3,10 @@
 Every claim becomes an executable predicate over instances, producing
 VerificationRecords.  Checkers never report ``fails`` without an attached,
 independently re-validated counterwitness, and hypothesis violations stay
-distinguishable from conclusion failures.  Exact product solves are gated
-by a vertex-count threshold, above which checkers degrade to bound-sandwich
-reporting and claim ``holds`` only when the sandwich pins the value.
+distinguishable from conclusion failures.  Every product checker solves
+the product exactly, so no verdict rests on a bound that contains the
+claim's own inequality; a solve past its deadline gives a ``timeout``
+record.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ CLAIM_ACYCLIC = "problem:acyclic-packing-domination"
 # is open (the search records, it does not assert).
 EXPECTED_FAILURE_CLAIMS = frozenset({CLAIM_VIZING, CLAIM_ACYCLIC})
 
-DEFAULT_PRODUCT_THRESHOLD = 64
-
 
 def _timed(claim: str, instance: str, build: Callable[[], VerificationRecord]):
     start = perf_counter()
@@ -100,79 +99,21 @@ def _half_bound_rhs(gamma_g: int, gamma_h: int) -> int:
     return -(-(gamma_g * gamma_h + max(gamma_g, gamma_h)) // 2)
 
 
-@dataclass
-class _ProductGamma:
-    value: Optional[int]  # exact or pinned value, else None
-    lower: int
-    upper: int
-    exact: bool
-    witness: Optional[int]  # dominating set achieving `upper`
-
-    @property
-    def pinned(self) -> bool:
-        return self.value is not None
-
-
 def _gamma_of_cartesian(
-    g: Digraph,
-    h: Digraph,
-    *,
-    threshold: int,
-    timeout_ms: Optional[float],
-    upper_witness: Optional[int] = None,
-) -> _ProductGamma:
-    """Exact gamma of the product when it fits under the threshold, otherwise
-    the best bound sandwich (packing and half bounds below, a constructed
-    dominating set above)."""
-    prod, pmap = cartesian_product(g, h)
-    if prod.n <= threshold:
-        size, witness = domination_number(prod, timeout_ms=timeout_ms)
-        return _ProductGamma(size, size, size, True, witness)
-    gamma_g, dom_g = domination_number(g, timeout_ms=timeout_ms)
-    gamma_h, dom_h = domination_number(h, timeout_ms=timeout_ms)
-    rho_g, _ = packing_number(g, timeout_ms=timeout_ms)
-    rho_h, _ = packing_number(h, timeout_ms=timeout_ms)
-    lower = max(
-        gamma_g * rho_h, gamma_h * rho_g, _half_bound_rhs(gamma_g, gamma_h)
-    )
-    if upper_witness is None:
-        # one factor's dominating set crossed with the other factor
-        if gamma_g * h.n <= gamma_h * g.n:
-            upper_witness = bitset.from_iter(
-                pmap.encode(x, y) for x in bitset.iter_bits(dom_g) for y in range(h.n)
-            )
-        else:
-            upper_witness = bitset.from_iter(
-                pmap.encode(x, y) for x in range(g.n) for y in bitset.iter_bits(dom_h)
-            )
-    if not validate.is_dominating_set(prod, upper_witness):
-        raise AssertionError("constructed product dominating set is invalid")
-    upper = upper_witness.bit_count()
-    value = lower if lower == upper else None
-    return _ProductGamma(value, lower, upper, False, upper_witness)
+    g: Digraph, h: Digraph, *, timeout_ms: Optional[float]
+) -> tuple[int, int]:
+    """(gamma, minimum dominating set) of G [] H, solved exactly."""
+    prod, _ = cartesian_product(g, h)
+    return domination_number(prod, timeout_ms=timeout_ms)
 
 
-def _product_verdict(
-    pg: _ProductGamma, rhs: int, extras: dict, witnesses: dict
-) -> tuple[Optional[int], str]:
-    """(lhs, verdict) for gamma(G [] H) >= rhs: decided by the exact or
-    pinned value, else by the sandwich's lower or upper end, else left
-    unresolved.  A ``fails`` verdict gets the product dominating set as its
-    counterwitness."""
-    if pg.pinned:
-        lhs = pg.value
-        verdict = HOLDS if lhs >= rhs else FAILS
-    elif pg.lower >= rhs:
-        lhs, verdict = None, HOLDS
-        extras["product_lower_bound"] = pg.lower
-    elif pg.upper < rhs:
-        lhs, verdict = pg.upper, FAILS
-    else:
-        lhs, verdict = None, HYPOTHESIS_NOT_MET
-        extras["reason"] = "product exceeds exact-solve threshold; bounds do not resolve"
-    if verdict == FAILS and pg.witness is not None:
-        witnesses["product_dominating_set"] = bitset.to_list(pg.witness)
-    return lhs, verdict
+def _product_verdict(gamma: int, witness: int, rhs: int, witnesses: dict) -> str:
+    """Verdict for gamma(G [] H) >= rhs; a ``fails`` verdict gets the
+    product dominating set as its counterwitness."""
+    if gamma >= rhs:
+        return HOLDS
+    witnesses["product_dominating_set"] = bitset.to_list(witness)
+    return FAILS
 
 
 def _pair_instance(spec_g, spec_h) -> str:
@@ -287,13 +228,13 @@ def check_total_domination_direct_product(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD,
 ) -> VerificationRecord:
     """gamma_t(G x H) = gamma_t(G) gamma_t(H) when the first factor's open
     packing number equals its total domination number (both factors need
-    minimum in-degree 1).  The definitional sandwich
+    minimum in-degree 1).  The product is solved exactly, and the
+    definitional sandwich
     max(rho_o * gamma_t, ...) <= gamma_t(product) <= gamma_t * gamma_t
-    is verified whenever the product is solved."""
+    is verified against the solved value."""
     inst = instance or _pair_instance(g, h)
 
     def build():
@@ -323,26 +264,16 @@ def check_total_domination_direct_product(
             "rho_open_H": ro_h,
             "sandwich_lower": sandwich_low,
             "sandwich_upper": rhs,
-            "exact": prod.n <= product_threshold,
+            "exact": True,
         }
-        if prod.n <= product_threshold:
-            solved = total_domination_number(prod, timeout_ms=timeout_ms)
-            lhs, dom = solved
-            witnesses = {"product_total_dominating_set": bitset.to_list(dom)}
-            if not (sandwich_low <= lhs <= rhs):
-                return VerificationRecord(
-                    CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, FAILS, witnesses, extras=extras
-                )
+        lhs, dom = total_domination_number(prod, timeout_ms=timeout_ms)
+        witnesses = {"product_total_dominating_set": bitset.to_list(dom)}
+        if not (sandwich_low <= lhs <= rhs):
+            verdict = FAILS
+        else:
             verdict = (HOLDS if lhs == rhs else FAILS) if hyp else HYPOTHESIS_NOT_MET
-            return VerificationRecord(
-                CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, verdict, witnesses, extras=extras
-            )
-        pinned = sandwich_low == rhs
-        lhs = rhs if pinned else None
-        verdict = HOLDS if (hyp and pinned) else HYPOTHESIS_NOT_MET
-        extras["pinned"] = pinned
         return VerificationRecord(
-            CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, verdict, extras=extras
+            CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, verdict, witnesses, extras=extras
         )
 
     return _timed(CLAIM_DIRECT_TOTAL, inst, build)
@@ -359,7 +290,6 @@ def check_packing_lower_bound(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD,
 ) -> VerificationRecord:
     """gamma(G [] H) >= max(gamma(G) rho(H), gamma(H) rho(G))."""
     inst = instance or _pair_instance(g, h)
@@ -370,18 +300,16 @@ def check_packing_lower_bound(
         rho_g, _ = packing_number(g, timeout_ms=timeout_ms)
         rho_h, _ = packing_number(h, timeout_ms=timeout_ms)
         rhs = max(gamma_g * rho_h, gamma_h * rho_g)
-        pg = _gamma_of_cartesian(
-            g, h, threshold=product_threshold, timeout_ms=timeout_ms
-        )
+        lhs, dom = _gamma_of_cartesian(g, h, timeout_ms=timeout_ms)
         extras = {
             "gamma_G": gamma_g,
             "gamma_H": gamma_h,
             "rho_G": rho_g,
             "rho_H": rho_h,
-            "exact": pg.exact,
+            "exact": True,
         }
         witnesses = {}
-        lhs, verdict = _product_verdict(pg, rhs, extras, witnesses)
+        verdict = _product_verdict(lhs, dom, rhs, witnesses)
         return VerificationRecord(
             CLAIM_PACKING_LOWER, inst, True, lhs, rhs, verdict, witnesses, extras=extras
         )
@@ -395,7 +323,6 @@ def check_vizing_inequality(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD,
 ) -> VerificationRecord:
     """gamma(G [] H) >= gamma(G) gamma(H): true for ditree factors, false in
     general; failures are first-class findings with a small dominating set
@@ -406,12 +333,10 @@ def check_vizing_inequality(
         gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
         gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
         rhs = gamma_g * gamma_h
-        pg = _gamma_of_cartesian(
-            g, h, threshold=product_threshold, timeout_ms=timeout_ms
-        )
-        extras = {"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": pg.exact}
+        lhs, dom = _gamma_of_cartesian(g, h, timeout_ms=timeout_ms)
+        extras = {"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": True}
         witnesses = {}
-        lhs, verdict = _product_verdict(pg, rhs, extras, witnesses)
+        verdict = _product_verdict(lhs, dom, rhs, witnesses)
         return VerificationRecord(
             CLAIM_VIZING, inst, True, lhs, rhs, verdict, witnesses, extras=extras
         )
@@ -425,8 +350,6 @@ def check_half_vizing_bound(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD,
-    upper_witness: Optional[int] = None,
 ) -> VerificationRecord:
     """gamma(G [] H) >= (gamma(G) gamma(H) + max(gamma(G), gamma(H))) / 2.
 
@@ -438,18 +361,15 @@ def check_half_vizing_bound(
         gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
         gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
         rhs = _half_bound_rhs(gamma_g, gamma_h)
-        pg = _gamma_of_cartesian(
-            g,
-            h,
-            threshold=product_threshold,
-            timeout_ms=timeout_ms,
-            upper_witness=upper_witness,
-        )
-        extras = {"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": pg.exact}
+        lhs, dom = _gamma_of_cartesian(g, h, timeout_ms=timeout_ms)
+        extras = {
+            "gamma_G": gamma_g,
+            "gamma_H": gamma_h,
+            "exact": True,
+            "slack_x2": 2 * lhs - (gamma_g * gamma_h + max(gamma_g, gamma_h)),
+        }
         witnesses = {}
-        lhs, verdict = _product_verdict(pg, rhs, extras, witnesses)
-        if pg.pinned:
-            extras["slack_x2"] = 2 * lhs - (gamma_g * gamma_h + max(gamma_g, gamma_h))
+        verdict = _product_verdict(lhs, dom, rhs, witnesses)
         return VerificationRecord(
             CLAIM_HALF_VIZING, inst, True, lhs, rhs, verdict, witnesses, extras=extras
         )
@@ -516,7 +436,6 @@ def check_C4_equality(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD,
 ) -> VerificationRecord:
     """Digraphs partitionable into two minimum dominating sets satisfy
     gamma(G [] C4^(0,2,0,2)) = 2 gamma(G); any two-dominating-set partition
@@ -530,14 +449,13 @@ def check_C4_equality(
         any_part = partition_two_dominating_sets(g, False, timeout_ms=timeout_ms)
         extras = {}
         witnesses = {}
-        upper_witness = None
         if any_part is not None:
             side_a, side_b = any_part
-            upper_witness = bitset.from_iter(
+            partition_witness = bitset.from_iter(
                 [pmap.encode(x, u_idx) for x in bitset.iter_bits(side_a)]
                 + [pmap.encode(x, v_idx) for x in bitset.iter_bits(side_b)]
             )
-            if not validate.is_dominating_set(prod, upper_witness):
+            if not validate.is_dominating_set(prod, partition_witness):
                 return VerificationRecord(
                     CLAIM_C4_EQUALITY,
                     inst,
@@ -545,7 +463,7 @@ def check_C4_equality(
                     None,
                     None,
                     FAILS,
-                    witnesses={"partition_witness": bitset.to_list(upper_witness)},
+                    witnesses={"partition_witness": bitset.to_list(partition_witness)},
                     extras={"reason": "partition witness does not dominate product"},
                 )
             extras["upper_bound_n"] = g.n
@@ -570,25 +488,12 @@ def check_C4_equality(
         side_a, side_b = min_part
         witnesses["minimum_side_a"] = bitset.to_list(side_a)
         witnesses["minimum_side_b"] = bitset.to_list(side_b)
-        pg = _gamma_of_cartesian(
-            g,
-            c4,
-            threshold=product_threshold,
-            timeout_ms=timeout_ms,
-            upper_witness=upper_witness,
-        )
-        extras["exact"] = pg.exact
-        if pg.exact and pg.witness is not None:
-            witnesses["product_dominating_set"] = bitset.to_list(pg.witness)
-        if not pg.pinned:
-            extras["reason"] = "product exceeds exact-solve threshold; bounds do not resolve"
-            return VerificationRecord(
-                CLAIM_C4_EQUALITY, inst, hyp, None, rhs, HYPOTHESIS_NOT_MET,
-                witnesses, extras=extras,
-            )
-        verdict = HOLDS if pg.value == rhs else FAILS
+        lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
+        extras["exact"] = True
+        witnesses["product_dominating_set"] = bitset.to_list(dom)
+        verdict = HOLDS if lhs == rhs else FAILS
         return VerificationRecord(
-            CLAIM_C4_EQUALITY, inst, hyp, pg.value, rhs, verdict, witnesses,
+            CLAIM_C4_EQUALITY, inst, hyp, lhs, rhs, verdict, witnesses,
             extras=extras,
         )
 
@@ -613,7 +518,6 @@ def check_strong_support_condition(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD,
 ) -> VerificationRecord:
     """Necessary condition, checked contrapositively: when the product
     equality gamma(T [] G) = gamma(T) gamma(G) holds exactly, T must not
@@ -625,35 +529,27 @@ def check_strong_support_condition(
         gamma_t_val, _ = domination_number(t, timeout_ms=timeout_ms)
         gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
         rhs = gamma_t_val * gamma_g
-        pg = _gamma_of_cartesian(
-            t, g, threshold=product_threshold, timeout_ms=timeout_ms
-        )
+        lhs, _ = _gamma_of_cartesian(t, g, timeout_ms=timeout_ms)
         bad_vertex = _strong_support_with_two_nonisolated(t)
         extras = {
             "gamma_T": gamma_t_val,
             "gamma_G": gamma_g,
-            "exact": pg.exact,
+            "exact": True,
             "strong_support_with_two_nonisolated_leaves": bad_vertex,
         }
         if not hyp:
             return VerificationRecord(
-                CLAIM_STRONG_SUPPORT, inst, False, pg.value, rhs,
+                CLAIM_STRONG_SUPPORT, inst, False, lhs, rhs,
                 HYPOTHESIS_NOT_MET, extras=extras,
             )
-        if not pg.pinned:
-            extras["reason"] = "product exceeds exact-solve threshold"
-            return VerificationRecord(
-                CLAIM_STRONG_SUPPORT, inst, hyp, None, rhs,
-                HYPOTHESIS_NOT_MET, extras=extras,
-            )
-        equality = pg.value == rhs
+        equality = lhs == rhs
         extras["equality"] = equality
         verdict = FAILS if (equality and bad_vertex is not None) else HOLDS
         witnesses = {}
         if verdict == FAILS:
             witnesses["strong_support_vertex"] = [bad_vertex]
         return VerificationRecord(
-            CLAIM_STRONG_SUPPORT, inst, hyp, pg.value, rhs, verdict, witnesses,
+            CLAIM_STRONG_SUPPORT, inst, hyp, lhs, rhs, verdict, witnesses,
             extras=extras,
         )
 
@@ -678,7 +574,6 @@ def check_isolated_leaf_extension(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD,
 ) -> VerificationRecord:
     """Attaching a new isolated leaf that raises gamma by one preserves the
     product equality gamma(T [] H) = gamma(T) gamma(H)."""
@@ -689,42 +584,26 @@ def check_isolated_leaf_extension(
         gamma_t_val, _ = domination_number(t, timeout_ms=timeout_ms)
         gamma_ext, _ = domination_number(t_ext, timeout_ms=timeout_ms)
         gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
-        base = _gamma_of_cartesian(
-            t, h, threshold=product_threshold, timeout_ms=timeout_ms
-        )
+        base, _ = _gamma_of_cartesian(t, h, timeout_ms=timeout_ms)
+        base_equality = base == gamma_t_val * gamma_h
         extras = {
             "gamma_T": gamma_t_val,
             "gamma_T_extended": gamma_ext,
             "gamma_H": gamma_h,
             "gamma_grew": gamma_ext == gamma_t_val + 1,
+            "base_equality": base_equality,
         }
-        hyp = (
-            is_ditree(t)
-            and gamma_ext == gamma_t_val + 1
-            and base.pinned
-            and base.value == gamma_t_val * gamma_h
-        )
-        extras["base_equality"] = (
-            base.value == gamma_t_val * gamma_h if base.pinned else None
-        )
-        ext = _gamma_of_cartesian(
-            t_ext, h, threshold=product_threshold, timeout_ms=timeout_ms
-        )
+        hyp = is_ditree(t) and gamma_ext == gamma_t_val + 1 and base_equality
+        lhs, _ = _gamma_of_cartesian(t_ext, h, timeout_ms=timeout_ms)
         rhs = gamma_ext * gamma_h
         if not hyp:
             return VerificationRecord(
-                CLAIM_ISOLATED_LEAF, inst, False, ext.value, rhs,
+                CLAIM_ISOLATED_LEAF, inst, False, lhs, rhs,
                 HYPOTHESIS_NOT_MET, extras=extras,
             )
-        if not ext.pinned:
-            extras["reason"] = "extended product exceeds exact-solve threshold"
-            return VerificationRecord(
-                CLAIM_ISOLATED_LEAF, inst, hyp, None, rhs,
-                HYPOTHESIS_NOT_MET, extras=extras,
-            )
-        verdict = HOLDS if ext.value == rhs else FAILS
+        verdict = HOLDS if lhs == rhs else FAILS
         return VerificationRecord(
-            CLAIM_ISOLATED_LEAF, inst, hyp, ext.value, rhs, verdict, extras=extras
+            CLAIM_ISOLATED_LEAF, inst, hyp, lhs, rhs, verdict, extras=extras
         )
 
     return _timed(CLAIM_ISOLATED_LEAF, inst, build)
@@ -736,7 +615,6 @@ def check_max_packing_dominates(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD,
     packing_cap: int = 100_000,
 ) -> VerificationRecord:
     """For ditree pairs attaining the product equality, every maximum packing
@@ -758,20 +636,11 @@ def check_max_packing_dominates(
         gamma_1, _ = domination_number(t1, timeout_ms=timeout_ms)
         gamma_2, _ = domination_number(t2, timeout_ms=timeout_ms)
         rhs = gamma_1 * gamma_2
-        pg = _gamma_of_cartesian(
-            t1, t2, threshold=product_threshold, timeout_ms=timeout_ms
-        )
-        extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2, "exact": pg.exact}
-        if not pg.pinned:
-            extras["reason"] = "product exceeds exact-solve threshold"
+        lhs, _ = _gamma_of_cartesian(t1, t2, timeout_ms=timeout_ms)
+        extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2, "exact": True}
+        if lhs != rhs:
             return VerificationRecord(
-                CLAIM_MAX_PACKING, inst, False, None, rhs,
-                HYPOTHESIS_NOT_MET, extras=extras,
-            )
-        hyp = pg.value == rhs
-        if not hyp:
-            return VerificationRecord(
-                CLAIM_MAX_PACKING, inst, False, pg.value, rhs,
+                CLAIM_MAX_PACKING, inst, False, lhs, rhs,
                 HYPOTHESIS_NOT_MET, extras=extras,
             )
         tags1 = classify_leaves(t1)
@@ -815,7 +684,7 @@ def check_max_packing_dominates(
             )
         verdict = HOLDS if bad is None and (all1 or all2) else FAILS
         return VerificationRecord(
-            CLAIM_MAX_PACKING, inst, True, pg.value, rhs, verdict, witnesses,
+            CLAIM_MAX_PACKING, inst, True, lhs, rhs, verdict, witnesses,
             extras=extras,
         )
 
@@ -970,8 +839,8 @@ def run_suite(
 # Suite configuration: a plain-text key-value file.
 #
 #   seed 42                   # global RNG seed
-#   timeout_ms 60000          # per-solve deadline
-#   product_threshold 64      # exact product solves up to this many vertices
+#   timeout_ms 60000          # per-solve deadline, product solves included;
+#                             # a check past it gives a timeout record
 #   out results.jsonl
 #   check <claim-id> <instance-source>
 #
@@ -993,7 +862,6 @@ def run_suite(
 class SuiteConfig:
     seed: int = 42
     timeout_ms: float = DEFAULT_TIMEOUT_MS
-    product_threshold: int = DEFAULT_PRODUCT_THRESHOLD
     out: Optional[str] = None
     checks: list[tuple[str, str]] = field(default_factory=list)
 
@@ -1017,8 +885,6 @@ def parse_suite_config(text: str) -> SuiteConfig:
                 config.seed = int(value)
             elif key == "timeout_ms":
                 config.timeout_ms = float(value)
-            elif key == "product_threshold":
-                config.product_threshold = int(value)
             elif key == "out":
                 config.out = value
             elif key == "check":
@@ -1184,16 +1050,10 @@ def _run_acyclic(
 
 
 def _product_check(checker):
-    """Run for a checker of the form checker(*graphs, instance, timeout_ms,
-    product_threshold)."""
+    """Run for a checker of the form checker(*graphs, instance, timeout_ms)."""
 
     def run(config: SuiteConfig, label: str, *args) -> VerificationRecord:
-        return checker(
-            *args,
-            instance=label,
-            timeout_ms=config.timeout_ms,
-            product_threshold=config.product_threshold,
-        )
+        return checker(*args, instance=label, timeout_ms=config.timeout_ms)
 
     return run
 
@@ -1258,7 +1118,6 @@ DEFAULT_SUITE = """\
 # didom default verification suite
 seed 42
 timeout_ms 60000
-product_threshold 64
 check thm:meir-moon random-ditrees:count=25,n=12
 check thm:ditree-packing-domination enum-ditrees:3
 check thm:ditree-packing-domination family:K1star

@@ -161,9 +161,10 @@ def test_criterion_07_half_bound_sharpness(directed_triangle):
             for role in range(3):
                 witness |= 1 << pmap.encode(3 * i + role, role)
         assert witness.bit_count() == 27
-        rec = verify.check_half_vizing_bound(h9, g1, upper_witness=witness)
+        assert validate.is_dominating_set(prod, witness)
+        rec = verify.check_half_vizing_bound(h9, g1)
         assert rec.verdict == HOLDS and rec.lhs == 27
-        assert 2 * 27 == gamma_h9 * 2 + gamma_h9  # zero slack at the bound
+        assert rec.extras["slack_x2"] == 0  # zero slack at the bound
 
 
 def test_criterion_08_equality_family():

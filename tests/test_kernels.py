@@ -190,9 +190,7 @@ class TestPureMis:
         adj = [0b0010, 0b0101, 0b1010, 0b0100]
         size, witness = _bnb_py.max_independent_set(adj, 4)
         assert size == 2
-        assert witness & (witness >> 1) == 0 or True  # structural check below
-        for v in bitset.iter_bits(witness):
-            assert not adj[v] & witness
+        assert witness in (0b0101, 0b1001, 0b1010)
 
     def test_matches_exhaustive(self):
         rng = random.Random(4)

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 import didom.verify as verify
+from didom import bitset, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
     fig5_corona,
@@ -20,6 +23,7 @@ from didom.records import (
     FAILS,
     HOLDS,
     HYPOTHESIS_NOT_MET,
+    TIMEOUT,
     VerificationRecord,
     digraph_descriptor,
 )
@@ -119,6 +123,18 @@ class TestDirectProduct:
         rec = verify.check_total_domination_direct_product(c3, c4)
         assert rec.verdict == HOLDS and rec.lhs == 12
 
+    def test_large_product_solved_with_witness(self):
+        # 72 vertices: the sandwich is pinned at 72 by rho_o = gamma_t, but
+        # the value must come from a solve that carries its witness
+        c9, c8 = gen_oriented_cycle(9), gen_oriented_cycle(8)
+        rec = verify.check_total_domination_direct_product(c9, c8)
+        assert rec.verdict == HOLDS and rec.lhs == 72
+        assert rec.extras["exact"]
+        prod, _ = verify.direct_product(c9, c8)
+        witness = bitset.from_iter(rec.witnesses["product_total_dominating_set"])
+        assert witness.bit_count() == 72
+        assert validate.is_total_dominating_set(prod, witness)
+
     def test_ditree_factor(self):
         p3 = gen_bidirected_path(3)
         for seed in range(10):
@@ -184,7 +200,6 @@ class TestCartesianBounds:
         assert rec.verdict == FAILS
         assert rec.lhs == 5 and rec.rhs == 6
         # the counterwitness re-validates independently of the checker
-        from didom import bitset, validate
         from didom.products import cartesian_product
 
         witness = bitset.from_iter(rec.witnesses["product_dominating_set"])
@@ -234,20 +249,14 @@ class TestCartesianBounds:
             h = random_digraph(rng.randint(1, 6), rng.uniform(0.1, 0.8), rng.getrandbits(32))
             assert verify.check_half_vizing_bound(g, h).verdict == HOLDS
 
-    def test_half_bound_sandwich_pins_h9(self):
-        # 144-vertex product: exact solving is gated, but the published
-        # witness meets the half-bound floor, pinning gamma = 27
-        h9 = verify.families.gen_H_m(3)
-        g1 = gen_G_m(1)
-        prod, pmap = verify.cartesian_product(h9, g1)
-        witness = 0
-        for i in range(9):
-            for col, tri in ((0, 0), (1, 1), (2, 2)):
-                witness |= 1 << pmap.encode(3 * i + tri, col)
-        rec = verify.check_half_vizing_bound(h9, g1, upper_witness=witness)
+    def test_half_bound_exact_h9(self):
+        # 108-vertex product, solved exactly: gamma = 27 meets the half bound
+        # (18 * 2 + 18) / 2 with zero slack, the paper's sharpness instance
+        rec = verify.check_half_vizing_bound(verify.families.gen_H_m(3), gen_G_m(1))
         assert rec.verdict == HOLDS
-        assert rec.lhs == 27
-        assert not rec.extras["exact"]
+        assert rec.lhs == 27 and rec.rhs == 27
+        assert rec.extras["slack_x2"] == 0
+        assert rec.extras["exact"]
 
     def test_gm_failure_records(self):
         for m in (1, 2, 3):
@@ -452,25 +461,62 @@ class TestSuite:
         assert run1 == run2
 
     @pytest.mark.parametrize(
-        "threshold, seed, digest",
+        "seed, digest",
         [
-            (64, 42, "7e7ef5cb47faca79898c2de7311487c0317b747ce89c4776f85315e142e8c69a"),
-            (64, 7, "c7b2364d3a03481044c74e1b37f6f257ac6535df5c3d550e75e0feed600bd51e"),
-            # threshold 1 sends every product check down the bound sandwich
-            (1, 42, "8cac6916eab6f05b7965977d7126385913cfd23b65cba0875f25da8cff87d445"),
-            (1, 7, "54bf77c97d348eacebb6518ff6cd760b9b39d5f30b4b3b3cca1215cae96ec8e3"),
+            (42, "7e7ef5cb47faca79898c2de7311487c0317b747ce89c4776f85315e142e8c69a"),
+            (7, "c7b2364d3a03481044c74e1b37f6f257ac6535df5c3d550e75e0feed600bd51e"),
         ],
     )
-    def test_default_suite_byte_stable(self, threshold, seed, digest):
+    def test_default_suite_byte_stable(self, seed, digest):
         cfg = verify.default_suite_config()
-        cfg.seed, cfg.product_threshold = seed, threshold
+        cfg.seed = seed
         records = verify.run_suite(verify.build_tasks(cfg)).records
         text = "".join(r.to_json(False) + "\n" for r in records)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
-    def test_config_rejects_removed_jobs_key(self):
+    @pytest.mark.parametrize("line", ["jobs 2", "product_threshold 64"])
+    def test_config_rejects_removed_key(self, line):
         with pytest.raises(verify.SuiteConfigError, match="unknown key"):
-            verify.parse_suite_config("jobs 2\n")
+            verify.parse_suite_config(line + "\n")
+
+    def test_product_timeout_is_record_and_run_continues(self):
+        # the factors solve at once, but the 147-vertex product takes far
+        # longer than the 100 ms deadline: each product check must end in a
+        # timeout record, and the run must go on to the last task
+        pair = "pair:Tstar(path:3)|Gm:3"
+        claims = [
+            "prop:packing-lower-bound",
+            "conj:vizing-inequality",
+            "thm:half-vizing-bound",
+            "thm:strong-support-necessary",
+            "cor:isolated-leaf-extension",
+        ]
+        cfg = verify.parse_suite_config(
+            "timeout_ms 100\n"
+            + "".join(f"check {claim} {pair}\n" for claim in claims)
+            + "check thm:half-vizing-bound pair:cycle:3|cycle:3\n"
+        )
+        result = verify.run_suite(verify.build_tasks(cfg))
+        *timed_out, last = result.records
+        assert [r.claim for r in timed_out] == claims
+        for rec in timed_out:
+            assert rec.verdict == TIMEOUT
+            assert rec.lhs is None and not rec.witnesses
+            assert rec.elapsed_ms >= 100
+        assert last.verdict == HOLDS
+        assert result.ok
+        assert "timeout=5" in result.summary()
+
+    def test_readme_config_and_claims_match(self):
+        # README's suite-config example must parse, and its claim list must
+        # name exactly the claims the suite knows
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Suite config format", 1)[1]
+        block = section.split("```", 2)[1]
+        cfg = verify.parse_suite_config(block)
+        assert cfg.checks
+        claims_text = section.split("Claims:", 1)[1].split("\n\n", 1)[0]
+        assert sorted(re.findall(r"`([^`]+)`", claims_text)) == sorted(verify.ALL_CLAIMS)
 
     def test_checker_exception_becomes_error_record(self):
         def boom():
