@@ -249,10 +249,20 @@ class TestCartesianBounds:
             h = random_digraph(rng.randint(1, 6), rng.uniform(0.1, 0.8), rng.getrandbits(32))
             assert verify.check_half_vizing_bound(g, h).verdict == HOLDS
 
-    def test_half_bound_exact_h9(self):
-        # 108-vertex product, solved exactly: gamma = 27 meets the half bound
-        # (18 * 2 + 18) / 2 with zero slack, the paper's sharpness instance
-        rec = verify.check_half_vizing_bound(verify.families.gen_H_m(3), gen_G_m(1))
+    def test_half_bound_sandwich_pins_h9(self):
+        # 108-vertex product, the paper's sharpness instance: the half bound
+        # (18 * 2 + 18) / 2 = 27 and the published 27-set pin gamma = 27, and
+        # the exact solve the checker now runs lands on that value
+        h9 = verify.families.gen_H_m(3)
+        g1 = gen_G_m(1)
+        prod, pmap = verify.cartesian_product(h9, g1)
+        witness = 0
+        for i in range(9):
+            for col, tri in ((0, 0), (1, 1), (2, 2)):
+                witness |= 1 << pmap.encode(3 * i + tri, col)
+        assert witness.bit_count() == 27
+        assert validate.is_dominating_set(prod, witness)
+        rec = verify.check_half_vizing_bound(h9, g1)
         assert rec.verdict == HOLDS
         assert rec.lhs == 27 and rec.rhs == 27
         assert rec.extras["slack_x2"] == 0
@@ -460,11 +470,17 @@ class TestSuite:
         run2 = [r.instance for r in verify.run_suite(verify.build_tasks(cfg)).records]
         assert run1 == run2
 
+    # The case ids keep the names these cases had while the suite's product
+    # threshold (64, since removed) was a parameter, so results stay
+    # comparable across history.
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (42, "7e7ef5cb47faca79898c2de7311487c0317b747ce89c4776f85315e142e8c69a"),
-            (7, "c7b2364d3a03481044c74e1b37f6f257ac6535df5c3d550e75e0feed600bd51e"),
+            pytest.param(seed, digest, id=f"64-{seed}-{digest}")
+            for seed, digest in (
+                (42, "7e7ef5cb47faca79898c2de7311487c0317b747ce89c4776f85315e142e8c69a"),
+                (7, "c7b2364d3a03481044c74e1b37f6f257ac6535df5c3d550e75e0feed600bd51e"),
+            )
         ],
     )
     def test_default_suite_byte_stable(self, seed, digest):
@@ -474,10 +490,13 @@ class TestSuite:
         text = "".join(r.to_json(False) + "\n" for r in records)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
-    @pytest.mark.parametrize("line", ["jobs 2", "product_threshold 64"])
-    def test_config_rejects_removed_key(self, line):
+    def test_config_rejects_removed_jobs_key(self):
         with pytest.raises(verify.SuiteConfigError, match="unknown key"):
-            verify.parse_suite_config(line + "\n")
+            verify.parse_suite_config("jobs 2\n")
+
+    def test_config_rejects_removed_product_threshold_key(self):
+        with pytest.raises(verify.SuiteConfigError, match="unknown key"):
+            verify.parse_suite_config("product_threshold 64\n")
 
     def test_product_timeout_is_record_and_run_continues(self):
         # the factors solve at once, but the 147-vertex product takes far
