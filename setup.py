@@ -1,21 +1,5 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
-# The compiled kernel is optional: without Cython (or a C compiler) the
-# package still installs and falls back to the pure-Python solvers.
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "didom._kernels",
-                ["src/didom/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# didom._kernels, the C kernels; the package falls back to the pure-Python
+# kernels wherever it is not built
+setup(cffi_modules=["src/didom/_kernels_build.py:ffibuilder"])

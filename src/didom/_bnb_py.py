@@ -1,9 +1,10 @@
 """Pure-Python exact branch-and-bound kernels.
 
-This is the reference backend: it accepts bitsets of any width.  The
-compiled backend in ``didom._kernels`` mirrors the branching and
-tie-breaking rules below exactly, so both return identical optima and
-identical witnesses on the instances they share.
+This is the reference backend.  ``_bnb.c``, built as ``didom._kernels``,
+ports it line for line to C: both accept bitsets of any width and follow
+the same branching, tie-breaking, reductions and bounds, so they return
+identical optima and witnesses after identical numbers of search nodes.
+A change to the search here must be made there too.
 """
 
 from __future__ import annotations

@@ -1,26 +1,71 @@
 """Backend selection for the branch-and-bound kernels.
 
-At import time we pick up the compiled extension when it is available; it
-handles word-sized instances (at most 64 vertices / 64 sets), which is
-where virtually all solver time is spent.  Wider instances, or every call
-when ``DIDOM_PURE_PYTHON`` is set in the environment at import, use the
-pure-Python reference implementation.  Both backends implement the same
-algorithm and return identical results.
+Two backends implement one algorithm: the pure-Python ``didom._bnb_py`` and
+``didom._kernels``, its port to C (``_bnb.c``, bound with cffi).  Both take
+bitsets of any width and return the same optima and witnesses after the
+same search.  The compiled backend solves every call whenever it imports,
+unless ``DIDOM_PURE_PYTHON`` is set in the environment at import.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional, Sequence
 
 from didom import _bnb_py
+from didom.errors import SolveTimeout
+
+
+class CompiledKernels:
+    """The C kernels of a built ``didom._kernels`` module, called and
+    answering like ``_bnb_py``; ``nodes`` counts the last call's search nodes."""
+
+    TIMED_OUT, NO_MEMORY = -2, -3  # return codes of _bnb.c
+
+    def __init__(self, module):
+        self._ffi, self._lib = module.ffi, module.lib
+        self.nodes = 0
+
+    def _call(self, fn, args, deadline, out) -> int:
+        nodes = self._ffi.new("int64_t *")
+        got = fn(*args, math.inf if deadline is None else deadline, out, nodes)
+        self.nodes = nodes[0]
+        if got == self.TIMED_OUT:
+            raise SolveTimeout("solve exceeded its deadline")
+        if got == self.NO_MEMORY:
+            raise MemoryError("the compiled kernel could not allocate its search")
+        return got
+
+    def min_set_cover(self, masks, universe, deadline=None):
+        self.nodes = 0
+        if universe == 0:
+            return 0, ()
+        size = -(-universe.bit_length() // 64) * 8
+        data = b"".join((m & universe).to_bytes(size, "little") for m in masks)
+        out = self._ffi.new("int[]", len(masks))
+        args = (universe.to_bytes(size, "little"), data, len(masks), size // 8)
+        got = self._call(self._lib.didom_min_set_cover, args, deadline, out)
+        return None if got < 0 else (got, tuple(self._ffi.unpack(out, got)))
+
+    def max_independent_set(self, adj, n, deadline=None):
+        self.nodes = 0
+        if n == 0:
+            return 0, 0
+        size, full = -(-n // 64) * 8, (1 << n) - 1
+        data = b"".join((adj[v] & full).to_bytes(size, "little") for v in range(n))
+        out = self._ffi.new("unsigned char[]", size)
+        got = self._call(self._lib.didom_max_independent_set, (data, n), deadline, out)
+        return got, int.from_bytes(self._ffi.buffer(out), "little")
+
 
 try:
-    from didom import _kernels as _compiled  # type: ignore[attr-defined]
+    from didom import _kernels  # type: ignore[attr-defined]
 except ImportError:  # pragma: no cover - depends on build environment
     _compiled = None
+else:
+    _compiled = CompiledKernels(_kernels)
 
-_WORD = 64
 _FORCE_PURE = bool(os.environ.get("DIDOM_PURE_PYTHON"))
 
 
@@ -29,22 +74,16 @@ def has_compiled_kernels() -> bool:
 
 
 def backend_for(n_bits: int, n_sets: int = 0) -> str:
-    """Name of the backend a call of this shape would use."""
-    if (
-        _compiled is not None
-        and not _FORCE_PURE
-        and n_bits <= _WORD
-        and n_sets <= _WORD
-    ):
-        return "compiled"
-    return "pure"
+    """Name of the backend a call of this shape would use: the same for
+    every shape, since both backends take any width."""
+    return "pure" if _compiled is None or _FORCE_PURE else "compiled"
 
 
 def min_set_cover(
     masks: Sequence[int], universe: int, deadline: Optional[float] = None
 ) -> Optional[tuple[int, tuple[int, ...]]]:
     if backend_for(universe.bit_length(), len(masks)) == "compiled":
-        return _compiled.min_set_cover(list(masks), universe, deadline)
+        return _compiled.min_set_cover(masks, universe, deadline)
     return _bnb_py.min_set_cover(masks, universe, deadline)
 
 
@@ -52,5 +91,5 @@ def max_independent_set(
     adj: Sequence[int], n: int, deadline: Optional[float] = None
 ) -> tuple[int, int]:
     if backend_for(n) == "compiled":
-        return _compiled.max_independent_set(list(adj), n, deadline)
+        return _compiled.max_independent_set(adj, n, deadline)
     return _bnb_py.max_independent_set(adj, n, deadline)

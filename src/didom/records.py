@@ -24,11 +24,13 @@ class VerificationRecord:
 
     ``witnesses`` maps witness names to sorted vertex-index lists; ``extras``
     carries claim-specific scalars (slack, sandwich bounds, ...).
+    ``hypotheses_met`` is None on ``timeout`` and ``error`` records, whose
+    checker stopped before it could tell.
     """
 
     claim: str
     instance: str
-    hypotheses_met: bool
+    hypotheses_met: Optional[bool]
     lhs: Optional[int]
     rhs: Optional[int]
     verdict: str

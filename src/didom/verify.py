@@ -88,7 +88,7 @@ def _timed(claim: str, instance: str, build: Callable[[], VerificationRecord]):
         record = build()
     except SolveTimeout:
         record = VerificationRecord(
-            claim, instance, hypotheses_met=False, lhs=None, rhs=None, verdict=TIMEOUT
+            claim, instance, hypotheses_met=None, lhs=None, rhs=None, verdict=TIMEOUT
         )
     record.elapsed_ms = (perf_counter() - start) * 1000.0
     return record
@@ -819,7 +819,7 @@ def run_suite(
                 record = task.run()
             except Exception as exc:
                 record = VerificationRecord(
-                    task.claim, task.source, False, None, None, ERROR,
+                    task.claim, task.source, None, None, None, ERROR,
                     extras={"error": f"{type(exc).__name__}: {exc}"},
                 )
                 if isinstance(exc, AssertionError):

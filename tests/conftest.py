@@ -1,6 +1,29 @@
+import importlib.util
+import shutil
+import sysconfig
+
 import pytest
 
+from didom import kernels
 from didom.core import build_digraph
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory):
+    """The compiled kernels, built from source by the cffi builder that
+    setup.py uses into a temporary directory (never into src/), and wrapped
+    as ``kernels._compiled`` wraps an installed build."""
+    pytest.importorskip("cffi", reason="cffi is not installed")
+    compiler = (sysconfig.get_config_var("CC") or "gcc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler: {compiler} not found")
+    from didom._kernels_build import ffibuilder
+
+    built = ffibuilder.compile(tmpdir=str(tmp_path_factory.mktemp("kernels")))
+    spec = importlib.util.spec_from_file_location("didom._kernels", built)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return kernels.CompiledKernels(module)
 
 
 @pytest.fixture

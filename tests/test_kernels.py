@@ -6,17 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from didom import _bnb_py, bitset, families, kernels, products
+from didom import _bnb_py, auxgraph, bitset, families, kernels, products
 from didom.errors import SolveTimeout
-
-try:
-    from didom import _kernels
-except ImportError:
-    _kernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels is None, reason="compiled kernel not built"
-)
 
 
 def _exhaustive_cover_size(sets, universe):
@@ -43,6 +34,29 @@ def node_count(monkeypatch):
 
     monkeypatch.setattr(_bnb_py._Deadline, "poll", counting_poll)
     return count
+
+
+def _solve(request, backend, fn, *args):
+    """fn of the named backend on args, and the search nodes it took; the
+    pure kernel is counted from the start of the test."""
+    if backend == "pure":
+        count = request.getfixturevalue("node_count")
+        return getattr(_bnb_py, fn)(*args), count[0]
+    compiled = request.getfixturevalue("compiled_kernels")
+    return getattr(compiled, fn)(*args), compiled.nodes
+
+
+def _wide_system():
+    # 45 disjoint pairs over 90 elements, wider than a 64-bit word
+    n = 90
+    return [0b11 << i for i in range(0, n, 2)], bitset.full(n)
+
+
+def _closed_neighbourhoods(left, right):
+    prod, _ = products.cartesian_product(
+        families.build_family(left), families.build_family(right)
+    )
+    return [prod.out_closed(v) for v in range(prod.n)], bitset.full(prod.n)
 
 
 @st.composite
@@ -120,62 +134,59 @@ class TestPureSetCover:
 
     def test_wide_instance(self):
         # beyond 64 bits: pure backend handles arbitrary width
-        n = 90
-        sets = [0b11 << i for i in range(0, n, 2)]
-        size, chosen = _bnb_py.min_set_cover(sets, bitset.full(n))
+        size, chosen = _bnb_py.min_set_cover(*_wide_system())
         assert size == 45
 
 
+# (left, right, nodes, witness) of gamma(left [] right)
+_PINNED_TREES = [
+    ("Gm:2", "Gm:3", 57, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
+    ("Gm:3", "Gm:3", 435, (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42)),
+    ("K1star", "path:7", 217, (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48)),
+    ("cycle:5", "path:7", 609, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
+    ("chord5", "path:7", 340, (1, 5, 8, 11, 12, 17, 22, 26, 28, 31, 34)),
+    ("fig5corona", "path:8", 199, (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45)),
+    # larger trees, where most nodes skip unchanged sets in the incremental
+    # subsumption pass
+    (
+        "Gm:3", "Gm:4", 1005,
+        (2, 4, 6, 8, 9, 19, 21, 23, 25, 27, 37, 39, 41, 43, 45, 55, 57, 59, 61),
+    ),
+    (
+        "K1star", "path:10", 2117,
+        (1, 2, 5, 8, 15, 20, 23, 27, 29, 36, 41, 42, 44, 48, 56, 60, 63, 66, 69),
+    ),
+    ("cycle:5", "path:9", 2008, (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43)),
+]
+
+
 class TestSearchTreePinned:
-    """Node counts and witnesses of the pure cover kernel on fixed products.
+    """Node counts and witnesses of the cover kernels on fixed products.
 
     The counts do not depend on the machine: any change to the branching
-    order, tie-breaks, reductions or bounds moves them.  The compiled twin
-    must reproduce the same tree, so these values hold for both backends.
+    order, tie-breaks, reductions or bounds moves them.  Both backends must
+    give the same tree.  The pure cases keep the ids they had before the
+    compiled ones were added.
     """
 
     @pytest.mark.parametrize(
-        "left, right, nodes, witness",
+        "backend, left, right, nodes, witness",
         [
-            ("Gm:2", "Gm:3", 57, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
-            (
-                "Gm:3", "Gm:3", 435,
-                (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42),
-            ),
-            (
-                "K1star", "path:7", 217,
-                (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48),
-            ),
-            ("cycle:5", "path:7", 609, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
-            ("chord5", "path:7", 340, (1, 5, 8, 11, 12, 17, 22, 26, 28, 31, 34)),
-            (
-                "fig5corona", "path:8", 199,
-                (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45),
-            ),
-            # larger trees, where most nodes skip unchanged sets in the
-            # incremental subsumption pass
-            (
-                "Gm:3", "Gm:4", 1005,
-                (2, 4, 6, 8, 9, 19, 21, 23, 25, 27, 37, 39, 41, 43, 45, 55, 57, 59, 61),
-            ),
-            (
-                "K1star", "path:10", 2117,
-                (1, 2, 5, 8, 15, 20, 23, 27, 29, 36, 41, 42, 44, 48, 56, 60, 63, 66, 69),
-            ),
-            (
-                "cycle:5", "path:9", 2008,
-                (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43),
-            ),
+            pytest.param(
+                backend, *case,
+                id=("" if backend == "pure" else "compiled-")
+                + f"{case[0]}-{case[1]}-{case[2]}-witness{k}",
+            )
+            for k, case in enumerate(_PINNED_TREES)
+            for backend in ("pure", "compiled")
         ],
     )
-    def test_cartesian_domination_tree(self, node_count, left, right, nodes, witness):
-        prod, _ = products.cartesian_product(
-            families.build_family(left), families.build_family(right)
+    def test_cartesian_domination_tree(self, request, backend, left, right, nodes, witness):
+        result, count = _solve(
+            request, backend, "min_set_cover", *_closed_neighbourhoods(left, right)
         )
-        sets = [prod.out_closed(v) for v in range(prod.n)]
-        result = _bnb_py.min_set_cover(sets, bitset.full(prod.n))
         assert result == (len(witness), witness)
-        assert node_count[0] == nodes
+        assert count == nodes
 
 
 class TestPureMis:
@@ -212,31 +223,32 @@ class TestPureMis:
             assert all(not adj[v] & witness for v in bitset.iter_bits(witness))
 
 
-@needs_compiled
 class TestBackendAgreement:
     """The compiled kernel must reproduce the reference exactly: same optima,
-    same witnesses."""
+    same witnesses, same search-node counts, at every width."""
 
-    def test_cover_agreement(self):
+    def test_cover_agreement(self, compiled_kernels, node_count):
         rng = random.Random(9)
         for _ in range(500):
             n = rng.randint(1, 14)
             k = rng.randint(1, 12)
             sets = [rng.getrandbits(n) for _ in range(k)]
             universe = bitset.full(n)
-            assert _bnb_py.min_set_cover(sets, universe) == _kernels.min_set_cover(
+            node_count[0] = 0
+            assert _bnb_py.min_set_cover(sets, universe) == compiled_kernels.min_set_cover(
                 sets, universe
             )
+            assert compiled_kernels.nodes == node_count[0]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(set_systems())
-    def test_cover_agreement_random_systems(self, system):
+    def test_cover_agreement_random_systems(self, compiled_kernels, system):
         sets, universe = system
-        assert _kernels.min_set_cover(sets, universe) == _bnb_py.min_set_cover(
+        assert compiled_kernels.min_set_cover(sets, universe) == _bnb_py.min_set_cover(
             sets, universe
         )
 
-    def test_mis_agreement(self):
+    def test_mis_agreement(self, compiled_kernels, node_count):
         rng = random.Random(10)
         for _ in range(500):
             n = rng.randint(1, 15)
@@ -246,25 +258,53 @@ class TestBackendAgreement:
                     if rng.random() < rng.choice((0.2, 0.5, 0.8)):
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-            assert _bnb_py.max_independent_set(adj, n) == _kernels.max_independent_set(
+            node_count[0] = 0
+            assert _bnb_py.max_independent_set(
                 adj, n
-            )
+            ) == compiled_kernels.max_independent_set(adj, n)
+            assert compiled_kernels.nodes == node_count[0]
 
-    def test_dispatcher_uses_compiled_for_word_sized(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "system",
+        [
+            pytest.param(_wide_system, id="90-bits"),
+            # 81 elements and 81 sets: gamma = 24 after 13,583 nodes
+            pytest.param(lambda: _closed_neighbourhoods("Gm:4", "Gm:4"), id="Gm:4-Gm:4"),
+        ],
+    )
+    def test_cover_agreement_over_64(self, request, system):
+        pure = _solve(request, "pure", "min_set_cover", *system())
+        assert _solve(request, "compiled", "min_set_cover", *system()) == pure
+
+    def test_mis_agreement_over_64(self, request):
+        # packing number of cycle:9 [] path:8: 72 vertices, 3,507 nodes
+        prod, _ = products.cartesian_product(
+            families.build_family("cycle:9"), families.build_family("path:8")
+        )
+        aux = auxgraph.closed_in_neighborhood_graph(prod)
+        pure = _solve(request, "pure", "max_independent_set", list(aux.adj), aux.n)
+        compiled = _solve(request, "compiled", "max_independent_set", list(aux.adj), aux.n)
+        assert compiled == pure and pure[0][0] == 16
+
+    def test_dispatcher_uses_compiled_at_every_width(self, compiled_kernels, monkeypatch):
+        monkeypatch.setattr(kernels, "_compiled", compiled_kernels)
         monkeypatch.setattr(kernels, "_FORCE_PURE", False)
-        assert kernels.backend_for(40, 40) == "compiled"
-        assert kernels.backend_for(100, 10) == "pure"
-        assert kernels.backend_for(10, 100) == "pure"
+        for shape in ((40, 40), (100, 10), (10, 100), (4096, 4096)):
+            assert kernels.backend_for(*shape) == "compiled"
+        compiled_kernels.nodes = 0
+        assert kernels.min_set_cover(*_wide_system())[0] == 45
+        assert compiled_kernels.nodes > 0
 
-    def test_dispatcher_env_override(self, monkeypatch):
+    def test_dispatcher_env_override(self, compiled_kernels, monkeypatch):
+        monkeypatch.setattr(kernels, "_compiled", compiled_kernels)
         monkeypatch.setattr(kernels, "_FORCE_PURE", True)
         assert kernels.backend_for(10, 10) == "pure"
 
-    def test_compiled_rejects_wide(self):
-        with pytest.raises(ValueError):
-            _kernels.min_set_cover([1 << 70], 1 << 70)
-        with pytest.raises(ValueError):
-            _kernels.max_independent_set([0] * 65, 65)
+    def test_dispatcher_without_extension(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_compiled", None)
+        monkeypatch.setattr(kernels, "_FORCE_PURE", False)
+        assert kernels.backend_for(10, 10) == "pure"
+        assert kernels.min_set_cover([0b011, 0b110, 0b100], 0b111)[0] == 2
 
 
 class TestTimeouts:
@@ -286,18 +326,46 @@ class TestTimeouts:
             sets[v % k] |= 1 << v
         return sets, bitset.full(n)
 
+    def _mis_graph(self):
+        rng = random.Random(5)
+        n = 30
+        adj = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < 0.2:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        return adj, n
+
     def test_pure_timeout_raises(self):
         sets, universe = self._hard_cover()
         deadline = time.monotonic() - 1.0  # already expired
         with pytest.raises(SolveTimeout):
             _bnb_py.min_set_cover(sets, universe, deadline)
 
-    @needs_compiled
-    def test_compiled_timeout_raises(self):
+    def test_compiled_timeout_raises(self, compiled_kernels):
         sets, universe = self._hard_cover()
         deadline = time.monotonic() - 1.0
         with pytest.raises(SolveTimeout):
-            _kernels.min_set_cover(sets, universe, deadline)
+            compiled_kernels.min_set_cover(sets, universe, deadline)
+
+    @pytest.mark.parametrize("kernel", ["cover", "mis"])
+    def test_compiled_timeout_on_first_node(self, compiled_kernels, kernel):
+        # every node reads the clock, so an expired deadline stops node 1
+        args = self._hard_cover() if kernel == "cover" else self._mis_graph()
+        fn = getattr(compiled_kernels, "min_set_cover" if kernel == "cover" else "max_independent_set")
+        with pytest.raises(SolveTimeout):
+            fn(*args, deadline=time.monotonic() - 1.0)
+        assert compiled_kernels.nodes == 1
+
+    def test_compiled_deadline_is_monotonic_time(self, compiled_kernels):
+        # gamma(Gm:5 [] Gm:5) takes about 500,000 nodes; a deadline 50 ms
+        # after time.monotonic() must stop it long before it finishes
+        sets, universe = _closed_neighbourhoods("Gm:5", "Gm:5")
+        start = time.monotonic()
+        with pytest.raises(SolveTimeout):
+            compiled_kernels.min_set_cover(sets, universe, start + 0.05)
+        assert time.monotonic() - start < 1.0
+        assert 1 < compiled_kernels.nodes < 500_000
 
     @pytest.mark.parametrize("kernel", ["cover", "mis"])
     def test_pure_timeout_on_first_node_past_deadline(
@@ -311,23 +379,11 @@ class TestTimeouts:
             if kernel == "cover":
                 _bnb_py.min_set_cover(*self._hard_cover(), deadline=5.0)
             else:
-                rng = random.Random(5)
-                n = 30
-                adj = [0] * n
-                for u, v in itertools.combinations(range(n), 2):
-                    if rng.random() < 0.2:
-                        adj[u] |= 1 << v
-                        adj[v] |= 1 << u
-                _bnb_py.max_independent_set(adj, n, deadline=5.0)
+                _bnb_py.max_independent_set(*self._mis_graph(), deadline=5.0)
         assert node_count[0] == 6
         assert next(clock) == 7
 
-    def test_no_deadline_still_solves(self, node_count):
+    def test_no_deadline_still_solves(self):
         sets, universe = self._hard_cover()
         result = _bnb_py.min_set_cover(sets, universe)
         assert result[0] == 12
-        assert node_count[0] > 4096, (
-            f"_hard_cover takes {node_count[0]} nodes; test_compiled_timeout_raises "
-            "needs more than the compiled kernel's 4096-node poll interval, or it "
-            "solves before reading its expired deadline"
-        )

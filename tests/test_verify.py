@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import didom.verify as verify
-from didom import bitset, validate
+from didom import bitset, kernels, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
     fig5_corona,
@@ -470,20 +470,29 @@ class TestSuite:
         run2 = [r.instance for r in verify.run_suite(verify.build_tasks(cfg)).records]
         assert run1 == run2
 
-    # The case ids keep the names these cases had while the suite's product
+    # The pure cases keep the ids they had while the suite's product
     # threshold (64, since removed) was a parameter, so results stay
-    # comparable across history.
+    # comparable across history.  Both backends must give the same bytes.
     @pytest.mark.parametrize(
-        "seed, digest",
+        "backend, seed, digest",
         [
-            pytest.param(seed, digest, id=f"64-{seed}-{digest}")
+            pytest.param(
+                backend, seed, digest,
+                id=f"{'64' if backend == 'pure' else 'compiled'}-{seed}-{digest}",
+            )
             for seed, digest in (
                 (42, "7e7ef5cb47faca79898c2de7311487c0317b747ce89c4776f85315e142e8c69a"),
                 (7, "c7b2364d3a03481044c74e1b37f6f257ac6535df5c3d550e75e0feed600bd51e"),
             )
+            for backend in ("pure", "compiled")
         ],
     )
-    def test_default_suite_byte_stable(self, seed, digest):
+    def test_default_suite_byte_stable(self, request, monkeypatch, backend, seed, digest):
+        compiled = None
+        if backend == "compiled":
+            compiled = request.getfixturevalue("compiled_kernels")
+            monkeypatch.setattr(kernels, "_FORCE_PURE", False)
+        monkeypatch.setattr(kernels, "_compiled", compiled)
         cfg = verify.default_suite_config()
         cfg.seed = seed
         records = verify.run_suite(verify.build_tasks(cfg)).records
@@ -521,6 +530,7 @@ class TestSuite:
         for rec in timed_out:
             assert rec.verdict == TIMEOUT
             assert rec.lhs is None and not rec.witnesses
+            assert rec.hypotheses_met is None
             assert rec.elapsed_ms >= 100
         assert last.verdict == HOLDS
         assert result.ok
@@ -550,6 +560,7 @@ class TestSuite:
         first, second = result.records
         assert first.verdict == ERROR and first.instance == "family:x"
         assert first.extras == {"error": "ValueError: bad instance"}
+        assert first.hypotheses_met is None
         assert second.verdict == HOLDS
         assert not result.ok
         assert "error=1" in result.summary()
