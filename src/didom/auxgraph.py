@@ -46,23 +46,15 @@ def closed_in_neighborhood_graph(d: Digraph) -> UndirectedGraph:
     """Edge uv iff the closed in-neighborhoods of u and v intersect.
 
     Equivalently: every closed out-neighborhood N+[w] induces a clique.
+    On an undirected graph this is its square (edges at distance <= 2).
     """
     return _clique_union(d.n, [d.out_closed(w) for w in range(d.n)])
 
 
 def open_in_neighborhood_graph(d: Digraph) -> UndirectedGraph:
-    """Edge uv iff the open in-neighborhoods of u and v intersect."""
+    """Edge uv iff the open in-neighborhoods of u and v intersect; on an
+    undirected graph, iff u and v have a common neighbor."""
     return _clique_union(d.n, d.out_adj)
-
-
-def closed_neighborhood_graph(g: UndirectedGraph) -> UndirectedGraph:
-    """The square of g: edges between vertices at distance at most 2."""
-    return _clique_union(g.n, [g.closed_neighborhood(w) for w in range(g.n)])
-
-
-def open_neighborhood_graph(g: UndirectedGraph) -> UndirectedGraph:
-    """Edge uv iff u and v share a common neighbor in g."""
-    return _clique_union(g.n, g.adj)
 
 
 @dataclass(frozen=True)
@@ -198,10 +190,9 @@ def _helly_record(
     closed: bool,
     hypotheses_met: bool,
     claim: str,
-    clique_cap: int,
 ) -> VerificationRecord:
     start = perf_counter()
-    cliques = maximal_cliques(aux, cap=clique_cap)
+    cliques = maximal_cliques(aux)
     contained = 0
     failing = None
     for k in cliques:
@@ -236,24 +227,20 @@ def _helly_record(
     )
 
 
-def check_closed_helly_lemma(
-    d: Digraph, clique_cap: int = DEFAULT_CLIQUE_CAP
-) -> VerificationRecord:
+def check_closed_helly_lemma(d: Digraph) -> VerificationRecord:
     """Every maximal clique of the closed in-neighborhood graph sits inside
     some closed out-neighborhood (hypothesis: underlying girth >= 7)."""
     g = girth(underlying_graph(d))
     hyp = g is None or g >= 7
     aux = closed_in_neighborhood_graph(d)
-    return _helly_record(d, aux, True, hyp, CLAIM_CLOSED_HELLY, clique_cap)
+    return _helly_record(d, aux, True, hyp, CLAIM_CLOSED_HELLY)
 
 
-def check_open_helly_lemma(
-    d: Digraph, clique_cap: int = DEFAULT_CLIQUE_CAP
-) -> VerificationRecord:
+def check_open_helly_lemma(d: Digraph) -> VerificationRecord:
     """Open variant: maximal cliques of the open in-neighborhood graph sit
     inside open out-neighborhoods (hypotheses: girth >= 7 and min in-degree
     >= 1, the setting in which total domination is defined)."""
     g = girth(underlying_graph(d))
     hyp = (g is None or g >= 7) and d.min_in_degree >= 1
     aux = open_in_neighborhood_graph(d)
-    return _helly_record(d, aux, False, hyp, CLAIM_OPEN_HELLY, clique_cap)
+    return _helly_record(d, aux, False, hyp, CLAIM_OPEN_HELLY)

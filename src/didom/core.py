@@ -89,11 +89,17 @@ class UndirectedGraph:
     n: int
     adj: tuple[int, ...]
 
+    # The graph read as its bidirected digraph: the digraph solvers,
+    # validators and auxiliary graphs take an undirected graph as it is.
+    out_adj = in_adj = property(lambda self: self.adj)
+
     def neighborhood(self, v: int) -> int:
         return self.adj[v]
 
     def closed_neighborhood(self, v: int) -> int:
         return self.adj[v] | (1 << v)
+
+    out_closed = closed_neighborhood
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

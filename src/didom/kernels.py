@@ -73,23 +73,24 @@ def has_compiled_kernels() -> bool:
     return _compiled is not None
 
 
+def _backend():
+    # read per call, so setting _compiled or _FORCE_PURE takes effect at once
+    return _bnb_py if _compiled is None or _FORCE_PURE else _compiled
+
+
 def backend_for(n_bits: int, n_sets: int = 0) -> str:
     """Name of the backend a call of this shape would use: the same for
     every shape, since both backends take any width."""
-    return "pure" if _compiled is None or _FORCE_PURE else "compiled"
+    return "pure" if _backend() is _bnb_py else "compiled"
 
 
 def min_set_cover(
     masks: Sequence[int], universe: int, deadline: Optional[float] = None
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    if backend_for(universe.bit_length(), len(masks)) == "compiled":
-        return _compiled.min_set_cover(masks, universe, deadline)
-    return _bnb_py.min_set_cover(masks, universe, deadline)
+    return _backend().min_set_cover(masks, universe, deadline)
 
 
 def max_independent_set(
     adj: Sequence[int], n: int, deadline: Optional[float] = None
 ) -> tuple[int, int]:
-    if backend_for(n) == "compiled":
-        return _compiled.max_independent_set(adj, n, deadline)
-    return _bnb_py.max_independent_set(adj, n, deadline)
+    return _backend().max_independent_set(adj, n, deadline)

@@ -3,8 +3,10 @@
 Domination-type numbers reduce to minimum set cover over out-neighborhoods;
 packing-type numbers reduce to maximum independent sets of the auxiliary
 in-neighborhood graphs.  Every public function re-validates its witness
-through :mod:`didom.validate` before returning, and `brute_force_invariant`
-provides a solver-independent oracle for small instances.
+through :mod:`didom.validate`, and checks its size, before returning, and
+`brute_force_invariant` provides a solver-independent oracle for small
+instances.  Undirected graphs go through the digraph solvers as their
+bidirected digraphs.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from time import monotonic, perf_counter
 from typing import Optional
 
 from didom import bitset, kernels, validate
-from didom.auxgraph import (
-    closed_in_neighborhood_graph,
-    closed_neighborhood_graph,
-    open_in_neighborhood_graph,
-    open_neighborhood_graph,
-)
+from didom.auxgraph import closed_in_neighborhood_graph, open_in_neighborhood_graph
 from didom.core import Digraph, UndirectedGraph
 from didom.errors import CliqueLimitExceeded, SolveTimeout
 from didom.records import digraph_descriptor
@@ -54,31 +51,40 @@ def min_set_cover(
     if result is None:
         return None
     size, chosen = result
-    if not validate.is_set_cover(sets, chosen, universe):
+    if not validate.is_set_cover(sets, chosen, universe) or len(chosen) != size:
         raise AssertionError("cover witness failed re-validation")
     return size, chosen
+
+
+def _cover(d, sets, timeout_ms, valid, what: str) -> tuple[int, int]:
+    """Fewest vertices whose ``sets`` cover V(d), re-validated by ``valid``."""
+    size, chosen = kernels.min_set_cover(sets, bitset.full(d.n), _deadline(timeout_ms))
+    witness = bitset.from_iter(chosen)
+    if not valid(d, witness) or witness.bit_count() != size:
+        raise AssertionError(f"{what} witness failed re-validation")
+    return size, witness
+
+
+def _pack(g, aux: UndirectedGraph, timeout_ms, valid, what: str) -> tuple[int, int]:
+    """A maximum independent set of ``aux``, re-validated by ``valid`` on g."""
+    size, witness = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
+    if not valid(g, witness) or witness.bit_count() != size:
+        raise AssertionError(f"{what} witness failed re-validation")
+    return size, witness
 
 
 def max_independent_set(
     g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
-    size, witness = kernels.max_independent_set(g.adj, g.n, _deadline(timeout_ms))
-    if not validate.is_independent_set(g, witness) or witness.bit_count() != size:
-        raise AssertionError("independent-set witness failed re-validation")
-    return size, witness
+    return _pack(g, g, timeout_ms, validate.is_independent_set, "independent-set")
 
 
 def domination_number(
     d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
     """Minimum vertices whose closed out-neighborhoods cover V, plus witness."""
-    sets = [d.out_closed(v) for v in range(d.n)]
-    result = kernels.min_set_cover(sets, bitset.full(d.n), _deadline(timeout_ms))
-    size, chosen = result  # closed neighborhoods always cover
-    witness = bitset.from_iter(chosen)
-    if not validate.is_dominating_set(d, witness):
-        raise AssertionError("dominating witness failed re-validation")
-    return size, witness
+    sets = [d.out_closed(v) for v in range(d.n)]  # closed neighborhoods always cover
+    return _cover(d, sets, timeout_ms, validate.is_dominating_set, "dominating")
 
 
 def total_domination_number(
@@ -91,12 +97,7 @@ def total_domination_number(
     if d.n == 0 or d.min_in_degree == 0:
         return None
     sets = [d.out_adj[v] for v in range(d.n)]
-    result = kernels.min_set_cover(sets, bitset.full(d.n), _deadline(timeout_ms))
-    size, chosen = result
-    witness = bitset.from_iter(chosen)
-    if not validate.is_total_dominating_set(d, witness):
-        raise AssertionError("total dominating witness failed re-validation")
-    return size, witness
+    return _cover(d, sets, timeout_ms, validate.is_total_dominating_set, "total dominating")
 
 
 def packing_number(
@@ -104,10 +105,7 @@ def packing_number(
 ) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint closed in-neighborhoods."""
     aux = closed_in_neighborhood_graph(d)
-    size, witness = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
-    if not validate.is_packing(d, witness) or witness.bit_count() != size:
-        raise AssertionError("packing witness failed re-validation")
-    return size, witness
+    return _pack(d, aux, timeout_ms, validate.is_packing, "packing")
 
 
 def open_packing_number(
@@ -115,44 +113,30 @@ def open_packing_number(
 ) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint open in-neighborhoods."""
     aux = open_in_neighborhood_graph(d)
-    size, witness = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
-    if not validate.is_open_packing(d, witness) or witness.bit_count() != size:
-        raise AssertionError("open packing witness failed re-validation")
-    return size, witness
+    return _pack(d, aux, timeout_ms, validate.is_open_packing, "open packing")
+
+
+# An undirected graph reads as its bidirected digraph (see UndirectedGraph).
 
 
 def undirected_domination_number(
     g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
-    sets = [g.closed_neighborhood(v) for v in range(g.n)]
-    result = kernels.min_set_cover(sets, bitset.full(g.n), _deadline(timeout_ms))
-    size, chosen = result
-    witness = bitset.from_iter(chosen)
-    if not validate.is_undirected_dominating_set(g, witness):
-        raise AssertionError("dominating witness failed re-validation")
-    return size, witness
+    return domination_number(g, timeout_ms=timeout_ms)
 
 
 def two_packing_number(
     g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
-    """Largest set with pairwise disjoint closed neighborhoods (via the square)."""
-    aux = closed_neighborhood_graph(g)
-    size, witness = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
-    if not validate.is_two_packing(g, witness) or witness.bit_count() != size:
-        raise AssertionError("2-packing witness failed re-validation")
-    return size, witness
+    """Largest set with pairwise disjoint closed neighborhoods."""
+    return packing_number(g, timeout_ms=timeout_ms)
 
 
 def undirected_open_packing_number(
     g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
     """Largest set of vertices no two of which share a common neighbor."""
-    aux = open_neighborhood_graph(g)
-    size, witness = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
-    if not validate.is_undirected_open_packing(g, witness):
-        raise AssertionError("open packing witness failed re-validation")
-    return size, witness
+    return open_packing_number(g, timeout_ms=timeout_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each predicate re-checks a witness straight from its definition, without
 touching the solvers or auxiliary graphs, so solver results can be audited
-by genuinely independent code.
+by genuinely independent code.  The digraph predicates take an undirected
+graph as its bidirected digraph.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def _packing_by_definition(d: Digraph, members: int) -> bool:
     for v in bitset.iter_bits(members):
         if d.out_adj[v] & members:
             return False
-    for w in range(d.n):
-        if (d.out_adj[w] & members).bit_count() >= 2:
+    for m in d.out_adj:
+        if (m & members).bit_count() >= 2:
             return False
     return True
 
@@ -66,34 +67,6 @@ def is_open_packing(d: Digraph, members: int) -> bool:
     for a in range(len(vs)):
         for b in range(a + 1, len(vs)):
             if d.in_adj[vs[a]] & d.in_adj[vs[b]]:
-                return False
-    return True
-
-
-def is_undirected_dominating_set(g: UndirectedGraph, members: int) -> bool:
-    covered = members
-    for v in bitset.iter_bits(members):
-        covered |= g.adj[v]
-    return covered == bitset.full(g.n)
-
-
-def is_two_packing(g: UndirectedGraph, members: int) -> bool:
-    """Closed neighborhoods of members are pairwise disjoint."""
-    seen = 0
-    for v in bitset.iter_bits(members):
-        closed = g.adj[v] | (1 << v)
-        if closed & seen:
-            return False
-        seen |= closed
-    return True
-
-
-def is_undirected_open_packing(g: UndirectedGraph, members: int) -> bool:
-    """No two members share a common neighbor."""
-    vs = bitset.to_list(members)
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if g.adj[vs[a]] & g.adj[vs[b]]:
                 return False
     return True
 

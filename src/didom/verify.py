@@ -58,8 +58,6 @@ from didom.solvers import (
     packing_number,
     partition_two_dominating_sets,
     total_domination_number,
-    two_packing_number,
-    undirected_domination_number,
 )
 
 CLAIM_MEIR_MOON = "thm:meir-moon"
@@ -75,6 +73,10 @@ CLAIM_STRONG_SUPPORT = "thm:strong-support-necessary"
 CLAIM_ISOLATED_LEAF = "cor:isolated-leaf-extension"
 CLAIM_MAX_PACKING = "thm:max-packing-dominates"
 CLAIM_ACYCLIC = "problem:acyclic-packing-domination"
+
+# G_m [] G_m is solved exactly, to cross-check the published dominating
+# set, for m up to this
+GM_SOLVED_UP_TO = 3
 
 # Claims where a `fails` verdict is a first-class finding, not a suite error:
 # the product inequality is known false in general, and the acyclic question
@@ -125,35 +127,37 @@ def _pair_instance(spec_g, spec_h) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _packing_vs_domination(
+    claim: str, inst: str, hyp: bool, d, timeout_ms, pack_key="packing", **record_fields
+) -> VerificationRecord:
+    """rho(d) against gamma(d), both witnessed; ``record_fields`` go to the
+    record, and any ``witnesses`` among them join the two."""
+
+    def build():
+        rho, pack = packing_number(d, timeout_ms=timeout_ms)
+        gamma, dom = domination_number(d, timeout_ms=timeout_ms)
+        verdict = (HOLDS if rho == gamma else FAILS) if hyp else HYPOTHESIS_NOT_MET
+        witnesses = {pack_key: bitset.to_list(pack), "dominating_set": bitset.to_list(dom)}
+        witnesses.update(record_fields.pop("witnesses", {}))
+        return VerificationRecord(
+            claim, inst, hyp, rho, gamma, verdict, witnesses, **record_fields
+        )
+
+    return _timed(claim, inst, build)
+
+
 def check_meir_moon(
     tree: UndirectedGraph,
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
 ) -> VerificationRecord:
-    """2-packing number equals domination number on trees."""
+    """2-packing number equals domination number on trees: the ditree
+    theorem on the tree's bidirected digraph."""
     inst = instance or f"tree:n={tree.n},edges={tree.edges()}"
-
-    def build():
-        hyp = is_tree(tree)
-        rho2, pack = two_packing_number(tree, timeout_ms=timeout_ms)
-        gamma, dom = undirected_domination_number(tree, timeout_ms=timeout_ms)
-        equal = rho2 == gamma
-        verdict = (HOLDS if equal else FAILS) if hyp else HYPOTHESIS_NOT_MET
-        return VerificationRecord(
-            CLAIM_MEIR_MOON,
-            inst,
-            hyp,
-            rho2,
-            gamma,
-            verdict,
-            witnesses={
-                "two_packing": bitset.to_list(pack),
-                "dominating_set": bitset.to_list(dom),
-            },
-        )
-
-    return _timed(CLAIM_MEIR_MOON, inst, build)
+    return _packing_vs_domination(
+        CLAIM_MEIR_MOON, inst, is_tree(tree), tree, timeout_ms, pack_key="two_packing"
+    )
 
 
 def check_packing_equals_domination(
@@ -164,27 +168,7 @@ def check_packing_equals_domination(
 ) -> VerificationRecord:
     """Packing number equals domination number on ditrees."""
     inst = instance or digraph_descriptor(d)
-
-    def build():
-        hyp = is_ditree(d)
-        rho, pack = packing_number(d, timeout_ms=timeout_ms)
-        gamma, dom = domination_number(d, timeout_ms=timeout_ms)
-        equal = rho == gamma
-        verdict = (HOLDS if equal else FAILS) if hyp else HYPOTHESIS_NOT_MET
-        return VerificationRecord(
-            CLAIM_DITREE_PACKING,
-            inst,
-            hyp,
-            rho,
-            gamma,
-            verdict,
-            witnesses={
-                "packing": bitset.to_list(pack),
-                "dominating_set": bitset.to_list(dom),
-            },
-        )
-
-    return _timed(CLAIM_DITREE_PACKING, inst, build)
+    return _packing_vs_domination(CLAIM_DITREE_PACKING, inst, is_ditree(d), d, timeout_ms)
 
 
 def check_open_packing_equals_total_domination(
@@ -394,7 +378,6 @@ def check_Gm_vizing_failure(
     m: int,
     *,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    exact_limit: int = 3,
 ) -> VerificationRecord:
     """The explicit dominating set of G_m [] G_m has size m^2 + 2m, strictly
     below gamma(G_m)^2 = (m+1)^2; for small m the exact product value is
@@ -408,7 +391,7 @@ def check_Gm_vizing_failure(
         rhs = (m + 1) * (m + 1)
         ok = dominates and size == m * m + 2 * m and size < rhs
         extras = {"set_size": size, "dominates": dominates}
-        if m <= exact_limit:
+        if m <= GM_SOLVED_UP_TO:
             exact, _ = domination_number(prod, timeout_ms=timeout_ms)
             extras["gamma_product"] = exact
             ok = ok and exact <= size and exact < rhs
@@ -615,7 +598,6 @@ def check_max_packing_dominates(
     *,
     instance: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-    packing_cap: int = 100_000,
 ) -> VerificationRecord:
     """For ditree pairs attaining the product equality, every maximum packing
     dominates its underlying tree, and all maximum packings of one factor
@@ -647,17 +629,17 @@ def check_max_packing_dominates(
         tags2 = classify_leaves(t2)
         iso1 = bitset.from_iter(v for v in range(t1.n) if ISOLATED_LEAF in tags1[v])
         iso2 = bitset.from_iter(v for v in range(t2.n) if ISOLATED_LEAF in tags2[v])
-        packs1 = all_maximum_packings(t1, cap=packing_cap, timeout_ms=timeout_ms)
-        packs2 = all_maximum_packings(t2, cap=packing_cap, timeout_ms=timeout_ms)
+        packs1 = all_maximum_packings(t1, timeout_ms=timeout_ms)
+        packs2 = all_maximum_packings(t2, timeout_ms=timeout_ms)
         un1, un2 = underlying_graph(t1), underlying_graph(t2)
         bad = None
         for p in packs1:
-            if not validate.is_undirected_dominating_set(un1, p):
+            if not validate.is_dominating_set(un1, p):
                 bad = ("factor1_nondominating_packing", p)
                 break
         if bad is None:
             for p in packs2:
-                if not validate.is_undirected_dominating_set(un2, p):
+                if not validate.is_dominating_set(un2, p):
                     bad = ("factor2_nondominating_packing", p)
                     break
         all1 = all(p & iso1 == iso1 for p in packs1)
@@ -712,25 +694,10 @@ def search_acyclic_problem(
     """
 
     def one(d: Digraph, inst: str, inst_seed: Optional[int]) -> VerificationRecord:
-        def build():
-            rho, pack = packing_number(d, timeout_ms=timeout_ms)
-            gamma, dom = domination_number(d, timeout_ms=timeout_ms)
-            return VerificationRecord(
-                CLAIM_ACYCLIC,
-                inst,
-                True,
-                rho,
-                gamma,
-                HOLDS if rho == gamma else FAILS,
-                witnesses={
-                    "packing": bitset.to_list(pack),
-                    "dominating_set": bitset.to_list(dom),
-                    "arcs": [list(a) for a in d.arcs()],
-                },
-                seed=inst_seed,
-            )
-
-        return _timed(CLAIM_ACYCLIC, inst, build)
+        arcs = {"arcs": [list(a) for a in d.arcs()]}
+        return _packing_vs_domination(
+            CLAIM_ACYCLIC, inst, True, d, timeout_ms, witnesses=arcs, seed=inst_seed
+        )
 
     for n in range(1, min(exhaustive_n, max_n) + 1):
         for d in families.all_digraphs(n):

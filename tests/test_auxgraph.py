@@ -10,11 +10,9 @@ from didom.auxgraph import (
     check_closed_helly_lemma,
     check_open_helly_lemma,
     closed_in_neighborhood_graph,
-    closed_neighborhood_graph,
     is_chordal,
     maximal_cliques,
     open_in_neighborhood_graph,
-    open_neighborhood_graph,
 )
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.errors import CliqueLimitExceeded
@@ -71,19 +69,19 @@ class TestAuxGraphConstructions:
 
     def test_square_of_path(self):
         p4 = build_undirected(4, [(0, 1), (1, 2), (2, 3)])
-        sq = closed_neighborhood_graph(p4)
+        sq = closed_in_neighborhood_graph(p4)
         assert sq.edge_count == 5  # adds the two distance-2 chords
 
     def test_square_of_edgeless(self):
-        assert closed_neighborhood_graph(build_undirected(3, [])).edge_count == 0
+        assert closed_in_neighborhood_graph(build_undirected(3, [])).edge_count == 0
 
     def test_square_of_star(self):
         star = build_undirected(4, [(0, 1), (0, 2), (0, 3)])
-        assert closed_neighborhood_graph(star).edge_count == 6  # K4
+        assert closed_in_neighborhood_graph(star).edge_count == 6  # K4
 
     def test_open_neighborhood_graph(self):
         p3 = build_undirected(3, [(0, 1), (1, 2)])
-        aux = open_neighborhood_graph(p3)
+        aux = open_in_neighborhood_graph(p3)
         assert aux.has_edge(0, 2) and aux.edge_count == 1
 
 
@@ -239,9 +237,9 @@ class TestObservationIdentities:
             ]
             g = build_undirected(n, edges)
             rho2, witness = two_packing_number(g)
-            alpha, _ = max_independent_set(closed_neighborhood_graph(g))
+            alpha, _ = max_independent_set(closed_in_neighborhood_graph(g))
             assert rho2 == alpha
-            assert validate.is_two_packing(g, witness)
+            assert validate.is_packing(g, witness)
 
 
 class TestHellyCheckers:

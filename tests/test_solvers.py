@@ -7,8 +7,8 @@ import textwrap
 import pytest
 
 import didom
-from didom import bitset, validate
-from didom.core import build_digraph, build_undirected, underlying_graph
+from didom import bitset, kernels, validate
+from didom.core import as_bidirected, build_digraph, build_undirected, underlying_graph
 from didom.families import (
     all_digraphs,
     gen_C4_orientation,
@@ -129,6 +129,77 @@ class TestUndirectedSolvers:
     def test_open_packing_p2(self):
         p2 = build_undirected(2, [(0, 1)])
         assert undirected_open_packing_number(p2)[0] == 2
+
+    @pytest.mark.parametrize(
+        "undirected, digraph",
+        [
+            (undirected_domination_number, domination_number),
+            (two_packing_number, packing_number),
+            (undirected_open_packing_number, open_packing_number),
+        ],
+        ids=["gamma", "two-packing", "open-packing"],
+    )
+    def test_same_witness_as_bidirected(self, undirected, digraph):
+        # an undirected graph and its bidirected digraph have the same
+        # closed and open neighbourhoods, so the answers must be identical
+        rng = random.Random(2031)
+        for _ in range(200):
+            n = rng.randint(1, 10)
+            p = rng.uniform(0.1, 0.8)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            g = build_undirected(n, edges)
+            assert undirected(g) == digraph(as_bidirected(g))
+
+
+def _misreport(solve, delta):
+    # a kernel that finds a correct witness but reports its size off by delta
+    def wrong(*args, **kwargs):
+        size, witness = solve(*args, **kwargs)
+        return size + delta, witness
+
+    return wrong
+
+
+_P4 = build_undirected(4, [(0, 1), (1, 2), (2, 3)])
+_CYCLE5 = gen_oriented_cycle(5)
+
+
+class TestSizeMisreport:
+    """Every solver re-checks the size the kernel reports against its
+    witness, so a kernel that miscounts cannot pass off a wrong optimum."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: min_set_cover(3, [0b011, 0b110, 0b100]),
+            lambda: domination_number(_CYCLE5),
+            lambda: total_domination_number(_CYCLE5),
+            lambda: undirected_domination_number(_P4),
+        ],
+        ids=["min_set_cover", "gamma", "gamma_t", "undirected-gamma"],
+    )
+    def test_cover_size_one_short(self, monkeypatch, solve):
+        monkeypatch.setattr(kernels, "min_set_cover", _misreport(kernels.min_set_cover, -1))
+        with pytest.raises(AssertionError):
+            solve()
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: max_independent_set(_P4),
+            lambda: packing_number(_CYCLE5),
+            lambda: open_packing_number(_CYCLE5),
+            lambda: two_packing_number(_P4),
+            lambda: undirected_open_packing_number(_P4),
+        ],
+        ids=["max_independent_set", "rho", "rho_open", "two-packing", "undirected-open-packing"],
+    )
+    def test_packing_size_one_over(self, monkeypatch, solve):
+        monkeypatch.setattr(
+            kernels, "max_independent_set", _misreport(kernels.max_independent_set, 1)
+        )
+        with pytest.raises(AssertionError):
+            solve()
 
 
 class TestBruteForceOracle:
