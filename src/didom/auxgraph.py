@@ -2,32 +2,20 @@
 
 Packings of a digraph are exactly the independent sets of its closed
 in-neighborhood graph (and open packings those of the open variant), which
-is what lets the exact independent-set kernel compute packing numbers.  The
-chordality and clique-containment checks here power the ditree equalities.
+is what lets the exact independent-set kernel compute packing numbers.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Optional
 
 from didom import bitset
-from didom.core import Digraph, UndirectedGraph, girth, underlying_graph
+from didom.core import Digraph, UndirectedGraph
 from didom.errors import CliqueLimitExceeded
-from didom.records import (
-    FAILS,
-    HOLDS,
-    HYPOTHESIS_NOT_MET,
-    VerificationRecord,
-    digraph_descriptor,
-)
 
 DEFAULT_CLIQUE_CAP = 1_000_000
-
-CLAIM_CLOSED_HELLY = "lemma:closed-helly"
-CLAIM_OPEN_HELLY = "lemma:open-helly"
 
 
 def _clique_union(n: int, sets) -> UndirectedGraph:
@@ -183,64 +171,3 @@ def maximal_cliques(g: UndirectedGraph, cap: int = DEFAULT_CLIQUE_CAP) -> list[i
     expand(0, bitset.full(g.n), 0)
     return sorted(out, key=bitset.to_list)
 
-
-def _helly_record(
-    d: Digraph,
-    aux: UndirectedGraph,
-    closed: bool,
-    hypotheses_met: bool,
-    claim: str,
-) -> VerificationRecord:
-    start = perf_counter()
-    cliques = maximal_cliques(aux)
-    contained = 0
-    failing = None
-    for k in cliques:
-        ok = False
-        for w in range(d.n):
-            target = d.out_closed(w) if closed else d.out_adj[w]
-            if k & ~target == 0:
-                ok = True
-                break
-        if ok:
-            contained += 1
-        elif failing is None:
-            failing = k
-    conclusion = failing is None
-    if not hypotheses_met:
-        verdict = HYPOTHESIS_NOT_MET
-    else:
-        verdict = HOLDS if conclusion else FAILS
-    witnesses = {}
-    if failing is not None:
-        witnesses["uncontained_clique"] = bitset.to_list(failing)
-    return VerificationRecord(
-        claim=claim,
-        instance=digraph_descriptor(d),
-        hypotheses_met=hypotheses_met,
-        lhs=contained,
-        rhs=len(cliques),
-        verdict=verdict,
-        witnesses=witnesses,
-        elapsed_ms=(perf_counter() - start) * 1000.0,
-        extras={"conclusion_holds": conclusion},
-    )
-
-
-def check_closed_helly_lemma(d: Digraph) -> VerificationRecord:
-    """Every maximal clique of the closed in-neighborhood graph sits inside
-    some closed out-neighborhood (hypothesis: underlying girth >= 7)."""
-    g = girth(underlying_graph(d))
-    hyp = g is None or g >= 7
-    aux = closed_in_neighborhood_graph(d)
-    return _helly_record(d, aux, True, hyp, CLAIM_CLOSED_HELLY)
-
-
-def check_open_helly_lemma(d: Digraph) -> VerificationRecord:
-    """Open variant: maximal cliques of the open in-neighborhood graph sit
-    inside open out-neighborhoods (hypotheses: girth >= 7 and min in-degree
-    >= 1, the setting in which total domination is defined)."""
-    g = girth(underlying_graph(d))
-    hyp = (g is None or g >= 7) and d.min_in_degree >= 1
-    aux = open_in_neighborhood_graph(d)
-    return _helly_record(d, aux, False, hyp, CLAIM_OPEN_HELLY)

@@ -314,11 +314,8 @@ def loads_arclist(text: str) -> Digraph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ArcListParseError(f"non-integer arc {line!r}", line_no) from None
-        try:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise InvalidArcError("")
-        except InvalidArcError:
-            raise ArcListParseError(f"invalid arc ({u}, {v}) for n={n}", line_no) from None
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ArcListParseError(f"invalid arc ({u}, {v}) for n={n}", line_no)
         arcs.append((u, v))
     if n is None:
         raise ArcListParseError("empty input: missing 'n <count>' header", 1)

@@ -398,12 +398,20 @@ _FAMILY_USAGE = (
 )
 
 
-def _parse_kv(body: str) -> dict[str, str]:
-    out = {}
+class _KeyValues(dict):
+    """key=value pairs; a missing key is a ValueError that names it."""
+
+    def __missing__(self, key: str):
+        raise ValueError(f"missing key {key!r}")
+
+
+def parse_kv(body: str) -> dict[str, str]:
+    """The key=value pairs of a family spec or an instance source."""
+    out = _KeyValues()
     for part in body.split(","):
-        if "=" not in part:
+        key, _, value = part.partition("=")
+        if not value:
             raise ValueError(f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
         out[key.strip()] = value.strip()
     return out
 
@@ -435,14 +443,14 @@ def build_family(spec: str) -> Digraph:
             raise ValueError(f"C4 spec wants four digits, got {body!r}")
         return gen_C4_orientation(tuple(int(ch) for ch in body))
     if kind == "corona":
-        kv = _parse_kv(body)
+        kv = parse_kv(body)
         n = int(kv["n"])
         base = build_undirected(n, [(i, i + 1) for i in range(n - 1)])
         edges = kv.get("edges", "/".join([EDGE_BOTH] * (n - 1))).split("/") if n > 1 else []
         leaves = kv.get("leaves", "/".join([LEAF_BOTH] * n)).split("/")
         return gen_corona_digraph(base, edges, leaves)
     if kind == "ditree":
-        kv = _parse_kv(body)
+        kv = parse_kv(body)
         weights = (1.0, 1.0, 1.0)
         if "w" in kv:
             parts = kv["w"].split("/")
@@ -452,11 +460,3 @@ def build_family(spec: str) -> Digraph:
         return random_ditree(int(kv["n"]), int(kv.get("seed", "0")), weights)
     raise ValueError(f"unrecognized family {spec!r}; {_FAMILY_USAGE}")
 
-
-def describe_instance(spec_or_digraph) -> str:
-    """Instance descriptor for records: the spec string when one was given."""
-    if isinstance(spec_or_digraph, str):
-        return spec_or_digraph
-    from didom.records import digraph_descriptor
-
-    return digraph_descriptor(spec_or_digraph)

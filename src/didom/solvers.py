@@ -204,7 +204,6 @@ def partition_two_dominating_sets(
         cap = gamma
     deadline = _deadline(timeout_ms)
     full = bitset.full(n)
-    ticks = [0]
 
     def feasible(side_a: int, side_b: int, assigned: int) -> bool:
         unassigned = full & ~assigned
@@ -216,8 +215,7 @@ def partition_two_dominating_sets(
         return True
 
     def search(v: int, side_a: int, side_b: int) -> Optional[tuple[int, int]]:
-        ticks[0] += 1
-        if deadline is not None and ticks[0] % 256 == 0 and monotonic() > deadline:
+        if deadline is not None and monotonic() > deadline:
             raise SolveTimeout("partition search exceeded its deadline")
         if v == n:
             return side_a, side_b
@@ -256,11 +254,14 @@ def all_maximum_packings(
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
 ) -> list[int]:
     """Every maximum packing of d, as bitmasks in ascending mask order."""
+    deadline = _deadline(timeout_ms)
     aux = closed_in_neighborhood_graph(d)
     target, _ = max_independent_set(aux, timeout_ms=timeout_ms)
     out: list[int] = []
 
     def rec(avail: int, size: int, mask: int) -> None:
+        if deadline is not None and monotonic() > deadline:
+            raise SolveTimeout("packing enumeration exceeded its deadline")
         if size == target:
             out.append(mask)
             if len(out) > cap:

@@ -19,10 +19,9 @@ from typing import Callable, Iterator, Optional
 
 from didom import bitset, families, validate
 from didom.auxgraph import (
-    CLAIM_CLOSED_HELLY,
-    CLAIM_OPEN_HELLY,
-    check_closed_helly_lemma,
-    check_open_helly_lemma,
+    closed_in_neighborhood_graph,
+    maximal_cliques,
+    open_in_neighborhood_graph,
 )
 from didom.core import (
     Digraph,
@@ -32,6 +31,7 @@ from didom.core import (
     UndirectedGraph,
     build_digraph,
     classify_leaves,
+    girth,
     is_acyclic_digraph,
     is_ditree,
     is_tree,
@@ -73,6 +73,8 @@ CLAIM_STRONG_SUPPORT = "thm:strong-support-necessary"
 CLAIM_ISOLATED_LEAF = "cor:isolated-leaf-extension"
 CLAIM_MAX_PACKING = "thm:max-packing-dominates"
 CLAIM_ACYCLIC = "problem:acyclic-packing-domination"
+CLAIM_CLOSED_HELLY = "lemma:closed-helly"
+CLAIM_OPEN_HELLY = "lemma:open-helly"
 
 # G_m [] G_m is solved exactly, to cross-check the published dominating
 # set, for m up to this
@@ -96,11 +98,6 @@ def _timed(claim: str, instance: str, build: Callable[[], VerificationRecord]):
     return record
 
 
-def _half_bound_rhs(gamma_g: int, gamma_h: int) -> int:
-    # gamma of the product is an integer, so ceil the half-sum
-    return -(-(gamma_g * gamma_h + max(gamma_g, gamma_h)) // 2)
-
-
 def _gamma_of_cartesian(
     g: Digraph, h: Digraph, *, timeout_ms: Optional[float]
 ) -> tuple[int, int]:
@@ -118,8 +115,8 @@ def _product_verdict(gamma: int, witness: int, rhs: int, witnesses: dict) -> str
     return FAILS
 
 
-def _pair_instance(spec_g, spec_h) -> str:
-    return f"{families.describe_instance(spec_g)}|{families.describe_instance(spec_h)}"
+def _pair_instance(spec_g: Digraph, spec_h: Digraph) -> str:
+    return f"{digraph_descriptor(spec_g)}|{digraph_descriptor(spec_h)}"
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +125,24 @@ def _pair_instance(spec_g, spec_h) -> str:
 
 
 def _packing_vs_domination(
-    claim: str, inst: str, hyp: bool, d, timeout_ms, pack_key="packing", **record_fields
+    claim: str, inst: str, hyp: bool, d, timeout_ms,
+    solvers=(packing_number, domination_number), keys=("packing", "dominating_set"),
+    **record_fields,
 ) -> VerificationRecord:
-    """rho(d) against gamma(d), both witnessed; ``record_fields`` go to the
-    record, and any ``witnesses`` among them join the two."""
+    """A packing number against its domination number on d, both witnessed
+    under ``keys``; the domination solver may return None (no such set).
+    ``record_fields`` go to the record, and any ``witnesses`` among them
+    join the two."""
 
     def build():
-        rho, pack = packing_number(d, timeout_ms=timeout_ms)
-        gamma, dom = domination_number(d, timeout_ms=timeout_ms)
+        rho, pack = solvers[0](d, timeout_ms=timeout_ms)
+        witnesses = {keys[0]: bitset.to_list(pack)}
+        gamma = None
+        solved = solvers[1](d, timeout_ms=timeout_ms)
+        if solved is not None:
+            gamma, dom = solved
+            witnesses[keys[1]] = bitset.to_list(dom)
         verdict = (HOLDS if rho == gamma else FAILS) if hyp else HYPOTHESIS_NOT_MET
-        witnesses = {pack_key: bitset.to_list(pack), "dominating_set": bitset.to_list(dom)}
         witnesses.update(record_fields.pop("witnesses", {}))
         return VerificationRecord(
             claim, inst, hyp, rho, gamma, verdict, witnesses, **record_fields
@@ -156,7 +161,8 @@ def check_meir_moon(
     theorem on the tree's bidirected digraph."""
     inst = instance or f"tree:n={tree.n},edges={tree.edges()}"
     return _packing_vs_domination(
-        CLAIM_MEIR_MOON, inst, is_tree(tree), tree, timeout_ms, pack_key="two_packing"
+        CLAIM_MEIR_MOON, inst, is_tree(tree), tree, timeout_ms,
+        keys=("two_packing", "dominating_set"),
     )
 
 
@@ -180,25 +186,12 @@ def check_open_packing_equals_total_domination(
     """Open packing number equals total domination number on ditrees with
     minimum in-degree at least 1."""
     inst = instance or digraph_descriptor(d)
-
-    def build():
-        hyp = is_ditree(d) and d.n > 0 and d.min_in_degree >= 1
-        rho_o, pack = open_packing_number(d, timeout_ms=timeout_ms)
-        witnesses = {"open_packing": bitset.to_list(pack)}
-        total = total_domination_number(d, timeout_ms=timeout_ms)
-        gamma_t = None
-        if total is not None:
-            gamma_t, dom = total
-            witnesses["total_dominating_set"] = bitset.to_list(dom)
-        if not hyp:
-            verdict = HYPOTHESIS_NOT_MET
-        else:
-            verdict = HOLDS if rho_o == gamma_t else FAILS
-        return VerificationRecord(
-            CLAIM_DITREE_OPEN_PACKING, inst, hyp, rho_o, gamma_t, verdict, witnesses
-        )
-
-    return _timed(CLAIM_DITREE_OPEN_PACKING, inst, build)
+    hyp = is_ditree(d) and d.n > 0 and d.min_in_degree >= 1
+    return _packing_vs_domination(
+        CLAIM_DITREE_OPEN_PACKING, inst, hyp, d, timeout_ms,
+        solvers=(open_packing_number, total_domination_number),
+        keys=("open_packing", "total_dominating_set"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +261,29 @@ def check_total_domination_direct_product(
 # ---------------------------------------------------------------------------
 
 
+def _cartesian_bound(
+    claim: str, g: Digraph, h: Digraph, instance, timeout_ms, bound
+) -> VerificationRecord:
+    """gamma(G [] H) >= rhs, with gamma(G), gamma(H) and gamma(G [] H)
+    solved exactly; ``bound(gamma_G, gamma_H, lhs)`` gives ``(rhs, extras)``
+    and its extras join the factor values."""
+    inst = instance or _pair_instance(g, h)
+
+    def build():
+        gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
+        gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
+        lhs, dom = _gamma_of_cartesian(g, h, timeout_ms=timeout_ms)
+        rhs, extras = bound(gamma_g, gamma_h, lhs)
+        extras.update({"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": True})
+        witnesses = {}
+        verdict = _product_verdict(lhs, dom, rhs, witnesses)
+        return VerificationRecord(
+            claim, inst, True, lhs, rhs, verdict, witnesses, extras=extras
+        )
+
+    return _timed(claim, inst, build)
+
+
 def check_packing_lower_bound(
     g: Digraph,
     h: Digraph,
@@ -276,29 +292,13 @@ def check_packing_lower_bound(
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
 ) -> VerificationRecord:
     """gamma(G [] H) >= max(gamma(G) rho(H), gamma(H) rho(G))."""
-    inst = instance or _pair_instance(g, h)
 
-    def build():
-        gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
-        gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
+    def bound(gamma_g, gamma_h, lhs):
         rho_g, _ = packing_number(g, timeout_ms=timeout_ms)
         rho_h, _ = packing_number(h, timeout_ms=timeout_ms)
-        rhs = max(gamma_g * rho_h, gamma_h * rho_g)
-        lhs, dom = _gamma_of_cartesian(g, h, timeout_ms=timeout_ms)
-        extras = {
-            "gamma_G": gamma_g,
-            "gamma_H": gamma_h,
-            "rho_G": rho_g,
-            "rho_H": rho_h,
-            "exact": True,
-        }
-        witnesses = {}
-        verdict = _product_verdict(lhs, dom, rhs, witnesses)
-        return VerificationRecord(
-            CLAIM_PACKING_LOWER, inst, True, lhs, rhs, verdict, witnesses, extras=extras
-        )
+        return max(gamma_g * rho_h, gamma_h * rho_g), {"rho_G": rho_g, "rho_H": rho_h}
 
-    return _timed(CLAIM_PACKING_LOWER, inst, build)
+    return _cartesian_bound(CLAIM_PACKING_LOWER, g, h, instance, timeout_ms, bound)
 
 
 def check_vizing_inequality(
@@ -311,21 +311,10 @@ def check_vizing_inequality(
     """gamma(G [] H) >= gamma(G) gamma(H): true for ditree factors, false in
     general; failures are first-class findings with a small dominating set
     attached as the counterwitness."""
-    inst = instance or _pair_instance(g, h)
-
-    def build():
-        gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
-        gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
-        rhs = gamma_g * gamma_h
-        lhs, dom = _gamma_of_cartesian(g, h, timeout_ms=timeout_ms)
-        extras = {"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": True}
-        witnesses = {}
-        verdict = _product_verdict(lhs, dom, rhs, witnesses)
-        return VerificationRecord(
-            CLAIM_VIZING, inst, True, lhs, rhs, verdict, witnesses, extras=extras
-        )
-
-    return _timed(CLAIM_VIZING, inst, build)
+    return _cartesian_bound(
+        CLAIM_VIZING, g, h, instance, timeout_ms,
+        lambda gamma_g, gamma_h, lhs: (gamma_g * gamma_h, {}),
+    )
 
 
 def check_half_vizing_bound(
@@ -339,26 +328,13 @@ def check_half_vizing_bound(
 
     Unconditional; ``extras['slack_x2']`` records twice the slack so
     sharpness (slack zero) stays integral."""
-    inst = instance or _pair_instance(g, h)
 
-    def build():
-        gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
-        gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
-        rhs = _half_bound_rhs(gamma_g, gamma_h)
-        lhs, dom = _gamma_of_cartesian(g, h, timeout_ms=timeout_ms)
-        extras = {
-            "gamma_G": gamma_g,
-            "gamma_H": gamma_h,
-            "exact": True,
-            "slack_x2": 2 * lhs - (gamma_g * gamma_h + max(gamma_g, gamma_h)),
-        }
-        witnesses = {}
-        verdict = _product_verdict(lhs, dom, rhs, witnesses)
-        return VerificationRecord(
-            CLAIM_HALF_VIZING, inst, True, lhs, rhs, verdict, witnesses, extras=extras
-        )
+    def bound(gamma_g, gamma_h, lhs):
+        twice = gamma_g * gamma_h + max(gamma_g, gamma_h)
+        # gamma of the product is an integer, so ceil the half-sum
+        return -(-twice // 2), {"slack_x2": 2 * lhs - twice}
 
-    return _timed(CLAIM_HALF_VIZING, inst, build)
+    return _cartesian_bound(CLAIM_HALF_VIZING, g, h, instance, timeout_ms, bound)
 
 
 def gm_square_dominating_set(m: int) -> tuple[Digraph, int]:
@@ -423,7 +399,7 @@ def check_C4_equality(
     """Digraphs partitionable into two minimum dominating sets satisfy
     gamma(G [] C4^(0,2,0,2)) = 2 gamma(G); any two-dominating-set partition
     additionally certifies the upper bound gamma <= n(G)."""
-    inst = instance or families.describe_instance(g)
+    inst = instance or digraph_descriptor(g)
 
     def build():
         c4 = families.gen_C4_orientation((0, 2, 0, 2))
@@ -674,6 +650,59 @@ def check_max_packing_dominates(
 
 
 # ---------------------------------------------------------------------------
+# Helly property of the in-neighborhood graphs (underlying girth >= 7)
+# ---------------------------------------------------------------------------
+
+
+def _helly_record(claim: str, d: Digraph, closed: bool, hyp: bool) -> VerificationRecord:
+    """Every maximal clique of the closed (open) in-neighborhood graph sits
+    inside some closed (open) out-neighborhood; ``hyp`` joins the girth
+    hypothesis."""
+    inst = digraph_descriptor(d)
+
+    def build():
+        g = girth(underlying_graph(d))
+        hypotheses_met = (g is None or g >= 7) and hyp
+        aux = closed_in_neighborhood_graph(d) if closed else open_in_neighborhood_graph(d)
+        cliques = maximal_cliques(aux)
+        contained = 0
+        failing = None
+        for k in cliques:
+            for w in range(d.n):
+                target = d.out_closed(w) if closed else d.out_adj[w]
+                if k & ~target == 0:
+                    contained += 1
+                    break
+            else:
+                if failing is None:
+                    failing = k
+        conclusion = failing is None
+        verdict = (HOLDS if conclusion else FAILS) if hypotheses_met else HYPOTHESIS_NOT_MET
+        witnesses = {}
+        if failing is not None:
+            witnesses["uncontained_clique"] = bitset.to_list(failing)
+        return VerificationRecord(
+            claim, inst, hypotheses_met, contained, len(cliques), verdict, witnesses,
+            extras={"conclusion_holds": conclusion},
+        )
+
+    return _timed(claim, inst, build)
+
+
+def check_closed_helly_lemma(d: Digraph) -> VerificationRecord:
+    """Every maximal clique of the closed in-neighborhood graph sits inside
+    some closed out-neighborhood (hypothesis: underlying girth >= 7)."""
+    return _helly_record(CLAIM_CLOSED_HELLY, d, True, True)
+
+
+def check_open_helly_lemma(d: Digraph) -> VerificationRecord:
+    """Open variant: maximal cliques of the open in-neighborhood graph sit
+    inside open out-neighborhoods (hypotheses: girth >= 7 and min in-degree
+    >= 1, the setting in which total domination is defined)."""
+    return _helly_record(CLAIM_OPEN_HELLY, d, False, d.min_in_degree >= 1)
+
+
+# ---------------------------------------------------------------------------
 # Open problem: packing vs domination on acyclic digraphs
 # ---------------------------------------------------------------------------
 
@@ -758,12 +787,9 @@ class SuiteResult:
         for r in self.errors():
             lines.append(f"ERROR {r.claim} on {r.instance}: {r.extras['error']}")
         for claim in sorted({r.claim for r in self.records}):
-            sub = [r for r in self.records if r.claim == claim]
-            c = {}
-            for r in sub:
-                c[r.verdict] = c.get(r.verdict, 0) + 1
-            detail = " ".join(f"{k}={v}" for k, v in sorted(c.items()))
-            lines.append(f"  {claim}: {len(sub)} [{detail}]")
+            sub = SuiteResult([r for r in self.records if r.claim == claim])
+            detail = " ".join(f"{k}={v}" for k, v in sorted(sub.counts().items()))
+            lines.append(f"  {claim}: {len(sub.records)} [{detail}]")
         return "\n".join(lines)
 
 
@@ -871,41 +897,26 @@ def parse_suite_config(text: str) -> SuiteConfig:
     return config
 
 
-def _source_kv(body: str) -> dict[str, str]:
-    out = {}
-    for part in body.split(","):
-        key, _, value = part.partition("=")
-        if not value:
-            raise SuiteConfigError(f"expected key=value in source, got {part!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def _digraph_instances(source: str, rng: random.Random):
     """Yield (label, digraph) pairs for a single-digraph source."""
     if source.startswith("family:"):
         spec = source[len("family:") :]
         yield spec, families.build_family(spec)
-    elif source.startswith("enum-ditrees:"):
-        n = int(source.split(":", 1)[1])
+    elif source.startswith(("enum-ditrees:", "enum-ditrees-min-indeg:")):
+        kind, _, n_str = source.partition(":")
+        n = int(n_str)
         for i, d in enumerate(families.enumerate_ditrees(n)):
-            yield f"enum-ditree:n={n},i={i}", d
-    elif source.startswith("enum-ditrees-min-indeg:"):
-        n = int(source.split(":", 1)[1])
-        i = 0
-        for d in families.enumerate_ditrees(n):
-            if d.min_in_degree >= 1:
-                yield f"enum-ditree-min-indeg:n={n},i={i}", d
-            i += 1
+            if kind == "enum-ditrees" or d.min_in_degree >= 1:
+                yield f"{kind.replace('ditrees', 'ditree')}:n={n},i={i}", d
     elif source.startswith("random-ditrees:"):
-        kv = _source_kv(source.split(":", 1)[1])
+        kv = families.parse_kv(source.split(":", 1)[1])
         count, n_max = int(kv["count"]), int(kv["n"])
         for _ in range(count):
             n = rng.randint(2, max(2, n_max))
             seed = rng.getrandbits(32)
             yield f"ditree:n={n},seed={seed}", families.random_ditree(n, seed)
     elif source.startswith("random-digraphs:"):
-        kv = _source_kv(source.split(":", 1)[1])
+        kv = families.parse_kv(source.split(":", 1)[1])
         count, n_max = int(kv["count"]), int(kv["n"])
         for _ in range(count):
             n = rng.randint(1, n_max)
@@ -922,7 +933,7 @@ def _pair_instances(source: str, rng: random.Random):
     options: dict[str, str] = {}
     if ";" in source:
         source, _, opt = source.partition(";")
-        options = _source_kv(opt)
+        options = families.parse_kv(opt)
     if source.startswith("pair:"):
         left, sep, right = source[len("pair:") :].partition("|")
         if not sep:
@@ -937,7 +948,7 @@ def _pair_instances(source: str, rng: random.Random):
         "random-min-indeg-pairs:"
     ):
         need_indeg = source.startswith("random-min-indeg-pairs:")
-        kv = _source_kv(source.split(":", 1)[1])
+        kv = families.parse_kv(source.split(":", 1)[1])
         count, n_max = int(kv["count"]), int(kv["n"])
         for _ in range(count):
             lo = 2 if need_indeg else 1
@@ -985,7 +996,7 @@ def _m_source(source: str, rng: random.Random):
 def _dags_source(source: str, rng: random.Random):
     if not source.startswith("dags:"):
         raise SuiteConfigError(f"{CLAIM_ACYCLIC} wants source dags:..., got {source!r}")
-    kv = _source_kv(source[len("dags:") :])
+    kv = families.parse_kv(source[len("dags:") :])
     yield int(kv.get("exhaustive", "4")), int(kv.get("random", "0")), int(kv.get("n", "9"))
 
 
@@ -1016,7 +1027,7 @@ def _run_acyclic(
     )
 
 
-def _product_check(checker):
+def _run_checker(checker):
     """Run for a checker of the form checker(*graphs, instance, timeout_ms)."""
 
     def run(config: SuiteConfig, label: str, *args) -> VerificationRecord:
@@ -1035,30 +1046,23 @@ _CLAIM_TABLE = {
             underlying_graph(d), instance=label, timeout_ms=c.timeout_ms
         ),
     ),
-    CLAIM_DITREE_PACKING: (
-        _digraph_instances,
-        lambda c, label, d: check_packing_equals_domination(
-            d, instance=label, timeout_ms=c.timeout_ms
-        ),
-    ),
+    CLAIM_DITREE_PACKING: (_digraph_instances, _run_checker(check_packing_equals_domination)),
     CLAIM_DITREE_OPEN_PACKING: (
         _digraph_instances,
-        lambda c, label, d: check_open_packing_equals_total_domination(
-            d, instance=label, timeout_ms=c.timeout_ms
-        ),
+        _run_checker(check_open_packing_equals_total_domination),
     ),
-    CLAIM_DIRECT_TOTAL: (_pair_source, _product_check(check_total_domination_direct_product)),
-    CLAIM_PACKING_LOWER: (_pair_source, _product_check(check_packing_lower_bound)),
-    CLAIM_VIZING: (_pair_source, _product_check(check_vizing_inequality)),
-    CLAIM_HALF_VIZING: (_pair_source, _product_check(check_half_vizing_bound)),
+    CLAIM_DIRECT_TOTAL: (_pair_source, _run_checker(check_total_domination_direct_product)),
+    CLAIM_PACKING_LOWER: (_pair_source, _run_checker(check_packing_lower_bound)),
+    CLAIM_VIZING: (_pair_source, _run_checker(check_vizing_inequality)),
+    CLAIM_HALF_VIZING: (_pair_source, _run_checker(check_half_vizing_bound)),
     CLAIM_GM_FAILURE: (
         _m_source,
         lambda c, m: check_Gm_vizing_failure(m, timeout_ms=c.timeout_ms),
     ),
-    CLAIM_C4_EQUALITY: (_digraph_instances, _product_check(check_C4_equality)),
-    CLAIM_STRONG_SUPPORT: (_pair_source, _product_check(check_strong_support_condition)),
-    CLAIM_ISOLATED_LEAF: (_attach_source, _product_check(check_isolated_leaf_extension)),
-    CLAIM_MAX_PACKING: (_pair_source, _product_check(check_max_packing_dominates)),
+    CLAIM_C4_EQUALITY: (_digraph_instances, _run_checker(check_C4_equality)),
+    CLAIM_STRONG_SUPPORT: (_pair_source, _run_checker(check_strong_support_condition)),
+    CLAIM_ISOLATED_LEAF: (_attach_source, _run_checker(check_isolated_leaf_extension)),
+    CLAIM_MAX_PACKING: (_pair_source, _run_checker(check_max_packing_dominates)),
     CLAIM_ACYCLIC: (_dags_source, _run_acyclic),
     # Helly records name their instance by digraph_descriptor, not the label
     CLAIM_CLOSED_HELLY: (_digraph_instances, lambda c, label, d: check_closed_helly_lemma(d)),

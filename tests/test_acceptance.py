@@ -14,8 +14,6 @@ import pytest
 import didom.verify as verify
 from didom import bitset, validate
 from didom.auxgraph import (
-    check_closed_helly_lemma,
-    check_open_helly_lemma,
     closed_in_neighborhood_graph,
     is_chordal,
     open_in_neighborhood_graph,
@@ -47,6 +45,7 @@ from didom.solvers import (
     undirected_domination_number,
     undirected_open_packing_number,
 )
+from didom.verify import check_closed_helly_lemma, check_open_helly_lemma
 
 
 class Criterion:

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from didom import bitset, validate
 from didom.auxgraph import (
-    check_closed_helly_lemma,
-    check_open_helly_lemma,
     closed_in_neighborhood_graph,
     is_chordal,
     maximal_cliques,
@@ -24,6 +22,7 @@ from didom.solvers import (
     two_packing_number,
     brute_force_invariant,
 )
+from didom.verify import check_closed_helly_lemma, check_open_helly_lemma
 
 
 def small_undirected(max_n=8):

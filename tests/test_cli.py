@@ -136,6 +136,13 @@ class TestVerify:
         assert code == 2
         assert "unknown claim" in err
 
+    def test_source_missing_key(self, capsys, tmp_path):
+        cfg = tmp_path / "nokey.cfg"
+        cfg.write_text("check thm:meir-moon random-ditrees:n=5\n")
+        code, _, err = run_cli(capsys, "verify", str(cfg))
+        assert code == 2
+        assert "count" in err
+
     def test_vizing_failure_whitelisted(self, capsys, tmp_path):
         cfg = tmp_path / "viz.cfg"
         cfg.write_text("check conj:vizing-inequality pair:Gm:1|chord5\n")

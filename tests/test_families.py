@@ -277,7 +277,10 @@ class TestFamilySpecs:
         assert gen_chorded_5cycle().out_adj == chorded_5cycle.out_adj
 
     def test_bad_specs(self):
-        for spec in ("nope", "Gm:x", "C4:123", "corona:n=", "pair:1|2"):
+        for spec in (
+            "nope", "Gm:x", "C4:123", "corona:n=", "pair:1|2",
+            "ditree:seed=1", "corona:edges=both",
+        ):
             with pytest.raises(ValueError):
                 build_family(spec)
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from time import perf_counter
 
 import pytest
 
@@ -348,6 +349,16 @@ class TestAllMaximumPackings:
             if mask.bit_count() == rho and validate.is_packing(d, mask)
         ]
         assert sorted(packs) == sorted(brute)
+
+    def test_stops_at_deadline(self):
+        from didom.errors import SolveTimeout
+
+        # 16 disjoint bidirected edges have 2^16 maximum packings
+        d = build_digraph(32, [a for i in range(0, 32, 2) for a in ((i, i + 1), (i + 1, i))])
+        start = perf_counter()
+        with pytest.raises(SolveTimeout):
+            all_maximum_packings(d, timeout_ms=50)
+        assert perf_counter() - start < 1.0
 
     def test_cap_enforced(self):
         from didom.errors import CliqueLimitExceeded
