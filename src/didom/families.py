@@ -405,14 +405,19 @@ class _KeyValues(dict):
         raise ValueError(f"missing key {key!r}")
 
 
-def parse_kv(body: str) -> dict[str, str]:
-    """The key=value pairs of a family spec or an instance source."""
+def parse_kv(body: str, keys: str) -> dict[str, str]:
+    """The key=value pairs of a family spec or an instance source; a key
+    outside the comma-separated ``keys`` is a ValueError that names it."""
+    allowed = keys.split(",")
     out = _KeyValues()
     for part in body.split(","):
         key, _, value = part.partition("=")
+        key = key.strip()
         if not value:
             raise ValueError(f"expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {body!r}; expected {keys}")
+        out[key] = value.strip()
     return out
 
 
@@ -443,14 +448,14 @@ def build_family(spec: str) -> Digraph:
             raise ValueError(f"C4 spec wants four digits, got {body!r}")
         return gen_C4_orientation(tuple(int(ch) for ch in body))
     if kind == "corona":
-        kv = parse_kv(body)
+        kv = parse_kv(body, "n,edges,leaves")
         n = int(kv["n"])
         base = build_undirected(n, [(i, i + 1) for i in range(n - 1)])
         edges = kv.get("edges", "/".join([EDGE_BOTH] * (n - 1))).split("/") if n > 1 else []
         leaves = kv.get("leaves", "/".join([LEAF_BOTH] * n)).split("/")
         return gen_corona_digraph(base, edges, leaves)
     if kind == "ditree":
-        kv = parse_kv(body)
+        kv = parse_kv(body, "n,seed,w")
         weights = (1.0, 1.0, 1.0)
         if "w" in kv:
             parts = kv["w"].split("/")

@@ -7,6 +7,12 @@ distinguishable from conclusion failures.  Every product checker solves
 the product exactly, so no verdict rests on a bound that contains the
 claim's own inequality; a solve past its deadline gives a ``timeout``
 record.
+
+Every checker returns through one verdict rule, ``_record``:
+``hypothesis_not_met`` when the hypotheses fail, otherwise ``holds`` or
+``fails`` as the conclusion says.  Only two definitional self-checks (the
+direct product's sandwich, the C4 partition witness) report ``fails``
+whatever the hypotheses: they catch a faulty solver or construction.
 """
 
 from __future__ import annotations
@@ -98,21 +104,25 @@ def _timed(claim: str, instance: str, build: Callable[[], VerificationRecord]):
     return record
 
 
-def _gamma_of_cartesian(
-    g: Digraph, h: Digraph, *, timeout_ms: Optional[float]
-) -> tuple[int, int]:
-    """(gamma, minimum dominating set) of G [] H, solved exactly."""
+def _record(
+    claim: str, inst: str, hyp: bool, lhs, rhs, holds: bool = True,
+    witnesses: Optional[dict] = None, **fields,
+) -> VerificationRecord:
+    """The verdict rule: ``hypothesis_not_met`` unless ``hyp``, otherwise
+    ``holds`` or ``fails`` as ``holds`` says.  ``fields`` (extras, seed) go
+    to the record."""
+    verdict = (HOLDS if holds else FAILS) if hyp else HYPOTHESIS_NOT_MET
+    return VerificationRecord(claim, inst, hyp, lhs, rhs, verdict, witnesses or {}, **fields)
+
+
+def _gammas(g: Digraph, h: Digraph, timeout_ms) -> tuple[int, int, int, int]:
+    """gamma(G), gamma(H), gamma(G [] H) and a minimum dominating set of
+    G [] H, each solved exactly."""
+    gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
+    gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
     prod, _ = cartesian_product(g, h)
-    return domination_number(prod, timeout_ms=timeout_ms)
-
-
-def _product_verdict(gamma: int, witness: int, rhs: int, witnesses: dict) -> str:
-    """Verdict for gamma(G [] H) >= rhs; a ``fails`` verdict gets the
-    product dominating set as its counterwitness."""
-    if gamma >= rhs:
-        return HOLDS
-    witnesses["product_dominating_set"] = bitset.to_list(witness)
-    return FAILS
+    lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
+    return gamma_g, gamma_h, lhs, dom
 
 
 def _pair_instance(spec_g: Digraph, spec_h: Digraph) -> str:
@@ -142,11 +152,8 @@ def _packing_vs_domination(
         if solved is not None:
             gamma, dom = solved
             witnesses[keys[1]] = bitset.to_list(dom)
-        verdict = (HOLDS if rho == gamma else FAILS) if hyp else HYPOTHESIS_NOT_MET
         witnesses.update(record_fields.pop("witnesses", {}))
-        return VerificationRecord(
-            claim, inst, hyp, rho, gamma, verdict, witnesses, **record_fields
-        )
+        return _record(claim, inst, hyp, rho, gamma, rho == gamma, witnesses, **record_fields)
 
     return _timed(claim, inst, build)
 
@@ -217,13 +224,8 @@ def check_total_domination_direct_product(
     def build():
         deg_ok = g.n > 0 and h.n > 0 and g.min_in_degree >= 1 and h.min_in_degree >= 1
         if not deg_ok:
-            return VerificationRecord(
-                CLAIM_DIRECT_TOTAL,
-                inst,
-                False,
-                None,
-                None,
-                HYPOTHESIS_NOT_MET,
+            return _record(
+                CLAIM_DIRECT_TOTAL, inst, False, None, None,
                 extras={"reason": "a factor has a source vertex"},
             )
         gt_g, _ = total_domination_number(g, timeout_ms=timeout_ms)
@@ -246,11 +248,12 @@ def check_total_domination_direct_product(
         lhs, dom = total_domination_number(prod, timeout_ms=timeout_ms)
         witnesses = {"product_total_dominating_set": bitset.to_list(dom)}
         if not (sandwich_low <= lhs <= rhs):
-            verdict = FAILS
-        else:
-            verdict = (HOLDS if lhs == rhs else FAILS) if hyp else HYPOTHESIS_NOT_MET
-        return VerificationRecord(
-            CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, verdict, witnesses, extras=extras
+            # outside the definitional sandwich the solver is wrong, whatever the hypothesis
+            return VerificationRecord(
+                CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, FAILS, witnesses, extras=extras
+            )
+        return _record(
+            CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, lhs == rhs, witnesses, extras=extras
         )
 
     return _timed(CLAIM_DIRECT_TOTAL, inst, build)
@@ -266,20 +269,16 @@ def _cartesian_bound(
 ) -> VerificationRecord:
     """gamma(G [] H) >= rhs, with gamma(G), gamma(H) and gamma(G [] H)
     solved exactly; ``bound(gamma_G, gamma_H, lhs)`` gives ``(rhs, extras)``
-    and its extras join the factor values."""
+    and its extras join the factor values.  A ``fails`` record carries the
+    product dominating set as its counterwitness."""
     inst = instance or _pair_instance(g, h)
 
     def build():
-        gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
-        gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
-        lhs, dom = _gamma_of_cartesian(g, h, timeout_ms=timeout_ms)
+        gamma_g, gamma_h, lhs, dom = _gammas(g, h, timeout_ms)
         rhs, extras = bound(gamma_g, gamma_h, lhs)
         extras.update({"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": True})
-        witnesses = {}
-        verdict = _product_verdict(lhs, dom, rhs, witnesses)
-        return VerificationRecord(
-            claim, inst, True, lhs, rhs, verdict, witnesses, extras=extras
-        )
+        witnesses = {"product_dominating_set": bitset.to_list(dom)} if lhs < rhs else {}
+        return _record(claim, inst, True, lhs, rhs, lhs >= rhs, witnesses, extras=extras)
 
     return _timed(claim, inst, build)
 
@@ -371,15 +370,9 @@ def check_Gm_vizing_failure(
             exact, _ = domination_number(prod, timeout_ms=timeout_ms)
             extras["gamma_product"] = exact
             ok = ok and exact <= size and exact < rhs
-        return VerificationRecord(
-            CLAIM_GM_FAILURE,
-            inst,
-            True,
-            size,
-            rhs,
-            HOLDS if ok else FAILS,
-            witnesses={"product_dominating_set": bitset.to_list(witness)},
-            extras=extras,
+        return _record(
+            CLAIM_GM_FAILURE, inst, True, size, rhs, ok,
+            {"product_dominating_set": bitset.to_list(witness)}, extras=extras,
         )
 
     return _timed(CLAIM_GM_FAILURE, inst, build)
@@ -415,14 +408,10 @@ def check_C4_equality(
                 + [pmap.encode(x, v_idx) for x in bitset.iter_bits(side_b)]
             )
             if not validate.is_dominating_set(prod, partition_witness):
+                # the construction itself is wrong, whatever the hypothesis
                 return VerificationRecord(
-                    CLAIM_C4_EQUALITY,
-                    inst,
-                    False,
-                    None,
-                    None,
-                    FAILS,
-                    witnesses={"partition_witness": bitset.to_list(partition_witness)},
+                    CLAIM_C4_EQUALITY, inst, False, None, None, FAILS,
+                    {"partition_witness": bitset.to_list(partition_witness)},
                     extras={"reason": "partition witness does not dominate product"},
                 )
             extras["upper_bound_n"] = g.n
@@ -433,27 +422,16 @@ def check_C4_equality(
         gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
         rhs = 2 * gamma_g
         extras["gamma_G"] = gamma_g
-        if not hyp:
-            return VerificationRecord(
-                CLAIM_C4_EQUALITY,
-                inst,
-                False,
-                None,
-                rhs,
-                HYPOTHESIS_NOT_MET,
-                witnesses,
-                extras=extras,
-            )
-        side_a, side_b = min_part
-        witnesses["minimum_side_a"] = bitset.to_list(side_a)
-        witnesses["minimum_side_b"] = bitset.to_list(side_b)
-        lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
-        extras["exact"] = True
-        witnesses["product_dominating_set"] = bitset.to_list(dom)
-        verdict = HOLDS if lhs == rhs else FAILS
-        return VerificationRecord(
-            CLAIM_C4_EQUALITY, inst, hyp, lhs, rhs, verdict, witnesses,
-            extras=extras,
+        lhs = None
+        if hyp:
+            side_a, side_b = min_part
+            witnesses["minimum_side_a"] = bitset.to_list(side_a)
+            witnesses["minimum_side_b"] = bitset.to_list(side_b)
+            lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
+            extras["exact"] = True
+            witnesses["product_dominating_set"] = bitset.to_list(dom)
+        return _record(
+            CLAIM_C4_EQUALITY, inst, hyp, lhs, rhs, lhs == rhs, witnesses, extras=extras
         )
 
     return _timed(CLAIM_C4_EQUALITY, inst, build)
@@ -485,10 +463,8 @@ def check_strong_support_condition(
 
     def build():
         hyp = is_ditree(t) and underlying_connected(g) and g.n > 0
-        gamma_t_val, _ = domination_number(t, timeout_ms=timeout_ms)
-        gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
+        gamma_t_val, gamma_g, lhs, _ = _gammas(t, g, timeout_ms)
         rhs = gamma_t_val * gamma_g
-        lhs, _ = _gamma_of_cartesian(t, g, timeout_ms=timeout_ms)
         bad_vertex = _strong_support_with_two_nonisolated(t)
         extras = {
             "gamma_T": gamma_t_val,
@@ -496,20 +472,12 @@ def check_strong_support_condition(
             "exact": True,
             "strong_support_with_two_nonisolated_leaves": bad_vertex,
         }
-        if not hyp:
-            return VerificationRecord(
-                CLAIM_STRONG_SUPPORT, inst, False, lhs, rhs,
-                HYPOTHESIS_NOT_MET, extras=extras,
-            )
-        equality = lhs == rhs
-        extras["equality"] = equality
-        verdict = FAILS if (equality and bad_vertex is not None) else HOLDS
-        witnesses = {}
-        if verdict == FAILS:
-            witnesses["strong_support_vertex"] = [bad_vertex]
-        return VerificationRecord(
-            CLAIM_STRONG_SUPPORT, inst, hyp, lhs, rhs, verdict, witnesses,
-            extras=extras,
+        if hyp:
+            extras["equality"] = lhs == rhs
+        fails = hyp and lhs == rhs and bad_vertex is not None
+        witnesses = {"strong_support_vertex": [bad_vertex]} if fails else {}
+        return _record(
+            CLAIM_STRONG_SUPPORT, inst, hyp, lhs, rhs, not fails, witnesses, extras=extras
         )
 
     return _timed(CLAIM_STRONG_SUPPORT, inst, build)
@@ -540,10 +508,8 @@ def check_isolated_leaf_extension(
 
     def build():
         t_ext = attach_isolated_leaf(t, attach_at)
-        gamma_t_val, _ = domination_number(t, timeout_ms=timeout_ms)
+        gamma_t_val, gamma_h, base, _ = _gammas(t, h, timeout_ms)
         gamma_ext, _ = domination_number(t_ext, timeout_ms=timeout_ms)
-        gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
-        base, _ = _gamma_of_cartesian(t, h, timeout_ms=timeout_ms)
         base_equality = base == gamma_t_val * gamma_h
         extras = {
             "gamma_T": gamma_t_val,
@@ -553,16 +519,13 @@ def check_isolated_leaf_extension(
             "base_equality": base_equality,
         }
         hyp = is_ditree(t) and gamma_ext == gamma_t_val + 1 and base_equality
-        lhs, _ = _gamma_of_cartesian(t_ext, h, timeout_ms=timeout_ms)
+        prod, _ = cartesian_product(t_ext, h)
+        lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
         rhs = gamma_ext * gamma_h
-        if not hyp:
-            return VerificationRecord(
-                CLAIM_ISOLATED_LEAF, inst, False, lhs, rhs,
-                HYPOTHESIS_NOT_MET, extras=extras,
-            )
-        verdict = HOLDS if lhs == rhs else FAILS
-        return VerificationRecord(
-            CLAIM_ISOLATED_LEAF, inst, hyp, lhs, rhs, verdict, extras=extras
+        fails = hyp and lhs != rhs
+        witnesses = {"product_dominating_set": bitset.to_list(dom)} if fails else {}
+        return _record(
+            CLAIM_ISOLATED_LEAF, inst, hyp, lhs, rhs, not fails, witnesses, extras=extras
         )
 
     return _timed(CLAIM_ISOLATED_LEAF, inst, build)
@@ -587,63 +550,35 @@ def check_max_packing_dominates(
         elif not (is_ditree(t1) and is_ditree(t2)):
             reason = "both factors must be ditrees"
         if reason:
-            return VerificationRecord(
-                CLAIM_MAX_PACKING, inst, False, None, None,
-                HYPOTHESIS_NOT_MET, extras={"reason": reason},
-            )
-        gamma_1, _ = domination_number(t1, timeout_ms=timeout_ms)
-        gamma_2, _ = domination_number(t2, timeout_ms=timeout_ms)
+            return _record(CLAIM_MAX_PACKING, inst, False, None, None, extras={"reason": reason})
+        gamma_1, gamma_2, lhs, _ = _gammas(t1, t2, timeout_ms)
         rhs = gamma_1 * gamma_2
-        lhs, _ = _gamma_of_cartesian(t1, t2, timeout_ms=timeout_ms)
         extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2, "exact": True}
         if lhs != rhs:
-            return VerificationRecord(
-                CLAIM_MAX_PACKING, inst, False, lhs, rhs,
-                HYPOTHESIS_NOT_MET, extras=extras,
-            )
-        tags1 = classify_leaves(t1)
-        tags2 = classify_leaves(t2)
-        iso1 = bitset.from_iter(v for v in range(t1.n) if ISOLATED_LEAF in tags1[v])
-        iso2 = bitset.from_iter(v for v in range(t2.n) if ISOLATED_LEAF in tags2[v])
-        packs1 = all_maximum_packings(t1, timeout_ms=timeout_ms)
-        packs2 = all_maximum_packings(t2, timeout_ms=timeout_ms)
-        un1, un2 = underlying_graph(t1), underlying_graph(t2)
-        bad = None
-        for p in packs1:
-            if not validate.is_dominating_set(un1, p):
-                bad = ("factor1_nondominating_packing", p)
-                break
-        if bad is None:
-            for p in packs2:
-                if not validate.is_dominating_set(un2, p):
-                    bad = ("factor2_nondominating_packing", p)
-                    break
-        all1 = all(p & iso1 == iso1 for p in packs1)
-        all2 = all(p & iso2 == iso2 for p in packs2)
-        extras.update(
-            {
-                "max_packings_T1": len(packs1),
-                "max_packings_T2": len(packs2),
-                "isolated_leaves_T1": bitset.to_list(iso1),
-                "isolated_leaves_T2": bitset.to_list(iso2),
-                "all_T1_packings_contain_isolated": all1,
-                "all_T2_packings_contain_isolated": all2,
-            }
-        )
-        witnesses = {}
-        if bad is not None:
-            witnesses[bad[0]] = bitset.to_list(bad[1])
-        if not (all1 or all2):
-            witnesses["factor1_packing_missing_isolated"] = bitset.to_list(
-                next(p for p in packs1 if p & iso1 != iso1)
-            )
-            witnesses["factor2_packing_missing_isolated"] = bitset.to_list(
-                next(p for p in packs2 if p & iso2 != iso2)
-            )
-        verdict = HOLDS if bad is None and (all1 or all2) else FAILS
-        return VerificationRecord(
-            CLAIM_MAX_PACKING, inst, True, lhs, rhs, verdict, witnesses,
-            extras=extras,
+            return _record(CLAIM_MAX_PACKING, inst, False, lhs, rhs, extras=extras)
+        # the first non-dominating packing found is the witness; a packing
+        # missing isolated leaves is one only if both factors have one
+        witnesses, missing = {}, {}
+        for i, t in ((1, t1), (2, t2)):
+            tags = classify_leaves(t)
+            iso = bitset.from_iter(v for v in range(t.n) if ISOLATED_LEAF in tags[v])
+            packs = all_maximum_packings(t, timeout_ms=timeout_ms)
+            if not witnesses:
+                un = underlying_graph(t)
+                for p in packs:
+                    if not validate.is_dominating_set(un, p):
+                        witnesses[f"factor{i}_nondominating_packing"] = bitset.to_list(p)
+                        break
+            miss = next((p for p in packs if p & iso != iso), None)
+            if miss is not None:
+                missing[f"factor{i}_packing_missing_isolated"] = bitset.to_list(miss)
+            extras[f"max_packings_T{i}"] = len(packs)
+            extras[f"isolated_leaves_T{i}"] = bitset.to_list(iso)
+            extras[f"all_T{i}_packings_contain_isolated"] = miss is None
+        if len(missing) == 2:
+            witnesses.update(missing)
+        return _record(
+            CLAIM_MAX_PACKING, inst, True, lhs, rhs, not witnesses, witnesses, extras=extras
         )
 
     return _timed(CLAIM_MAX_PACKING, inst, build)
@@ -677,12 +612,9 @@ def _helly_record(claim: str, d: Digraph, closed: bool, hyp: bool) -> Verificati
                 if failing is None:
                     failing = k
         conclusion = failing is None
-        verdict = (HOLDS if conclusion else FAILS) if hypotheses_met else HYPOTHESIS_NOT_MET
-        witnesses = {}
-        if failing is not None:
-            witnesses["uncontained_clique"] = bitset.to_list(failing)
-        return VerificationRecord(
-            claim, inst, hypotheses_met, contained, len(cliques), verdict, witnesses,
+        witnesses = {} if conclusion else {"uncontained_clique": bitset.to_list(failing)}
+        return _record(
+            claim, inst, hypotheses_met, contained, len(cliques), conclusion, witnesses,
             extras={"conclusion_holds": conclusion},
         )
 
@@ -881,17 +813,14 @@ def parse_suite_config(text: str) -> SuiteConfig:
             elif key == "out":
                 config.out = value
             elif key == "check":
-                claim, _, source = value.partition(" ")
-                source = source.strip()
+                claim, *source = value.split(None, 1)
                 if claim not in ALL_CLAIMS:
-                    raise SuiteConfigError(f"line {line_no}: unknown claim {claim!r}")
+                    raise ValueError(f"unknown claim {claim!r}")
                 if not source:
-                    raise SuiteConfigError(f"line {line_no}: missing instance source")
-                config.checks.append((claim, source))
+                    raise ValueError("missing instance source")
+                config.checks.append((claim, source[0]))
             else:
-                raise SuiteConfigError(f"line {line_no}: unknown key {key!r}")
-        except SuiteConfigError:
-            raise
+                raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise SuiteConfigError(f"line {line_no}: {exc}") from None
     return config
@@ -909,14 +838,14 @@ def _digraph_instances(source: str, rng: random.Random):
             if kind == "enum-ditrees" or d.min_in_degree >= 1:
                 yield f"{kind.replace('ditrees', 'ditree')}:n={n},i={i}", d
     elif source.startswith("random-ditrees:"):
-        kv = families.parse_kv(source.split(":", 1)[1])
+        kv = families.parse_kv(source.split(":", 1)[1], "count,n")
         count, n_max = int(kv["count"]), int(kv["n"])
         for _ in range(count):
             n = rng.randint(2, max(2, n_max))
             seed = rng.getrandbits(32)
             yield f"ditree:n={n},seed={seed}", families.random_ditree(n, seed)
     elif source.startswith("random-digraphs:"):
-        kv = families.parse_kv(source.split(":", 1)[1])
+        kv = families.parse_kv(source.split(":", 1)[1], "count,n")
         count, n_max = int(kv["count"]), int(kv["n"])
         for _ in range(count):
             n = rng.randint(1, n_max)
@@ -929,39 +858,28 @@ def _digraph_instances(source: str, rng: random.Random):
 
 
 def _pair_instances(source: str, rng: random.Random):
-    """Yield (label, digraph, digraph, options) for a pair source."""
-    options: dict[str, str] = {}
+    """Yield (label, digraph, digraph) for a pair source."""
     if ";" in source:
-        source, _, opt = source.partition(";")
-        options = families.parse_kv(opt)
+        raise SuiteConfigError(
+            f"option {source[source.index(';'):]!r} is for {CLAIM_ISOLATED_LEAF} only"
+        )
     if source.startswith("pair:"):
         left, sep, right = source[len("pair:") :].partition("|")
         if not sep:
             raise SuiteConfigError(f"pair source wants specL|specR, got {source!r}")
-        yield (
-            f"{left}|{right}",
-            families.build_family(left),
-            families.build_family(right),
-            options,
-        )
-    elif source.startswith("random-pairs:") or source.startswith(
-        "random-min-indeg-pairs:"
-    ):
+        yield f"{left}|{right}", families.build_family(left), families.build_family(right)
+    elif source.startswith(("random-pairs:", "random-min-indeg-pairs:")):
         need_indeg = source.startswith("random-min-indeg-pairs:")
-        kv = families.parse_kv(source.split(":", 1)[1])
+        kv = families.parse_kv(source.split(":", 1)[1], "count,n")
         count, n_max = int(kv["count"]), int(kv["n"])
+        lo = 2 if need_indeg else 1
+        gen = families.random_digraph_min_indegree if need_indeg else families.random_digraph
         for _ in range(count):
-            lo = 2 if need_indeg else 1
             n1, n2 = rng.randint(lo, n_max), rng.randint(lo, n_max)
             p1, p2 = rng.uniform(0.15, 0.8), rng.uniform(0.15, 0.8)
             s1, s2 = rng.getrandbits(32), rng.getrandbits(32)
-            gen = (
-                families.random_digraph_min_indegree
-                if need_indeg
-                else families.random_digraph
-            )
             label = f"random-pair:n={n1}/{n2},seed={s1}/{s2}"
-            yield label, gen(n1, p1, s1), gen(n2, p2, s2), options
+            yield label, gen(n1, p1, s1), gen(n2, p2, s2)
     else:
         raise SuiteConfigError(f"unusable pair source {source!r}")
 
@@ -975,15 +893,14 @@ def default_attach_vertex(t: Digraph) -> int:
     return 0
 
 
-def _pair_source(source: str, rng: random.Random):
-    for label, a, b, _ in _pair_instances(source, rng):
-        yield label, a, b
-
-
 def _attach_source(source: str, rng: random.Random):
-    for label, a, b, options in _pair_instances(source, rng):
-        attach = int(options["attach"]) if "attach" in options else default_attach_vertex(a)
-        yield f"{label};attach={attach}", a, b, attach
+    """A pair source with an optional ``;attach=K`` (default: the first
+    factor's lowest support vertex)."""
+    source, sep, option = source.partition(";")
+    attach = int(families.parse_kv(option, "attach")["attach"]) if sep else None
+    for label, a, b in _pair_instances(source, rng):
+        at = default_attach_vertex(a) if attach is None else attach
+        yield f"{label};attach={at}", a, b, at
 
 
 def _m_source(source: str, rng: random.Random):
@@ -996,7 +913,7 @@ def _m_source(source: str, rng: random.Random):
 def _dags_source(source: str, rng: random.Random):
     if not source.startswith("dags:"):
         raise SuiteConfigError(f"{CLAIM_ACYCLIC} wants source dags:..., got {source!r}")
-    kv = families.parse_kv(source[len("dags:") :])
+    kv = families.parse_kv(source[len("dags:") :], "exhaustive,random,n")
     yield int(kv.get("exhaustive", "4")), int(kv.get("random", "0")), int(kv.get("n", "9"))
 
 
@@ -1014,16 +931,12 @@ def _run_acyclic(
             timeout_ms=config.timeout_ms,
         )
     )
-    bad = [r for r in records if r.verdict == FAILS]
-    return VerificationRecord(
-        CLAIM_ACYCLIC,
-        f"dags:exhaustive={exhaustive},random={budget},n={max_n}",
-        True,
-        sum(1 for r in records if r.verdict == HOLDS),
-        len(records),
-        FAILS if bad else HOLDS,
-        witnesses={} if not bad else bad[0].witnesses,
-        seed=config.seed,
+    inst = f"dags:exhaustive={exhaustive},random={budget},n={max_n}"
+    holds = sum(1 for r in records if r.verdict == HOLDS)
+    bad = next((r for r in records if r.verdict == FAILS), None)
+    return _record(
+        CLAIM_ACYCLIC, inst, True, holds, len(records), bad is None,
+        bad.witnesses if bad else None, seed=config.seed,
     )
 
 
@@ -1051,18 +964,18 @@ _CLAIM_TABLE = {
         _digraph_instances,
         _run_checker(check_open_packing_equals_total_domination),
     ),
-    CLAIM_DIRECT_TOTAL: (_pair_source, _run_checker(check_total_domination_direct_product)),
-    CLAIM_PACKING_LOWER: (_pair_source, _run_checker(check_packing_lower_bound)),
-    CLAIM_VIZING: (_pair_source, _run_checker(check_vizing_inequality)),
-    CLAIM_HALF_VIZING: (_pair_source, _run_checker(check_half_vizing_bound)),
+    CLAIM_DIRECT_TOTAL: (_pair_instances, _run_checker(check_total_domination_direct_product)),
+    CLAIM_PACKING_LOWER: (_pair_instances, _run_checker(check_packing_lower_bound)),
+    CLAIM_VIZING: (_pair_instances, _run_checker(check_vizing_inequality)),
+    CLAIM_HALF_VIZING: (_pair_instances, _run_checker(check_half_vizing_bound)),
     CLAIM_GM_FAILURE: (
         _m_source,
         lambda c, m: check_Gm_vizing_failure(m, timeout_ms=c.timeout_ms),
     ),
     CLAIM_C4_EQUALITY: (_digraph_instances, _run_checker(check_C4_equality)),
-    CLAIM_STRONG_SUPPORT: (_pair_source, _run_checker(check_strong_support_condition)),
+    CLAIM_STRONG_SUPPORT: (_pair_instances, _run_checker(check_strong_support_condition)),
     CLAIM_ISOLATED_LEAF: (_attach_source, _run_checker(check_isolated_leaf_extension)),
-    CLAIM_MAX_PACKING: (_pair_source, _run_checker(check_max_packing_dominates)),
+    CLAIM_MAX_PACKING: (_pair_instances, _run_checker(check_max_packing_dominates)),
     CLAIM_ACYCLIC: (_dags_source, _run_acyclic),
     # Helly records name their instance by digraph_descriptor, not the label
     CLAIM_CLOSED_HELLY: (_digraph_instances, lambda c, label, d: check_closed_helly_lemma(d)),

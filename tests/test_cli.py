@@ -143,6 +143,13 @@ class TestVerify:
         assert code == 2
         assert "count" in err
 
+    def test_source_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("check thm:meir-moon random-ditrees:count=2,n=4,bogus=1\n")
+        code, _, err = run_cli(capsys, "verify", str(cfg))
+        assert code == 2
+        assert "bogus" in err
+
     def test_vizing_failure_whitelisted(self, capsys, tmp_path):
         cfg = tmp_path / "viz.cfg"
         cfg.write_text("check conj:vizing-inequality pair:Gm:1|chord5\n")

@@ -280,6 +280,7 @@ class TestFamilySpecs:
         for spec in (
             "nope", "Gm:x", "C4:123", "corona:n=", "pair:1|2",
             "ditree:seed=1", "corona:edges=both",
+            "ditree:n=6,sed=5", "corona:n=2,edge=fwd",
         ):
             with pytest.raises(ValueError):
                 build_family(spec)

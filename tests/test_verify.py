@@ -388,6 +388,106 @@ class TestMaxPackingDominates:
         assert rec.extras == {"reason": "both factors must be ditrees"}
 
 
+class TestFailsBranches:
+    """The theorems hold, so the `fails` branches are reached by replacing
+    one helper that ``verify`` imports with a wrong one."""
+
+    def test_helly_uncontained_clique(self, monkeypatch):
+        k1star = gen_K1_star()
+        everything = (1 << k1star.n) - 1
+        monkeypatch.setattr(verify, "maximal_cliques", lambda aux: [0b1, everything])
+        rec = verify.check_closed_helly_lemma(k1star)
+        assert rec.verdict == FAILS and rec.hypotheses_met is True
+        assert (rec.lhs, rec.rhs) == (1, 2)
+        assert rec.witnesses == {"uncontained_clique": list(range(k1star.n))}
+        assert rec.extras == {"conclusion_holds": False}
+
+    def test_max_packing_nondominating_and_missing_isolated(self, monkeypatch):
+        # ditree 2 -> 1 <-> 0: the packing {0} misses vertex 2, the
+        # isolated leaf, and does not dominate the underlying path
+        t = build_digraph(3, [(0, 1), (1, 0), (2, 1)])
+        monkeypatch.setattr(verify, "all_maximum_packings", lambda d, timeout_ms=None: [0b001])
+        rec = verify.check_max_packing_dominates(t, t)
+        assert rec.verdict == FAILS and rec.hypotheses_met is True
+        assert (rec.lhs, rec.rhs) == (4, 4)
+        assert rec.witnesses == {
+            "factor1_nondominating_packing": [0],
+            "factor1_packing_missing_isolated": [0],
+            "factor2_packing_missing_isolated": [0],
+        }
+        assert rec.extras["all_T1_packings_contain_isolated"] is False
+        assert rec.extras["all_T2_packings_contain_isolated"] is False
+
+    def test_max_packing_second_factor_nondominating(self, monkeypatch):
+        t1 = build_digraph(3, [(0, 1), (1, 0), (2, 1)])
+        t2 = build_digraph(3, [(0, 1), (1, 0), (2, 1)])
+        monkeypatch.setattr(
+            verify, "all_maximum_packings",
+            lambda d, timeout_ms=None: [0b101] if d is t1 else [0b001],
+        )
+        rec = verify.check_max_packing_dominates(t1, t2)
+        assert rec.verdict == FAILS and rec.hypotheses_met is True
+        assert (rec.lhs, rec.rhs) == (4, 4)
+        assert rec.witnesses == {"factor2_nondominating_packing": [0]}
+        assert rec.extras["all_T1_packings_contain_isolated"] is True
+        assert rec.extras["max_packings_T1"] == rec.extras["max_packings_T2"] == 1
+
+    def test_strong_support_vertex(self, monkeypatch):
+        monkeypatch.setattr(verify, "_strong_support_with_two_nonisolated", lambda d: 0)
+        rec = verify.check_strong_support_condition(gen_K1_star(), gen_bidirected_path(4))
+        assert rec.verdict == FAILS and rec.hypotheses_met is True
+        assert (rec.lhs, rec.rhs) == (8, 8)
+        assert rec.witnesses == {"strong_support_vertex": [0]}
+        assert rec.extras["equality"] is True
+
+    def test_c4_product_below_twice_gamma(self, monkeypatch):
+        # center vs leaves of the bidirected 3-path passed off as a
+        # partition into two minimum dominating sets
+        monkeypatch.setattr(
+            verify, "partition_two_dominating_sets",
+            lambda g, minimum, timeout_ms=None: (0b010, 0b101),
+        )
+        rec = verify.check_C4_equality(gen_bidirected_path(3))
+        assert rec.verdict == FAILS and rec.hypotheses_met is True
+        assert (rec.lhs, rec.rhs) == (3, 2)
+        assert set(rec.witnesses) == {
+            "side_a", "side_b", "minimum_side_a", "minimum_side_b", "product_dominating_set",
+        }
+
+    def test_c4_partition_witness_not_dominating(self, monkeypatch):
+        monkeypatch.setattr(
+            verify, "partition_two_dominating_sets", lambda g, minimum, timeout_ms=None: (0, 0)
+        )
+        rec = verify.check_C4_equality(gen_bidirected_path(3))
+        assert rec.verdict == FAILS and rec.hypotheses_met is False
+        assert rec.lhs is None and rec.rhs is None
+        assert rec.witnesses == {"partition_witness": []}
+        assert rec.extras == {"reason": "partition witness does not dominate product"}
+
+    @staticmethod
+    def _fake_extension(monkeypatch):
+        # K1 [] C3 attains gamma(K1) gamma(C3) = 2; the oriented triangle
+        # passed off as K1 plus a leaf has gamma 2 but gamma(C3 [] C3) = 3
+        c3 = gen_oriented_cycle(3)
+        monkeypatch.setattr(verify, "attach_isolated_leaf", lambda t, attach_at: c3)
+        return verify.check_isolated_leaf_extension(build_digraph(1, []), c3, 0)
+
+    def test_isolated_leaf_product_below_bound(self, monkeypatch):
+        rec = self._fake_extension(monkeypatch)
+        assert rec.verdict == FAILS and rec.hypotheses_met is True
+        assert (rec.lhs, rec.rhs) == (3, 4)
+        assert rec.extras["base_equality"] is True and rec.extras["gamma_grew"] is True
+
+    def test_isolated_leaf_fails_carries_product_witness(self, monkeypatch):
+        rec = self._fake_extension(monkeypatch)
+        c3 = gen_oriented_cycle(3)
+        prod, _ = verify.cartesian_product(c3, c3)
+        witness = bitset.from_iter(rec.witnesses["product_dominating_set"])
+        assert set(rec.witnesses) == {"product_dominating_set"}
+        assert witness.bit_count() == rec.lhs
+        assert validate.is_dominating_set(prod, witness)
+
+
 class TestAcyclicSearch:
     def test_exhaustive_small(self):
         records = list(
@@ -434,9 +534,28 @@ class TestSuite:
         cfg = verify.parse_suite_config(
             "# comment\nseed 7\ntimeout_ms 1000\n"
             "check thm:meir-moon random-ditrees:count=2,n=5\n"
+            "check\tthm:meir-moon\trandom-ditrees:count=2,n=4\n"
         )
         assert cfg.seed == 7 and cfg.timeout_ms == 1000
-        assert cfg.checks == [("thm:meir-moon", "random-ditrees:count=2,n=5")]
+        assert cfg.checks == [
+            ("thm:meir-moon", "random-ditrees:count=2,n=5"),
+            ("thm:meir-moon", "random-ditrees:count=2,n=4"),
+        ]
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("check prop:packing-lower-bound pair:cycle:3|cycle:3;attach=7", "attach"),
+            ("check thm:meir-moon random-ditrees:count=2,n=4,bogus=1", "bogus"),
+            ("check problem:acyclic-packing-domination dags:exhuastive=2,random=3,n=5", "exhuastive"),
+            ("check thm:ditree-packing-domination family:ditree:n=6,sed=5", "sed"),
+            ("check prop:C4-equality family:corona:n=2,edge=fwd", "edge"),
+        ],
+    )
+    def test_source_rejects_unknown_key(self, line, key):
+        # each of these once ran, with the key or option silently ignored
+        with pytest.raises(ValueError, match=key):
+            verify.build_tasks(verify.parse_suite_config(line))
 
     def test_config_rejects_unknown_claim(self):
         with pytest.raises(verify.SuiteConfigError):
@@ -498,6 +617,51 @@ class TestSuite:
         records = verify.run_suite(verify.build_tasks(cfg)).records
         text = "".join(r.to_json(False) + "\n" for r in records)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    # Every claim on random sources, with the pairs that reach the branches
+    # random digraphs miss: a Vizing failure and both max-packing outcomes.
+    EVERY_CLAIM_SUITE = """\
+seed 1
+check thm:meir-moon random-ditrees:count=6,n=8
+check thm:meir-moon random-digraphs:count=6,n=5
+check thm:ditree-packing-domination random-ditrees:count=6,n=8
+check thm:ditree-packing-domination random-digraphs:count=6,n=5
+check thm:ditree-open-packing-total-domination random-ditrees:count=8,n=8
+check thm:ditree-open-packing-total-domination random-digraphs:count=6,n=5
+check thm:ditree-open-packing-total-domination enum-ditrees-min-indeg:3
+check thm:direct-product-total-domination random-min-indeg-pairs:count=5,n=4
+check thm:direct-product-total-domination random-pairs:count=3,n=4
+check prop:packing-lower-bound random-pairs:count=6,n=4
+check conj:vizing-inequality random-pairs:count=12,n=4
+check conj:vizing-inequality pair:Gm:1|chord5
+check thm:half-vizing-bound random-pairs:count=6,n=4
+check family:Gm-vizing-failure m:1,2
+check prop:C4-equality random-ditrees:count=6,n=6
+check prop:C4-equality random-digraphs:count=6,n=5
+check thm:strong-support-necessary random-pairs:count=6,n=4
+check cor:isolated-leaf-extension random-pairs:count=6,n=4
+check thm:max-packing-dominates random-pairs:count=6,n=4
+check thm:max-packing-dominates pair:K1star|path:4
+check thm:max-packing-dominates pair:path:3|path:3
+check lemma:closed-helly random-ditrees:count=4,n=8
+check lemma:closed-helly random-digraphs:count=12,n=6
+check lemma:open-helly random-ditrees:count=4,n=8
+check lemma:open-helly random-digraphs:count=12,n=6
+check problem:acyclic-packing-domination dags:exhaustive=3,random=400,n=5
+"""
+
+    def test_every_claim_suite_byte_stable(self):
+        cfg = verify.parse_suite_config(self.EVERY_CLAIM_SUITE)
+        records = verify.run_suite(verify.build_tasks(cfg)).records
+        assert {r.claim for r in records} == set(verify.ALL_CLAIMS)
+        # the hypothesis_not_met branches the default suite never reaches
+        unmet = {r.claim for r in records if r.verdict == HYPOTHESIS_NOT_MET}
+        assert {"prop:C4-equality", "lemma:closed-helly", "thm:max-packing-dominates"} <= unmet
+        text = "".join(r.to_json(False) + "\n" for r in records)
+        assert (
+            hashlib.sha256(text.encode("ascii")).hexdigest()
+            == "8cea2f5646f649a49d5670ad65fc0d110fdd0aed5b281530a1f150c90fce0298"
+        )
 
     def test_config_rejects_removed_jobs_key(self):
         with pytest.raises(verify.SuiteConfigError, match="unknown key"):
