@@ -76,7 +76,8 @@ typedef struct {
     word *conflict;     /* element -> union of the sets containing it */
     word *frames;       /* per depth: uncovered, gone, avail, chosen, excl */
     int *cands, *key;   /* branch candidates per depth; sort key per set */
-    word *live, *check, *sup, *ci, *rem, *best_chosen;
+    int *order, *order_cnt; /* packing bound: uncovered elements by live count */
+    word *live, *check, *sup, *ci, *rem, *used, *best_chosen;
 } Cover;
 
 #define MASK(c, i) ((c)->masks + (size_t)(i) * (c)->ne)
@@ -90,7 +91,7 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
     word *unc = FRAME(c, d), *gone = unc + ne, *avail = gone + ne;
     word *chosen = avail + ns, *excl = chosen + ns, *child = FRAME(c, d + 1);
     int *cand = c->cands + (size_t)d * c->n_sets;
-    int branch_e = -1, max_cov = 0, lb = 0, k = 0;
+    int branch_e = -1, max_cov = 0, lb = 0, n_order = 0, k = 0;
 
     if (poll_deadline(&c->s)) return;
     for (;;) {
@@ -174,8 +175,9 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
         }
         if (!dropped) break;
     }
-    /* Lower bound: elements no single set co-covers each need their own set
-     * (conflict masks are a static relaxation), or count/max-size. */
+    /* Lower bounds, cheapest first.  Elements no single set co-covers each
+     * need their own set (conflict masks are a static relaxation), or
+     * count/max-size. */
     memcpy(c->rem, unc, BYTES(ne));
     EACH(e, c->rem, ne) {
         lb++;
@@ -184,6 +186,30 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
     if ((popcount_and(unc, unc, ne) + max_cov - 1) / max_cov > lb)
         lb = (popcount_and(unc, unc, ne) + max_cov - 1) / max_cov;
     if (count + lb >= c->best) return;
+    /* Packing bound, gamma >= rho on the residual instance: uncovered
+     * elements whose live sets are pairwise disjoint each need their own
+     * set.  Greedy over the elements insertion-sorted by live count, ties in
+     * element order as in Python's tuple sort; run only when the cheap
+     * bounds above fail.  A valid bound prunes no subtree holding a cover
+     * smaller than the incumbent, so incumbents and witness are unchanged. */
+    memset(c->used, 0, BYTES(ns));
+    EACH(e, unc, ne) {
+        int cnt = popcount_and(COVERS(c, e), avail, ns), pos = n_order++;
+        for (; pos > 0 && c->order_cnt[pos - 1] > cnt; pos--) {
+            c->order[pos] = c->order[pos - 1];
+            c->order_cnt[pos] = c->order_cnt[pos - 1];
+        }
+        c->order[pos] = e;
+        c->order_cnt[pos] = cnt;
+    }
+    for (int t = 0, kept = count; t < n_order; t++) {
+        const word *cv = COVERS(c, c->order[t]);
+        int disjoint = 1;
+        FOR_W(ns) disjoint &= !(cv[w] & avail[w] & c->used[w]);
+        if (!disjoint) continue;
+        FOR_W(ns) c->used[w] |= cv[w] & avail[w];
+        if (++kept >= c->best) return;
+    }
     /* candidates in decreasing-coverage order, ties by index */
     EACH(i, COVERS(c, branch_e), ns) {
         int pos = k;
@@ -215,7 +241,7 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
                         int n_sets, int ne, double deadline, int *out, int64_t *nodes) {
     Cover c = {.s = {deadline, 0, 0}, .ne = ne, .ns = n_sets / 64 + 1, .n_sets = n_sets};
     const int ns = c.ns, n_el = 64 * ne;
-    word *block = calloc((size_t)n_sets * ne + (size_t)n_el * (ns + ne) + 4 * ns + 3 * ne, sizeof(word));
+    word *block = calloc((size_t)n_sets * ne + (size_t)n_el * (ns + ne) + 5 * ns + 3 * ne, sizeof(word));
     word *uni = block;
     int result = INFEASIBLE;
 
@@ -226,7 +252,8 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
     c.live = c.conflict + (size_t)n_el * ne;
     c.check = c.live + ns;
     c.sup = c.check + ns;
-    c.best_chosen = c.sup + ns;
+    c.used = c.sup + ns;
+    c.best_chosen = c.used + ns;
     c.ci = c.best_chosen + ns;
     c.rem = c.ci + ne;
     load(uni, universe, ne);
@@ -254,9 +281,11 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
     /* a child is entered only below the incumbent size: depth < best */
     result = NO_MEMORY;
     c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
-    c.cands = malloc((size_t)(c.best + 2) * n_sets * sizeof(int));
+    c.cands = malloc(((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el) * sizeof(int));
     if (!c.frames || !c.cands) goto done;
     c.key = c.cands + (size_t)(c.best + 1) * n_sets;
+    c.order = c.key + n_sets;
+    c.order_cnt = c.order + n_el;
     memcpy(c.frames, uni, BYTES(ne));
     for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);
     cover_dfs(&c, 0, 0, 1);

@@ -72,6 +72,17 @@ def min_set_cover(
     them at the root).  A pass whose drops cover no element enables no
     further drops, so after it the search re-scans for forced sets and
     runs another pass only if a forced pick covered something.
+
+    Lower bounds, in order of cost: the static ``conflict`` masks (elements
+    no single set co-covers), ⌈|uncovered| / max_cov⌉, and, only when both
+    fail to prune, a packing of the residual instance.  The packing takes
+    the uncovered elements in increasing order of (live count, index) and
+    keeps each one whose live sets miss those of every element kept so far.
+    Kept elements need pairwise distinct sets, so ``count + kept`` bounds
+    every cover below the node; this is the paper's γ ≥ ρ.  Every bound is
+    valid, so it prunes only subtrees holding no cover smaller than the
+    incumbent: the incumbents found, and with them the witness, are those
+    of a search without it.  Only the node count falls.
     """
     if universe == 0:
         return 0, ()
@@ -205,6 +216,25 @@ def min_set_cover(
             lb = simple
         if count + lb >= best[0]:
             return
+        # Packing bound (see the docstring): only where the cheap bounds
+        # fail, since the many tiny covers would pay for the sort.
+        order = []
+        rem = uncovered
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            e = low.bit_length() - 1
+            cand = covers[e] & avail
+            order.append((cand.bit_count(), e, cand))
+        order.sort()
+        used = 0
+        kept = count
+        for _, _, cand in order:
+            if not cand & used:
+                used |= cand
+                kept += 1
+                if kept >= best[0]:
+                    return
         cands = bitset.to_list(live & covers[branch_e])
         cands.sort(key=lambda i: (-cov_of[i].bit_count(), i))
         excl = 0

@@ -789,6 +789,7 @@ class SuiteConfig:
     timeout_ms: float = DEFAULT_TIMEOUT_MS
     out: Optional[str] = None
     checks: list[tuple[str, str]] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)  # config line of each parsed check
 
 
 class SuiteConfigError(ValueError):
@@ -819,6 +820,7 @@ def parse_suite_config(text: str) -> SuiteConfig:
                 if not source:
                     raise ValueError("missing instance source")
                 config.checks.append((claim, source[0]))
+                config.lines.append(line_no)
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
@@ -987,14 +989,19 @@ ALL_CLAIMS = tuple(_CLAIM_TABLE)
 
 def build_tasks(config: SuiteConfig) -> list[SuiteTask]:
     """Expand configured checks into runnable suite tasks (deterministic
-    given the config seed)."""
+    given the config seed).  A source that cannot be expanded raises
+    SuiteConfigError, naming its config line when the check was parsed."""
     tasks: list[SuiteTask] = []
     for index, (claim, source) in enumerate(config.checks):
         # string seeding hashes via sha512: stable across platforms and runs
         rng = random.Random(f"{config.seed}:{index}:{claim}:{source}")
         instances, run = _CLAIM_TABLE[claim]
-        for args in instances(source, rng):
-            tasks.append(SuiteTask(claim, partial(run, config, *args), source))
+        try:
+            for args in instances(source, rng):
+                tasks.append(SuiteTask(claim, partial(run, config, *args), source))
+        except ValueError as exc:  # SuiteConfigError included
+            where = f"line {config.lines[index]}: " if index < len(config.lines) else ""
+            raise SuiteConfigError(f"{where}{exc}") from None
     return tasks
 
 

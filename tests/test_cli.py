@@ -150,6 +150,16 @@ class TestVerify:
         assert code == 2
         assert "bogus" in err
 
+    def test_source_error_names_its_line(self, capsys, tmp_path):
+        # the source fails while tasks are built, after parsing succeeded
+        cfg = tmp_path / "line2.cfg"
+        cfg.write_text(
+            "seed 3\ncheck thm:meir-moon random-ditrees:count=2,n=4,bogus=1\n"
+        )
+        code, _, err = run_cli(capsys, "verify", str(cfg))
+        assert code == 2
+        assert err.startswith("error: line 2: unknown key 'bogus'")
+
     def test_vizing_failure_whitelisted(self, capsys, tmp_path):
         cfg = tmp_path / "viz.cfg"
         cfg.write_text("check conj:vizing-inequality pair:Gm:1|chord5\n")

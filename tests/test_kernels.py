@@ -140,24 +140,38 @@ class TestPureSetCover:
 
 # (left, right, nodes, witness) of gamma(left [] right)
 _PINNED_TREES = [
-    ("Gm:2", "Gm:3", 57, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
-    ("Gm:3", "Gm:3", 435, (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42)),
-    ("K1star", "path:7", 217, (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48)),
-    ("cycle:5", "path:7", 609, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
-    ("chord5", "path:7", 340, (1, 5, 8, 11, 12, 17, 22, 26, 28, 31, 34)),
-    ("fig5corona", "path:8", 199, (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45)),
+    ("Gm:2", "Gm:3", 51, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
+    ("Gm:3", "Gm:3", 142, (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42)),
+    ("K1star", "path:7", 181, (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48)),
+    ("cycle:5", "path:7", 523, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
+    ("chord5", "path:7", 316, (1, 5, 8, 11, 12, 17, 22, 26, 28, 31, 34)),
+    ("fig5corona", "path:8", 85, (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45)),
     # larger trees, where most nodes skip unchanged sets in the incremental
     # subsumption pass
     (
-        "Gm:3", "Gm:4", 1005,
+        "Gm:3", "Gm:4", 170,
         (2, 4, 6, 8, 9, 19, 21, 23, 25, 27, 37, 39, 41, 43, 45, 55, 57, 59, 61),
     ),
     (
-        "K1star", "path:10", 2117,
+        "K1star", "path:10", 1638,
         (1, 2, 5, 8, 15, 20, 23, 27, 29, 36, 41, 42, 44, 48, 56, 60, 63, 66, 69),
     ),
-    ("cycle:5", "path:9", 2008, (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43)),
+    ("cycle:5", "path:9", 1682, (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43)),
+    # gamma(Gm:m [] Gm:m) = m^2 + 2m, the paper's dominating set being optimal
+    (
+        "Gm:4", "Gm:4", 444,
+        (1, 3, 5, 7, 11, 13, 15, 17, 18, 29, 31, 33, 35, 36, 47, 49, 51, 53, 54,
+         65, 67, 69, 71, 72),
+    ),
+    (
+        "Gm:5", "Gm:5", 1467,
+        (1, 3, 5, 7, 9, 13, 15, 17, 19, 21, 22, 35, 37, 39, 41, 43, 44, 57, 59, 61,
+         63, 65, 66, 79, 81, 83, 85, 87, 88, 101, 103, 105, 107, 109, 110),
+    ),
 ]
+# the node count of each tree when it was first pinned: it names the test,
+# so re-pinning a count after a change to the search keeps the test ids
+_FIRST_PINNED_NODES = (57, 435, 217, 609, 340, 199, 1005, 2117, 2008, 444, 1467)
 
 
 class TestSearchTreePinned:
@@ -175,9 +189,11 @@ class TestSearchTreePinned:
             pytest.param(
                 backend, *case,
                 id=("" if backend == "pure" else "compiled-")
-                + f"{case[0]}-{case[1]}-{case[2]}-witness{k}",
+                + f"{case[0]}-{case[1]}-{first}-witness{k}",
             )
-            for k, case in enumerate(_PINNED_TREES)
+            for k, (case, first) in enumerate(
+                zip(_PINNED_TREES, _FIRST_PINNED_NODES, strict=True)
+            )
             for backend in ("pure", "compiled")
         ],
     )
@@ -240,6 +256,25 @@ class TestBackendAgreement:
             )
             assert compiled_kernels.nodes == node_count[0]
 
+    def test_cover_sparse_systems(self, compiled_kernels, node_count):
+        # 12-16 elements in 10-16 sets of 2-4: large enough that the cheap
+        # bounds often fail and the packing bound decides the prune
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(12, 16)
+            sets = [
+                bitset.from_iter(rng.sample(range(n), rng.randint(2, 4)))
+                for _ in range(rng.randint(10, 16))
+            ]
+            universe = 0
+            for m in sets:
+                universe |= m
+            node_count[0] = 0
+            pure = _bnb_py.min_set_cover(sets, universe)
+            assert pure[0] == _exhaustive_cover_size(sets, universe)
+            assert compiled_kernels.min_set_cover(sets, universe) == pure
+            assert compiled_kernels.nodes == node_count[0]
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(set_systems())
     def test_cover_agreement_random_systems(self, compiled_kernels, system):
@@ -268,7 +303,7 @@ class TestBackendAgreement:
         "system",
         [
             pytest.param(_wide_system, id="90-bits"),
-            # 81 elements and 81 sets: gamma = 24 after 13,583 nodes
+            # 81 elements and 81 sets: gamma = 24 after 444 nodes
             pytest.param(lambda: _closed_neighbourhoods("Gm:4", "Gm:4"), id="Gm:4-Gm:4"),
         ],
     )
@@ -358,14 +393,15 @@ class TestTimeouts:
         assert compiled_kernels.nodes == 1
 
     def test_compiled_deadline_is_monotonic_time(self, compiled_kernels):
-        # gamma(Gm:5 [] Gm:5) takes about 500,000 nodes; a deadline 50 ms
-        # after time.monotonic() must stop it long before it finishes
-        sets, universe = _closed_neighbourhoods("Gm:5", "Gm:5")
+        # gamma(Gm:7 [] Gm:7) takes 29,947 nodes, most of a second compiled;
+        # a deadline 50 ms after time.monotonic() must stop it long before
+        # it finishes
+        sets, universe = _closed_neighbourhoods("Gm:7", "Gm:7")
         start = time.monotonic()
         with pytest.raises(SolveTimeout):
             compiled_kernels.min_set_cover(sets, universe, start + 0.05)
         assert time.monotonic() - start < 1.0
-        assert 1 < compiled_kernels.nodes < 500_000
+        assert 1 < compiled_kernels.nodes < 29_947
 
     @pytest.mark.parametrize("kernel", ["cover", "mis"])
     def test_pure_timeout_on_first_node_past_deadline(
