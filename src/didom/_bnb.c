@@ -3,9 +3,12 @@
  * sized per call, so any width works; Python passes sets as little-endian
  * bytes.  Branching, tie rules, reductions, bounds and incumbents are those
  * of the pure kernels, so both give the same optima and witnesses after the
- * same search nodes.  Under a deadline every node reads CLOCK_MONOTONIC, the
- * clock of Python's time.monotonic().  A call returns the optimum size,
- * INFEASIBLE, TIMED_OUT or NO_MEMORY, and stores its node count in *nodes. */
+ * same search nodes.  A greedy answer that meets the root bound (the conflict
+ * packing or the size bound for covers, the clique cover for independent
+ * sets) is optimal and is returned without a search, after 0 nodes.  Under a
+ * deadline every node reads CLOCK_MONOTONIC, the clock of Python's
+ * time.monotonic().  A call returns the optimum size, INFEASIBLE, TIMED_OUT
+ * or NO_MEMORY, and stores its node count in *nodes. */
 
 #include <math.h>
 #include <stdint.h>
@@ -84,6 +87,19 @@ typedef struct {
 #define COVERS(c, e) ((c)->covers + (size_t)(e) * (c)->ns)
 #define FRAME(c, d) ((c)->frames + (size_t)(d) * (2 * (c)->ne + 3 * (c)->ns))
 
+/* Elements no single set co-covers each need their own set: a greedy
+ * packing of unc under the static conflict masks. */
+static int conflict_bound(Cover *c, const word *unc) {
+    const int ne = c->ne;
+    int lb = 0;
+    memcpy(c->rem, unc, BYTES(ne));
+    EACH(e, c->rem, ne) {
+        lb++;
+        FOR_W(ne) c->rem[w] &= ~c->conflict[(size_t)e * ne + w];
+    }
+    return lb;
+}
+
 /* gone: the elements covered since the last subsumption pass; gone_all
  * (every element) at the root, which has had no pass. */
 static void cover_dfs(Cover *c, int d, int count, int gone_all) {
@@ -91,7 +107,7 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
     word *unc = FRAME(c, d), *gone = unc + ne, *avail = gone + ne;
     word *chosen = avail + ns, *excl = chosen + ns, *child = FRAME(c, d + 1);
     int *cand = c->cands + (size_t)d * c->n_sets;
-    int branch_e = -1, max_cov = 0, lb = 0, n_order = 0, k = 0;
+    int branch_e = -1, max_cov = 0, lb, n_order = 0, k = 0;
 
     if (poll_deadline(&c->s)) return;
     for (;;) {
@@ -175,14 +191,8 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
         }
         if (!dropped) break;
     }
-    /* Lower bounds, cheapest first.  Elements no single set co-covers each
-     * need their own set (conflict masks are a static relaxation), or
-     * count/max-size. */
-    memcpy(c->rem, unc, BYTES(ne));
-    EACH(e, c->rem, ne) {
-        lb++;
-        FOR_W(ne) c->rem[w] &= ~c->conflict[(size_t)e * ne + w];
-    }
+    /* Lower bounds, cheapest first: the conflict packing, or count/max-size. */
+    lb = conflict_bound(c, unc);
     if ((popcount_and(unc, unc, ne) + max_cov - 1) / max_cov > lb)
         lb = (popcount_and(unc, unc, ne) + max_cov - 1) / max_cov;
     if (count + lb >= c->best) return;
@@ -241,6 +251,7 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
                         int n_sets, int ne, double deadline, int *out, int64_t *nodes) {
     Cover c = {.s = {deadline, 0, 0}, .ne = ne, .ns = n_sets / 64 + 1, .n_sets = n_sets};
     const int ns = c.ns, n_el = 64 * ne;
+    int max_size = 0;
     word *block = calloc((size_t)n_sets * ne + (size_t)n_el * (ns + ne) + 5 * ns + 3 * ne, sizeof(word));
     word *uni = block;
     int result = INFEASIBLE;
@@ -260,11 +271,13 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
     load(c.masks, masks, (size_t)n_sets * ne);
     memcpy(c.rem, uni, BYTES(ne));
     for (int i = 0; i < n_sets; i++) {
+        int size = popcount_and(MASK(&c, i), MASK(&c, i), ne);
         EACH(e, MASK(&c, i), ne) {
             COVERS(&c, e)[i >> 6] |= BIT(i);
             FOR_W(ne) c.conflict[(size_t)e * ne + w] |= MASK(&c, i)[w];
         }
         FOR_W(ne) c.rem[w] &= ~MASK(&c, i)[w];
+        if (size > max_size) max_size = size;
     }
     if (any(c.rem, ne)) goto done;
     /* greedy incumbent: the set covering most uncovered elements, first on ties */
@@ -278,17 +291,22 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
         c.best_chosen[best_i >> 6] |= BIT(best_i);
         FOR_W(ne) c.rem[w] &= ~MASK(&c, best_i)[w];
     }
-    /* a child is entered only below the incumbent size: depth < best */
-    result = NO_MEMORY;
-    c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
-    c.cands = malloc(((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el) * sizeof(int));
-    if (!c.frames || !c.cands) goto done;
-    c.key = c.cands + (size_t)(c.best + 1) * n_sets;
-    c.order = c.key + n_sets;
-    c.order_cnt = c.order + n_el;
-    memcpy(c.frames, uni, BYTES(ne));
-    for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);
-    cover_dfs(&c, 0, 0, 1);
+    /* root certificate: a greedy cover that meets a lower bound is optimal,
+     * so the search runs only when both bounds fall below it */
+    if (conflict_bound(&c, uni) < c.best
+        && (popcount_and(uni, uni, ne) + max_size - 1) / max_size < c.best) {
+        /* a child is entered only below the incumbent size: depth < best */
+        result = NO_MEMORY;
+        c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
+        c.cands = malloc(((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el) * sizeof(int));
+        if (!c.frames || !c.cands) goto done;
+        c.key = c.cands + (size_t)(c.best + 1) * n_sets;
+        c.order = c.key + n_sets;
+        c.order_cnt = c.order + n_el;
+        memcpy(c.frames, uni, BYTES(ne));
+        for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);
+        cover_dfs(&c, 0, 0, 1);
+    }
     *nodes = c.s.nodes;
     result = c.s.timed_out ? TIMED_OUT : c.best;
     if (!c.s.timed_out) EACH(i, c.best_chosen, ns) *out++ = i;
@@ -403,7 +421,8 @@ int didom_max_independent_set(const unsigned char *adj, int n, double deadline,
         m.best_mask[best_v >> 6] |= BIT(best_v);
         FOR_W(nw) m.rem[w] &= ~CLOSED(&m, best_v)[w];
     }
-    mis_dfs(&m, 0, 0);
+    /* root certificate: a greedy set that meets the clique cover is maximum */
+    if (clique_cover_bound(&m, m.frames) > m.best) mis_dfs(&m, 0, 0);
     *nodes = m.s.nodes;
     for (int i = 0; i < 8 * nw; i++) out[i] = (unsigned char)(m.best_mask[i >> 3] >> (8 * (i & 7)));
     free(block);

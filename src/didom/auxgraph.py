@@ -23,8 +23,11 @@ def _clique_union(n: int, sets) -> UndirectedGraph:
     clique (and no other edges)."""
     adj = [0] * n
     for m in sets:
-        for u in bitset.iter_bits(m):
-            adj[u] |= m
+        rem = m
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            adj[low.bit_length() - 1] |= m
     for v in range(n):
         adj[v] &= ~(1 << v)
     return UndirectedGraph(n, tuple(adj))

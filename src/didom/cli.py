@@ -85,7 +85,7 @@ def _cmd_verify(args) -> int:
     if args.out is not None:
         config.out = args.out
     tasks = verify.build_tasks(config)
-    result = verify.run_suite(tasks, out_path=config.out, include_timings=True)
+    result = verify.run_suite(tasks, out_path=config.out, include_timings=args.timings)
     print(result.summary())
     if config.out:
         print(f"records appended to {config.out}")
@@ -154,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--out", help="append JSON-lines records to this file")
     p_ver.add_argument("--seed", type=int, help="override the suite seed")
     p_ver.add_argument("--timeout-ms", type=float, dest="timeout_ms")
+    p_ver.add_argument("--timings", action="store_true", help="include elapsed times")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_acy = sub.add_parser(

@@ -120,6 +120,21 @@ class TestVerify:
         lines = out_file.read_text().splitlines()
         assert lines and all(json.loads(l)["claim"] for l in lines)
 
+    def test_records_byte_stable_unless_timings(self, capsys, tmp_path):
+        texts = []
+        for k, extra in enumerate(((), (), ("--timings",))):
+            out_file = tmp_path / f"run{k}.jsonl"
+            code, _, _ = run_cli(capsys, "verify", "--out", str(out_file), *extra)
+            assert code == 0
+            texts.append(out_file.read_text())
+        assert texts[0] == texts[1]
+        untimed, timed = ([json.loads(l) for l in t.splitlines()] for t in texts[1:])
+        assert all(r["elapsed_ms"] is None for r in untimed)
+        assert all(isinstance(r["elapsed_ms"], float) for r in timed)
+        for r in timed:
+            r["elapsed_ms"] = None
+        assert timed == untimed
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from didom import _bnb_py, auxgraph, bitset, families, kernels, products
@@ -20,6 +20,15 @@ def _exhaustive_cover_size(sets, universe):
             if covered & universe == universe:
                 return size
     return None
+
+
+def _exhaustive_alpha(adj, n):
+    """Largest independent set size, by subset enumeration."""
+    best = 0
+    for mask in range(1 << n):
+        if all(not adj[v] & mask for v in bitset.iter_bits(mask)):
+            best = max(best, mask.bit_count())
+    return best
 
 
 @pytest.fixture
@@ -79,6 +88,24 @@ def set_systems(draw):
     for m in sets:
         union |= m
     return sets, draw(st.sampled_from((union, full)))
+
+
+@st.composite
+def graphs(draw):
+    """Adjacency masks of a graph on at most 12 vertices; the edge set is
+    drawn, then thinned or thickened by a second draw, so sparse, dense and
+    even-odds graphs all occur."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = draw(st.integers(0, bitset.full(len(pairs))))
+    other = draw(st.integers(0, bitset.full(len(pairs))))
+    bits = draw(st.sampled_from((bits, bits & other, bits | other)))
+    adj = [0] * n
+    for k, (u, v) in enumerate(pairs):
+        if bits >> k & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj, n
 
 
 class TestPureSetCover:
@@ -230,13 +257,47 @@ class TestPureMis:
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
             size, witness = _bnb_py.max_independent_set(adj, n)
-            best = 0
-            for mask in range(1 << n):
-                if all(not adj[v] & mask for v in bitset.iter_bits(mask)):
-                    best = max(best, mask.bit_count())
-            assert size == best
+            assert size == _exhaustive_alpha(adj, n)
             assert witness.bit_count() == size
             assert all(not adj[v] & witness for v in bitset.iter_bits(witness))
+
+
+class TestRootCertificate:
+    """A greedy answer that meets the root bound is returned with 0 search
+    nodes.  Every such answer must be optimal, and the compiled kernel must
+    certify exactly the same solves."""
+
+    @settings(
+        max_examples=300, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(set_systems())
+    # greedy takes {0,1,2,3} and needs 3 sets; the root bound is the optimum 2
+    @example(system=([0b1111, 0b10011, 0b101100, 0b10000, 0b100000], 0b111111))
+    def test_certified_cover_is_optimal(self, compiled_kernels, node_count, system):
+        sets, universe = system
+        node_count[0] = 0
+        pure = _bnb_py.min_set_cover(sets, universe)
+        if node_count[0] == 0 and pure is not None:
+            assert pure[0] == _exhaustive_cover_size(sets, universe)
+        assert compiled_kernels.min_set_cover(sets, universe) == pure
+        assert compiled_kernels.nodes == node_count[0]
+
+    @settings(
+        max_examples=300, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(graphs())
+    # minimum-degree greedy finds 2; the clique cover bound is α = 3
+    @example(graph=([44, 20, 3, 33, 34, 25], 6))
+    def test_certified_independent_set_is_maximum(self, compiled_kernels, node_count, graph):
+        adj, n = graph
+        node_count[0] = 0
+        pure = _bnb_py.max_independent_set(adj, n)
+        if node_count[0] == 0:
+            assert pure[0] == _exhaustive_alpha(adj, n)
+        assert compiled_kernels.max_independent_set(adj, n) == pure
+        assert compiled_kernels.nodes == node_count[0]
 
 
 class TestBackendAgreement:
@@ -302,6 +363,7 @@ class TestBackendAgreement:
     @pytest.mark.parametrize(
         "system",
         [
+            # 45 disjoint pairs: certified at the root on both, after 0 nodes
             pytest.param(_wide_system, id="90-bits"),
             # 81 elements and 81 sets: gamma = 24 after 444 nodes
             pytest.param(lambda: _closed_neighbourhoods("Gm:4", "Gm:4"), id="Gm:4-Gm:4"),
@@ -310,6 +372,36 @@ class TestBackendAgreement:
     def test_cover_agreement_over_64(self, request, system):
         pure = _solve(request, "pure", "min_set_cover", *system())
         assert _solve(request, "compiled", "min_set_cover", *system()) == pure
+
+    def test_sweep_digraphs(self, compiled_kernels, node_count):
+        # seeded digraphs like the observation sweep's: n in 1..10, arc
+        # densities 0.1-0.9; covers by closed and by open out-neighbourhoods,
+        # independent sets of both in-neighbourhood graphs.  Most of these
+        # solves are certified at the root; the pinned counts fail if the
+        # certificate stops firing.
+        rng = random.Random(12)
+        certified = {"min_set_cover": 0, "max_independent_set": 0}
+        for _ in range(300):
+            d = families.random_digraph(
+                rng.randint(1, 10), rng.choice((0.1, 0.2, 0.35, 0.5, 0.7, 0.9)),
+                rng.getrandbits(32),
+            )
+            full = bitset.full(d.n)
+            closed = auxgraph.closed_in_neighborhood_graph(d)
+            open_ = auxgraph.open_in_neighborhood_graph(d)
+            for fn, *args in (
+                ("min_set_cover", [d.out_closed(v) for v in range(d.n)], full),
+                ("min_set_cover", list(d.out_adj), full),
+                ("max_independent_set", list(closed.adj), closed.n),
+                ("max_independent_set", list(open_.adj), open_.n),
+            ):
+                node_count[0] = 0
+                pure = getattr(_bnb_py, fn)(*args)
+                assert getattr(compiled_kernels, fn)(*args) == pure
+                assert compiled_kernels.nodes == node_count[0]
+                if pure is not None and node_count[0] == 0:
+                    certified[fn] += 1
+        assert certified == {"min_set_cover": 383, "max_independent_set": 570}
 
     def test_mis_agreement_over_64(self, request):
         # packing number of cycle:9 [] path:8: 72 vertices, 3,507 nodes
@@ -326,8 +418,9 @@ class TestBackendAgreement:
         monkeypatch.setattr(kernels, "_FORCE_PURE", False)
         for shape in ((40, 40), (100, 10), (10, 100), (4096, 4096)):
             assert kernels.backend_for(*shape) == "compiled"
+        # 81 bits that need a search: greedy exceeds every root bound
         compiled_kernels.nodes = 0
-        assert kernels.min_set_cover(*_wide_system())[0] == 45
+        assert kernels.min_set_cover(*_closed_neighbourhoods("Gm:4", "Gm:4"))[0] == 24
         assert compiled_kernels.nodes > 0
 
     def test_dispatcher_env_override(self, compiled_kernels, monkeypatch):
