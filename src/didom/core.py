@@ -2,7 +2,7 @@
 
 Vertices are dense 0-based indices; adjacency is stored as one bitmask per
 vertex (see :mod:`didom.bitset`).  Both graph types are immutable after
-construction and safe to share between workers.
+construction.
 """
 
 from __future__ import annotations

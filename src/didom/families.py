@@ -305,17 +305,17 @@ def random_ditree(
     return build_digraph(n, _orient(edges, states))
 
 
-def enumerate_ditrees(n: int, allow_large: bool = False) -> Iterator[Digraph]:
+def enumerate_ditrees(n: int) -> Iterator[Digraph]:
     """All labeled trees on n vertices crossed with all per-edge orientation
     assignments: n^(n-2) * 3^(n-1) ditrees, isomorphic duplicates included.
 
-    Refuses n > 6 unless ``allow_large`` is set.
+    Refuses n > 6.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > ENUM_DITREE_LIMIT and not allow_large:
+    if n > ENUM_DITREE_LIMIT:
         raise ValueError(
-            f"n={n} yields n^(n-2)*3^(n-1) ditrees; pass allow_large=True to proceed"
+            f"n={n} yields n^(n-2)*3^(n-1) ditrees; the limit is n={ENUM_DITREE_LIMIT}"
         )
     if n == 1:
         yield build_digraph(1, [])

@@ -179,29 +179,19 @@ def brute_force_invariant(d: Digraph, which: str) -> Optional[int]:
 
 
 def partition_two_dominating_sets(
-    d: Digraph,
-    require_minimum: bool = False,
-    *,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
+    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> Optional[tuple[int, int]]:
     """Partition V into two dominating sets, or None when impossible.
 
-    Backtracking two-coloring: every closed in-neighborhood must meet both
-    sides.  With ``require_minimum`` both sides must be minimum dominating
-    sets, which forces n = 2*gamma.
+    Backtracking two-coloring in vertex order, first side first, vertex 0
+    fixed on the first side: every closed in-neighborhood must meet both
+    sides.  Each side has at least gamma vertices, so when n = 2*gamma every
+    such partition is a partition into two minimum dominating sets.
     """
     n = d.n
-    if n == 0:
-        return 0, 0
     in_closed = [d.in_closed(v) for v in range(n)]
     if any(m.bit_count() < 2 for m in in_closed):
         return None
-    cap = None
-    if require_minimum:
-        gamma, _ = domination_number(d, timeout_ms=timeout_ms)
-        if n != 2 * gamma:
-            return None
-        cap = gamma
     deadline = _deadline(timeout_ms)
     full = bitset.full(n)
 
@@ -214,29 +204,25 @@ def partition_two_dominating_sets(
                 return False
         return True
 
-    def search(v: int, side_a: int, side_b: int) -> Optional[tuple[int, int]]:
+    # vertices below v are placed; try v on ``side`` (0: first, 1: second)
+    side_a = side_b = 0
+    v, side = 0, 0
+    while v < n:
         if deadline is not None and monotonic() > deadline:
             raise SolveTimeout("partition search exceeded its deadline")
-        if v == n:
-            return side_a, side_b
-        assigned = bitset.full(v + 1)
-        for side in (0, 1):
-            if v == 0 and side == 1:
-                continue  # symmetry: vertex 0 goes to the first side
-            a = side_a | (1 << v) if side == 0 else side_a
-            b = side_b | (1 << v) if side == 1 else side_b
-            if cap is not None and (a.bit_count() > cap or b.bit_count() > cap):
-                continue
-            if feasible(a, b, assigned):
-                found = search(v + 1, a, b)
-                if found is not None:
-                    return found
-        return None
-
-    found = search(0, 0, 0)
-    if found is None:
-        return None
-    side_a, side_b = found
+        bit = 1 << v
+        a, b = (side_a | bit, side_b) if side == 0 else (side_a, side_b | bit)
+        if feasible(a, b, bitset.full(v + 1)):
+            side_a, side_b, v, side = a, b, v + 1, 0
+            continue
+        while side == 1:  # back up past the vertices on the second side
+            v -= 1
+            side = side_b >> v & 1
+        if v == 0:  # vertex 0 stays on the first side
+            return None
+        side_a &= bitset.full(v)
+        side_b &= bitset.full(v)
+        side = 1
     if not (validate.is_dominating_set(d, side_a) and validate.is_dominating_set(d, side_b)):
         raise AssertionError("partition side failed re-validation")
     return side_a, side_b

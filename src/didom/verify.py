@@ -135,11 +135,11 @@ def _pair_instance(spec_g: Digraph, spec_h: Digraph) -> str:
 
 
 def _packing_vs_domination(
-    claim: str, inst: str, hyp: bool, d, timeout_ms,
-    solvers=(packing_number, domination_number), keys=("packing", "dominating_set"),
-    **record_fields,
+    claim: str, inst: str, hyp: bool, d, timeout_ms, solvers,
+    keys=("packing", "dominating_set"), **record_fields,
 ) -> VerificationRecord:
-    """A packing number against its domination number on d, both witnessed
+    """A packing number against its domination number on d, solved by the
+    pair ``solvers`` (looked up by the caller when it runs) and witnessed
     under ``keys``; the domination solver may return None (no such set).
     ``record_fields`` go to the record, and any ``witnesses`` among them
     join the two."""
@@ -169,7 +169,7 @@ def check_meir_moon(
     inst = instance or f"tree:n={tree.n},edges={tree.edges()}"
     return _packing_vs_domination(
         CLAIM_MEIR_MOON, inst, is_tree(tree), tree, timeout_ms,
-        keys=("two_packing", "dominating_set"),
+        (packing_number, domination_number), keys=("two_packing", "dominating_set"),
     )
 
 
@@ -181,7 +181,10 @@ def check_packing_equals_domination(
 ) -> VerificationRecord:
     """Packing number equals domination number on ditrees."""
     inst = instance or digraph_descriptor(d)
-    return _packing_vs_domination(CLAIM_DITREE_PACKING, inst, is_ditree(d), d, timeout_ms)
+    return _packing_vs_domination(
+        CLAIM_DITREE_PACKING, inst, is_ditree(d), d, timeout_ms,
+        (packing_number, domination_number),
+    )
 
 
 def check_open_packing_equals_total_domination(
@@ -196,7 +199,7 @@ def check_open_packing_equals_total_domination(
     hyp = is_ditree(d) and d.n > 0 and d.min_in_degree >= 1
     return _packing_vs_domination(
         CLAIM_DITREE_OPEN_PACKING, inst, hyp, d, timeout_ms,
-        solvers=(open_packing_number, total_domination_number),
+        (open_packing_number, total_domination_number),
         keys=("open_packing", "total_dominating_set"),
     )
 
@@ -398,11 +401,11 @@ def check_C4_equality(
         c4 = families.gen_C4_orientation((0, 2, 0, 2))
         u_idx, v_idx = (w for w in range(4) if c4.out_degree(w) == 2)
         prod, pmap = cartesian_product(g, c4)
-        any_part = partition_two_dominating_sets(g, False, timeout_ms=timeout_ms)
+        part = partition_two_dominating_sets(g, timeout_ms=timeout_ms)
         extras = {}
         witnesses = {}
-        if any_part is not None:
-            side_a, side_b = any_part
+        if part is not None:
+            side_a, side_b = part
             partition_witness = bitset.from_iter(
                 [pmap.encode(x, u_idx) for x in bitset.iter_bits(side_a)]
                 + [pmap.encode(x, v_idx) for x in bitset.iter_bits(side_b)]
@@ -417,14 +420,14 @@ def check_C4_equality(
             extras["upper_bound_n"] = g.n
             witnesses["side_a"] = bitset.to_list(side_a)
             witnesses["side_b"] = bitset.to_list(side_b)
-        min_part = partition_two_dominating_sets(g, True, timeout_ms=timeout_ms)
-        hyp = min_part is not None
         gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
+        # each side dominates, so has at least gamma vertices: n = 2 gamma
+        # makes both sides minimum
+        hyp = part is not None and g.n == 2 * gamma_g
         rhs = 2 * gamma_g
         extras["gamma_G"] = gamma_g
         lhs = None
         if hyp:
-            side_a, side_b = min_part
             witnesses["minimum_side_a"] = bitset.to_list(side_a)
             witnesses["minimum_side_b"] = bitset.to_list(side_b)
             lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
@@ -657,7 +660,8 @@ def search_acyclic_problem(
     def one(d: Digraph, inst: str, inst_seed: Optional[int]) -> VerificationRecord:
         arcs = {"arcs": [list(a) for a in d.arcs()]}
         return _packing_vs_domination(
-            CLAIM_ACYCLIC, inst, True, d, timeout_ms, witnesses=arcs, seed=inst_seed
+            CLAIM_ACYCLIC, inst, True, d, timeout_ms,
+            (packing_number, domination_number), witnesses=arcs, seed=inst_seed,
         )
 
     for n in range(1, min(exhaustive_n, max_n) + 1):

@@ -235,12 +235,8 @@ class TestEnumerateDitrees:
         assert all(is_ditree(d) for d in enumerate_ditrees(4))
 
     def test_large_rejected_without_flag(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the limit is n=6"):
             next(enumerate_ditrees(7))
-
-    def test_large_allowed_with_flag(self):
-        gen = enumerate_ditrees(7, allow_large=True)
-        assert next(gen).n == 7
 
 
 class TestRandomDigraphMinIndegree:

@@ -12,6 +12,7 @@ from didom import bitset, kernels, validate
 from didom.core import as_bidirected, build_digraph, build_undirected, underlying_graph
 from didom.families import (
     all_digraphs,
+    build_family,
     gen_C4_orientation,
     gen_G_m,
     gen_bidirected_path,
@@ -303,7 +304,7 @@ class TestObservationOne:
 class TestPartition:
     def test_fig5_partition_minimum(self):
         d = build_digraph(6, [(0, 1), (1, 2), (0, 3), (3, 0), (1, 4), (2, 5)])
-        side_a, side_b = partition_two_dominating_sets(d, require_minimum=True)
+        side_a, side_b = partition_two_dominating_sets(d)
         assert bitset.to_list(side_a) == [0, 2, 4]
         assert bitset.to_list(side_b) == [1, 3, 5]
 
@@ -316,7 +317,7 @@ class TestPartition:
         d = build_digraph(
             4, [(0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (3, 1)]
         )
-        result = partition_two_dominating_sets(d, require_minimum=True)
+        result = partition_two_dominating_sets(d)
         assert result is not None
         side_a, side_b = result
         assert validate.is_dominating_set(d, side_a)
@@ -324,15 +325,28 @@ class TestPartition:
         assert side_a | side_b == bitset.full(4)
         assert side_a & side_b == 0
 
-    def test_require_minimum_needs_double_gamma(self):
-        # oriented triangle: gamma 2, n 3 != 4
-        d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert partition_two_dominating_sets(d, require_minimum=True) is None
+    def test_directed_triangle_has_none(self, directed_triangle):
+        # every closed in-neighborhood has two vertices, yet the search
+        # backs up to vertex 0 and gives up
+        assert partition_two_dominating_sets(directed_triangle) is None
+
+    def test_oriented_5_cycle_has_none(self):
+        assert partition_two_dominating_sets(build_family("cycle:5")) is None
 
     def test_partition_on_bidirected_cycle(self):
         d = build_digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)])
-        result = partition_two_dominating_sets(d, require_minimum=True)
+        result = partition_two_dominating_sets(d)
         assert result is not None
+
+    def test_thousand_vertices_past_the_recursion_limit(self):
+        # a search that recursed once per vertex hit Python's default
+        # recursion limit (1000) near 990 vertices
+        d = build_family("corona:n=500")
+        assert d.n == 1000
+        side_a, side_b = partition_two_dominating_sets(d)
+        assert side_a | side_b == bitset.full(d.n) and side_a & side_b == 0
+        assert validate.is_dominating_set(d, side_a)
+        assert validate.is_dominating_set(d, side_b)
 
 
 class TestAllMaximumPackings:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,53 @@ class TestC4Equality:
         rec = verify.check_C4_equality(build_digraph(2, []))
         assert rec.verdict == HYPOTHESIS_NOT_MET
 
+    def test_directed_triangle_has_no_partition(self):
+        rec = verify.check_C4_equality(verify.families.build_family("cycle:3"))
+        assert rec.verdict == HYPOTHESIS_NOT_MET and rec.hypotheses_met is False
+        assert rec.witnesses == {}
+        assert rec.extras == {"gamma_G": 2}
+
+    def test_hypothesis_matches_subset_enumeration(self):
+        # every labeled digraph on at most 4 vertices: the hypothesis holds
+        # exactly when V splits into two dominating sets of gamma vertices
+        # each, and the n(G) bound is checked exactly when V splits at all
+        met = 0
+        for n in range(1, 5):
+            full = bitset.full(n)
+            for d in verify.families.all_digraphs(n):
+                doms = {s for s in range(1 << n) if validate.is_dominating_set(d, s)}
+                gamma = min(s.bit_count() for s in doms)
+                splits = [s for s in doms if full & ~s in doms]
+                rec = verify.check_C4_equality(d)
+                assert ("side_a" in rec.witnesses) == bool(splits)
+                assert rec.hypotheses_met == any(
+                    s.bit_count() == gamma == n - gamma for s in splits
+                )
+                met += rec.hypotheses_met
+        assert met == 895
+
+    def test_one_partition_search_and_one_gamma_solve(self, monkeypatch):
+        g = fig5_corona()
+        calls = Counter()
+
+        def counted(name):
+            solve = getattr(verify, name)
+
+            def run(d, timeout_ms=None):
+                calls[name, d is g] += 1
+                return solve(d, timeout_ms=timeout_ms)
+
+            monkeypatch.setattr(verify, name, run)
+
+        counted("partition_two_dominating_sets")
+        counted("domination_number")
+        assert verify.check_C4_equality(g).verdict == HOLDS
+        assert calls == {
+            ("partition_two_dominating_sets", True): 1,
+            ("domination_number", True): 1,
+            ("domination_number", False): 1,  # the product
+        }
+
     def test_partition_without_minimum_still_checks_upper_bound(self):
         # bidirected 3-path: center vs leaves is a two-dominating-set
         # partition, but gamma = 1 so no minimum partition exists; the
@@ -440,23 +488,48 @@ class TestFailsBranches:
         assert rec.witnesses == {"strong_support_vertex": [0]}
         assert rec.extras["equality"] is True
 
+    def test_packing_checkers_call_solvers_by_name(self, monkeypatch):
+        # each checker looks its solver pair up in ``verify`` when it runs
+        fakes = {
+            "packing_number": 7, "domination_number": 8,
+            "open_packing_number": 9, "total_domination_number": 10,
+        }
+        for name, value in fakes.items():
+            monkeypatch.setattr(verify, name, lambda d, timeout_ms=None, v=value: (v, 0))
+        p3 = gen_bidirected_path(3)
+        records = [
+            verify.check_meir_moon(build_undirected(3, [(0, 1), (1, 2)])),
+            verify.check_packing_equals_domination(p3),
+            verify.check_open_packing_equals_total_domination(p3),
+            next(verify.search_acyclic_problem(max_n=1, budget=0)),
+        ]
+        assert [(r.verdict, r.lhs, r.rhs) for r in records] == [
+            (FAILS, 7, 8), (FAILS, 7, 8), (FAILS, 9, 10), (FAILS, 7, 8),
+        ]
+
     def test_c4_product_below_twice_gamma(self, monkeypatch):
-        # center vs leaves of the bidirected 3-path passed off as a
-        # partition into two minimum dominating sets
+        # vertex 3 dominates this 6-vertex digraph, which splits into two
+        # dominating sets and has gamma(G [] C4) = 4; passing gamma(G) off
+        # as 3 makes n = 2 gamma, so the split reads as two minimum sets
+        g = build_digraph(6, [
+            (0, 2), (1, 3), (2, 0), (2, 1), (2, 4), (2, 5),
+            (3, 0), (3, 1), (3, 2), (3, 4), (3, 5),
+        ])
+        solve = verify.domination_number
         monkeypatch.setattr(
-            verify, "partition_two_dominating_sets",
-            lambda g, minimum, timeout_ms=None: (0b010, 0b101),
+            verify, "domination_number",
+            lambda d, timeout_ms=None: (3, 0b111) if d is g else solve(d, timeout_ms=timeout_ms),
         )
-        rec = verify.check_C4_equality(gen_bidirected_path(3))
+        rec = verify.check_C4_equality(g)
         assert rec.verdict == FAILS and rec.hypotheses_met is True
-        assert (rec.lhs, rec.rhs) == (3, 2)
+        assert (rec.lhs, rec.rhs) == (4, 6)
         assert set(rec.witnesses) == {
             "side_a", "side_b", "minimum_side_a", "minimum_side_b", "product_dominating_set",
         }
 
     def test_c4_partition_witness_not_dominating(self, monkeypatch):
         monkeypatch.setattr(
-            verify, "partition_two_dominating_sets", lambda g, minimum, timeout_ms=None: (0, 0)
+            verify, "partition_two_dominating_sets", lambda g, timeout_ms=None: (0, 0)
         )
         rec = verify.check_C4_equality(gen_bidirected_path(3))
         assert rec.verdict == FAILS and rec.hypotheses_met is False
@@ -527,6 +600,16 @@ class TestAcyclicSearch:
         assert is_acyclic_digraph(d)
         assert brute_force_invariant(d, "rho") == 2
         assert brute_force_invariant(d, "gamma") == 3
+
+
+def _use_backend(request, monkeypatch, backend: str) -> None:
+    """Run the kernels on ``backend``: "pure", or "compiled" as built from
+    source by the ``compiled_kernels`` fixture."""
+    compiled = None
+    if backend == "compiled":
+        compiled = request.getfixturevalue("compiled_kernels")
+        monkeypatch.setattr(kernels, "_FORCE_PURE", False)
+    monkeypatch.setattr(kernels, "_compiled", compiled)
 
 
 class TestSuite:
@@ -607,16 +690,28 @@ class TestSuite:
         ],
     )
     def test_default_suite_byte_stable(self, request, monkeypatch, backend, seed, digest):
-        compiled = None
-        if backend == "compiled":
-            compiled = request.getfixturevalue("compiled_kernels")
-            monkeypatch.setattr(kernels, "_FORCE_PURE", False)
-        monkeypatch.setattr(kernels, "_compiled", compiled)
+        _use_backend(request, monkeypatch, backend)
         cfg = verify.default_suite_config()
         cfg.seed = seed
         records = verify.run_suite(verify.build_tasks(cfg)).records
         text = "".join(r.to_json(False) + "\n" for r in records)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_c4_random_digraphs_byte_stable(self, request, monkeypatch, backend):
+        # 138 of these digraphs split into two dominating sets, 14 of them
+        # into two minimum ones; the default suite checks two C4 instances
+        _use_backend(request, monkeypatch, backend)
+        cfg = verify.parse_suite_config(
+            "seed 42\ncheck prop:C4-equality random-digraphs:count=300,n=8\n"
+        )
+        records = verify.run_suite(verify.build_tasks(cfg)).records
+        assert Counter(r.verdict for r in records) == {HOLDS: 14, HYPOTHESIS_NOT_MET: 286}
+        text = "".join(r.to_json(False) + "\n" for r in records)
+        assert (
+            hashlib.sha256(text.encode("ascii")).hexdigest()
+            == "2b65f7a9194d75f885f70a9f8de87e6a4d955b7d316ebbd23337c099355063fe"
+        )
 
     # Every claim on random sources, with the pairs that reach the branches
     # random digraphs miss: a Vizing failure and both max-packing outcomes.
