@@ -1,10 +1,14 @@
 """Pure-Python exact branch-and-bound kernels.
 
 This is the reference backend.  ``_bnb.c``, built as ``didom._kernels``,
-ports it line for line to C: both accept bitsets of any width and follow
+runs the same search in C: both accept bitsets of any width and follow
 the same branching, tie-breaking, reductions and bounds, so they return
 identical optima and witnesses after identical numbers of search nodes.
-A change to the search here must be made there too.
+A change to the search here must be made there too.  The two are not
+line-for-line twins: the pure cover search keeps per-node tables of live
+counts and coverage sizes, which the C kernel recomputes at every node
+from its word arrays.  ``nodes`` holds the search nodes of the last call
+of either kernel here, as ``CompiledKernels.nodes`` does for the C one.
 
 Both kernels first check their greedy answer against a root bound.  An
 answer that meets it is optimal and is returned without a search, after 0
@@ -21,16 +25,21 @@ from didom import bitset
 from didom.errors import SolveTimeout
 
 
-class _Deadline:
-    """Checked once per search node; a set deadline reads the clock every
-    time, so a timeout stops within one node of it."""
+nodes = 0  # search nodes of the last call of either kernel
 
-    __slots__ = ("at",)
+
+class _Deadline:
+    """Polled once per search node, which it counts; a set deadline reads
+    the clock every time, so a timeout stops within one node of it."""
+
+    __slots__ = ("at", "nodes")
 
     def __init__(self, at: Optional[float]):
         self.at = at
+        self.nodes = 0
 
     def poll(self) -> None:
+        self.nodes += 1
         if self.at is not None and monotonic() > self.at:
             raise SolveTimeout("solve exceeded its deadline")
 
@@ -72,12 +81,19 @@ def min_set_cover(
     the fewest live covering sets, try those sets in decreasing-coverage
     order, and exclude each tried set from later branches.
 
-    A set is live when it is still available and covers some uncovered
-    element.  Every available set that contains an uncovered element e is
-    therefore live, so e's live count is the popcount of
-    ``covers[e] & avail`` and the live sets are the union of those masks
-    over the uncovered elements.  The search works on these set-index
-    masks rather than testing set by set.
+    A set is available until it is picked, dropped or excluded, and live
+    while it is available and covers some uncovered element.  The
+    available sets that contain an uncovered element e are live, so the
+    search reads e's live sets off ``covers[e] & avail`` and never needs
+    the dead ones out of ``avail``.  Each search node keeps three tables
+    instead of recounting them: ``avail``; ``cnt[e]``, the number of live
+    sets that contain the uncovered element e (``done`` for an element that
+    is covered or outside the universe); and ``size[i]``, the coverage
+    |c_i| of set i, 0 once i is not live.  A pick, a subsumption drop or a
+    sibling's exclusion updates the entries it changes, and every child
+    starts from copies.  A pick only marks the sets that lost an element:
+    the subsumption pass that follows every pick recounts their sizes
+    before anything reads them.
 
     Subsumption is incremental.  Along a branch the uncovered elements and
     the available sets only shrink, so every coverage only shrinks.  After
@@ -106,6 +122,8 @@ def min_set_cover(
     optimal and is returned after 0 search nodes.  The search would have
     kept it too, since it replaces the incumbent only by a smaller cover.
     """
+    global nodes
+    nodes = 0
     if universe == 0:
         return 0, ()
     masks = [m & universe for m in masks]
@@ -115,7 +133,6 @@ def min_set_cover(
     if universe & ~union:
         return None
 
-    n_sets = len(masks)
     width = universe.bit_length()
     covers = [0] * width  # element -> bitmask over the sets containing it
     conflict = [0] * width  # element -> union of all sets containing it
@@ -138,11 +155,31 @@ def min_set_cover(
     simple = -(-universe.bit_count() // max_size)
     if max(_conflict_bound(universe, conflict), simple) >= best[0]:
         return best[0], best[1]
+    done = len(masks) + 1  # cnt of an element with nothing left to cover
+    cnt = [c.bit_count() or done for c in covers]
     dl = _Deadline(deadline)
 
-    def dfs(uncovered: int, avail: int, chosen: int, count: int, gone: int) -> None:
-        # gone: the elements covered since the last subsumption pass; -1
-        # (every element) at the root, which has had no pass.
+    def take(i: int, uncovered: int, cnt: list) -> tuple[int, int]:
+        """Cover set i's uncovered elements, which leave ``cnt``.  Returns
+        them and the sets that held one of them."""
+        picked = masks[i] & uncovered
+        touched = 0
+        rem = picked
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            e = low.bit_length() - 1
+            cnt[e] = done
+            touched |= covers[e]
+        return picked, touched
+
+    def dfs(
+        uncovered: int, avail: int, chosen: int, count: int, stale: int,
+        cnt: list, size: list,
+    ) -> None:
+        # stale: the sets that lost an element since the last subsumption
+        # pass, whose size that pass has yet to recount; every set at the
+        # root, which has had no pass.
         dl.poll()
         while True:
             if not uncovered:
@@ -150,76 +187,47 @@ def min_set_cover(
                     best[0] = count
                     best[1] = tuple(bitset.to_list(chosen))
                 return
-            # Scan elements in increasing order: one with no live set ends
-            # the branch, the first with a single live set forces it, and
-            # otherwise the first with the fewest is the branch element.
-            forced = 0
-            branch_cnt = n_sets + 1
-            branch_e = -1
-            live = 0
-            rem = uncovered
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                e = low.bit_length() - 1
-                cand = covers[e] & avail
-                cnt = cand.bit_count()
-                if cnt < branch_cnt:
-                    if cnt <= 1:
-                        if not cnt:
-                            return
-                        forced = cand
-                        break
-                    branch_cnt = cnt
-                    branch_e = e
-                live |= cand
-            if forced:
-                picked = masks[forced.bit_length() - 1] & uncovered
+            # An element with no live set ends the branch, the first with a
+            # single live set forces it, and otherwise the first with the
+            # fewest is the branch element.
+            fewest = min(cnt)
+            if fewest <= 1:
+                if not fewest:
+                    return
+                forced = covers[cnt.index(1)] & avail
+                picked, touched = take(forced.bit_length() - 1, uncovered, cnt)
+                uncovered ^= picked
                 chosen |= forced
                 count += 1
-                gone |= picked
-                uncovered &= ~picked
-                avail &= ~forced
+                stale |= touched
                 if count >= best[0]:
                     return
                 continue
-            if not gone:
-                # Only drops since the last pass: it stands, cov_of and
-                # max_cov included, and no further set can be dropped.
+            if not stale:
+                # Only drops since the last pass: it stands, and no further
+                # set can be dropped.
                 break
             # Subsumption: a live set whose coverage lies inside another live
             # set's coverage can be dropped (ties keep the lower index).  The
             # sets whose coverage contains c_i are those covering each
-            # element of c_i: the AND of their covers masks.  Only sets that
-            # lost an element since the last pass are checked.  Every
-            # dropped set lies inside a kept one, so max_cov may include it.
-            cov_of = {}
-            max_cov = 0
-            a = live
-            while a:
-                low = a & -a
-                a ^= low
-                i = low.bit_length() - 1
-                ci = masks[i] & uncovered
-                cov_of[i] = ci
-                if ci.bit_count() > max_cov:
-                    max_cov = ci.bit_count()
-            if gone < 0:
-                check = live
-            else:
-                check = 0
-                while gone:
-                    low = gone & -gone
-                    gone ^= low
-                    check |= covers[low.bit_length() - 1]
-                check &= live
-            gone = 0
+            # element of c_i: the AND of their covers masks; such a set
+            # equals c_i exactly when its size does.  Only the stale sets
+            # are checked, from the highest index down, so each one's size
+            # is recounted before a lower-index set compares with it.
+            check = stale & avail
+            stale = 0
             dropped = 0
+            lost = 0  # the elements of the dropped sets
             while check:
-                bit = check & -check
+                i = check.bit_length() - 1
+                bit = 1 << i
                 check ^= bit
-                ci = cov_of[bit.bit_length() - 1]
-                sup = live
+                ci = masks[i] & uncovered
+                s = ci.bit_count()
+                size[i] = s
+                if not s:
+                    continue
+                sup = avail
                 c = ci
                 while c and sup != bit:
                     low = c & -c
@@ -229,52 +237,69 @@ def min_set_cover(
                 while sup:
                     low = sup & -sup
                     sup ^= low
-                    if low < bit or cov_of[low.bit_length() - 1] != ci:
+                    if low < bit or size[low.bit_length() - 1] != s:
                         dropped |= bit
+                        lost |= ci
                         break
             if dropped:
-                avail &= ~dropped
+                avail ^= dropped
+                while dropped:
+                    low = dropped & -dropped
+                    dropped ^= low
+                    size[low.bit_length() - 1] = 0
+                while lost:
+                    low = lost & -lost
+                    lost ^= low
+                    e = low.bit_length() - 1
+                    cnt[e] = (covers[e] & avail).bit_count()
                 continue
             break
         # Lower bound: the conflict packing, or count/max-size.
         lb = _conflict_bound(uncovered, conflict)
-        simple = -(-uncovered.bit_count() // max_cov)
+        left = uncovered.bit_count()
+        simple = -(-left // max(size))
         if simple > lb:
             lb = simple
         if count + lb >= best[0]:
             return
         # Packing bound (see the docstring): only where the cheap bounds
-        # fail, since the many tiny covers would pay for the sort.
-        order = []
-        rem = uncovered
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            e = low.bit_length() - 1
-            cand = covers[e] & avail
-            order.append((cand.bit_count(), e, cand))
-        order.sort()
+        # fail, since the many tiny covers would pay for the sort.  The
+        # sort is stable, and covered elements (``done``) sort last.
         used = 0
         kept = count
-        for _, _, cand in order:
+        for e in sorted(range(width), key=cnt.__getitem__)[:left]:
+            cand = covers[e] & avail
             if not cand & used:
                 used |= cand
                 kept += 1
                 if kept >= best[0]:
                     return
-        cands = bitset.to_list(live & covers[branch_e])
-        cands.sort(key=lambda i: (-cov_of[i].bit_count(), i))
-        excl = 0
+        cands = bitset.to_list(avail & covers[cnt.index(fewest)])
+        # decreasing coverage; the stable sort keeps ties in index order
+        cands.sort(key=size.__getitem__, reverse=True)
         for i in cands:
-            excl |= 1 << i
-            if count + 1 < best[0]:
-                picked = masks[i] & uncovered
-                dfs(
-                    uncovered & ~picked, avail & ~excl, chosen | (1 << i),
-                    count + 1, picked,
-                )
+            if count + 1 >= best[0]:
+                break
+            child_cnt = cnt[:]
+            picked, touched = take(i, uncovered, child_cnt)
+            dfs(
+                uncovered ^ picked, avail, chosen | (1 << i), count + 1,
+                touched, child_cnt, size[:],
+            )
+            # later siblings exclude set i
+            avail ^= 1 << i
+            size[i] = 0
+            rem = masks[i] & uncovered
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                cnt[low.bit_length() - 1] -= 1
 
-    dfs(universe, (1 << n_sets) - 1, 0, 0, -1)
+    all_sets = (1 << len(masks)) - 1
+    try:
+        dfs(universe, all_sets, 0, 0, all_sets, cnt, [0] * len(masks))
+    finally:
+        nodes = dl.nodes
     return best[0], best[1]
 
 
@@ -288,6 +313,8 @@ def max_independent_set(
     large as the clique cover of the whole graph (α ≤ the clique-cover
     number) is maximum and is returned after 0 search nodes.
     """
+    global nodes
+    nodes = 0
     if n == 0:
         return 0, 0
     closed = [adj[v] | (1 << v) for v in range(n)]
@@ -370,5 +397,8 @@ def max_independent_set(
 
     # Root certificate: a greedy set that meets the clique cover is maximum.
     if clique_cover_bound((1 << n) - 1) > best[0]:
-        dfs((1 << n) - 1, 0, 0)
+        try:
+            dfs((1 << n) - 1, 0, 0)
+        finally:
+            nodes = dl.nodes
     return best[0], best[1]

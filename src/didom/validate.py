@@ -62,12 +62,14 @@ def is_packing(d: Digraph, members: int) -> bool:
 
 
 def is_open_packing(d: Digraph, members: int) -> bool:
-    """Open in-neighborhoods of members are pairwise disjoint."""
-    vs = bitset.to_list(members)
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if d.in_adj[vs[a]] & d.in_adj[vs[b]]:
-                return False
+    """Open in-neighborhoods of members are pairwise disjoint: each one
+    misses the union of those before it."""
+    in_adj = d.in_adj
+    seen = 0
+    for v in bitset.iter_bits(members):
+        if in_adj[v] & seen:
+            return False
+        seen |= in_adj[v]
     return True
 
 

@@ -398,13 +398,14 @@ def check_C4_equality(
     inst = instance or digraph_descriptor(g)
 
     def build():
-        c4 = families.gen_C4_orientation((0, 2, 0, 2))
-        u_idx, v_idx = (w for w in range(4) if c4.out_degree(w) == 2)
-        prod, pmap = cartesian_product(g, c4)
         part = partition_two_dominating_sets(g, timeout_ms=timeout_ms)
         extras = {}
         witnesses = {}
         if part is not None:
+            # the product is read only when G splits
+            c4 = families.gen_C4_orientation((0, 2, 0, 2))
+            u_idx, v_idx = (w for w in range(4) if c4.out_degree(w) == 2)
+            prod, pmap = cartesian_product(g, c4)
             side_a, side_b = part
             partition_witness = bitset.from_iter(
                 [pmap.encode(x, u_idx) for x in bitset.iter_bits(side_a)]

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from didom import _bnb_py, auxgraph, bitset, families, kernels, products
@@ -31,28 +31,10 @@ def _exhaustive_alpha(adj, n):
     return best
 
 
-@pytest.fixture
-def node_count(monkeypatch):
-    """Counts pure-kernel search nodes: poll runs once per dfs entry."""
-    count = [0]
-    poll = _bnb_py._Deadline.poll
-
-    def counting_poll(self):
-        count[0] += 1
-        poll(self)
-
-    monkeypatch.setattr(_bnb_py._Deadline, "poll", counting_poll)
-    return count
-
-
 def _solve(request, backend, fn, *args):
-    """fn of the named backend on args, and the search nodes it took; the
-    pure kernel is counted from the start of the test."""
-    if backend == "pure":
-        count = request.getfixturevalue("node_count")
-        return getattr(_bnb_py, fn)(*args), count[0]
-    compiled = request.getfixturevalue("compiled_kernels")
-    return getattr(compiled, fn)(*args), compiled.nodes
+    """fn of the named backend on args, and the search nodes it took."""
+    kernel = _bnb_py if backend == "pure" else request.getfixturevalue("compiled_kernels")
+    return getattr(kernel, fn)(*args), kernel.nodes
 
 
 def _wide_system():
@@ -74,7 +56,9 @@ def set_systems(draw):
     inserted at random positions, so that equal coverages meet on both sides
     of the lower-index tie rule and subsumption drops run.  Small sets make
     the greedy incumbent miss the optimum often enough for the search to
-    matter; the universe is the union of the sets or all n elements."""
+    matter.  The universe is the union of the sets, all n elements, or a
+    random part of the union, so some sets stick out of it and some are
+    empty inside it."""
     n = draw(st.integers(1, 12))
     full = bitset.full(n)
     small = st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(bitset.from_iter)
@@ -87,7 +71,8 @@ def set_systems(draw):
     union = 0
     for m in sets:
         union |= m
-    return sets, draw(st.sampled_from((union, full)))
+    part = union & draw(st.integers(1, full))
+    return sets, draw(st.sampled_from((union, full, part)))
 
 
 @st.composite
@@ -267,57 +252,48 @@ class TestRootCertificate:
     nodes.  Every such answer must be optimal, and the compiled kernel must
     certify exactly the same solves."""
 
-    @settings(
-        max_examples=300, deadline=None, derandomize=True,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(set_systems())
     # greedy takes {0,1,2,3} and needs 3 sets; the root bound is the optimum 2
     @example(system=([0b1111, 0b10011, 0b101100, 0b10000, 0b100000], 0b111111))
-    def test_certified_cover_is_optimal(self, compiled_kernels, node_count, system):
+    def test_certified_cover_is_optimal(self, compiled_kernels, system):
         sets, universe = system
-        node_count[0] = 0
         pure = _bnb_py.min_set_cover(sets, universe)
-        if node_count[0] == 0 and pure is not None:
+        if _bnb_py.nodes == 0 and pure is not None:
             assert pure[0] == _exhaustive_cover_size(sets, universe)
         assert compiled_kernels.min_set_cover(sets, universe) == pure
-        assert compiled_kernels.nodes == node_count[0]
+        assert compiled_kernels.nodes == _bnb_py.nodes
 
-    @settings(
-        max_examples=300, deadline=None, derandomize=True,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(graphs())
     # minimum-degree greedy finds 2; the clique cover bound is α = 3
     @example(graph=([44, 20, 3, 33, 34, 25], 6))
-    def test_certified_independent_set_is_maximum(self, compiled_kernels, node_count, graph):
+    def test_certified_independent_set_is_maximum(self, compiled_kernels, graph):
         adj, n = graph
-        node_count[0] = 0
         pure = _bnb_py.max_independent_set(adj, n)
-        if node_count[0] == 0:
+        if _bnb_py.nodes == 0:
             assert pure[0] == _exhaustive_alpha(adj, n)
         assert compiled_kernels.max_independent_set(adj, n) == pure
-        assert compiled_kernels.nodes == node_count[0]
+        assert compiled_kernels.nodes == _bnb_py.nodes
 
 
 class TestBackendAgreement:
     """The compiled kernel must reproduce the reference exactly: same optima,
     same witnesses, same search-node counts, at every width."""
 
-    def test_cover_agreement(self, compiled_kernels, node_count):
+    def test_cover_agreement(self, compiled_kernels):
         rng = random.Random(9)
         for _ in range(500):
             n = rng.randint(1, 14)
             k = rng.randint(1, 12)
             sets = [rng.getrandbits(n) for _ in range(k)]
             universe = bitset.full(n)
-            node_count[0] = 0
             assert _bnb_py.min_set_cover(sets, universe) == compiled_kernels.min_set_cover(
                 sets, universe
             )
-            assert compiled_kernels.nodes == node_count[0]
+            assert compiled_kernels.nodes == _bnb_py.nodes
 
-    def test_cover_sparse_systems(self, compiled_kernels, node_count):
+    def test_cover_sparse_systems(self, compiled_kernels):
         # 12-16 elements in 10-16 sets of 2-4: large enough that the cheap
         # bounds often fail and the packing bound decides the prune
         rng = random.Random(11)
@@ -330,21 +306,25 @@ class TestBackendAgreement:
             universe = 0
             for m in sets:
                 universe |= m
-            node_count[0] = 0
             pure = _bnb_py.min_set_cover(sets, universe)
             assert pure[0] == _exhaustive_cover_size(sets, universe)
             assert compiled_kernels.min_set_cover(sets, universe) == pure
-            assert compiled_kernels.nodes == node_count[0]
+            assert compiled_kernels.nodes == _bnb_py.nodes
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(set_systems())
+    # element 10 lies in all five sets and elements 0, 1, 4, 5, 8 are outside
+    # the universe: the pure kernel's count for those must sort after every
+    # live count, 5 included, or the packing bound prunes too much
+    @example(system=([1161, 3590, 1101, 1664, 3264], 0b111011001100))
     def test_cover_agreement_random_systems(self, compiled_kernels, system):
         sets, universe = system
         assert compiled_kernels.min_set_cover(sets, universe) == _bnb_py.min_set_cover(
             sets, universe
         )
+        assert compiled_kernels.nodes == _bnb_py.nodes
 
-    def test_mis_agreement(self, compiled_kernels, node_count):
+    def test_mis_agreement(self, compiled_kernels):
         rng = random.Random(10)
         for _ in range(500):
             n = rng.randint(1, 15)
@@ -354,11 +334,10 @@ class TestBackendAgreement:
                     if rng.random() < rng.choice((0.2, 0.5, 0.8)):
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-            node_count[0] = 0
             assert _bnb_py.max_independent_set(
                 adj, n
             ) == compiled_kernels.max_independent_set(adj, n)
-            assert compiled_kernels.nodes == node_count[0]
+            assert compiled_kernels.nodes == _bnb_py.nodes
 
     @pytest.mark.parametrize(
         "system",
@@ -373,7 +352,7 @@ class TestBackendAgreement:
         pure = _solve(request, "pure", "min_set_cover", *system())
         assert _solve(request, "compiled", "min_set_cover", *system()) == pure
 
-    def test_sweep_digraphs(self, compiled_kernels, node_count):
+    def test_sweep_digraphs(self, compiled_kernels):
         # seeded digraphs like the observation sweep's: n in 1..10, arc
         # densities 0.1-0.9; covers by closed and by open out-neighbourhoods,
         # independent sets of both in-neighbourhood graphs.  Most of these
@@ -395,11 +374,10 @@ class TestBackendAgreement:
                 ("max_independent_set", list(closed.adj), closed.n),
                 ("max_independent_set", list(open_.adj), open_.n),
             ):
-                node_count[0] = 0
                 pure = getattr(_bnb_py, fn)(*args)
                 assert getattr(compiled_kernels, fn)(*args) == pure
-                assert compiled_kernels.nodes == node_count[0]
-                if pure is not None and node_count[0] == 0:
+                assert compiled_kernels.nodes == _bnb_py.nodes
+                if pure is not None and _bnb_py.nodes == 0:
                     certified[fn] += 1
         assert certified == {"min_set_cover": 383, "max_independent_set": 570}
 
@@ -497,9 +475,7 @@ class TestTimeouts:
         assert 1 < compiled_kernels.nodes < 29_947
 
     @pytest.mark.parametrize("kernel", ["cover", "mis"])
-    def test_pure_timeout_on_first_node_past_deadline(
-        self, monkeypatch, node_count, kernel
-    ):
+    def test_pure_timeout_on_first_node_past_deadline(self, monkeypatch, kernel):
         # a fake clock that advances one tick per read passes the deadline
         # 5.0 on its 6th read; every node reads it, so node 6 must raise
         clock = itertools.count(1)
@@ -509,7 +485,7 @@ class TestTimeouts:
                 _bnb_py.min_set_cover(*self._hard_cover(), deadline=5.0)
             else:
                 _bnb_py.max_independent_set(*self._mis_graph(), deadline=5.0)
-        assert node_count[0] == 6
+        assert _bnb_py.nodes == 6
         assert next(clock) == 7
 
     def test_no_deadline_still_solves(self):

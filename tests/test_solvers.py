@@ -261,6 +261,22 @@ class TestWitnessValidation:
             if total is not None:
                 assert validate.is_total_dominating_set(d, total[1])
 
+    def test_open_packing_is_pairwise_disjointness(self):
+        # every vertex subset of small random digraphs, against the
+        # pairwise reading of the definition
+        rng = random.Random(33)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            d = random_digraph(n, rng.uniform(0.1, 0.8), rng.getrandbits(32))
+            for members in range(1 << n):
+                vs = bitset.to_list(members)
+                pairwise = all(
+                    not d.in_adj[a] & d.in_adj[b]
+                    for k, a in enumerate(vs)
+                    for b in vs[k + 1:]
+                )
+                assert validate.is_open_packing(d, members) == pairwise
+
     def test_monotone_adding_arcs_never_raises_gamma(self):
         rng = random.Random(32)
         for _ in range(60):
