@@ -1,14 +1,21 @@
-/* Exact branch-and-bound kernels: a port of didom/_bnb_py.py to C, bound as
- * didom._kernels by _kernels_build.py.  A set is an array of 64-bit words
+/* Exact branch-and-bound kernels: a port of didom/_bnb_py.py to C99, bound
+ * as didom._kernels by _kernels_build.py.  A set is an array of 64-bit words
  * sized per call, so any width works; Python passes sets as little-endian
  * bytes.  Branching, tie rules, reductions, bounds and incumbents are those
  * of the pure kernels, so both give the same optima and witnesses after the
- * same search nodes.  A greedy answer that meets the root bound (the conflict
- * packing or the size bound for covers, the clique cover for independent
- * sets) is optimal and is returned without a search, after 0 nodes.  Under a
- * deadline every node reads CLOCK_MONOTONIC, the clock of Python's
- * time.monotonic().  A call returns the optimum size, INFEASIBLE, TIMED_OUT
- * or NO_MEMORY, and stores its node count in *nodes. */
+ * same search nodes.  The cover search prunes with the conflict packing,
+ * the size bound, a packing of the residual instance (gamma >= rho) and
+ * that packing's remainder term.  A greedy answer that meets the root bound
+ * (the conflict packing or the size bound for covers, the clique cover for
+ * independent sets) is optimal and is returned without a search, after 0
+ * nodes.  Under a deadline every node reads CLOCK_MONOTONIC, the clock of
+ * Python's time.monotonic().  A call returns the optimum size, INFEASIBLE,
+ * TIMED_OUT or NO_MEMORY, and stores its node count in *nodes. */
+
+/* clock_gettime and CLOCK_MONOTONIC are POSIX, outside strict C99 */
+#ifndef _POSIX_C_SOURCE
+#define _POSIX_C_SOURCE 199309L
+#endif
 
 #include <math.h>
 #include <stdint.h>
@@ -78,7 +85,8 @@ typedef struct {
     word *covers;       /* element -> the sets containing it */
     word *conflict;     /* element -> union of the sets containing it */
     word *frames;       /* per depth: uncovered, gone, avail, chosen, excl */
-    int *cands, *key;   /* branch candidates per depth; sort key per set */
+    int *cands;         /* branch candidates per depth */
+    int *size;          /* set -> its coverage at the last subsumption pass */
     int *order, *order_cnt; /* packing bound: uncovered elements by live count */
     word *live, *check, *sup, *ci, *rem, *used, *best_chosen;
 } Cover;
@@ -107,7 +115,7 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
     word *unc = FRAME(c, d), *gone = unc + ne, *avail = gone + ne;
     word *chosen = avail + ns, *excl = chosen + ns, *child = FRAME(c, d + 1);
     int *cand = c->cands + (size_t)d * c->n_sets;
-    int branch_e = -1, max_cov = 0, lb, n_order = 0, k = 0;
+    int branch_e = -1, max_cov = 0, left, n_order = 0, kept, reach = 0, k = 0;
 
     if (poll_deadline(&c->s)) return;
     for (;;) {
@@ -154,8 +162,8 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
          * Every dropped set lies inside a kept one, so max_cov may count it. */
         max_cov = 0;
         EACH(i, c->live, ns) {
-            int size = popcount_and(MASK(c, i), unc, ne);
-            if (size > max_cov) max_cov = size;
+            c->size[i] = popcount_and(MASK(c, i), unc, ne);
+            if (c->size[i] > max_cov) max_cov = c->size[i];
         }
         memcpy(c->check, c->live, BYTES(ns));
         if (!gone_all) {
@@ -191,17 +199,18 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
         }
         if (!dropped) break;
     }
-    /* Lower bounds, cheapest first: the conflict packing, or count/max-size. */
-    lb = conflict_bound(c, unc);
-    if ((popcount_and(unc, unc, ne) + max_cov - 1) / max_cov > lb)
-        lb = (popcount_and(unc, unc, ne) + max_cov - 1) / max_cov;
-    if (count + lb >= c->best) return;
+    /* Lower bounds, cheapest first: the conflict packing, then count/max-size. */
+    if (count + conflict_bound(c, unc) >= c->best) return;
+    left = popcount_and(unc, unc, ne);
+    if (count + (left + max_cov - 1) / max_cov >= c->best) return;
     /* Packing bound, gamma >= rho on the residual instance: uncovered
      * elements whose live sets are pairwise disjoint each need their own
      * set.  Greedy over the elements insertion-sorted by live count, ties in
-     * element order as in Python's tuple sort; run only when the cheap
-     * bounds above fail.  A valid bound prunes no subtree holding a cover
-     * smaller than the incumbent, so incumbents and witness are unchanged. */
+     * element order as in the pure kernel's levels; run only when the cheap
+     * bounds above fail.  Each kept element adds the largest coverage among
+     * its live sets to reach, for the remainder test below.  A valid bound
+     * prunes no subtree holding a cover smaller than the incumbent, so
+     * incumbents and witness are unchanged. */
     memset(c->used, 0, BYTES(ns));
     EACH(e, unc, ne) {
         int cnt = popcount_and(COVERS(c, e), avail, ns), pos = n_order++;
@@ -212,21 +221,27 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
         c->order[pos] = e;
         c->order_cnt[pos] = cnt;
     }
-    for (int t = 0, kept = count; t < n_order; t++) {
+    kept = count;
+    for (int t = 0; t < n_order; t++) {
         const word *cv = COVERS(c, c->order[t]);
-        int disjoint = 1;
+        int disjoint = 1, top = 0;
         FOR_W(ns) disjoint &= !(cv[w] & avail[w] & c->used[w]);
         if (!disjoint) continue;
         FOR_W(ns) c->used[w] |= cv[w] & avail[w];
         if (++kept >= c->best) return;
+        EACH(i, cv, ns) if (HAS(avail, i) && c->size[i] > top) top = c->size[i];
+        reach += top;
     }
+    /* Remainder: the kept elements' sets cover at most reach elements, and
+     * each further set at most max_cov.  At reach >= left the quotient is
+     * at most 0, so the test prunes exactly where Python's ceiling does. */
+    if (kept + (left - reach + max_cov - 1) / max_cov >= c->best) return;
     /* candidates in decreasing-coverage order, ties by index */
     EACH(i, COVERS(c, branch_e), ns) {
         int pos = k;
         if (!HAS(c->live, i)) continue;
         k++;
-        c->key[i] = popcount_and(MASK(c, i), unc, ne);
-        for (; pos > 0 && c->key[cand[pos - 1]] < c->key[i]; pos--) cand[pos] = cand[pos - 1];
+        for (; pos > 0 && c->size[cand[pos - 1]] < c->size[i]; pos--) cand[pos] = cand[pos - 1];
         cand[pos] = i;
     }
     memset(excl, 0, BYTES(ns));
@@ -300,8 +315,8 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
         c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
         c.cands = malloc(((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el) * sizeof(int));
         if (!c.frames || !c.cands) goto done;
-        c.key = c.cands + (size_t)(c.best + 1) * n_sets;
-        c.order = c.key + n_sets;
+        c.size = c.cands + (size_t)(c.best + 1) * n_sets;
+        c.order = c.size + n_sets;
         c.order_cnt = c.order + n_el;
         memcpy(c.frames, uni, BYTES(ne));
         for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);

@@ -111,10 +111,15 @@ def min_set_cover(
     the uncovered elements in increasing order of (live count, index) and
     keeps each one whose live sets miss those of every element kept so far.
     Kept elements need pairwise distinct sets, so ``count + kept`` bounds
-    every cover below the node; this is the paper's γ ≥ ρ.  Every bound is
-    valid, so it prunes only subtrees holding no cover smaller than the
-    incumbent: the incumbents found, and with them the witness, are those
-    of a search without it.  Only the node count falls.
+    every cover below the node; this is the paper's γ ≥ ρ.  When the packing
+    ends without a prune, its remainder is tested: a cover takes a distinct
+    set for each kept element e, and those sets cover at most ``reach``, the
+    sum over kept e of the largest |c_i| among e's live sets; every other
+    set covers at most max_cov of the rest.  So ``count + kept +
+    ⌈(|uncovered| − reach) / max_cov⌉`` bounds every cover below the node
+    too.  Every bound is valid, so it prunes only subtrees holding no cover
+    smaller than the incumbent: the incumbents found, and with them the
+    witness, are those of a search without it.  Only the node count falls.
 
     Root certificate: before any search, the greedy cover is compared with
     the larger of two root bounds, the conflict packing of the universe
@@ -155,6 +160,7 @@ def min_set_cover(
     simple = -(-universe.bit_count() // max_size)
     if max(_conflict_bound(universe, conflict), simple) >= best[0]:
         return best[0], best[1]
+    members = [None] * width  # element -> its sets, listed on first use
     done = len(masks) + 1  # cnt of an element with nothing left to cover
     cnt = [c.bit_count() or done for c in covers]
     dl = _Deadline(deadline)
@@ -181,16 +187,18 @@ def min_set_cover(
         # pass, whose size that pass has yet to recount; every set at the
         # root, which has had no pass.
         dl.poll()
+        # An element with no live set ends the branch, the first with a
+        # single live set forces it, and otherwise the first with the fewest
+        # is the branch element.  ``fewest`` is the least count.  A pick
+        # covers elements, which may hold it, so it is recounted; a drop
+        # only lowers the counts of the dropped sets' elements.
+        fewest = min(cnt)
         while True:
             if not uncovered:
                 if count < best[0]:
                     best[0] = count
                     best[1] = tuple(bitset.to_list(chosen))
                 return
-            # An element with no live set ends the branch, the first with a
-            # single live set forces it, and otherwise the first with the
-            # fewest is the branch element.
-            fewest = min(cnt)
             if fewest <= 1:
                 if not fewest:
                     return
@@ -202,6 +210,7 @@ def min_set_cover(
                 stale |= touched
                 if count >= best[0]:
                     return
+                fewest = min(cnt)
                 continue
             if not stale:
                 # Only drops since the last pass: it stands, and no further
@@ -251,22 +260,25 @@ def min_set_cover(
                     low = lost & -lost
                     lost ^= low
                     e = low.bit_length() - 1
-                    cnt[e] = (covers[e] & avail).bit_count()
+                    c = (covers[e] & avail).bit_count()
+                    cnt[e] = c
+                    if c < fewest:
+                        fewest = c
                 continue
             break
-        # Lower bound: the conflict packing, or count/max-size.
-        lb = _conflict_bound(uncovered, conflict)
+        # Lower bounds: the conflict packing, then count/max-size.
+        if count + _conflict_bound(uncovered, conflict) >= best[0]:
+            return
         left = uncovered.bit_count()
-        simple = -(-left // max(size))
-        if simple > lb:
-            lb = simple
-        if count + lb >= best[0]:
+        max_cov = max(size)
+        if count - (-left // max_cov) >= best[0]:
             return
         # Packing bound (see the docstring): only where the cheap bounds
         # fail, since the many tiny covers would pay for the sort.  The
         # sort is stable, and covered elements (``done``) sort last.
         used = 0
         kept = count
+        reach = 0
         for e in sorted(range(width), key=cnt.__getitem__)[:left]:
             cand = covers[e] & avail
             if not cand & used:
@@ -274,6 +286,20 @@ def min_set_cover(
                 kept += 1
                 if kept >= best[0]:
                     return
+                # a set that is not live has size 0, so the largest size
+                # among e's sets is that of its largest live set
+                top = 0
+                sets = members[e]
+                if sets is None:
+                    sets = members[e] = bitset.to_list(covers[e])
+                for i in sets:
+                    if size[i] > top:
+                        top = size[i]
+                reach += top
+        # Remainder: the kept elements' sets cover at most ``reach``
+        # elements, and each further set at most max_cov.
+        if kept - (reach - left) // max_cov >= best[0]:
+            return
         cands = bitset.to_list(avail & covers[cnt.index(fewest)])
         # decreasing coverage; the stable sort keeps ties in index order
         cands.sort(key=size.__getitem__, reverse=True)

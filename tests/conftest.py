@@ -9,14 +9,20 @@ from didom.core import build_digraph
 
 
 @pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
+def c_compiler():
+    """The C compiler that builds extensions for this Python."""
+    compiler = (sysconfig.get_config_var("CC") or "gcc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler: {compiler} not found")
+    return compiler
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(tmp_path_factory, c_compiler):
     """The compiled kernels, built from source by the cffi builder that
     setup.py uses into a temporary directory (never into src/), and wrapped
     as ``kernels._compiled`` wraps an installed build."""
     pytest.importorskip("cffi", reason="cffi is not installed")
-    compiler = (sysconfig.get_config_var("CC") or "gcc").split()[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler: {compiler} not found")
     from didom._kernels_build import ffibuilder
 
     built = ffibuilder.compile(tmpdir=str(tmp_path_factory.mktemp("kernels")))

@@ -1,6 +1,8 @@
 import itertools
 import random
+import subprocess
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,6 +75,20 @@ def set_systems(draw):
         union |= m
     part = union & draw(st.integers(1, full))
     return sets, draw(st.sampled_from((union, full, part)))
+
+
+@st.composite
+def sparse_systems(draw):
+    """7-14 sets of 2-6 elements over 10-16 elements, covering the union:
+    the mixed set sizes leave searches where the packing loop finishes and
+    its remainder term, which weighs the largest sets, decides the prune."""
+    n = draw(st.integers(10, 16))
+    element_sets = st.lists(st.integers(0, n - 1), min_size=2, max_size=6, unique=True)
+    sets = draw(st.lists(element_sets.map(bitset.from_iter), min_size=7, max_size=14))
+    universe = 0
+    for m in sets:
+        universe |= m
+    return sets, universe
 
 
 @st.composite
@@ -152,31 +168,31 @@ class TestPureSetCover:
 
 # (left, right, nodes, witness) of gamma(left [] right)
 _PINNED_TREES = [
-    ("Gm:2", "Gm:3", 51, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
-    ("Gm:3", "Gm:3", 142, (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42)),
-    ("K1star", "path:7", 181, (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48)),
-    ("cycle:5", "path:7", 523, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
-    ("chord5", "path:7", 316, (1, 5, 8, 11, 12, 17, 22, 26, 28, 31, 34)),
-    ("fig5corona", "path:8", 85, (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45)),
+    ("Gm:2", "Gm:3", 41, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
+    ("Gm:3", "Gm:3", 121, (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42)),
+    ("K1star", "path:7", 159, (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48)),
+    ("cycle:5", "path:7", 387, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
+    ("chord5", "path:7", 169, (1, 5, 8, 11, 12, 17, 22, 26, 28, 31, 34)),
+    ("fig5corona", "path:8", 57, (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45)),
     # larger trees, where most nodes skip unchanged sets in the incremental
     # subsumption pass
     (
-        "Gm:3", "Gm:4", 170,
+        "Gm:3", "Gm:4", 154,
         (2, 4, 6, 8, 9, 19, 21, 23, 25, 27, 37, 39, 41, 43, 45, 55, 57, 59, 61),
     ),
     (
-        "K1star", "path:10", 1638,
+        "K1star", "path:10", 1170,
         (1, 2, 5, 8, 15, 20, 23, 27, 29, 36, 41, 42, 44, 48, 56, 60, 63, 66, 69),
     ),
-    ("cycle:5", "path:9", 1682, (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43)),
+    ("cycle:5", "path:9", 1148, (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43)),
     # gamma(Gm:m [] Gm:m) = m^2 + 2m, the paper's dominating set being optimal
     (
-        "Gm:4", "Gm:4", 444,
+        "Gm:4", "Gm:4", 408,
         (1, 3, 5, 7, 11, 13, 15, 17, 18, 29, 31, 33, 35, 36, 47, 49, 51, 53, 54,
          65, 67, 69, 71, 72),
     ),
     (
-        "Gm:5", "Gm:5", 1467,
+        "Gm:5", "Gm:5", 1447,
         (1, 3, 5, 7, 9, 13, 15, 17, 19, 21, 22, 35, 37, 39, 41, 43, 44, 57, 59, 61,
          63, 65, 66, 79, 81, 83, 85, 87, 88, 101, 103, 105, 107, 109, 110),
     ),
@@ -311,6 +327,26 @@ class TestBackendAgreement:
             assert compiled_kernels.min_set_cover(sets, universe) == pure
             assert compiled_kernels.nodes == _bnb_py.nodes
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(sparse_systems())
+    # The optimum is 4 after 13 nodes; without the remainder term, or with
+    # its ceiling taken as a floor, after 15.  A reach from the smallest live
+    # set of each kept element, not the largest, returns 5 after 1 node, and
+    # a max_cov over the sets outside the kept families prunes at 10 nodes.
+    @example(
+        system=(
+            [17225, 48, 34880, 1040, 3621, 4106, 16515, 45472, 21073, 41216,
+             41232, 4165, 26757, 9348],
+            0xFFFF,
+        )
+    )
+    def test_cover_remainder_bound(self, compiled_kernels, system):
+        sets, universe = system
+        pure = _bnb_py.min_set_cover(sets, universe)
+        assert pure[0] == _exhaustive_cover_size(sets, universe)
+        assert compiled_kernels.min_set_cover(sets, universe) == pure
+        assert compiled_kernels.nodes == _bnb_py.nodes
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(set_systems())
     # element 10 lies in all five sets and elements 0, 1, 4, 5, 8 are outside
@@ -344,7 +380,7 @@ class TestBackendAgreement:
         [
             # 45 disjoint pairs: certified at the root on both, after 0 nodes
             pytest.param(_wide_system, id="90-bits"),
-            # 81 elements and 81 sets: gamma = 24 after 444 nodes
+            # 81 elements and 81 sets: gamma = 24 after 408 nodes
             pytest.param(lambda: _closed_neighbourhoods("Gm:4", "Gm:4"), id="Gm:4-Gm:4"),
         ],
     )
@@ -413,6 +449,15 @@ class TestBackendAgreement:
         assert kernels.min_set_cover([0b011, 0b110, 0b100], 0b111)[0] == 2
 
 
+def test_compiled_source_is_strict_c99(c_compiler):
+    # the source promises C99; any warning, in a port of a new bound say,
+    # fails here
+    source = Path(kernels.__file__).with_name("_bnb.c")
+    flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
+    proc = subprocess.run([c_compiler, *flags, str(source)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestTimeouts:
     def _hard_cover(self):
         # sparse 4-element sets over 40 elements: a search of thousands of
@@ -464,7 +509,7 @@ class TestTimeouts:
         assert compiled_kernels.nodes == 1
 
     def test_compiled_deadline_is_monotonic_time(self, compiled_kernels):
-        # gamma(Gm:7 [] Gm:7) takes 29,947 nodes, most of a second compiled;
+        # gamma(Gm:7 [] Gm:7) takes 29,945 nodes, most of a second compiled;
         # a deadline 50 ms after time.monotonic() must stop it long before
         # it finishes
         sets, universe = _closed_neighbourhoods("Gm:7", "Gm:7")
@@ -472,7 +517,7 @@ class TestTimeouts:
         with pytest.raises(SolveTimeout):
             compiled_kernels.min_set_cover(sets, universe, start + 0.05)
         assert time.monotonic() - start < 1.0
-        assert 1 < compiled_kernels.nodes < 29_947
+        assert 1 < compiled_kernels.nodes < 29_945
 
     @pytest.mark.parametrize("kernel", ["cover", "mis"])
     def test_pure_timeout_on_first_node_past_deadline(self, monkeypatch, kernel):
