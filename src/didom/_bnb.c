@@ -3,12 +3,12 @@
  * sized per call, so any width works; Python passes sets as little-endian
  * bytes.  Branching, tie rules, reductions, bounds and incumbents are those
  * of the pure kernels, so both give the same optima and witnesses after the
- * same search nodes.  The cover search prunes with the conflict packing,
- * the size bound, a packing of the residual instance (gamma >= rho) and
- * that packing's remainder term.  A greedy answer that meets the root bound
- * (the conflict packing or the size bound for covers, the clique cover for
- * independent sets) is optimal and is returned without a search, after 0
- * nodes.  Under a deadline every node reads CLOCK_MONOTONIC, the clock of
+ * same search nodes.  The cover search prunes with the conflict packing, a
+ * packing of the residual instance (gamma >= rho) and that packing's
+ * remainder term, which implies the size bound count + ceil(left / max_cov).
+ * A greedy answer that meets the root bound (the conflict packing or the
+ * size bound for covers, the clique cover for independent sets) is optimal
+ * and is returned without a search, after 0 nodes.  Under a deadline every node reads CLOCK_MONOTONIC, the clock of
  * Python's time.monotonic().  A call returns the optimum size, INFEASIBLE,
  * TIMED_OUT or NO_MEMORY, and stores its node count in *nodes. */
 
@@ -199,18 +199,18 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
         }
         if (!dropped) break;
     }
-    /* Lower bounds, cheapest first: the conflict packing, then count/max-size. */
+    /* Lower bounds, cheapest first: the conflict packing, then the residual
+     * packing and its remainder. */
     if (count + conflict_bound(c, unc) >= c->best) return;
     left = popcount_and(unc, unc, ne);
-    if (count + (left + max_cov - 1) / max_cov >= c->best) return;
     /* Packing bound, gamma >= rho on the residual instance: uncovered
      * elements whose live sets are pairwise disjoint each need their own
      * set.  Greedy over the elements insertion-sorted by live count, ties in
-     * element order as in the pure kernel's levels; run only when the cheap
-     * bounds above fail.  Each kept element adds the largest coverage among
-     * its live sets to reach, for the remainder test below.  A valid bound
-     * prunes no subtree holding a cover smaller than the incumbent, so
-     * incumbents and witness are unchanged. */
+     * element order as in the pure kernel's levels; run only when the
+     * conflict bound fails.  Each kept element adds the largest coverage
+     * among its live sets to reach, for the remainder test below.  A valid
+     * bound prunes no subtree holding a cover smaller than the incumbent,
+     * so incumbents and witness are unchanged. */
     memset(c->used, 0, BYTES(ns));
     EACH(e, unc, ne) {
         int cnt = popcount_and(COVERS(c, e), avail, ns), pos = n_order++;
@@ -233,8 +233,10 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
         reach += top;
     }
     /* Remainder: the kept elements' sets cover at most reach elements, and
-     * each further set at most max_cov.  At reach >= left the quotient is
-     * at most 0, so the test prunes exactly where Python's ceiling does. */
+     * each further set at most max_cov.  As reach <= (kept - count) *
+     * max_cov, it prunes wherever count + ceil(left / max_cov) would.  At
+     * reach >= left the quotient is at most 0, so the test prunes exactly
+     * where Python's ceiling does. */
     if (kept + (left - reach + max_cov - 1) / max_cov >= c->best) return;
     /* candidates in decreasing-coverage order, ties by index */
     EACH(i, COVERS(c, branch_e), ns) {

@@ -106,20 +106,22 @@ def min_set_cover(
     runs another pass only if a forced pick covered something.
 
     Lower bounds, in order of cost: the static ``conflict`` masks (elements
-    no single set co-covers), ⌈|uncovered| / max_cov⌉, and, only when both
-    fail to prune, a packing of the residual instance.  The packing takes
-    the uncovered elements in increasing order of (live count, index) and
-    keeps each one whose live sets miss those of every element kept so far.
-    Kept elements need pairwise distinct sets, so ``count + kept`` bounds
-    every cover below the node; this is the paper's γ ≥ ρ.  When the packing
-    ends without a prune, its remainder is tested: a cover takes a distinct
-    set for each kept element e, and those sets cover at most ``reach``, the
-    sum over kept e of the largest |c_i| among e's live sets; every other
-    set covers at most max_cov of the rest.  So ``count + kept +
-    ⌈(|uncovered| − reach) / max_cov⌉`` bounds every cover below the node
-    too.  Every bound is valid, so it prunes only subtrees holding no cover
-    smaller than the incumbent: the incumbents found, and with them the
-    witness, are those of a search without it.  Only the node count falls.
+    no single set co-covers) and, only when they fail to prune, a packing of
+    the residual instance.  The packing takes the uncovered elements in
+    increasing order of (live count, index) and keeps each one whose live
+    sets miss those of every element kept so far.  Kept elements need
+    pairwise distinct sets, so ``count + kept`` bounds every cover below the
+    node; this is the paper's γ ≥ ρ.  When the packing ends without a prune,
+    its remainder is tested: a cover takes a distinct set for each kept
+    element e, and those sets cover at most ``reach``, the sum over kept e
+    of the largest |c_i| among e's live sets; every other set covers at most
+    max_cov of the rest.  So ``count + kept + ⌈(|uncovered| − reach) /
+    max_cov⌉`` bounds every cover below the node too.  As reach ≤
+    kept·max_cov, this is at least ``count + ⌈|uncovered| / max_cov⌉``, so
+    that size bound would prune nothing more and is not tested.  Every bound
+    is valid, so it prunes only subtrees holding no cover smaller than the
+    incumbent: the incumbents found, and with them the witness, are those of
+    a search without it.  Only the node count falls.
 
     Root certificate: before any search, the greedy cover is compared with
     the larger of two root bounds, the conflict packing of the universe
@@ -266,15 +268,13 @@ def min_set_cover(
                         fewest = c
                 continue
             break
-        # Lower bounds: the conflict packing, then count/max-size.
+        # Lower bounds: the conflict packing, then the residual packing
+        # and its remainder.
         if count + _conflict_bound(uncovered, conflict) >= best[0]:
             return
         left = uncovered.bit_count()
-        max_cov = max(size)
-        if count - (-left // max_cov) >= best[0]:
-            return
-        # Packing bound (see the docstring): only where the cheap bounds
-        # fail, since the many tiny covers would pay for the sort.  The
+        # Packing bound (see the docstring): only where the conflict bound
+        # fails, since the many tiny covers would pay for the sort.  The
         # sort is stable, and covered elements (``done``) sort last.
         used = 0
         kept = count
@@ -298,6 +298,7 @@ def min_set_cover(
                 reach += top
         # Remainder: the kept elements' sets cover at most ``reach``
         # elements, and each further set at most max_cov.
+        max_cov = max(size)
         if kept - (reach - left) // max_cov >= best[0]:
             return
         cands = bitset.to_list(avail & covers[cnt.index(fewest)])

@@ -16,7 +16,7 @@ from typing import Optional
 
 from didom import families, verify
 from didom.core import Digraph, read_arclist, write_arclist
-from didom.errors import ArcListParseError, SolveTimeout
+from didom.errors import ArcListParseError
 from didom.products import cartesian_product, direct_product
 from didom.solvers import DEFAULT_TIMEOUT_MS, compute_invariants
 
@@ -182,9 +182,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SolveTimeout:
-        print("error: solve exceeded its deadline", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

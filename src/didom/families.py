@@ -207,14 +207,10 @@ def gen_corona_digraph(
     if len(leaf_arc_mode) != base_tree.n:
         raise ValueError(f"need {base_tree.n} leaf modes")
     n = base_tree.n
-    arcs = []
-    for (u, v), state in zip(edges, internal_orientation):
+    for state in internal_orientation:
         if state not in EDGE_STATES:
             raise ValueError(f"bad edge orientation {state!r}")
-        if state in (EDGE_FWD, EDGE_BOTH):
-            arcs.append((u, v))
-        if state in (EDGE_BWD, EDGE_BOTH):
-            arcs.append((v, u))
+    arcs = _orient(edges, internal_orientation)
     for i, mode in enumerate(leaf_arc_mode):
         if mode not in LEAF_MODES:
             raise ValueError(f"bad leaf mode {mode!r}")

@@ -23,7 +23,8 @@ class VerificationRecord:
     """One claim checked on one instance.
 
     ``witnesses`` maps witness names to sorted vertex-index lists; ``extras``
-    carries claim-specific scalars (slack, sandwich bounds, ...).
+    carries claim-specific scalars (slack, factor invariants, ...) that no
+    other field, and no other extra, already states.
     ``hypotheses_met`` is None on ``timeout`` and ``error`` records, whose
     checker stopped before it could tell.
     """

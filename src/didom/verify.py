@@ -245,8 +245,6 @@ def check_total_domination_direct_product(
             "rho_open_G": ro_g,
             "rho_open_H": ro_h,
             "sandwich_lower": sandwich_low,
-            "sandwich_upper": rhs,
-            "exact": True,
         }
         lhs, dom = total_domination_number(prod, timeout_ms=timeout_ms)
         witnesses = {"product_total_dominating_set": bitset.to_list(dom)}
@@ -279,7 +277,7 @@ def _cartesian_bound(
     def build():
         gamma_g, gamma_h, lhs, dom = _gammas(g, h, timeout_ms)
         rhs, extras = bound(gamma_g, gamma_h, lhs)
-        extras.update({"gamma_G": gamma_g, "gamma_H": gamma_h, "exact": True})
+        extras.update({"gamma_G": gamma_g, "gamma_H": gamma_h})
         witnesses = {"product_dominating_set": bitset.to_list(dom)} if lhs < rhs else {}
         return _record(claim, inst, True, lhs, rhs, lhs >= rhs, witnesses, extras=extras)
 
@@ -368,7 +366,7 @@ def check_Gm_vizing_failure(
         dominates = validate.is_dominating_set(prod, witness)
         rhs = (m + 1) * (m + 1)
         ok = dominates and size == m * m + 2 * m and size < rhs
-        extras = {"set_size": size, "dominates": dominates}
+        extras = {"dominates": dominates}
         if m <= GM_SOLVED_UP_TO:
             exact, _ = domination_number(prod, timeout_ms=timeout_ms)
             extras["gamma_product"] = exact
@@ -432,7 +430,6 @@ def check_C4_equality(
             witnesses["minimum_side_a"] = bitset.to_list(side_a)
             witnesses["minimum_side_b"] = bitset.to_list(side_b)
             lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
-            extras["exact"] = True
             witnesses["product_dominating_set"] = bitset.to_list(dom)
         return _record(
             CLAIM_C4_EQUALITY, inst, hyp, lhs, rhs, lhs == rhs, witnesses, extras=extras
@@ -473,11 +470,8 @@ def check_strong_support_condition(
         extras = {
             "gamma_T": gamma_t_val,
             "gamma_G": gamma_g,
-            "exact": True,
             "strong_support_with_two_nonisolated_leaves": bad_vertex,
         }
-        if hyp:
-            extras["equality"] = lhs == rhs
         fails = hyp and lhs == rhs and bad_vertex is not None
         witnesses = {"strong_support_vertex": [bad_vertex]} if fails else {}
         return _record(
@@ -519,7 +513,6 @@ def check_isolated_leaf_extension(
             "gamma_T": gamma_t_val,
             "gamma_T_extended": gamma_ext,
             "gamma_H": gamma_h,
-            "gamma_grew": gamma_ext == gamma_t_val + 1,
             "base_equality": base_equality,
         }
         hyp = is_ditree(t) and gamma_ext == gamma_t_val + 1 and base_equality
@@ -557,7 +550,7 @@ def check_max_packing_dominates(
             return _record(CLAIM_MAX_PACKING, inst, False, None, None, extras={"reason": reason})
         gamma_1, gamma_2, lhs, _ = _gammas(t1, t2, timeout_ms)
         rhs = gamma_1 * gamma_2
-        extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2, "exact": True}
+        extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2}
         if lhs != rhs:
             return _record(CLAIM_MAX_PACKING, inst, False, lhs, rhs, extras=extras)
         # the first non-dominating packing found is the witness; a packing
@@ -615,11 +608,9 @@ def _helly_record(claim: str, d: Digraph, closed: bool, hyp: bool) -> Verificati
             else:
                 if failing is None:
                     failing = k
-        conclusion = failing is None
-        witnesses = {} if conclusion else {"uncontained_clique": bitset.to_list(failing)}
+        witnesses = {} if failing is None else {"uncontained_clique": bitset.to_list(failing)}
         return _record(
-            claim, inst, hypotheses_met, contained, len(cliques), conclusion, witnesses,
-            extras={"conclusion_holds": conclusion},
+            claim, inst, hypotheses_met, contained, len(cliques), failing is None, witnesses
         )
 
     return _timed(claim, inst, build)

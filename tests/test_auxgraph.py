@@ -257,7 +257,10 @@ class TestHellyCheckers:
         rec = check_closed_helly_lemma(c4)
         assert not rec.hypotheses_met
         assert rec.verdict == HYPOTHESIS_NOT_MET
-        assert "conclusion_holds" in rec.extras
+        # the conclusion is still checked: the one clique, all of C4, fits
+        # in no closed out-neighborhood
+        assert (rec.lhs, rec.rhs) == (0, 1)
+        assert rec.witnesses == {"uncontained_clique": [0, 1, 2, 3]}
 
     def test_open_common_in_neighbor(self):
         # arcs w->u, w->v force the clique {u, v} inside N+(w); w itself has
@@ -265,7 +268,8 @@ class TestHellyCheckers:
         d = build_digraph(3, [(2, 0), (2, 1)])
         rec = check_open_helly_lemma(d)
         assert not rec.hypotheses_met
-        assert rec.extras["conclusion_holds"] is False  # the clique {w} is uncovered
+        assert rec.lhs < rec.rhs  # the clique {w} is uncovered
+        assert rec.witnesses == {"uncontained_clique": [2]}
         d2 = build_digraph(3, [(2, 0), (2, 1), (0, 2)])
         rec2 = check_open_helly_lemma(d2)
         assert rec2.hypotheses_met and rec2.verdict == HOLDS

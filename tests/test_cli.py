@@ -56,6 +56,11 @@ class TestInvariants:
         code, _, err = run_cli(capsys, "invariants")
         assert code == 2
 
+    def test_missing_file_is_io_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "invariants", str(tmp_path / "missing.arcs"))
+        assert code == 2 and not out
+        assert err.startswith("io error:") and "missing.arcs" in err
+
     def test_byte_stable(self, capsys):
         _, out1, _ = run_cli(capsys, "invariants", "--family", "Hm:3")
         _, out2, _ = run_cli(capsys, "invariants", "--family", "Hm:3")
@@ -143,6 +148,30 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(cfg))
         assert code == 0
         assert "432" in out
+
+    def test_seed_override(self, capsys, tmp_path):
+        # --seed replaces the config's seed: the run draws what a config
+        # naming that seed draws
+        texts = {}
+        for name, seed_line, extra in (
+            ("cfg3", "seed 3", ()), ("over7", "seed 3", ("--seed", "7")), ("cfg7", "seed 7", ()),
+        ):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(f"{seed_line}\ncheck thm:meir-moon random-ditrees:count=3,n=6\n")
+            out_file = tmp_path / f"{name}.jsonl"
+            code, _, _ = run_cli(capsys, "verify", str(cfg), "--out", str(out_file), *extra)
+            assert code == 0
+            texts[name] = out_file.read_text()
+        assert texts["over7"] == texts["cfg7"] != texts["cfg3"]
+
+    def test_timeout_override(self, capsys, tmp_path):
+        # the 49-vertex product needs a search, so a zero deadline stops it
+        cfg = tmp_path / "gm.cfg"
+        cfg.write_text("check conj:vizing-inequality pair:Gm:3|Gm:3\n")
+        code, out, _ = run_cli(capsys, "verify", str(cfg))
+        assert code == 0 and "fails=1" in out  # a whitelisted Vizing failure
+        code, out, _ = run_cli(capsys, "verify", str(cfg), "--timeout-ms", "0")
+        assert code == 0 and "timeout=1" in out
 
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -233,6 +262,28 @@ class TestSearchAcyclic:
         lines = out_file.read_text().splitlines()
         assert len(lines) == 1 + 3 + 25 + 543 + 10
         assert "acyclic search" in err
+
+    def test_strict_inequality_reported(self, capsys, tmp_path):
+        # the record at index 1,530 of this run is a 5-vertex DAG with rho 2 < gamma 3
+        out_file = tmp_path / "dags.jsonl"
+        code, _, err = run_cli(
+            capsys,
+            "search-acyclic",
+            "--max-n", "5",
+            "--budget", "1000",
+            "--seed", "12",
+            "--out", str(out_file),
+        )
+        assert code == 0
+        records = [json.loads(l) for l in out_file.read_text().splitlines()]
+        fails = [i for i, r in enumerate(records) if r["verdict"] == "fails"]
+        assert fails == [1530]
+        bad = records[1530]
+        assert (bad["lhs"], bad["rhs"]) == (2, 3)
+        assert err.splitlines() == [
+            f"packing < domination on {bad['instance']}: 2 < 3",
+            "acyclic search: equality on 1571, strict inequality on 1",
+        ]
 
     def test_stdout_stream(self, capsys):
         code, out, _ = run_cli(

@@ -20,6 +20,7 @@ from didom.families import (
     random_digraph,
     random_ditree,
 )
+from didom.products import cartesian_product
 from didom.solvers import (
     all_maximum_packings,
     brute_force_invariant,
@@ -354,6 +355,12 @@ class TestPartition:
         result = partition_two_dominating_sets(d)
         assert result is not None
 
+    def test_stops_at_deadline(self):
+        from didom.errors import SolveTimeout
+
+        with pytest.raises(SolveTimeout):
+            partition_two_dominating_sets(build_family("corona:n=500"), timeout_ms=0)
+
     def test_thousand_vertices_past_the_recursion_limit(self):
         # a search that recursed once per vertex hit Python's default
         # recursion limit (1000) near 990 vertices
@@ -413,6 +420,14 @@ class TestInvariantReport:
         rep = compute_invariants(build_digraph(2, [(0, 1)]))
         assert rep.gamma_t.status == "undefined"
         assert rep.gamma_t.value is None
+
+    def test_timeout_entry(self):
+        # gamma(Gm:3 [] Gm:3) takes 121 search nodes, so no root certificate
+        # answers it before a zero deadline
+        gm = gen_G_m(3)
+        prod, _ = cartesian_product(gm, gm)
+        rep = compute_invariants(prod, timeout_ms=0)
+        assert rep.gamma.as_dict(False) == {"status": "timeout", "value": None, "witness": None}
 
     def test_json_stable_without_timings(self, directed_triangle):
         a = compute_invariants(directed_triangle, digraph_id="t").to_json(False)
