@@ -73,6 +73,19 @@ def is_open_packing(d: Digraph, members: int) -> bool:
     return True
 
 
+def is_fractional_packing(d: Digraph, num: list[int], den: int) -> bool:
+    """Weights ``num[v] / den`` on the vertices, all nonnegative, with load
+    at most 1 on every closed out-neighborhood: a feasible solution of the
+    LP dual of domination, so gamma(d) >= sum(num) / den.  Integer
+    numerators keep the check exact."""
+    if len(num) != d.n or den <= 0 or any(w < 0 for w in num):
+        return False
+    for v in range(d.n):
+        if num[v] + sum(num[u] for u in bitset.iter_bits(d.out_adj[v])) > den:
+            return False
+    return True
+
+
 def is_independent_set(g: UndirectedGraph, members: int) -> bool:
     for v in bitset.iter_bits(members):
         if g.adj[v] & members:

@@ -6,7 +6,9 @@ independently re-validated counterwitness, and hypothesis violations stay
 distinguishable from conclusion failures.  Every product checker solves
 the product exactly, so no verdict rests on a bound that contains the
 claim's own inequality; a solve past its deadline gives a ``timeout``
-record.
+record.  The one exception is G_m [] G_m for m >= 3, whose value is
+certified instead by the published dominating set and a fractional
+packing of the same value (weak LP duality).
 
 Every checker returns through one verdict rule, ``_record``:
 ``hypothesis_not_met`` when the hypotheses fail, otherwise ``holds`` or
@@ -81,10 +83,6 @@ CLAIM_MAX_PACKING = "thm:max-packing-dominates"
 CLAIM_ACYCLIC = "problem:acyclic-packing-domination"
 CLAIM_CLOSED_HELLY = "lemma:closed-helly"
 CLAIM_OPEN_HELLY = "lemma:open-helly"
-
-# G_m [] G_m is solved exactly, to cross-check the published dominating
-# set, for m up to this
-GM_SOLVED_UP_TO = 3
 
 # Claims where a `fails` verdict is a first-class finding, not a suite error:
 # the product inequality is known false in general, and the acyclic question
@@ -350,14 +348,36 @@ def gm_square_dominating_set(m: int) -> tuple[Digraph, int]:
     return prod, bitset.from_iter(members)
 
 
+def gm_square_fractional_packing(m: int) -> tuple[list[int], int]:
+    """A fractional packing of G_m [] G_m of value m^2 + 2m, for m >= 3:
+    one integer numerator per flattened product vertex and their common
+    denominator.
+
+    Write b = v_2i and c = v_2i+1.  For m >= 4 it puts 1/m on every
+    (b, b), (b, c) and (c, b) vertex, (m-1)/m on every (c, c) vertex and 0
+    on any vertex with the hub v1 as a coordinate.  m = 3 puts 23/72 on bb,
+    bc and cb, 49/72 on cc, 1/24 on (c, v1) and (v1, c) and 0 elsewhere.
+    (m = 2 has LP value 54/7 < 8 = gamma, so no fractional packing
+    certifies it.)
+    """
+    if m < 3:
+        raise ValueError(f"m must be >= 3, got {m}")
+    den, side, cc, hub_c = (72, 23, 49, 3) if m == 3 else (m, 1, m - 1, 0)
+    # weight by the roles (hub 0, b 1, c 2) of the two coordinates
+    weight = ((0, 0, hub_c), (0, side, side), (hub_c, side, cc))
+    roles = [0] + [1, 2] * m  # v1, then v_2i, v_2i+1 for i = 1..m
+    return [weight[r][s] for r in roles for s in roles], den
+
+
 def check_Gm_vizing_failure(
     m: int,
     *,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
 ) -> VerificationRecord:
     """The explicit dominating set of G_m [] G_m has size m^2 + 2m, strictly
-    below gamma(G_m)^2 = (m+1)^2; for small m the exact product value is
-    solved and cross-checked."""
+    below gamma(G_m)^2 = (m+1)^2.  The exact product value is certified by a
+    fractional packing of value m^2 + 2m for m >= 3 and solved for m <= 2;
+    a certificate that does not validate raises AssertionError."""
     inst = f"Gm:{m}|Gm:{m}"
 
     def build():
@@ -366,11 +386,16 @@ def check_Gm_vizing_failure(
         dominates = validate.is_dominating_set(prod, witness)
         rhs = (m + 1) * (m + 1)
         ok = dominates and size == m * m + 2 * m and size < rhs
-        extras = {"dominates": dominates}
-        if m <= GM_SOLVED_UP_TO:
+        if m >= 3:
+            num, den = gm_square_fractional_packing(m)
+            # weak duality: gamma >= sum(num) / den, and gamma is an integer
+            exact = -(-sum(num) // den)
+            if not validate.is_fractional_packing(prod, num, den) or exact != m * m + 2 * m:
+                raise AssertionError(f"fractional packing of {inst} does not certify its gamma")
+        else:
             exact, _ = domination_number(prod, timeout_ms=timeout_ms)
-            extras["gamma_product"] = exact
-            ok = ok and exact <= size and exact < rhs
+        ok = ok and exact <= size and exact < rhs
+        extras = {"dominates": dominates, "gamma_product": exact}
         return _record(
             CLAIM_GM_FAILURE, inst, True, size, rhs, ok,
             {"product_dominating_set": bitset.to_list(witness)}, extras=extras,
@@ -905,7 +930,13 @@ def _m_source(source: str, rng: random.Random):
     if not source.startswith("m:"):
         raise SuiteConfigError(f"{CLAIM_GM_FAILURE} wants source m:1,2,..., got {source!r}")
     for m_str in source[2:].split(","):
-        yield (int(m_str),)
+        try:
+            m = int(m_str)
+        except ValueError:
+            m = 0
+        if m < 1:
+            raise SuiteConfigError(f"m must be a positive integer, got {m_str!r} in {source!r}")
+        yield (m,)
 
 
 def _dags_source(source: str, rng: random.Random):

@@ -93,11 +93,13 @@ def test_criterion_03_gm_square():
             prod, witness = verify.gm_square_dominating_set(m)
             assert validate.is_dominating_set(prod, witness)
             assert witness.bit_count() == m * m + 2 * m < (m + 1) ** 2
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4, 5):
         with Criterion(f"3b(m={m})", "exact product value below gamma^2", 60.0):
             prod, _ = verify.gm_square_dominating_set(m)
             exact = domination_number(prod, timeout_ms=60_000)[0]
             assert exact < (m + 1) ** 2
+            # the suite certifies m >= 3 without a solve: the two must agree
+            assert verify.check_Gm_vizing_failure(m).extras["gamma_product"] == exact
 
 
 def test_criterion_04_packing_equals_domination_exhaustive():

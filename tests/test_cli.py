@@ -204,6 +204,15 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: line 2: unknown key 'bogus'")
 
+    def test_gm_source_needs_positive_integers(self, capsys, tmp_path):
+        cfg = tmp_path / "gm.cfg"
+        for source in ("m:0", "m:", "m:1,,2", "m:-1"):
+            cfg.write_text(f"seed 3\ncheck family:Gm-vizing-failure {source}\n")
+            code, out, err = run_cli(capsys, "verify", str(cfg))
+            assert code == 2 and out == ""
+            assert err.startswith("error: line 2: m must be a positive integer")
+            assert repr(source) in err
+
     def test_vizing_failure_whitelisted(self, capsys, tmp_path):
         cfg = tmp_path / "viz.cfg"
         cfg.write_text("check conj:vizing-inequality pair:Gm:1|chord5\n")

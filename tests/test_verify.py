@@ -279,7 +279,53 @@ class TestCartesianBounds:
             assert rec.rhs == (m + 1) ** 2
         rec = verify.check_Gm_vizing_failure(5)
         assert rec.verdict == HOLDS
-        assert "gamma_product" not in rec.extras
+        assert rec.extras["gamma_product"] == 35
+
+
+class TestGmCertificate:
+    @pytest.mark.parametrize("m", [*range(3, 11), 30])
+    def test_packing_certifies_gamma(self, m):
+        prod, witness = verify.gm_square_dominating_set(m)
+        num, den = verify.gm_square_fractional_packing(m)
+        assert validate.is_fractional_packing(prod, num, den)
+        assert sum(num) == (m * m + 2 * m) * den == witness.bit_count() * den
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_mutants_rejected(self, m):
+        prod, _ = verify.gm_square_dominating_set(m)
+        num, den = verify.gm_square_fractional_packing(m)
+        n = 2 * m + 1
+        hub, b, c = 0, 1, 2  # v1, v2, v3 of the first triangle
+
+        def mutant(index, value):
+            out = list(num)
+            out[index] = value
+            return out
+
+        assert not validate.is_fractional_packing(prod, mutant(c * n + c, den), den)
+        assert not validate.is_fractional_packing(prod, mutant(hub * n + hub, 1), den)
+        assert not validate.is_fractional_packing(
+            prod, mutant(hub * n + c, num[hub * n + c] + 1), den
+        )
+        assert not validate.is_fractional_packing(prod, mutant(b * n + b, -1), den)
+        assert not validate.is_fractional_packing(prod, num[:-1], den)
+        assert not validate.is_fractional_packing(prod, [0] * len(num), 0)
+
+    def test_no_certificate_below_three(self):
+        with pytest.raises(ValueError):
+            verify.gm_square_fractional_packing(2)
+
+    def test_invalid_certificate_raises(self, monkeypatch):
+        # a certificate that does not validate is an error, not a verdict
+        def broken(m):
+            num, den = real(m)
+            num[0] = den
+            return num, den
+
+        real = verify.gm_square_fractional_packing
+        monkeypatch.setattr(verify, "gm_square_fractional_packing", broken)
+        with pytest.raises(AssertionError, match="Gm:4"):
+            verify.check_Gm_vizing_failure(4)
 
 
 class TestC4Equality:
