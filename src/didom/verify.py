@@ -34,6 +34,7 @@ from didom.auxgraph import (
 from didom.core import (
     Digraph,
     ISOLATED_LEAF,
+    MAX_VERTICES,
     NON_ISOLATED_LEAF,
     SUPPORT,
     UndirectedGraph,
@@ -353,20 +354,19 @@ def gm_square_fractional_packing(m: int) -> tuple[list[int], int]:
     one integer numerator per flattened product vertex and their common
     denominator.
 
-    Write b = v_2i and c = v_2i+1.  For m >= 4 it puts 1/m on every
-    (b, b), (b, c) and (c, b) vertex, (m-1)/m on every (c, c) vertex and 0
-    on any vertex with the hub v1 as a coordinate.  m = 3 puts 23/72 on bb,
-    bc and cb, 49/72 on cc, 1/24 on (c, v1) and (v1, c) and 0 elsewhere.
-    (m = 2 has LP value 54/7 < 8 = gamma, so no fractional packing
-    certifies it.)
+    Write b = v_2i and c = v_2i+1.  It puts 1/m on every (b, b), (b, c)
+    and (c, b) vertex, (m-1)/m on every (c, c) vertex and 0 on any vertex
+    with the hub v1 as a coordinate.  The closed out-neighbourhoods load
+    3/m on (b, b), (m-1)/m on (c, c) and exactly 1 on every other vertex
+    but (v1, v1), so m >= 3 keeps every load at most 1.  (m = 2 has LP
+    value 54/7 < 8 = gamma, so no fractional packing certifies it.)
     """
     if m < 3:
         raise ValueError(f"m must be >= 3, got {m}")
-    den, side, cc, hub_c = (72, 23, 49, 3) if m == 3 else (m, 1, m - 1, 0)
     # weight by the roles (hub 0, b 1, c 2) of the two coordinates
-    weight = ((0, 0, hub_c), (0, side, side), (hub_c, side, cc))
+    weight = ((0, 0, 0), (0, 1, 1), (0, 1, m - 1))
     roles = [0] + [1, 2] * m  # v1, then v_2i, v_2i+1 for i = 1..m
-    return [weight[r][s] for r in roles for s in roles], den
+    return [weight[r][s] for r in roles for s in roles], m
 
 
 def check_Gm_vizing_failure(
@@ -930,13 +930,14 @@ def _m_source(source: str, rng: random.Random):
     if not source.startswith("m:"):
         raise SuiteConfigError(f"{CLAIM_GM_FAILURE} wants source m:1,2,..., got {source!r}")
     for m_str in source[2:].split(","):
-        try:
-            m = int(m_str)
-        except ValueError:
-            m = 0
-        if m < 1:
+        if not m_str.isdecimal() or int(m_str) < 1:
             raise SuiteConfigError(f"m must be a positive integer, got {m_str!r} in {source!r}")
-        yield (m,)
+        order = (2 * int(m_str) + 1) ** 2
+        if order > MAX_VERTICES:
+            raise SuiteConfigError(
+                f"m = {m_str} gives product order {order}, over capacity {MAX_VERTICES}, in {source!r}"
+            )
+        yield (int(m_str),)
 
 
 def _dags_source(source: str, rng: random.Random):

@@ -212,6 +212,12 @@ class TestVerify:
             assert code == 2 and out == ""
             assert err.startswith("error: line 2: m must be a positive integer")
             assert repr(source) in err
+        # (2m+1)^2 > 4096 vertices at m = 32: refused before m = 31 runs
+        cfg.write_text("seed 3\ncheck family:Gm-vizing-failure m:31,32\n")
+        code, out, err = run_cli(capsys, "verify", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: m = 32 gives product order 4225, over capacity 4096")
+        assert repr("m:31,32") in err
 
     def test_vizing_failure_whitelisted(self, capsys, tmp_path):
         cfg = tmp_path / "viz.cfg"
