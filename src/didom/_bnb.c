@@ -6,9 +6,10 @@
  * same search nodes.  The cover search prunes with the conflict packing, a
  * packing of the residual instance (gamma >= rho) and that packing's
  * remainder term, which implies the size bound count + ceil(left / max_cov).
- * A greedy answer that meets the root bound (the conflict packing or the
- * size bound for covers, the clique cover for independent sets) is optimal
- * and is returned without a search, after 0 nodes.  Under a deadline every node reads CLOCK_MONOTONIC, the clock of
+ * A greedy answer that meets the root bound (the conflict packing, the size
+ * bound or the ordered packing for covers, the clique cover for independent
+ * sets) is optimal and is returned without a search, after 0 nodes.  Under
+ * a deadline every node reads CLOCK_MONOTONIC, the clock of
  * Python's time.monotonic().  A call returns the optimum size, INFEASIBLE,
  * TIMED_OUT or NO_MEMORY, and stores its node count in *nodes. */
 
@@ -108,6 +109,43 @@ static int conflict_bound(Cover *c, const word *unc) {
     return lb;
 }
 
+/* Sorts the elements of unc into c->order by increasing live count, the
+ * number of their sets in avail (all of them when avail is NULL), ties in
+ * element order as the pure kernel's stable sort keeps them; returns how
+ * many there are. */
+static int order_by_live_count(Cover *c, const word *unc, const word *avail) {
+    int n_order = 0;
+    EACH(e, unc, c->ne) {
+        const word *cv = COVERS(c, e);
+        int cnt = popcount_and(cv, avail ? avail : cv, c->ns), pos = n_order++;
+        for (; pos > 0 && c->order_cnt[pos - 1] > cnt; pos--) {
+            c->order[pos] = c->order[pos - 1];
+            c->order_cnt[pos] = c->order_cnt[pos - 1];
+        }
+        c->order[pos] = e;
+        c->order_cnt[pos] = cnt;
+    }
+    return n_order;
+}
+
+/* The root's packing bound: the elements of uni in order_by_live_count
+ * order, each kept when its sets miss those of every element kept before
+ * it.  Kept elements need pairwise distinct sets (gamma >= rho). */
+static int ordered_packing(Cover *c, const word *uni) {
+    const int ns = c->ns, n_order = order_by_live_count(c, uni, NULL);
+    int kept = 0;
+    memset(c->used, 0, BYTES(ns));
+    for (int t = 0; t < n_order; t++) {
+        const word *cv = COVERS(c, c->order[t]);
+        int disjoint = 1;
+        FOR_W(ns) disjoint &= !(cv[w] & c->used[w]);
+        if (!disjoint) continue;
+        FOR_W(ns) c->used[w] |= cv[w];
+        kept++;
+    }
+    return kept;
+}
+
 /* gone: the elements covered since the last subsumption pass; gone_all
  * (every element) at the root, which has had no pass. */
 static void cover_dfs(Cover *c, int d, int count, int gone_all) {
@@ -115,7 +153,7 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
     word *unc = FRAME(c, d), *gone = unc + ne, *avail = gone + ne;
     word *chosen = avail + ns, *excl = chosen + ns, *child = FRAME(c, d + 1);
     int *cand = c->cands + (size_t)d * c->n_sets;
-    int branch_e = -1, max_cov = 0, left, n_order = 0, kept, reach = 0, k = 0;
+    int branch_e = -1, max_cov = 0, left, n_order, kept, reach = 0, k = 0;
 
     if (poll_deadline(&c->s)) return;
     for (;;) {
@@ -212,15 +250,7 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
      * bound prunes no subtree holding a cover smaller than the incumbent,
      * so incumbents and witness are unchanged. */
     memset(c->used, 0, BYTES(ns));
-    EACH(e, unc, ne) {
-        int cnt = popcount_and(COVERS(c, e), avail, ns), pos = n_order++;
-        for (; pos > 0 && c->order_cnt[pos - 1] > cnt; pos--) {
-            c->order[pos] = c->order[pos - 1];
-            c->order_cnt[pos] = c->order_cnt[pos - 1];
-        }
-        c->order[pos] = e;
-        c->order_cnt[pos] = cnt;
-    }
+    n_order = order_by_live_count(c, unc, avail);
     kept = count;
     for (int t = 0; t < n_order; t++) {
         const word *cv = COVERS(c, c->order[t]);
@@ -309,20 +339,24 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
         FOR_W(ne) c.rem[w] &= ~MASK(&c, best_i)[w];
     }
     /* root certificate: a greedy cover that meets a lower bound is optimal,
-     * so the search runs only when both bounds fall below it */
+     * so the search runs only when all three bounds fall below it; the
+     * ordered packing, the dearest, runs only when the other two do */
     if (conflict_bound(&c, uni) < c.best
         && (popcount_and(uni, uni, ne) + max_size - 1) / max_size < c.best) {
-        /* a child is entered only below the incumbent size: depth < best */
         result = NO_MEMORY;
-        c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
+        /* a child is entered only below the incumbent size: depth < best */
         c.cands = malloc(((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el) * sizeof(int));
-        if (!c.frames || !c.cands) goto done;
+        if (!c.cands) goto done;
         c.size = c.cands + (size_t)(c.best + 1) * n_sets;
         c.order = c.size + n_sets;
         c.order_cnt = c.order + n_el;
-        memcpy(c.frames, uni, BYTES(ne));
-        for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);
-        cover_dfs(&c, 0, 0, 1);
+        if (ordered_packing(&c, uni) < c.best) {
+            c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
+            if (!c.frames) goto done;
+            memcpy(c.frames, uni, BYTES(ne));
+            for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);
+            cover_dfs(&c, 0, 0, 1);
+        }
     }
     *nodes = c.s.nodes;
     result = c.s.timed_out ? TIMED_OUT : c.best;

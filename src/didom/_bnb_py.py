@@ -71,6 +71,19 @@ def _conflict_bound(uncovered: int, conflict: Sequence[int]) -> int:
     return lb
 
 
+def _ordered_packing(covers: Sequence[int], cnt: Sequence[int], left: int) -> int:
+    """The root's packing bound: the ``left`` elements with a count, in
+    increasing order of (``cnt``, index), each kept when its sets miss
+    those of every element kept before it.  Kept elements need pairwise
+    distinct sets (γ ≥ ρ)."""
+    used = kept = 0
+    for e in sorted(range(len(cnt)), key=cnt.__getitem__)[:left]:
+        if not covers[e] & used:
+            used |= covers[e]
+            kept += 1
+    return kept
+
+
 def min_set_cover(
     masks: Sequence[int], universe: int, deadline: Optional[float] = None
 ) -> Optional[tuple[int, tuple[int, ...]]]:
@@ -124,8 +137,13 @@ def min_set_cover(
     a search without it.  Only the node count falls.
 
     Root certificate: before any search, the greedy cover is compared with
-    the larger of two root bounds, the conflict packing of the universe
-    (γ ≥ ρ) and ⌈|universe| / largest set⌉.  A greedy cover that meets it is
+    three root bounds, cheapest first: the conflict packing of the universe
+    (γ ≥ ρ), ⌈|universe| / largest set⌉, and, only when both fall short,
+    the ordered packing: the elements in increasing order of (number of
+    sets holding them, index), each kept when its sets miss those of the
+    elements kept before it.  That is the search's packing bound over the
+    whole instance, and on closed out-neighbourhoods it is the packing that
+    ``solvers.greedy_packing`` builds.  A greedy cover that meets a bound is
     optimal and is returned after 0 search nodes.  The search would have
     kept it too, since it replaces the incumbent only by a smaller cover.
     """
@@ -159,12 +177,14 @@ def min_set_cover(
     greedy = _greedy_cover(masks, universe)
     best = [len(greedy), tuple(sorted(greedy))]
     # Root certificate: a greedy cover that meets a lower bound is optimal.
-    simple = -(-universe.bit_count() // max_size)
-    if max(_conflict_bound(universe, conflict), simple) >= best[0]:
+    left = universe.bit_count()
+    if max(_conflict_bound(universe, conflict), -(-left // max_size)) >= best[0]:
         return best[0], best[1]
-    members = [None] * width  # element -> its sets, listed on first use
     done = len(masks) + 1  # cnt of an element with nothing left to cover
     cnt = [c.bit_count() or done for c in covers]
+    if _ordered_packing(covers, cnt, left) >= best[0]:
+        return best[0], best[1]
+    members = [None] * width  # element -> its sets, listed on first use
     dl = _Deadline(deadline)
 
     def take(i: int, uncovered: int, cnt: list) -> tuple[int, int]:

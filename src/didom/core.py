@@ -171,7 +171,10 @@ def build_undirected(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGrap
 
 def underlying_graph(d: Digraph) -> UndirectedGraph:
     """The undirected graph with an edge wherever at least one arc exists."""
-    return UndirectedGraph(d.n, tuple(o | i for o, i in zip(d.out_adj, d.in_adj)))
+    # tuple() of a list, not of a generator: a generator's tuple is sized
+    # by resizing, which drains CPython's free list of one tuple size into
+    # others, where the freed tuples pile up until a full collection
+    return UndirectedGraph(d.n, tuple([o | i for o, i in zip(d.out_adj, d.in_adj)]))
 
 
 def as_bidirected(g: UndirectedGraph) -> Digraph:

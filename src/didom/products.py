@@ -55,9 +55,10 @@ def _product_guard(g: Digraph, h: Digraph) -> None:
 
 
 def _pair_labels(g: Digraph, h: Digraph) -> tuple[str, ...]:
-    return tuple(
+    # from a list, as in core.underlying_graph
+    return tuple([
         f"({g.label(a)},{h.label(b)})" for a in range(g.n) for b in range(h.n)
-    )
+    ])
 
 
 def cartesian_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap]:

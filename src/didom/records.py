@@ -82,6 +82,12 @@ class VerificationRecord:
 
 def digraph_descriptor(d: Digraph) -> str:
     """Stable inline descriptor: vertex count plus an arc-list digest."""
-    payload = f"{d.n};" + ";".join(f"{u},{v}" for u, v in d.arcs())
+    return arc_list_descriptor(d.n, d.arcs())
+
+
+def arc_list_descriptor(n: int, arcs: list[tuple[int, int]]) -> str:
+    """``digraph_descriptor`` of the digraph on n vertices with these arcs,
+    listed as ``Digraph.arcs`` lists them."""
+    payload = f"{n};" + ";".join(f"{u},{v}" for u, v in arcs)
     digest = hashlib.sha1(payload.encode("ascii")).hexdigest()[:12]
-    return f"digraph:n={d.n},h={digest}"
+    return f"digraph:n={n},h={digest}"

@@ -116,6 +116,22 @@ def open_packing_number(
     return _pack(d, aux, timeout_ms, validate.is_open_packing, "open packing")
 
 
+def greedy_packing(d: Digraph, *, closed: bool = True) -> int:
+    """A packing (an open packing unless ``closed``) as a bitmask, not
+    necessarily maximum and not re-validated: the vertices in increasing
+    order of (in-neighborhood size, index), each kept when its closed (open)
+    in-neighborhood misses those of the vertices kept before it.  The cover
+    kernels' root bound takes the elements in the same order."""
+    hoods = [m | (1 << v) if closed else m for v, m in enumerate(d.in_adj)]
+    kept = used = 0
+    # the sort is stable, so ties stay in index order
+    for v in sorted(range(d.n), key=lambda v: hoods[v].bit_count()):
+        if not hoods[v] & used:
+            used |= hoods[v]
+            kept |= 1 << v
+    return kept
+
+
 # An undirected graph reads as its bidirected digraph (see UndirectedGraph).
 
 

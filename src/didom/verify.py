@@ -57,12 +57,14 @@ from didom.records import (
     TIMEOUT,
     VERDICTS,
     VerificationRecord,
+    arc_list_descriptor,
     digraph_descriptor,
 )
 from didom.solvers import (
     DEFAULT_TIMEOUT_MS,
     all_maximum_packings,
     domination_number,
+    greedy_packing,
     open_packing_number,
     packing_number,
     partition_two_dominating_sets,
@@ -134,23 +136,42 @@ def _pair_instance(spec_g: Digraph, spec_h: Digraph) -> str:
 
 
 def _packing_vs_domination(
-    claim: str, inst: str, hyp: bool, d, timeout_ms, solvers,
+    claim: str, inst: str, hyp: bool, d, timeout_ms, closed: bool = True,
     keys=("packing", "dominating_set"), **record_fields,
 ) -> VerificationRecord:
-    """A packing number against its domination number on d, solved by the
-    pair ``solvers`` (looked up by the caller when it runs) and witnessed
-    under ``keys``; the domination solver may return None (no such set).
-    ``record_fields`` go to the record, and any ``witnesses`` among them
-    join the two."""
+    """The packing number (open packing number unless ``closed``) against
+    the domination (total domination) number of d, witnessed under ``keys``.
+    The solvers are looked up here when the check runs.  The domination side
+    is solved first; the total one may be None (no such set).
+
+    Weak duality: a dominating set meets every closed in-neighborhood, and
+    a packing's closed in-neighborhoods are disjoint, so rho <= gamma (and
+    rho_o <= gamma_t by the open argument).  So a greedy packing that
+    validates and is as large as the solved value is maximum, and settles
+    the packing side without a second search; any other outcome falls back
+    to the exact packing solver.  ``record_fields`` go to the record, and
+    any ``witnesses`` among them join the two."""
 
     def build():
-        rho, pack = solvers[0](d, timeout_ms=timeout_ms)
-        witnesses = {keys[0]: bitset.to_list(pack)}
-        gamma = None
-        solved = solvers[1](d, timeout_ms=timeout_ms)
+        if closed:
+            pack_solver, dom_solver, valid = packing_number, domination_number, validate.is_packing
+        else:
+            pack_solver, dom_solver, valid = (
+                open_packing_number, total_domination_number, validate.is_open_packing,
+            )
+        witnesses = {}
+        gamma = rho = None
+        solved = dom_solver(d, timeout_ms=timeout_ms)
         if solved is not None:
             gamma, dom = solved
             witnesses[keys[1]] = bitset.to_list(dom)
+            pack = greedy_packing(d, closed=closed)
+            # an explicit test, not an assert, so it also runs under -O
+            if pack.bit_count() == gamma and valid(d, pack):
+                rho = gamma
+        if rho is None:
+            rho, pack = pack_solver(d, timeout_ms=timeout_ms)
+        witnesses[keys[0]] = bitset.to_list(pack)
         witnesses.update(record_fields.pop("witnesses", {}))
         return _record(claim, inst, hyp, rho, gamma, rho == gamma, witnesses, **record_fields)
 
@@ -168,7 +189,7 @@ def check_meir_moon(
     inst = instance or f"tree:n={tree.n},edges={tree.edges()}"
     return _packing_vs_domination(
         CLAIM_MEIR_MOON, inst, is_tree(tree), tree, timeout_ms,
-        (packing_number, domination_number), keys=("two_packing", "dominating_set"),
+        keys=("two_packing", "dominating_set"),
     )
 
 
@@ -180,10 +201,7 @@ def check_packing_equals_domination(
 ) -> VerificationRecord:
     """Packing number equals domination number on ditrees."""
     inst = instance or digraph_descriptor(d)
-    return _packing_vs_domination(
-        CLAIM_DITREE_PACKING, inst, is_ditree(d), d, timeout_ms,
-        (packing_number, domination_number),
-    )
+    return _packing_vs_domination(CLAIM_DITREE_PACKING, inst, is_ditree(d), d, timeout_ms)
 
 
 def check_open_packing_equals_total_domination(
@@ -197,8 +215,7 @@ def check_open_packing_equals_total_domination(
     inst = instance or digraph_descriptor(d)
     hyp = is_ditree(d) and d.n > 0 and d.min_in_degree >= 1
     return _packing_vs_domination(
-        CLAIM_DITREE_OPEN_PACKING, inst, hyp, d, timeout_ms,
-        (open_packing_number, total_domination_number),
+        CLAIM_DITREE_OPEN_PACKING, inst, hyp, d, timeout_ms, closed=False,
         keys=("open_packing", "total_dominating_set"),
     )
 
@@ -243,7 +260,6 @@ def check_total_domination_direct_product(
             "gamma_t_H": gt_h,
             "rho_open_G": ro_g,
             "rho_open_H": ro_h,
-            "sandwich_lower": sandwich_low,
         }
         lhs, dom = total_domination_number(prod, timeout_ms=timeout_ms)
         witnesses = {"product_total_dominating_set": bitset.to_list(dom)}
@@ -674,24 +690,24 @@ def search_acyclic_problem(
     as a ``fails`` record carrying both witnesses.
     """
 
-    def one(d: Digraph, inst: str, inst_seed: Optional[int]) -> VerificationRecord:
-        arcs = {"arcs": [list(a) for a in d.arcs()]}
+    def one(d: Digraph, inst_seed: Optional[int]) -> VerificationRecord:
+        arcs = d.arcs()  # listed once, for the instance name and the witness
         return _packing_vs_domination(
-            CLAIM_ACYCLIC, inst, True, d, timeout_ms,
-            (packing_number, domination_number), witnesses=arcs, seed=inst_seed,
+            CLAIM_ACYCLIC, arc_list_descriptor(d.n, arcs), True, d, timeout_ms,
+            witnesses={"arcs": [list(a) for a in arcs]}, seed=inst_seed,
         )
 
     for n in range(1, min(exhaustive_n, max_n) + 1):
         for d in families.all_digraphs(n):
             if is_acyclic_digraph(d):
-                yield one(d, digraph_descriptor(d), None)
+                yield one(d, None)
     rng = random.Random(seed)
     for _ in range(budget):
         n = rng.randint(min(exhaustive_n, max_n) + 1, max_n) if max_n > exhaustive_n else max_n
         p = rng.uniform(0.1, 0.7)
         inst_seed = rng.getrandbits(32)
         d = families.random_dag(n, p, inst_seed)
-        yield one(d, digraph_descriptor(d), inst_seed)
+        yield one(d, inst_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,32 @@ class TestRootCertificate:
         assert compiled_kernels.nodes == _bnb_py.nodes
 
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_dag_sample_root_counts(self, request, backend):
+        # domination covers of 1,000 seeded DAGs on 5-9 vertices: the
+        # conflict packing and the size bound certify 749 of them at the
+        # root (251 search nodes in all); the ordered packing adds 190
+        certified = nodes = 0
+        for seed in range(1000):
+            d = families.random_dag(5 + seed % 5, 0.1 + 0.1 * (seed % 7), seed)
+            sets = [d.out_closed(v) for v in range(d.n)]
+            _, count = _solve(request, backend, "min_set_cover", sets, bitset.full(d.n))
+            certified += count == 0
+            nodes += count
+        assert (certified, nodes) == (939, 61)
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_ordered_packing_certifies_tstar_product(self, request, backend):
+        # gamma(Tstar(path:2) [] path:5) = 20 on 70 vertices: only the
+        # ordered packing meets the greedy cover, which took 1 node before
+        result, count = _solve(
+            request, backend, "min_set_cover",
+            *_closed_neighbourhoods("Tstar(path:2)", "path:5"),
+        )
+        assert result[0] == 20
+        assert count == 0
+
+
 class TestBackendAgreement:
     """The compiled kernel must reproduce the reference exactly: same optima,
     same witnesses, same search-node counts, at every width."""
@@ -415,7 +441,7 @@ class TestBackendAgreement:
                 assert compiled_kernels.nodes == _bnb_py.nodes
                 if pure is not None and _bnb_py.nodes == 0:
                     certified[fn] += 1
-        assert certified == {"min_set_cover": 383, "max_independent_set": 570}
+        assert certified == {"min_set_cover": 407, "max_independent_set": 570}
 
     def test_mis_agreement_over_64(self, request):
         # packing number of cycle:9 [] path:8: 72 vertices, 3,507 nodes

@@ -454,8 +454,19 @@ class TestRevalidationSurvivesOptimize:
             solvers.packing_number = lambda d, timeout_ms=None: (d.n + 1, 0)
             solvers.compute_invariants(families.build_family("cycle:3"))
             """,
+            # a greedy packing as large as gamma that is no packing: the
+            # pair check must reject it and fall back to the exact solver,
+            # here a stub that raises
+            """
+            from didom import families, verify
+            def fallback(d, timeout_ms=None):
+                raise AssertionError("the corrupted packing was rejected")
+            verify.greedy_packing = lambda d, closed=True: 0b11  # gamma(P4) = 2
+            verify.packing_number = fallback
+            verify.check_packing_equals_domination(families.build_family("path:4"))
+            """,
         ],
-        ids=["partition", "invariant-report"],
+        ids=["partition", "invariant-report", "pair-certificate"],
     )
     def test_raises_under_O(self, script):
         src = os.path.dirname(os.path.dirname(didom.__file__))

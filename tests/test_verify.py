@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -11,6 +12,7 @@ import didom.verify as verify
 from didom import bitset, kernels, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
+    enumerate_ditrees,
     fig5_corona,
     gen_bidirected_path,
     gen_G_m,
@@ -131,7 +133,7 @@ class TestDirectProduct:
         rec = verify.check_total_domination_direct_product(c9, c8)
         assert rec.verdict == HOLDS and rec.lhs == rec.rhs == 72
         assert set(rec.extras) == {
-            "gamma_t_G", "gamma_t_H", "rho_open_G", "rho_open_H", "sandwich_lower",
+            "gamma_t_G", "gamma_t_H", "rho_open_G", "rho_open_H",
         }
         prod, _ = verify.direct_product(c9, c8)
         witness = bitset.from_iter(rec.witnesses["product_total_dominating_set"])
@@ -170,7 +172,10 @@ class TestDirectProduct:
                 )
                 assert rec.verdict in (HYPOTHESIS_NOT_MET, HOLDS)
                 assert not rec.hypotheses_met or rec.verdict == HOLDS
-                assert "sandwich_lower" in rec.extras
+                # the sandwich's lower end, read off the four factor extras
+                x = rec.extras
+                low = max(x["rho_open_G"] * x["gamma_t_H"], x["rho_open_H"] * x["gamma_t_G"])
+                assert low <= rec.lhs <= rec.rhs
                 found = True
                 break
         assert found
@@ -675,6 +680,98 @@ class TestAcyclicSearch:
         assert brute_force_invariant(d, "gamma") == 3
 
 
+class TestPairCertificate:
+    """The pair checkers take rho = gamma (rho_o = gamma_t) from a greedy
+    packing that validates and is as large as the solved domination value,
+    and otherwise fall back to the exact packing solver."""
+
+    @staticmethod
+    def _count_exact_solves(monkeypatch) -> Counter:
+        calls = Counter()
+        for name in ("packing_number", "open_packing_number"):
+            def counted(d, timeout_ms=None, name=name, solve=getattr(verify, name)):
+                calls[name] += 1
+                return solve(d, timeout_ms=timeout_ms)
+
+            monkeypatch.setattr(verify, name, counted)
+        return calls
+
+    def test_ditrees_match_oracle(self, monkeypatch):
+        # every labelled ditree on n <= 5 vertices and every 64th one on 6
+        # (all 325,516 on n <= 6 take about 100 s)
+        calls = self._count_exact_solves(monkeypatch)
+        checked = with_gamma_t = 0
+        for n in range(1, 7):
+            for i, d in enumerate(enumerate_ditrees(n)):
+                if n == 6 and i % 64:
+                    continue
+                rec = verify.check_packing_equals_domination(d)
+                assert rec.verdict == HOLDS
+                assert rec.lhs == brute_force_invariant(d, "rho")
+                pack = bitset.from_iter(rec.witnesses["packing"])
+                assert validate.is_packing(d, pack) and pack.bit_count() == rec.lhs
+                rec = verify.check_open_packing_equals_total_domination(d)
+                assert rec.lhs == brute_force_invariant(d, "rho_open")
+                pack = bitset.from_iter(rec.witnesses["open_packing"])
+                assert validate.is_open_packing(d, pack) and pack.bit_count() == rec.lhs
+                checked += 1
+                with_gamma_t += rec.rhs is not None
+        # the greedy packing certifies 14,808 of the 15,509 closed pairs;
+        # every open pair with a total dominating set is certified, and
+        # only the ditrees without one solve rho_o exactly
+        assert (checked, with_gamma_t) == (15509, 3515)
+        assert calls == {"packing_number": 701, "open_packing_number": checked - with_gamma_t}
+
+    @pytest.mark.parametrize("mutant", ["non-packing", "too-small"])
+    @pytest.mark.parametrize("kind", ["closed", "open"])
+    @pytest.mark.parametrize("family", ["path:4", "path:7"])
+    def test_rejected_certificate_falls_back(self, monkeypatch, mutant, kind, family):
+        # a helper answer that is no packing, or one vertex short of gamma,
+        # must give the record of the exact packing solver
+        d = verify.families.build_family(family)
+        if kind == "closed":
+            check, key = verify.check_packing_equals_domination, "packing"
+            solve, valid = verify.packing_number, validate.is_packing
+            gamma = verify.domination_number(d)[0]
+        else:
+            check, key = verify.check_open_packing_equals_total_domination, "open_packing"
+            solve, valid = verify.open_packing_number, validate.is_open_packing
+            gamma = verify.total_domination_number(d)[0]
+        certified = check(d)
+        greedy = verify.greedy_packing(d, closed=kind == "closed")
+        assert greedy.bit_count() == gamma >= 2  # both mutants exist
+        if mutant == "non-packing":
+            bad = next(
+                m for m in map(bitset.from_iter, itertools.combinations(range(d.n), gamma))
+                if not valid(d, m)
+            )
+        else:
+            bad = greedy & (greedy - 1)  # drop the lowest vertex
+        monkeypatch.setattr(verify, "greedy_packing", lambda d, closed=True: bad)
+        rec = check(d)
+        rho, pack = solve(d)
+        assert (rec.lhs, rec.rhs, rec.verdict) == (rho, gamma, certified.verdict)
+        assert rec.witnesses[key] == bitset.to_list(pack)
+
+    def test_acyclic_counterexample_classes(self, monkeypatch):
+        # README's two isomorphism classes of 5-vertex DAGs with rho = 2 <
+        # gamma = 3, fed to the acyclic search as its random DAGs: no
+        # packing meets gamma, so both records come from the exact solver
+        classes = [
+            build_digraph(5, [(0, 1), (0, 2), (1, 3), (3, 2), (4, 0)]),
+            build_digraph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 0)]),
+        ]
+        dags = iter(classes)
+        monkeypatch.setattr(verify.families, "random_dag", lambda n, p, seed: next(dags))
+        records = list(verify.search_acyclic_problem(max_n=5, budget=2, exhaustive_n=0))
+        for d, rec in zip(classes, records, strict=True):
+            assert (rec.verdict, rec.lhs, rec.rhs) == (FAILS, 2, 3)
+            assert rec.instance == digraph_descriptor(d)
+            assert rec.witnesses["arcs"] == [list(a) for a in d.arcs()]
+            pack = bitset.from_iter(rec.witnesses["packing"])
+            assert validate.is_packing(d, pack) and pack.bit_count() == 2
+
+
 def _use_backend(request, monkeypatch, backend: str) -> None:
     """Run the kernels on ``backend``: "pure", or "compiled" as built from
     source by the ``compiled_kernels`` fixture."""
@@ -752,8 +849,8 @@ class TestSuite:
         [
             pytest.param(backend, seed, digest, id=f"{backend}-{seed}")
             for seed, digest in (
-                (42, "8b5f80730814c98d0c4155e723bba69ba75d19315ab6d1bd567a39ea6a361545"),
-                (7, "86fd189dc38c15505217ee418f9294836c4d6ffb205d9598107a9780a0bce029"),
+                (42, "08439cf68941dbfb88d41ecf160ea720c2de9e91fde2db0addfc44bad613c993"),
+                (7, "012c74825613d23aa85a7fe1a6f43c9c48763b933f0d95bdef5c31fc34c54caa"),
             )
             for backend in ("pure", "compiled")
         ],
@@ -824,7 +921,7 @@ check problem:acyclic-packing-domination dags:exhaustive=3,random=400,n=5
         text = "".join(r.to_json(False) + "\n" for r in records)
         assert (
             hashlib.sha256(text.encode("ascii")).hexdigest()
-            == "48178d71b4a3f8672bcbe1f3df35d8e118a60d0b3f2a7a0a001b13532ea7f7fa"
+            == "a59085559eebc3142aaf720d8b239de377cf0da6507e42dafecb49e80bccbfd0"
         )
 
     def test_config_rejects_removed_jobs_key(self):
