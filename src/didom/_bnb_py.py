@@ -143,7 +143,7 @@ def min_set_cover(
     sets holding them, index), each kept when its sets miss those of the
     elements kept before it.  That is the search's packing bound over the
     whole instance, and on closed out-neighbourhoods it is the packing that
-    ``solvers.greedy_packing`` builds.  A greedy cover that meets a bound is
+    ``solvers._greedy_packing`` builds.  A greedy cover that meets a bound is
     optimal and is returned after 0 search nodes.  The search would have
     kept it too, since it replaces the incumbent only by a smaller cover.
     """

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from typing import Optional
 
 from didom import families, verify
 from didom.core import Digraph, read_arclist, write_arclist
 from didom.errors import ArcListParseError
 from didom.products import cartesian_product, direct_product
-from didom.solvers import DEFAULT_TIMEOUT_MS, compute_invariants
+from didom.solvers import DEFAULT_TIMEOUT_MS, compute_invariants, parse_timeout_ms
 
 
 def _load_graph(spec: str) -> Digraph:
@@ -94,7 +95,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search_acyclic(args) -> int:
     sink = open(args.out, "a", encoding="ascii") if args.out else None
-    holds = fails = 0
+    counts = Counter()
     try:
         for record in verify.search_acyclic_problem(
             max_n=args.max_n,
@@ -107,19 +108,15 @@ def _cmd_search_acyclic(args) -> int:
                 sink.write(line + "\n")
             else:
                 print(line)
+            counts[record.verdict] += 1
             if record.verdict == verify.FAILS:
-                fails += 1
-                print(
-                    f"packing < domination on {record.instance}: "
-                    f"{record.lhs} < {record.rhs}",
-                    file=sys.stderr,
-                )
-            else:
-                holds += 1
+                gap = f"{record.lhs} < {record.rhs}"
+                print(f"packing < domination on {record.instance}: {gap}", file=sys.stderr)
     finally:
         if sink is not None:
             sink.close()
-    print(f"acyclic search: equality on {holds}, strict inequality on {fails}", file=sys.stderr)
+    done = f"equality on {counts[verify.HOLDS]}, strict inequality on {counts[verify.FAILS]}"
+    print(f"acyclic search: {done}, timeout on {counts[verify.TIMEOUT]}", file=sys.stderr)
     return 0
 
 
@@ -133,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="compute gamma, gamma_t, rho, rho_o")
     p_inv.add_argument("input", nargs="?", help="arc-list file")
     p_inv.add_argument("--family", help="family spec instead of a file")
-    p_inv.add_argument("--timeout-ms", type=float, default=DEFAULT_TIMEOUT_MS, dest="timeout_ms")
+    p_inv.add_argument("--timeout-ms", type=parse_timeout_ms, default=DEFAULT_TIMEOUT_MS)
     p_inv.add_argument("--timings", action="store_true", help="include elapsed times")
     p_inv.set_defaults(func=_cmd_invariants)
 
@@ -153,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("config", nargs="?", help="suite config file (default: built-in suite)")
     p_ver.add_argument("--out", help="append JSON-lines records to this file")
     p_ver.add_argument("--seed", type=int, help="override the suite seed")
-    p_ver.add_argument("--timeout-ms", type=float, dest="timeout_ms")
+    p_ver.add_argument("--timeout-ms", type=parse_timeout_ms)
     p_ver.add_argument("--timings", action="store_true", help="include elapsed times")
     p_ver.set_defaults(func=_cmd_verify)
 
@@ -163,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_acy.add_argument("--max-n", type=int, default=9, dest="max_n")
     p_acy.add_argument("--budget", type=int, default=10_000)
     p_acy.add_argument("--seed", type=int, default=0)
-    p_acy.add_argument("--timeout-ms", type=float, default=DEFAULT_TIMEOUT_MS, dest="timeout_ms")
+    p_acy.add_argument("--timeout-ms", type=parse_timeout_ms, default=DEFAULT_TIMEOUT_MS)
     p_acy.add_argument("--out", help="append records to this file (default stdout)")
     p_acy.add_argument("--timings", action="store_true")
     p_acy.set_defaults(func=_cmd_search_acyclic)

@@ -31,6 +31,14 @@ STATUS_TIMEOUT = "timeout"
 STATUS_UNDEFINED = "undefined"
 
 
+def parse_timeout_ms(text: str) -> float:
+    """A deadline in ms, >= 0 (inf: none); nan or a negative value raises ValueError."""
+    value = float(text)
+    if not value >= 0:  # false for nan too
+        raise ValueError(f"timeout_ms must be a number >= 0 or inf, got {text!r}")
+    return value
+
+
 def _deadline(timeout_ms: Optional[float]) -> Optional[float]:
     return None if timeout_ms is None else monotonic() + timeout_ms / 1000.0
 
@@ -116,7 +124,7 @@ def open_packing_number(
     return _pack(d, aux, timeout_ms, validate.is_open_packing, "open packing")
 
 
-def greedy_packing(d: Digraph, *, closed: bool = True) -> int:
+def _greedy_packing(d: Digraph, *, closed: bool = True) -> int:
     """A packing (an open packing unless ``closed``) as a bitmask, not
     necessarily maximum and not re-validated: the vertices in increasing
     order of (in-neighborhood size, index), each kept when its closed (open)
@@ -130,6 +138,30 @@ def greedy_packing(d: Digraph, *, closed: bool = True) -> int:
             used |= hoods[v]
             kept |= 1 << v
     return kept
+
+
+def packing_against(
+    d: Digraph, gamma: Optional[int], *, closed: bool = True, timeout_ms=DEFAULT_TIMEOUT_MS
+) -> tuple[int, int]:
+    """A maximum packing (open packing unless ``closed``) of d, given its
+    solved domination (total domination) number, or None when that is
+    undefined or unsolved.
+
+    Weak duality: a dominating set meets every closed in-neighborhood and a
+    packing's are disjoint, so rho <= gamma (and rho_o <= gamma_t, read
+    openly).  A greedy packing that validates and has gamma vertices is
+    therefore maximum; otherwise the exact solver runs, and a value above
+    gamma raises AssertionError."""
+    if gamma is not None:
+        pack = _greedy_packing(d, closed=closed)
+        valid = validate.is_packing if closed else validate.is_open_packing
+        # explicit tests, not asserts, so they also run under -O
+        if pack.bit_count() == gamma and valid(d, pack):
+            return gamma, pack
+    rho, pack = (packing_number if closed else open_packing_number)(d, timeout_ms=timeout_ms)
+    if gamma is not None and rho > gamma:
+        raise AssertionError(f"packing number {rho} exceeds its domination bound {gamma}")
+    return rho, pack
 
 
 # An undirected graph reads as its bidirected digraph (see UndirectedGraph).
@@ -329,10 +361,10 @@ class InvariantReport:
         return json.dumps(self.as_dict(include_timings), sort_keys=True)
 
 
-def _timed_entry(solve) -> InvariantEntry:
+def _timed_entry(solve, d, timeout_ms, *args, **kwargs) -> InvariantEntry:
     start = perf_counter()
     try:
-        result = solve()
+        result = solve(d, *args, timeout_ms=timeout_ms, **kwargs)
     except SolveTimeout:
         return InvariantEntry(STATUS_TIMEOUT, elapsed_ms=(perf_counter() - start) * 1e3)
     elapsed = (perf_counter() - start) * 1e3
@@ -350,18 +382,10 @@ def compute_invariants(
 ) -> InvariantReport:
     """Gamma, gamma_t, rho, and open rho with witnesses and per-solve timing."""
     report = InvariantReport(digraph_id or digraph_descriptor(d), d.n)
-    report.gamma = _timed_entry(lambda: domination_number(d, timeout_ms=timeout_ms))
-    report.gamma_t = _timed_entry(
-        lambda: total_domination_number(d, timeout_ms=timeout_ms)
-    )
-    report.rho = _timed_entry(lambda: packing_number(d, timeout_ms=timeout_ms))
+    report.gamma = _timed_entry(domination_number, d, timeout_ms)
+    report.gamma_t = _timed_entry(total_domination_number, d, timeout_ms)
+    report.rho = _timed_entry(packing_against, d, timeout_ms, report.gamma.value)
     report.rho_open = _timed_entry(
-        lambda: open_packing_number(d, timeout_ms=timeout_ms)
+        packing_against, d, timeout_ms, report.gamma_t.value, closed=False
     )
-    if report.rho.status == STATUS_OK and report.gamma.status == STATUS_OK:
-        if report.rho.value > report.gamma.value:
-            raise AssertionError("packing number exceeds domination number")
-    if report.rho_open.status == STATUS_OK and report.gamma_t.status == STATUS_OK:
-        if report.rho_open.value > report.gamma_t.value:
-            raise AssertionError("open packing number exceeds total domination number")
     return report

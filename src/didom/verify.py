@@ -64,9 +64,8 @@ from didom.solvers import (
     DEFAULT_TIMEOUT_MS,
     all_maximum_packings,
     domination_number,
-    greedy_packing,
-    open_packing_number,
-    packing_number,
+    packing_against,
+    parse_timeout_ms,
     partition_two_dominating_sets,
     total_domination_number,
 )
@@ -141,37 +140,18 @@ def _packing_vs_domination(
 ) -> VerificationRecord:
     """The packing number (open packing number unless ``closed``) against
     the domination (total domination) number of d, witnessed under ``keys``.
-    The solvers are looked up here when the check runs.  The domination side
-    is solved first; the total one may be None (no such set).
-
-    Weak duality: a dominating set meets every closed in-neighborhood, and
-    a packing's closed in-neighborhoods are disjoint, so rho <= gamma (and
-    rho_o <= gamma_t by the open argument).  So a greedy packing that
-    validates and is as large as the solved value is maximum, and settles
-    the packing side without a second search; any other outcome falls back
-    to the exact packing solver.  ``record_fields`` go to the record, and
-    any ``witnesses`` among them join the two."""
+    The domination side is solved first, by a solver looked up when the
+    check runs; the total one may be None (no such set).  The packing side
+    comes from ``solvers.packing_against``.  ``record_fields`` go to the
+    record, and any ``witnesses`` among them join the two."""
 
     def build():
-        if closed:
-            pack_solver, dom_solver, valid = packing_number, domination_number, validate.is_packing
-        else:
-            pack_solver, dom_solver, valid = (
-                open_packing_number, total_domination_number, validate.is_open_packing,
-            )
-        witnesses = {}
-        gamma = rho = None
-        solved = dom_solver(d, timeout_ms=timeout_ms)
-        if solved is not None:
-            gamma, dom = solved
+        dom_solver = domination_number if closed else total_domination_number
+        gamma, dom = dom_solver(d, timeout_ms=timeout_ms) or (None, None)
+        rho, pack = packing_against(d, gamma, closed=closed, timeout_ms=timeout_ms)
+        witnesses = {keys[0]: bitset.to_list(pack)}
+        if dom is not None:
             witnesses[keys[1]] = bitset.to_list(dom)
-            pack = greedy_packing(d, closed=closed)
-            # an explicit test, not an assert, so it also runs under -O
-            if pack.bit_count() == gamma and valid(d, pack):
-                rho = gamma
-        if rho is None:
-            rho, pack = pack_solver(d, timeout_ms=timeout_ms)
-        witnesses[keys[0]] = bitset.to_list(pack)
         witnesses.update(record_fields.pop("witnesses", {}))
         return _record(claim, inst, hyp, rho, gamma, rho == gamma, witnesses, **record_fields)
 
@@ -249,8 +229,8 @@ def check_total_domination_direct_product(
             )
         gt_g, _ = total_domination_number(g, timeout_ms=timeout_ms)
         gt_h, _ = total_domination_number(h, timeout_ms=timeout_ms)
-        ro_g, _ = open_packing_number(g, timeout_ms=timeout_ms)
-        ro_h, _ = open_packing_number(h, timeout_ms=timeout_ms)
+        ro_g, _ = packing_against(g, gt_g, closed=False, timeout_ms=timeout_ms)
+        ro_h, _ = packing_against(h, gt_h, closed=False, timeout_ms=timeout_ms)
         hyp = ro_g == gt_g
         rhs = gt_g * gt_h
         sandwich_low = max(ro_g * gt_h, ro_h * gt_g)
@@ -309,8 +289,8 @@ def check_packing_lower_bound(
     """gamma(G [] H) >= max(gamma(G) rho(H), gamma(H) rho(G))."""
 
     def bound(gamma_g, gamma_h, lhs):
-        rho_g, _ = packing_number(g, timeout_ms=timeout_ms)
-        rho_h, _ = packing_number(h, timeout_ms=timeout_ms)
+        rho_g, _ = packing_against(g, gamma_g, timeout_ms=timeout_ms)
+        rho_h, _ = packing_against(h, gamma_h, timeout_ms=timeout_ms)
         return max(gamma_g * rho_h, gamma_h * rho_g), {"rho_G": rho_g, "rho_H": rho_h}
 
     return _cartesian_bound(CLAIM_PACKING_LOWER, g, h, instance, timeout_ms, bound)
@@ -847,7 +827,7 @@ def parse_suite_config(text: str) -> SuiteConfig:
             if key == "seed":
                 config.seed = int(value)
             elif key == "timeout_ms":
-                config.timeout_ms = float(value)
+                config.timeout_ms = parse_timeout_ms(value)
             elif key == "out":
                 config.out = value
             elif key == "check":
@@ -967,19 +947,18 @@ def _run_acyclic(
     config: SuiteConfig, exhaustive: int, budget: int, max_n: int
 ) -> VerificationRecord:
     """The acyclic search folded into one summary record carrying the first
-    failure's witnesses."""
-    records = list(
-        search_acyclic_problem(
-            max_n=max_n,
-            budget=budget,
-            seed=config.seed,
-            exhaustive_n=exhaustive,
-            timeout_ms=config.timeout_ms,
-        )
-    )
+    failure's witnesses; with no failure, any DAG past its deadline makes it
+    a ``timeout`` record, since the equality was not checked there."""
+    records = list(search_acyclic_problem(
+        max_n, budget, config.seed, exhaustive_n=exhaustive, timeout_ms=config.timeout_ms
+    ))
     inst = f"dags:exhaustive={exhaustive},random={budget},n={max_n}"
     holds = sum(1 for r in records if r.verdict == HOLDS)
     bad = next((r for r in records if r.verdict == FAILS), None)
+    if bad is None and holds < len(records):
+        return VerificationRecord(
+            CLAIM_ACYCLIC, inst, None, holds, len(records), TIMEOUT, seed=config.seed
+        )
     return _record(
         CLAIM_ACYCLIC, inst, True, holds, len(records), bad is None,
         bad.witnesses if bad else None, seed=config.seed,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from didom.cli import main
 from didom.core import loads_arclist, read_arclist
 
@@ -173,6 +175,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(cfg), "--timeout-ms", "0")
         assert code == 0 and "timeout=1" in out
 
+    def test_timeout_value_in_config_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("seed 3\ntimeout_ms nan\ncheck thm:meir-moon family:path:3\n")
+        code, out, err = run_cli(capsys, "verify", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: timeout_ms must be a number >= 0 or inf")
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("check not-a-claim family:K1star\n")
@@ -262,6 +271,29 @@ class TestVerify:
         ]
 
 
+class TestTimeoutFlag:
+    COMMANDS = [
+        ["invariants", "--family", "Gm:1"],
+        ["verify", "--seed", "3"],
+        ["search-acyclic", "--max-n", "2", "--budget", "1"],
+    ]
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-inf", "soon"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_bad_value_is_usage_error(self, capsys, command, value):
+        # nan would turn every deadline off; a negative one acts as 0
+        with pytest.raises(SystemExit) as exc:
+            main(command + [f"--timeout-ms={value}"])
+        assert exc.value.code == 2
+        assert "argument --timeout-ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "inf"])
+    def test_zero_and_inf_accepted(self, capsys, value):
+        code, out, _ = run_cli(capsys, "invariants", "--family", "Gm:1", "--timeout-ms", value)
+        assert code == 0
+        assert json.loads(out)["rho"]["value"] == 1
+
+
 class TestSearchAcyclic:
     def test_small_run(self, capsys, tmp_path):
         out_file = tmp_path / "dags.jsonl"
@@ -297,7 +329,20 @@ class TestSearchAcyclic:
         assert (bad["lhs"], bad["rhs"]) == (2, 3)
         assert err.splitlines() == [
             f"packing < domination on {bad['instance']}: 2 < 3",
-            "acyclic search: equality on 1571, strict inequality on 1",
+            "acyclic search: equality on 1571, strict inequality on 1, timeout on 0",
+        ]
+
+    def test_timeouts_counted_apart(self, capsys):
+        # a zero deadline stops the 33 solves that need a search node
+        code, out, err = run_cli(
+            capsys, "search-acyclic", "--max-n", "9", "--budget", "300",
+            "--seed", "3", "--timeout-ms", "0",
+        )
+        assert code == 0
+        verdicts = [json.loads(line)["verdict"] for line in out.splitlines()]
+        assert verdicts.count("timeout") == 33 and len(verdicts) == 872
+        assert err.splitlines() == [
+            "acyclic search: equality on 839, strict inequality on 0, timeout on 33",
         ]
 
     def test_stdout_stream(self, capsys):

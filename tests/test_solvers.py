@@ -8,7 +8,7 @@ from time import perf_counter
 import pytest
 
 import didom
-from didom import bitset, kernels, validate
+from didom import bitset, kernels, solvers, validate
 from didom.core import as_bidirected, build_digraph, build_undirected, underlying_graph
 from didom.families import (
     all_digraphs,
@@ -429,6 +429,26 @@ class TestInvariantReport:
         rep = compute_invariants(prod, timeout_ms=0)
         assert rep.gamma.as_dict(False) == {"status": "timeout", "value": None, "witness": None}
 
+    @pytest.mark.parametrize(
+        "spec, exact_solves", [("path:7", {}), ("Gm:3", {"packing_number": 1})]
+    )
+    def test_packings_taken_against_dominations(self, monkeypatch, spec, exact_solves):
+        # path:7 is a ditree, so both greedy packings meet gamma and gamma_t
+        # and no packing search runs; Gm:3 has rho = 3 < gamma = 4, so its
+        # closed packing falls back to the exact solver
+        calls = {}
+        for name in ("packing_number", "open_packing_number"):
+            def counted(d, timeout_ms=None, name=name, solve=getattr(solvers, name)):
+                calls[name] = calls.get(name, 0) + 1
+                return solve(d, timeout_ms=timeout_ms)
+
+            monkeypatch.setattr(solvers, name, counted)
+        d = build_family(spec)
+        rep = compute_invariants(d)
+        assert calls == exact_solves
+        for which in ("gamma", "gamma_t", "rho", "rho_open"):
+            assert getattr(rep, which).value == brute_force_invariant(d, which)
+
     def test_json_stable_without_timings(self, directed_triangle):
         a = compute_invariants(directed_triangle, digraph_id="t").to_json(False)
         b = compute_invariants(directed_triangle, digraph_id="t").to_json(False)
@@ -458,15 +478,20 @@ class TestRevalidationSurvivesOptimize:
             # pair check must reject it and fall back to the exact solver,
             # here a stub that raises
             """
-            from didom import families, verify
+            from didom import families, solvers, verify
             def fallback(d, timeout_ms=None):
                 raise AssertionError("the corrupted packing was rejected")
-            verify.greedy_packing = lambda d, closed=True: 0b11  # gamma(P4) = 2
-            verify.packing_number = fallback
+            solvers._greedy_packing = lambda d, closed=True: 0b11  # gamma(P4) = 2
+            solvers.packing_number = fallback
             verify.check_packing_equals_domination(families.build_family("path:4"))
             """,
+            # a domination number below the packing number (rho(P4) = 2)
+            """
+            from didom import families, solvers
+            solvers.packing_against(families.build_family("path:4"), 1)
+            """,
         ],
-        ids=["partition", "invariant-report", "pair-certificate"],
+        ids=["partition", "invariant-report", "pair-certificate", "gamma-below-rho"],
     )
     def test_raises_under_O(self, script):
         src = os.path.dirname(os.path.dirname(didom.__file__))

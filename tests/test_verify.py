@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import didom.verify as verify
-from didom import bitset, kernels, validate
+from didom import bitset, kernels, solvers, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
     enumerate_ditrees,
@@ -566,13 +566,15 @@ class TestFailsBranches:
         assert validate.is_total_dominating_set(prod, witness)
 
     def test_packing_checkers_call_solvers_by_name(self, monkeypatch):
-        # each checker looks its solver pair up in ``verify`` when it runs
+        # each checker looks its domination solver up in ``verify``, and
+        # ``solvers.packing_against`` its packing solver in ``solvers``,
+        # when they run
         fakes = {
-            "packing_number": 7, "domination_number": 8,
-            "open_packing_number": 9, "total_domination_number": 10,
+            (solvers, "packing_number"): 7, (verify, "domination_number"): 8,
+            (solvers, "open_packing_number"): 9, (verify, "total_domination_number"): 10,
         }
-        for name, value in fakes.items():
-            monkeypatch.setattr(verify, name, lambda d, timeout_ms=None, v=value: (v, 0))
+        for (module, name), value in fakes.items():
+            monkeypatch.setattr(module, name, lambda d, timeout_ms=None, v=value: (v, 0))
         p3 = gen_bidirected_path(3)
         records = [
             verify.check_meir_moon(build_undirected(3, [(0, 1), (1, 2)])),
@@ -689,11 +691,11 @@ class TestPairCertificate:
     def _count_exact_solves(monkeypatch) -> Counter:
         calls = Counter()
         for name in ("packing_number", "open_packing_number"):
-            def counted(d, timeout_ms=None, name=name, solve=getattr(verify, name)):
+            def counted(d, timeout_ms=None, name=name, solve=getattr(solvers, name)):
                 calls[name] += 1
                 return solve(d, timeout_ms=timeout_ms)
 
-            monkeypatch.setattr(verify, name, counted)
+            monkeypatch.setattr(solvers, name, counted)
         return calls
 
     def test_ditrees_match_oracle(self, monkeypatch):
@@ -731,14 +733,14 @@ class TestPairCertificate:
         d = verify.families.build_family(family)
         if kind == "closed":
             check, key = verify.check_packing_equals_domination, "packing"
-            solve, valid = verify.packing_number, validate.is_packing
+            solve, valid = solvers.packing_number, validate.is_packing
             gamma = verify.domination_number(d)[0]
         else:
             check, key = verify.check_open_packing_equals_total_domination, "open_packing"
-            solve, valid = verify.open_packing_number, validate.is_open_packing
+            solve, valid = solvers.open_packing_number, validate.is_open_packing
             gamma = verify.total_domination_number(d)[0]
         certified = check(d)
-        greedy = verify.greedy_packing(d, closed=kind == "closed")
+        greedy = solvers._greedy_packing(d, closed=kind == "closed")
         assert greedy.bit_count() == gamma >= 2  # both mutants exist
         if mutant == "non-packing":
             bad = next(
@@ -747,11 +749,27 @@ class TestPairCertificate:
             )
         else:
             bad = greedy & (greedy - 1)  # drop the lowest vertex
-        monkeypatch.setattr(verify, "greedy_packing", lambda d, closed=True: bad)
+        monkeypatch.setattr(solvers, "_greedy_packing", lambda d, closed=True: bad)
         rec = check(d)
         rho, pack = solve(d)
         assert (rec.lhs, rec.rhs, rec.verdict) == (rho, gamma, certified.verdict)
         assert rec.witnesses[key] == bitset.to_list(pack)
+
+    def test_default_suite_exact_solves_per_claim(self, monkeypatch):
+        # every check that solves gamma (gamma_t) takes its packings through
+        # solvers.packing_against; at seed 42 the greedy packing settles all
+        # but these (the two factor checkers made 22 and 14 exact solves
+        # when they did not use it)
+        calls = self._count_exact_solves(monkeypatch)
+        per_claim = Counter()
+        for task in verify.build_tasks(verify.default_suite_config()):
+            before = sum(calls.values())
+            task.run()
+            per_claim[task.claim] += sum(calls.values()) - before
+        assert +per_claim == {
+            verify.CLAIM_PACKING_LOWER: 2,
+            verify.CLAIM_DIRECT_TOTAL: 1,
+        }
 
     def test_acyclic_counterexample_classes(self, monkeypatch):
         # README's two isomorphism classes of 5-vertex DAGs with rho = 2 <
@@ -813,6 +831,16 @@ class TestSuite:
     def test_config_rejects_unknown_claim(self):
         with pytest.raises(verify.SuiteConfigError):
             verify.parse_suite_config("check thm:nonexistent family:K1star\n")
+
+    @pytest.mark.parametrize("value, parsed", [("0", 0.0), ("inf", float("inf")), ("2.5", 2.5)])
+    def test_config_timeout_values(self, value, parsed):
+        assert verify.parse_suite_config(f"timeout_ms {value}\n").timeout_ms == parsed
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-inf", "soon"])
+    def test_config_rejects_bad_timeout(self, value):
+        # a nan deadline never passes and a negative one has always passed
+        with pytest.raises(verify.SuiteConfigError, match="^line 2: "):
+            verify.parse_suite_config(f"seed 3\ntimeout_ms {value}\n")
 
     def test_config_rejects_bad_line(self):
         with pytest.raises(verify.SuiteConfigError):
@@ -960,6 +988,32 @@ check problem:acyclic-packing-domination dags:exhaustive=3,random=400,n=5
         assert last.verdict == HOLDS
         assert result.ok
         assert "timeout=5" in result.summary()
+
+    def test_acyclic_timeouts_fold_into_timeout_record(self):
+        # 19 of the 329 DAGs need a search, which a zero deadline stops: the
+        # equality is not checked there, so the folded record is no `holds`
+        cfg = verify.parse_suite_config(
+            "seed 3\ntimeout_ms 0\n"
+            "check problem:acyclic-packing-domination dags:exhaustive=3,random=300,n=9\n"
+        )
+        (rec,) = verify.run_suite(verify.build_tasks(cfg)).records
+        assert (rec.verdict, rec.hypotheses_met, rec.lhs, rec.rhs) == (TIMEOUT, None, 310, 329)
+        assert rec.seed == 3 and not rec.witnesses
+
+    def test_acyclic_failure_outranks_timeout(self, monkeypatch):
+        # a `fails` record carries a real counterexample, so it wins
+        def stream(*args, **kwargs):
+            yield VerificationRecord(verify.CLAIM_ACYCLIC, "a", None, None, None, TIMEOUT)
+            yield VerificationRecord(verify.CLAIM_ACYCLIC, "b", True, 2, 3, FAILS, {"packing": [0]})
+            yield VerificationRecord(verify.CLAIM_ACYCLIC, "c", True, 1, 1, HOLDS)
+
+        monkeypatch.setattr(verify, "search_acyclic_problem", stream)
+        cfg = verify.parse_suite_config(
+            "check problem:acyclic-packing-domination dags:exhaustive=1,random=2,n=3\n"
+        )
+        (rec,) = verify.run_suite(verify.build_tasks(cfg)).records
+        assert (rec.verdict, rec.hypotheses_met, rec.lhs, rec.rhs) == (FAILS, True, 1, 3)
+        assert rec.witnesses == {"packing": [0]}
 
     def test_readme_config_and_claims_match(self):
         # README's suite-config example must parse, and its claim list must
