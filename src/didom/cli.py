@@ -22,6 +22,18 @@ from didom.products import cartesian_product, direct_product
 from didom.solvers import DEFAULT_TIMEOUT_MS, compute_invariants, parse_timeout_ms
 
 
+def _int_at_least(lowest: int):
+    """An argparse type: an integer no smaller than ``lowest``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid integer value"
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {value}")
+        return value
+
+    return integer
+
+
 def _load_graph(spec: str) -> Digraph:
     """Resolve a positional graph argument: existing file path wins,
     otherwise the string is parsed as a family spec."""
@@ -157,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_acy = sub.add_parser(
         "search-acyclic", help="record packing vs domination over acyclic digraphs"
     )
-    p_acy.add_argument("--max-n", type=int, default=9, dest="max_n")
-    p_acy.add_argument("--budget", type=int, default=10_000)
+    p_acy.add_argument("--max-n", type=_int_at_least(1), default=9, dest="max_n")
+    p_acy.add_argument("--budget", type=_int_at_least(0), default=10_000)
     p_acy.add_argument("--seed", type=int, default=0)
     p_acy.add_argument("--timeout-ms", type=parse_timeout_ms, default=DEFAULT_TIMEOUT_MS)
     p_acy.add_argument("--out", help="append records to this file (default stdout)")

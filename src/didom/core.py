@@ -1,8 +1,9 @@
 """Digraph and undirected-graph representations and structural predicates.
 
 Vertices are dense 0-based indices; adjacency is stored as one bitmask per
-vertex (see :mod:`didom.bitset`).  Both graph types are immutable after
-construction.
+vertex (see :mod:`didom.bitset`).  An undirected graph is a symmetric
+digraph, so every digraph function takes one as its bidirected digraph.
+Both graph types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from didom import bitset
 from didom.errors import ArcListParseError, CapacityError, InvalidArcError
@@ -37,7 +38,6 @@ class Digraph:
     n: int
     out_adj: tuple[int, ...]
     in_adj: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def out_open(self, v: int) -> int:
         return self.out_adj[v]
@@ -75,58 +75,42 @@ class Digraph:
     def max_out_degree(self) -> int:
         return max((m.bit_count() for m in self.out_adj), default=0)
 
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Symmetric irreflexive adjacency; ``adj[v]`` is the open neighborhood."""
+class UndirectedGraph(Digraph):
+    """A symmetric digraph: ``out_adj`` and ``in_adj`` are one tuple, ``adj``.
+    It never equals a Digraph, since dataclass equality compares classes."""
 
-    n: int
-    adj: tuple[int, ...]
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        # written as cached_property writes: object.__setattr__ or the
+        # dataclass __init__ is slower, and every packing builds one of these
+        fields = self.__dict__
+        fields["n"] = n
+        fields["out_adj"] = fields["in_adj"] = adj
 
-    # The graph read as its bidirected digraph: the digraph solvers,
-    # validators and auxiliary graphs take an undirected graph as it is.
-    out_adj = in_adj = property(lambda self: self.adj)
+    @property
+    def adj(self) -> tuple[int, ...]:
+        return self.out_adj
 
-    def neighborhood(self, v: int) -> int:
-        return self.adj[v]
-
-    def closed_neighborhood(self, v: int) -> int:
-        return self.adj[v] | (1 << v)
-
-    out_closed = closed_neighborhood
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+    neighborhood = Digraph.out_open
+    closed_neighborhood = Digraph.out_closed
+    degree = Digraph.out_degree
+    has_edge = Digraph.has_arc
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in bitset.iter_bits(self.adj[u] >> (u + 1) << (u + 1))
-        ]
+        return [(u, v) for u, v in self.arcs() if u < v]
 
-    @cached_property
+    @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+        return self.arc_count // 2
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(n={self.n}, edges={self.edge_count})"
 
 
-def build_digraph(
-    n: int,
-    arcs: Iterable[tuple[int, int]],
-    labels: Optional[Sequence[str]] = None,
-) -> Digraph:
+def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Build a digraph from an arc list.
 
     Duplicate arcs collapse silently; self-loops and out-of-range indices are
@@ -145,11 +129,7 @@ def build_digraph(
             raise InvalidArcError(f"arc ({u}, {v}) out of range for n={n}")
         out_adj[u] |= 1 << v
         in_adj[v] |= 1 << u
-    if labels is not None:
-        if len(labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(labels)}")
-        labels = tuple(labels)
-    return Digraph(n, tuple(out_adj), tuple(in_adj), labels)
+    return Digraph(n, tuple(out_adj), tuple(in_adj))
 
 
 def build_undirected(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
@@ -175,11 +155,6 @@ def underlying_graph(d: Digraph) -> UndirectedGraph:
     # by resizing, which drains CPython's free list of one tuple size into
     # others, where the freed tuples pile up until a full collection
     return UndirectedGraph(d.n, tuple([o | i for o, i in zip(d.out_adj, d.in_adj)]))
-
-
-def as_bidirected(g: UndirectedGraph) -> Digraph:
-    """The digraph with both arc directions on every edge of ``g``."""
-    return Digraph(g.n, g.adj, g.adj)
 
 
 def girth(g: UndirectedGraph) -> Optional[int]:

@@ -1,9 +1,10 @@
 """Generators for the named digraph constructions and harness instances.
 
-Constructions keep the source's 1-based vertex numbering in labels (v1 maps
-to index 0) so witnesses stay comparable to the figures.  All randomness
-goes through an explicitly seeded Mersenne Twister (`random.Random`), making
-every generator a pure function of (parameters, seed).
+Vertices are bare indices: v_k is index k - 1, and a construction with other
+names gives their indices, so witnesses read against the figures.  All
+randomness goes through an explicitly seeded Mersenne Twister
+(`random.Random`), making every generator a pure function of (parameters,
+seed).
 """
 
 from __future__ import annotations
@@ -29,19 +30,18 @@ ENUM_DITREE_LIMIT = 6
 
 
 def gen_oriented_cycle(n: int) -> Digraph:
-    """Consistently oriented cycle: every vertex has in- and out-degree 1."""
+    """Consistently oriented cycle v_1 -> v_2 -> ... -> v_n -> v_1 (v_k at
+    index k - 1): every vertex has in- and out-degree 1."""
     if n < 3:
         raise ValueError(f"oriented cycle needs n >= 3, got {n}")
-    return build_digraph(
-        n, [(i, (i + 1) % n) for i in range(n)], [f"v{i + 1}" for i in range(n)]
-    )
+    return build_digraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def gen_G_m(m: int) -> Digraph:
     """Fan of m directed triangles through a hub: 2m+1 vertices, 3m arcs.
 
-    Arcs: v1->v_2i, v_2i->v_2i+1, v_2i+1->v1 for i in 1..m (1-based names,
-    v1 at index 0).  Has packing number m and domination number m+1.
+    Arcs: v1->v_2i, v_2i->v_2i+1, v_2i+1->v1 for i in 1..m (v_k at index
+    k - 1).  Has packing number m and domination number m+1.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -51,7 +51,7 @@ def gen_G_m(m: int) -> Digraph:
         arcs.append((0, 2 * i - 1))
         arcs.append((2 * i - 1, 2 * i))
         arcs.append((2 * i, 0))
-    return build_digraph(n, arcs, [f"v{j + 1}" for j in range(n)])
+    return build_digraph(n, arcs)
 
 
 def gen_H_m(k: int) -> Digraph:
@@ -59,7 +59,8 @@ def gen_H_m(k: int) -> Digraph:
 
     m directed triangles (a_i, b_i, c_i) plus hubs d_1..d_m; within block j,
     a_{3j-2}, b_{3j-1}, c_{3j} each point at the block's three hubs, and
-    d_i points at a_{i+3} cyclically.  gamma = 2m.
+    d_i points at a_{i+3} cyclically.  gamma = 2m.  Indices: a_i, b_i, c_i
+    at 3(i - 1) + 0, 1, 2, and d_i at 3m + i - 1.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
@@ -86,11 +87,7 @@ def gen_H_m(k: int) -> Digraph:
         arcs += [(s, t) for s in shooters for t in targets]
     for i in range(1, m + 1):
         arcs.append((dv(i), a((i + 3 - 1) % m + 1)))
-    labels = []
-    for i in range(1, m + 1):
-        labels += [f"a{i}", f"b{i}", f"c{i}"]
-    labels += [f"d{i}" for i in range(1, m + 1)]
-    return build_digraph(4 * m, arcs, labels)
+    return build_digraph(4 * m, arcs)
 
 
 C4_VARIANTS = ((0, 2, 1, 1), (0, 1, 2, 1), (0, 2, 0, 2), (1, 1, 1, 1))
@@ -113,18 +110,19 @@ def gen_C4_orientation(variant: Sequence[int]) -> Digraph:
                 arcs.append((u, v))
                 outdeg[u] += 1
         if tuple(outdeg) == variant:
-            return build_digraph(4, arcs, [f"w{i}" for i in range(4)])
+            return build_digraph(4, arcs)
     raise AssertionError(f"variant {variant} not realizable")
 
 
 def gen_bidirected_path(n: int) -> Digraph:
-    """Path with arcs in both directions on every edge; 2(n-1) arcs."""
+    """Path v_1 - v_2 - ... - v_n (v_k at index k - 1) with arcs in both
+    directions on every edge; 2(n-1) arcs."""
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
     arcs = []
     for i in range(n - 1):
         arcs += [(i, i + 1), (i + 1, i)]
-    return build_digraph(n, arcs, [f"v{i + 1}" for i in range(n)])
+    return build_digraph(n, arcs)
 
 
 def gen_chorded_5cycle() -> Digraph:
@@ -132,13 +130,10 @@ def gen_chorded_5cycle() -> Digraph:
 
     The smallest known partner digraph: its Cartesian product with the
     directed triangle has domination number 5 < 2 * 3, violating the
-    product lower bound that holds for ditrees.
+    product lower bound that holds for ditrees.  u, v, x, y, z are 0-4,
+    along the cycle; the chord is z -> x.
     """
-    return build_digraph(
-        5,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 2)],
-        ("u", "v", "x", "y", "z"),
-    )
+    return build_digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 2)])
 
 
 _K1_STAR_NAMES = ("a", "b", "c", "x", "c'", "b'", "a'")
@@ -156,10 +151,11 @@ _K1_STAR_ARCS = (
 
 def gen_K1_star() -> Digraph:
     """The 7-vertex ditree with domination number 4 whose product with the
-    bidirected P4 attains equality in the Vizing-type bound."""
+    bidirected P4 attains equality in the Vizing-type bound.  Indices 0-6
+    are a, b, c, x, c', b', a' (``_K1_STAR_NAMES``); x is the center."""
     pos = {name: i for i, name in enumerate(_K1_STAR_NAMES)}
     arcs = [(pos[u], pos[v]) for u, v in _K1_STAR_ARCS]
-    return build_digraph(7, arcs, _K1_STAR_NAMES)
+    return build_digraph(7, arcs)
 
 
 K1_STAR_CENTER = _K1_STAR_NAMES.index("x")
@@ -169,21 +165,20 @@ def gen_T_star(t: Digraph) -> Digraph:
     """One 7-vertex gadget per vertex of the ditree t, with the gadget center
     identified with the t-vertex; t's arcs run between centers.
 
-    The result has 7*n(t) vertices and domination number 4*n(t).
+    The result has 7*n(t) vertices and domination number 4*n(t).  The
+    gadget of v is 7v .. 7v + 6 in ``gen_K1_star`` order, center 7v + 3.
     """
     if not is_ditree(t):
         raise ValueError("T* requires a ditree base")
     gadget = gen_K1_star()
     n = 7 * t.n
     arcs = []
-    labels = []
     for v in range(t.n):
         base = 7 * v
         arcs += [(base + x, base + y) for x, y in gadget.arcs()]
-        labels += [f"{t.label(v)}:{name}" for name in _K1_STAR_NAMES]
     for u, v in t.arcs():
         arcs.append((7 * u + K1_STAR_CENTER, 7 * v + K1_STAR_CENTER))
-    return build_digraph(n, arcs, labels)
+    return build_digraph(n, arcs)
 
 
 def gen_corona_digraph(
@@ -219,8 +214,7 @@ def gen_corona_digraph(
             arcs.append((i, leaf))
         if mode in (LEAF_OUT, LEAF_BOTH):
             arcs.append((leaf, i))
-    labels = [f"v{i + 1}" for i in range(n)] + [f"v{i + 1}'" for i in range(n)]
-    return build_digraph(2 * n, arcs, labels)
+    return build_digraph(2 * n, arcs)
 
 
 def fig5_corona() -> Digraph:

@@ -54,13 +54,6 @@ def _product_guard(g: Digraph, h: Digraph) -> None:
         )
 
 
-def _pair_labels(g: Digraph, h: Digraph) -> tuple[str, ...]:
-    # from a list, as in core.underlying_graph
-    return tuple([
-        f"({g.label(a)},{h.label(b)})" for a in range(g.n) for b in range(h.n)
-    ])
-
-
 def cartesian_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap]:
     """(g1,h1) -> (g2,h2) iff one coordinate moves along a factor arc while
     the other stays fixed; |A| = n_G*|A(H)| + n_H*|A(G)|."""
@@ -81,10 +74,7 @@ def cartesian_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap
             out_adj[v] = mask
             for w in bitset.iter_bits(mask):
                 in_adj[w] |= 1 << v
-    return (
-        Digraph(n, tuple(out_adj), tuple(in_adj), _pair_labels(g, h)),
-        pmap,
-    )
+    return Digraph(n, tuple(out_adj), tuple(in_adj)), pmap
 
 
 def direct_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap]:
@@ -106,10 +96,7 @@ def direct_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap]:
             out_adj[v] = mask
             for w in bitset.iter_bits(mask):
                 in_adj[w] |= 1 << v
-    return (
-        Digraph(n, tuple(out_adj), tuple(in_adj), _pair_labels(g, h)),
-        pmap,
-    )
+    return Digraph(n, tuple(out_adj), tuple(in_adj)), pmap
 
 
 def fiber_vertices(
@@ -123,10 +110,9 @@ def fiber_vertices(
 
 
 def induced_subdigraph(d: Digraph, members: int) -> Digraph:
-    """The subdigraph induced on ``members``, relabeled to 0..k-1."""
+    """The subdigraph induced on ``members``, renumbered 0..k-1 in index order."""
     verts = bitset.to_list(members)
     index = {v: i for i, v in enumerate(verts)}
-    labels = tuple(d.label(v) for v in verts) if d.labels is not None else None
     return Digraph(
         len(verts),
         tuple(
@@ -137,5 +123,4 @@ def induced_subdigraph(d: Digraph, members: int) -> Digraph:
             bitset.from_iter(index[w] for w in bitset.iter_bits(d.in_adj[v] & members))
             for v in verts
         ),
-        labels,
     )

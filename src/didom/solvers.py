@@ -5,8 +5,8 @@ packing-type numbers reduce to maximum independent sets of the auxiliary
 in-neighborhood graphs.  Every public function re-validates its witness
 through :mod:`didom.validate`, and checks its size, before returning, and
 `brute_force_invariant` provides a solver-independent oracle for small
-instances.  Undirected graphs go through the digraph solvers as their
-bidirected digraphs.
+instances.  An undirected graph is a symmetric digraph, so it goes through
+the digraph solvers as its bidirected digraph.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def packing_against(
     return rho, pack
 
 
-# An undirected graph reads as its bidirected digraph (see UndirectedGraph).
+# An undirected graph is its bidirected digraph (see UndirectedGraph).
 
 
 def undirected_domination_number(

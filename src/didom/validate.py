@@ -2,8 +2,8 @@
 
 Each predicate re-checks a witness straight from its definition, without
 touching the solvers or auxiliary graphs, so solver results can be audited
-by genuinely independent code.  The digraph predicates take an undirected
-graph as its bidirected digraph.
+by genuinely independent code.  An undirected graph is a symmetric
+digraph, so the digraph predicates take it as its bidirected digraph.
 """
 
 from __future__ import annotations

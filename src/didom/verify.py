@@ -507,10 +507,7 @@ def attach_isolated_leaf(d: Digraph, attach_at: int) -> Digraph:
     ``attach_at`` (an isolated leaf of the result)."""
     if not 0 <= attach_at < d.n:
         raise ValueError(f"attach vertex {attach_at} out of range")
-    labels = None
-    if d.labels is not None:
-        labels = tuple(list(d.labels) + ["leaf+"])
-    return build_digraph(d.n + 1, d.arcs() + [(d.n, attach_at)], labels)
+    return build_digraph(d.n + 1, d.arcs() + [(d.n, attach_at)])
 
 
 def check_isolated_leaf_extension(
@@ -667,8 +664,14 @@ def search_acyclic_problem(
     ``exhaustive_n`` vertices, then ``budget`` random DAGs up to ``max_n``.
 
     Asserts nothing (the question is open); any strict inequality comes out
-    as a ``fails`` record carrying both witnesses.
+    as a ``fails`` record carrying both witnesses.  Sizes out of range raise
+    ValueError before any record.
     """
+    if max_n < 1 or budget < 0 or exhaustive_n < 0:
+        raise ValueError(
+            "acyclic search wants max_n >= 1, budget >= 0, exhaustive_n >= 0; "
+            f"got {max_n}, {budget}, {exhaustive_n}"
+        )
 
     def one(d: Digraph, inst_seed: Optional[int]) -> VerificationRecord:
         arcs = d.arcs()  # listed once, for the instance name and the witness
@@ -845,6 +848,18 @@ def parse_suite_config(text: str) -> SuiteConfig:
     return config
 
 
+def _count_and_order(source: str, lowest: int) -> tuple[int, int]:
+    """``count`` and ``n`` of a random source ``kind:count=C,n=N``; a negative
+    count, or an n below the source's smallest order ``lowest``, raises."""
+    kv = families.parse_kv(source.split(":", 1)[1], "count,n")
+    count, n = int(kv["count"]), int(kv["n"])
+    if count < 0:
+        raise SuiteConfigError(f"count must be >= 0, got {count} in {source!r}")
+    if n < lowest:
+        raise SuiteConfigError(f"n must be >= {lowest}, got {n} in {source!r}")
+    return count, n
+
+
 def _digraph_instances(source: str, rng: random.Random):
     """Yield (label, digraph) pairs for a single-digraph source."""
     if source.startswith("family:"):
@@ -857,15 +872,13 @@ def _digraph_instances(source: str, rng: random.Random):
             if kind == "enum-ditrees" or d.min_in_degree >= 1:
                 yield f"{kind.replace('ditrees', 'ditree')}:n={n},i={i}", d
     elif source.startswith("random-ditrees:"):
-        kv = families.parse_kv(source.split(":", 1)[1], "count,n")
-        count, n_max = int(kv["count"]), int(kv["n"])
+        count, n_max = _count_and_order(source, 2)
         for _ in range(count):
-            n = rng.randint(2, max(2, n_max))
+            n = rng.randint(2, n_max)
             seed = rng.getrandbits(32)
             yield f"ditree:n={n},seed={seed}", families.random_ditree(n, seed)
     elif source.startswith("random-digraphs:"):
-        kv = families.parse_kv(source.split(":", 1)[1], "count,n")
-        count, n_max = int(kv["count"]), int(kv["n"])
+        count, n_max = _count_and_order(source, 1)
         for _ in range(count):
             n = rng.randint(1, n_max)
             p = rng.uniform(0.05, 0.9)
@@ -889,9 +902,8 @@ def _pair_instances(source: str, rng: random.Random):
         yield f"{left}|{right}", families.build_family(left), families.build_family(right)
     elif source.startswith(("random-pairs:", "random-min-indeg-pairs:")):
         need_indeg = source.startswith("random-min-indeg-pairs:")
-        kv = families.parse_kv(source.split(":", 1)[1], "count,n")
-        count, n_max = int(kv["count"]), int(kv["n"])
         lo = 2 if need_indeg else 1
+        count, n_max = _count_and_order(source, lo)
         gen = families.random_digraph_min_indegree if need_indeg else families.random_digraph
         for _ in range(count):
             n1, n2 = rng.randint(lo, n_max), rng.randint(lo, n_max)
@@ -940,7 +952,11 @@ def _dags_source(source: str, rng: random.Random):
     if not source.startswith("dags:"):
         raise SuiteConfigError(f"{CLAIM_ACYCLIC} wants source dags:..., got {source!r}")
     kv = families.parse_kv(source[len("dags:") :], "exhaustive,random,n")
-    yield int(kv.get("exhaustive", "4")), int(kv.get("random", "0")), int(kv.get("n", "9"))
+    exhaustive, budget = int(kv.get("exhaustive", "4")), int(kv.get("random", "0"))
+    max_n = int(kv.get("n", "9"))
+    if exhaustive < 0 or budget < 0 or max_n < 1:
+        raise SuiteConfigError(f"dags wants exhaustive, random >= 0 and n >= 1, got {source!r}")
+    yield exhaustive, budget, max_n
 
 
 def _run_acyclic(

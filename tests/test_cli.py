@@ -228,6 +228,43 @@ class TestVerify:
         assert err.startswith("error: line 2: m = 32 gives product order 4225, over capacity 4096")
         assert repr("m:31,32") in err
 
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            ("problem:acyclic-packing-domination dags:exhaustive=2,random=2,n=0", "dags wants"),
+            ("problem:acyclic-packing-domination dags:exhaustive=2,random=-3,n=4", "dags wants"),
+            ("problem:acyclic-packing-domination dags:exhaustive=-1,random=0,n=4", "dags wants"),
+            ("thm:meir-moon random-ditrees:count=-2,n=5", "count must be >= 0, got -2"),
+            ("thm:meir-moon random-ditrees:count=2,n=1", "n must be >= 2, got 1"),
+            ("lemma:closed-helly random-digraphs:count=2,n=0", "n must be >= 1, got 0"),
+            ("prop:packing-lower-bound random-pairs:count=-1,n=4", "count must be >= 0, got -1"),
+            ("prop:packing-lower-bound random-pairs:count=1,n=0", "n must be >= 1, got 0"),
+            (
+                "thm:direct-product-total-domination random-min-indeg-pairs:count=2,n=1",
+                "n must be >= 2, got 1",
+            ),
+        ],
+    )
+    def test_source_sizes_checked(self, capsys, tmp_path, check, message):
+        # each of these once ran nothing, ran another order, or checked the
+        # empty digraph; two died in randrange instead
+        cfg = tmp_path / "sizes.cfg"
+        cfg.write_text(f"seed 3\ncheck {check}\n")
+        code, out, err = run_cli(capsys, "verify", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: line 2: {message}")
+
+    def test_zero_count_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(
+            "check thm:meir-moon random-ditrees:count=0,n=2\n"
+            "check prop:packing-lower-bound random-pairs:count=0,n=1\n"
+            "check problem:acyclic-packing-domination dags:exhaustive=1,random=0,n=1\n"
+        )
+        code, out, _ = run_cli(capsys, "verify", str(cfg))
+        assert code == 0
+        assert out.startswith("suite: 1 records holds=1 ")
+
     def test_vizing_failure_whitelisted(self, capsys, tmp_path):
         cfg = tmp_path / "viz.cfg"
         cfg.write_text("check conj:vizing-inequality pair:Gm:1|chord5\n")
@@ -344,6 +381,22 @@ class TestSearchAcyclic:
         assert err.splitlines() == [
             "acyclic search: equality on 839, strict inequality on 0, timeout on 33",
         ]
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-n", "0", "must be an integer >= 1, got 0"),
+            ("--max-n", "-3", "must be an integer >= 1, got -3"),
+            ("--budget", "-2", "must be an integer >= 0, got -2"),
+            ("--budget", "x", "invalid integer value: 'x'"),
+        ],
+    )
+    def test_sizes_are_usage_errors(self, capsys, flag, value, message):
+        # --max-n 0 checked the 0-vertex digraph; --budget -2 ran no DAG
+        with pytest.raises(SystemExit) as exc:
+            main(["search-acyclic", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
 
     def test_stdout_stream(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from didom import bitset
 from didom.core import (
     ISOLATED_LEAF,
+    Digraph,
+    UndirectedGraph,
     NON_ISOLATED_LEAF,
     OTHER,
     STRONG_SUPPORT,
@@ -23,7 +26,8 @@ from didom.core import (
     underlying_graph,
 )
 from didom.errors import ArcListParseError, CapacityError, InvalidArcError
-from didom.families import gen_C4_orientation, gen_G_m, gen_K1_star
+from didom.families import _FAMILY_USAGE, build_family, gen_C4_orientation, gen_G_m, gen_K1_star
+from didom.products import cartesian_product, direct_product
 
 
 def random_digraphs(max_n=8):
@@ -134,6 +138,38 @@ class TestUnderlying:
                 assert un.adj[w] >> v & 1
 
 
+class TestUndirectedGraph:
+    def test_is_its_bidirected_digraph(self):
+        g = build_undirected(4, [(0, 1), (1, 2), (1, 3)])
+        assert isinstance(g, Digraph)
+        assert g.out_adj is g.in_adj is g.adj
+        assert g.arcs() == [(0, 1), (1, 0), (1, 2), (1, 3), (2, 1), (3, 1)]
+        assert g.min_in_degree == 1
+
+    def test_undirected_names(self):
+        g = build_undirected(4, [(0, 1), (1, 2), (1, 3)])
+        assert g.edges() == [(0, 1), (1, 2), (1, 3)]
+        assert g.edge_count == 3
+        assert g.degree(1) == 3
+        assert g.neighborhood(1) == 0b1101
+        assert g.closed_neighborhood(0) == 0b0011
+        assert g.has_edge(2, 1) and not g.has_edge(2, 3)
+        assert repr(g) == "UndirectedGraph(n=4, edges=3)"
+
+    def test_equality_per_class(self):
+        g = build_undirected(3, [(0, 1), (1, 2)])
+        d = build_digraph(g.n, g.arcs())
+        assert g == UndirectedGraph(3, g.adj)
+        assert d == Digraph(3, g.adj, g.adj)
+        assert g != d and d != g
+        assert hash(g) == hash(d)
+
+    def test_frozen(self):
+        g = build_undirected(2, [(0, 1)])
+        with pytest.raises(AttributeError):
+            g.n = 3
+
+
 class TestGirth:
     def test_triangle(self, directed_triangle):
         assert girth(underlying_graph(directed_triangle)) == 3
@@ -201,13 +237,50 @@ class TestClassifyLeaves:
         assert STRONG_SUPPORT in classify_leaves(star)[0]
 
 
+# one spec of every family in the CLI's family-spec grammar, then one
+# product of each kind (``cart:`` / ``direct:`` joining the two factors)
+ROUNDTRIP_SPECS = (
+    "cycle:5",
+    "Gm:2",
+    "Hm:3",
+    "C4:0202",
+    "path:4",
+    "K1star",
+    "chord5",
+    "fig5corona",
+    "Tstar(path:2)",
+    "corona:n=3,edges=fwd/both,leaves=in/out/both",
+    "ditree:n=6,seed=3",
+    "cart:cycle:3|cycle:3",
+    "direct:Gm:2|chord5",
+)
+
+
+def _roundtrip_instance(spec):
+    op, _, pair = spec.partition(":")
+    if op in ("cart", "direct"):
+        left, right = pair.split("|")
+        product = cartesian_product if op == "cart" else direct_product
+        return product(build_family(left), build_family(right))[0]
+    return build_family(spec)
+
+
 class TestArcListFormat:
-    def test_roundtrip(self, chorded_5cycle):
-        text = dumps_arclist(chorded_5cycle)
-        back = loads_arclist(text)
-        assert back.n == chorded_5cycle.n
-        assert back.out_adj == chorded_5cycle.out_adj
-        assert back.in_adj == chorded_5cycle.in_adj
+    def test_roundtrip_specs_cover_every_family(self):
+        usage = _FAMILY_USAGE.split(": ", 1)[1].split(" | ")
+        kinds = {re.split(r"[:(]", entry, maxsplit=1)[0] for entry in usage}
+        listed = {re.split(r"[:(]", spec, maxsplit=1)[0] for spec in ROUNDTRIP_SPECS}
+        assert kinds | {"cart", "direct"} == listed
+
+    @pytest.mark.parametrize("spec", ROUNDTRIP_SPECS)
+    def test_roundtrip(self, spec):
+        d = _roundtrip_instance(spec)
+        back = loads_arclist(dumps_arclist(d))
+        assert back.n == d.n
+        assert back.out_adj == d.out_adj
+        assert back.in_adj == d.in_adj
+        assert back == d
+        assert hash(back) == hash(d)
 
     def test_comments_and_blanks(self):
         text = "# leading comment\nn 3\n\n0 1  # trailing\n2 1\n"

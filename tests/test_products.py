@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from didom import bitset
 from didom.core import build_digraph
 from didom.errors import CapacityError
-from didom.families import gen_G_m, gen_K1_star, gen_bidirected_path, gen_oriented_cycle
+from didom.families import gen_K1_star, gen_bidirected_path, gen_oriented_cycle
 from didom.products import (
     ProductVertexMap,
     cartesian_product,
@@ -62,10 +62,6 @@ class TestCartesian:
     def test_k1star_p4_grid(self):
         prod, _ = cartesian_product(gen_K1_star(), gen_bidirected_path(4))
         assert prod.n == 28
-
-    def test_labels(self, directed_triangle):
-        prod, pmap = cartesian_product(gen_G_m(1), gen_G_m(1))
-        assert prod.labels[pmap.encode(0, 2)] == "(v1,v3)"
 
     def test_empty_factor_rejected(self, directed_triangle):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 
 import didom
 from didom import bitset, kernels, solvers, validate
-from didom.core import as_bidirected, build_digraph, build_undirected, underlying_graph
+from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
     all_digraphs,
     build_family,
@@ -36,6 +36,7 @@ from didom.solvers import (
     undirected_domination_number,
     undirected_open_packing_number,
 )
+from didom.verify import check_closed_helly_lemma, check_open_helly_lemma
 
 
 class TestMinSetCover:
@@ -151,7 +152,36 @@ class TestUndirectedSolvers:
             p = rng.uniform(0.1, 0.8)
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             g = build_undirected(n, edges)
-            assert undirected(g) == digraph(as_bidirected(g))
+            assert undirected(g) == digraph(build_digraph(g.n, g.arcs()))
+
+
+class TestUndirectedIsSymmetricDigraph:
+    """Every digraph entry point takes an undirected graph as the digraph
+    with both arcs on each of its edges."""
+
+    GRAPHS = {
+        "path": (5, [(i, i + 1) for i in range(4)]),
+        "star": (5, [(0, i) for i in range(1, 5)]),
+        "cycle5": (5, [(i, (i + 1) % 5) for i in range(5)]),
+        "K4": (4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+        "edgeless": (3, []),
+    }
+
+    ENTRY_POINTS = {
+        "total_domination_number": total_domination_number,
+        "brute_force_gamma_t": lambda d: brute_force_invariant(d, "gamma_t"),
+        "partition_two_dominating_sets": partition_two_dominating_sets,
+        "compute_invariants": lambda d: compute_invariants(d).to_json(False),
+        "closed_helly": lambda d: check_closed_helly_lemma(d).to_json(False),
+        "open_helly": lambda d: check_open_helly_lemma(d).to_json(False),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("graph", GRAPHS)
+    def test_same_result_as_bidirected(self, graph, entry):
+        g = build_undirected(*self.GRAPHS[graph])
+        solve = self.ENTRY_POINTS[entry]
+        assert solve(g) == solve(build_digraph(g.n, g.arcs()))
 
 
 def _misreport(solve, delta):

@@ -653,6 +653,14 @@ class TestAcyclicSearch:
             if rec.verdict == FAILS:
                 assert rec.witnesses
 
+    @pytest.mark.parametrize(
+        "max_n, budget, exhaustive_n", [(0, 2, 4), (-1, 0, 4), (5, -2, 4), (5, 2, -1)]
+    )
+    def test_sizes_refused_before_any_record(self, max_n, budget, exhaustive_n):
+        search = verify.search_acyclic_problem(max_n, budget, exhaustive_n=exhaustive_n)
+        with pytest.raises(ValueError, match="acyclic search wants"):
+            next(search)
+
     def test_c4_0202_equality(self):
         from didom.families import gen_C4_orientation
 
