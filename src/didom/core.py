@@ -1,9 +1,9 @@
 """Digraph and undirected-graph representations and structural predicates.
 
-Vertices are dense 0-based indices; adjacency is stored as one bitmask per
-vertex (see :mod:`didom.bitset`).  An undirected graph is a symmetric
-digraph, so every digraph function takes one as its bidirected digraph.
-Both graph types are immutable after construction.
+Vertices are dense 0-based indices; a graph stores one out-adjacency bitmask
+per vertex (see :mod:`didom.bitset`) and derives its in-adjacency.  An
+undirected graph is a symmetric digraph, so every digraph function takes one
+as its bidirected digraph.  Both graph types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -32,12 +32,19 @@ class Digraph:
     """A finite irreflexive digraph.
 
     ``out_adj[v]`` / ``in_adj[v]`` are bitmasks of the open out-/in-neighbors
-    of v.  The two directions are kept consistent by the constructors.
+    of v.  Only ``out_adj`` is a field: ``in_adj`` is its transpose.
     """
 
     n: int
     out_adj: tuple[int, ...]
-    in_adj: tuple[int, ...]
+
+    @cached_property
+    def in_adj(self) -> tuple[int, ...]:
+        in_adj = [0] * self.n
+        for u, mask in enumerate(self.out_adj):
+            for v in bitset.iter_bits(mask):
+                in_adj[v] |= 1 << u
+        return tuple(in_adj)
 
     def out_open(self, v: int) -> int:
         return self.out_adj[v]
@@ -129,7 +136,10 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
             raise InvalidArcError(f"arc ({u}, {v}) out of range for n={n}")
         out_adj[u] |= 1 << v
         in_adj[v] |= 1 << u
-    return Digraph(n, tuple(out_adj), tuple(in_adj))
+    d = Digraph(n, tuple(out_adj))
+    # the arcs are read here anyway, so fill the cached transpose
+    d.__dict__["in_adj"] = tuple(in_adj)
+    return d
 
 
 def build_undirected(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:

@@ -10,6 +10,7 @@ seed).
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from itertools import product as iter_product
 from typing import Iterator, Sequence
@@ -288,10 +289,14 @@ def random_ditree(
     """
     if n < 1:
         raise ValueError(f"ditree needs n >= 1, got {n}")
+    w = orientation_weights
+    # random.choices checks only that the total is positive; a nan fails here
+    if not (len(w) == 3 and min(w) >= 0 and 0 < sum(w) < math.inf):
+        raise ValueError(f"ditree weights want three finite numbers >= 0, sum > 0; got {w}")
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(max(0, n - 2))]
     edges = _labeled_tree_edges(seq, n)
-    states = rng.choices(EDGE_STATES, weights=orientation_weights, k=len(edges))
+    states = rng.choices(EDGE_STATES, weights=w, k=len(edges))
     return build_digraph(n, _orient(edges, states))
 
 
@@ -446,12 +451,7 @@ def build_family(spec: str) -> Digraph:
         return gen_corona_digraph(base, edges, leaves)
     if kind == "ditree":
         kv = parse_kv(body, "n,seed,w")
-        weights = (1.0, 1.0, 1.0)
-        if "w" in kv:
-            parts = kv["w"].split("/")
-            if len(parts) != 3:
-                raise ValueError(f"ditree weights want a/b/c, got {kv['w']!r}")
-            weights = tuple(float(p) for p in parts)
+        weights = tuple(float(w) for w in kv.get("w", "1/1/1").split("/"))
         return random_ditree(int(kv["n"]), int(kv.get("seed", "0")), weights)
     raise ValueError(f"unrecognized family {spec!r}; {_FAMILY_USAGE}")
 

@@ -59,22 +59,16 @@ def cartesian_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap
     the other stays fixed; |A| = n_G*|A(H)| + n_H*|A(G)|."""
     _product_guard(g, h)
     pmap = ProductVertexMap(g.n, h.n)
-    n = g.n * h.n
-    out_adj = [0] * n
-    in_adj = [0] * n
-    template_h = h.out_adj  # reused per g-slice
+    out_adj = []
     for a in range(g.n):
         base = a * h.n
         move_g = g.out_adj[a]
         for b in range(h.n):
-            v = base + b
-            mask = template_h[b] << base
+            mask = h.out_adj[b] << base
             for a2 in bitset.iter_bits(move_g):
                 mask |= 1 << (a2 * h.n + b)
-            out_adj[v] = mask
-            for w in bitset.iter_bits(mask):
-                in_adj[w] |= 1 << v
-    return Digraph(n, tuple(out_adj), tuple(in_adj)), pmap
+            out_adj.append(mask)
+    return Digraph(g.n * h.n, tuple(out_adj)), pmap
 
 
 def direct_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap]:
@@ -82,21 +76,15 @@ def direct_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap]:
     |A| = |A(G)|*|A(H)| and fibers are independent sets."""
     _product_guard(g, h)
     pmap = ProductVertexMap(g.n, h.n)
-    n = g.n * h.n
-    out_adj = [0] * n
-    in_adj = [0] * n
+    out_adj = []
     for a in range(g.n):
-        base = a * h.n
         move_g = g.out_adj[a]
         for b in range(h.n):
-            v = base + b
             mask = 0
             for a2 in bitset.iter_bits(move_g):
                 mask |= h.out_adj[b] << (a2 * h.n)
-            out_adj[v] = mask
-            for w in bitset.iter_bits(mask):
-                in_adj[w] |= 1 << v
-    return Digraph(n, tuple(out_adj), tuple(in_adj)), pmap
+            out_adj.append(mask)
+    return Digraph(g.n * h.n, tuple(out_adj)), pmap
 
 
 def fiber_vertices(
@@ -117,10 +105,6 @@ def induced_subdigraph(d: Digraph, members: int) -> Digraph:
         len(verts),
         tuple(
             bitset.from_iter(index[w] for w in bitset.iter_bits(d.out_adj[v] & members))
-            for v in verts
-        ),
-        tuple(
-            bitset.from_iter(index[w] for w in bitset.iter_bits(d.in_adj[v] & members))
             for v in verts
         ),
     )

@@ -964,19 +964,24 @@ def _run_acyclic(
 ) -> VerificationRecord:
     """The acyclic search folded into one summary record carrying the first
     failure's witnesses; with no failure, any DAG past its deadline makes it
-    a ``timeout`` record, since the equality was not checked there."""
-    records = list(search_acyclic_problem(
+    a ``timeout`` record, since the equality was not checked there.  A search
+    of no DAG checked nothing, so its record is ``hypothesis_not_met``."""
+    holds = total = 0
+    bad = None
+    for r in search_acyclic_problem(
         max_n, budget, config.seed, exhaustive_n=exhaustive, timeout_ms=config.timeout_ms
-    ))
+    ):
+        total += 1
+        holds += r.verdict == HOLDS
+        if bad is None and r.verdict == FAILS:
+            bad = r
     inst = f"dags:exhaustive={exhaustive},random={budget},n={max_n}"
-    holds = sum(1 for r in records if r.verdict == HOLDS)
-    bad = next((r for r in records if r.verdict == FAILS), None)
-    if bad is None and holds < len(records):
+    if bad is None and holds < total:
         return VerificationRecord(
-            CLAIM_ACYCLIC, inst, None, holds, len(records), TIMEOUT, seed=config.seed
+            CLAIM_ACYCLIC, inst, None, holds, total, TIMEOUT, seed=config.seed
         )
     return _record(
-        CLAIM_ACYCLIC, inst, True, holds, len(records), bad is None,
+        CLAIM_ACYCLIC, inst, total > 0, holds, total, bad is None,
         bad.witnesses if bad else None, seed=config.seed,
     )
 

@@ -117,6 +117,13 @@ class TestFamily:
         code, _, err = run_cli(capsys, "family", "mystery:9")
         assert code == 2
 
+    @pytest.mark.parametrize("weights", ["1/-0.5/1", "-1/-1/3"])
+    def test_bad_ditree_weights(self, capsys, weights):
+        # both have a positive total, which is all random.choices checks
+        code, out, err = run_cli(capsys, "family", f"ditree:n=6,seed=1,w={weights}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ditree weights want three finite numbers >= 0")
+
 
 class TestVerify:
     def test_default_suite_exit_zero(self, capsys, tmp_path):
@@ -264,6 +271,17 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", str(cfg))
         assert code == 0
         assert out.startswith("suite: 1 records holds=1 ")
+
+    def test_search_of_no_dag_holds_nothing(self, capsys, tmp_path):
+        cfg = tmp_path / "nodag.cfg"
+        records = tmp_path / "nodag.jsonl"
+        cfg.write_text("check problem:acyclic-packing-domination dags:exhaustive=0,random=0,n=1\n")
+        code, out, _ = run_cli(capsys, "verify", str(cfg), "--out", str(records))
+        assert code == 0
+        assert out.startswith("suite: 1 records holds=0 fails=0 hypothesis_not_met=1 ")
+        (rec,) = [json.loads(line) for line in records.read_text().splitlines()]
+        assert (rec["hypotheses_met"], rec["lhs"], rec["rhs"]) == (False, 0, 0)
+        assert rec["verdict"] == "hypothesis_not_met" and rec["witnesses"] == {}
 
     def test_vizing_failure_whitelisted(self, capsys, tmp_path):
         cfg = tmp_path / "viz.cfg"

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 
@@ -27,7 +28,15 @@ from didom.core import (
 )
 from didom.errors import ArcListParseError, CapacityError, InvalidArcError
 from didom.families import _FAMILY_USAGE, build_family, gen_C4_orientation, gen_G_m, gen_K1_star
-from didom.products import cartesian_product, direct_product
+from didom.products import cartesian_product, direct_product, induced_subdigraph
+
+
+def in_masks_from_arcs(d):
+    """In-neighbour bitmasks read off the arc list, independent of in_adj."""
+    masks = [0] * d.n
+    for u, v in d.arcs():
+        masks[v] |= 1 << u
+    return tuple(masks)
 
 
 def random_digraphs(max_n=8):
@@ -71,6 +80,30 @@ class TestBuildDigraph:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             build_digraph(5000, [])
+
+
+class TestDerivedInAdjacency:
+    def test_fields_are_n_and_out_adj(self):
+        assert [f.name for f in dataclasses.fields(Digraph)] == ["n", "out_adj"]
+
+    def test_raw_constructor_derives_in_adj(self):
+        d = Digraph(2, (0b10, 0))
+        assert d.in_adj == (0, 0b01)
+        assert d == build_digraph(2, [(0, 1)])
+
+    @given(random_digraphs())
+    def test_build_digraph_fills_the_transpose(self, d):
+        assert d.in_adj == in_masks_from_arcs(d)
+        assert Digraph(d.n, d.out_adj).in_adj == d.in_adj
+
+    @given(random_digraphs(), st.integers(0, 255))
+    def test_induced_subdigraph(self, d, members):
+        members &= bitset.full(d.n)
+        sub = induced_subdigraph(d, members)
+        assert sub.in_adj == in_masks_from_arcs(sub)
+        assert [m.bit_count() for m in sub.in_adj] == [
+            (d.in_adj[v] & members).bit_count() for v in bitset.iter_bits(members)
+        ]
 
 
 class TestNeighborhoods:
@@ -160,7 +193,7 @@ class TestUndirectedGraph:
         g = build_undirected(3, [(0, 1), (1, 2)])
         d = build_digraph(g.n, g.arcs())
         assert g == UndirectedGraph(3, g.adj)
-        assert d == Digraph(3, g.adj, g.adj)
+        assert d == Digraph(3, g.adj)
         assert g != d and d != g
         assert hash(g) == hash(d)
 
@@ -276,6 +309,7 @@ class TestArcListFormat:
     def test_roundtrip(self, spec):
         d = _roundtrip_instance(spec)
         back = loads_arclist(dumps_arclist(d))
+        assert d.in_adj == in_masks_from_arcs(d)
         assert back.n == d.n
         assert back.out_adj == d.out_adj
         assert back.in_adj == d.in_adj

@@ -277,6 +277,7 @@ class TestFamilySpecs:
             "nope", "Gm:x", "C4:123", "corona:n=", "pair:1|2",
             "ditree:seed=1", "corona:edges=both",
             "ditree:n=6,sed=5", "corona:n=2,edge=fwd",
+            "ditree:n=6,seed=1,w=1/-0.5/1", "ditree:n=6,seed=1,w=-1/-1/3",
         ):
             with pytest.raises(ValueError):
                 build_family(spec)
