@@ -92,8 +92,9 @@ class TestDerivedInAdjacency:
         assert d == build_digraph(2, [(0, 1)])
 
     @given(random_digraphs())
-    def test_build_digraph_transpose(self, d):
+    def test_build_digraph_fills_the_transpose(self, d):
         assert d.in_adj == in_masks_from_arcs(d)
+        assert Digraph(d.n, d.out_adj).in_adj == d.in_adj
 
     @given(random_digraphs(), st.integers(0, 255))
     def test_induced_subdigraph(self, d, members):
