@@ -11,7 +11,9 @@
  * sets) is optimal and is returned without a search, after 0 nodes.  Under
  * a deadline every node reads CLOCK_MONOTONIC, the clock of
  * Python's time.monotonic().  A call returns the optimum size, INFEASIBLE,
- * TIMED_OUT or NO_MEMORY, and stores its node count in *nodes. */
+ * TIMED_OUT or NO_MEMORY, stores its node count in *nodes and its witness
+ * in out, as little-endian bytes: the chosen sets of a cover, the vertices
+ * of an independent set. */
 
 /* clock_gettime and CLOCK_MONOTONIC are POSIX, outside strict C99 */
 #ifndef _POSIX_C_SOURCE
@@ -75,6 +77,11 @@ static void load(word *dst, const unsigned char *src, size_t nw) {
         dst[i] = 0;
         for (int k = 7; k >= 0; k--) dst[i] = dst[i] << 8 | src[8 * i + k];
     }
+}
+
+/* The inverse of load: nw words as 8 * nw little-endian bytes. */
+static void store(unsigned char *dst, const word *src, size_t nw) {
+    for (size_t i = 0; i < 8 * nw; i++) dst[i] = (unsigned char)(src[i >> 3] >> (8 * (i & 7)));
 }
 
 /* ---- minimum set cover ------------------------------------------------- */
@@ -294,8 +301,9 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
     }
 }
 
+/* out: the n_sets / 64 + 1 words of the chosen-set mask, as bytes */
 int didom_min_set_cover(const unsigned char *universe, const unsigned char *masks,
-                        int n_sets, int ne, double deadline, int *out, int64_t *nodes) {
+                        int n_sets, int ne, double deadline, unsigned char *out, int64_t *nodes) {
     Cover c = {.s = {deadline, 0, 0}, .ne = ne, .ns = n_sets / 64 + 1, .n_sets = n_sets};
     const int ns = c.ns, n_el = 64 * ne;
     int max_size = 0;
@@ -360,7 +368,7 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
     }
     *nodes = c.s.nodes;
     result = c.s.timed_out ? TIMED_OUT : c.best;
-    if (!c.s.timed_out) EACH(i, c.best_chosen, ns) *out++ = i;
+    store(out, c.best_chosen, ns);
 done:
     free(block);
     free(c.frames);
@@ -475,7 +483,7 @@ int didom_max_independent_set(const unsigned char *adj, int n, double deadline,
     /* root certificate: a greedy set that meets the clique cover is maximum */
     if (clique_cover_bound(&m, m.frames) > m.best) mis_dfs(&m, 0, 0);
     *nodes = m.s.nodes;
-    for (int i = 0; i < 8 * nw; i++) out[i] = (unsigned char)(m.best_mask[i >> 3] >> (8 * (i & 7)));
+    store(out, m.best_mask, nw);
     free(block);
     return m.s.timed_out ? TIMED_OUT : m.best;
 }

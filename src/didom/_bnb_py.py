@@ -4,6 +4,8 @@ This is the reference backend.  ``_bnb.c``, built as ``didom._kernels``,
 runs the same search in C: both accept bitsets of any width and follow
 the same branching, tie-breaking, reductions and bounds, so they return
 identical optima and witnesses after identical numbers of search nodes.
+Every witness is a mask: bit i of a cover stands for set i, bit v of an
+independent set for vertex v.
 A change to the search here must be made there too.  The two are not
 line-for-line twins: the pure cover search keeps per-node tables of live
 counts and coverage sizes, which the C kernel recomputes at every node
@@ -44,8 +46,10 @@ class _Deadline:
             raise SolveTimeout("solve exceeded its deadline")
 
 
-def _greedy_cover(masks: Sequence[int], universe: int) -> list[int]:
-    chosen = []
+def _greedy_cover(masks: Sequence[int], universe: int) -> int:
+    """The mask of the sets greedy picks: each time, the first set that
+    covers the most uncovered elements."""
+    chosen = 0
     uncovered = universe
     while uncovered:
         best_i = -1
@@ -55,7 +59,7 @@ def _greedy_cover(masks: Sequence[int], universe: int) -> list[int]:
             if c > best_c:
                 best_c = c
                 best_i = i
-        chosen.append(best_i)
+        chosen |= 1 << best_i
         uncovered &= ~masks[best_i]
     return chosen
 
@@ -86,13 +90,14 @@ def _ordered_packing(covers: Sequence[int], cnt: Sequence[int], left: int) -> in
 
 def min_set_cover(
     masks: Sequence[int], universe: int, deadline: Optional[float] = None
-) -> Optional[tuple[int, tuple[int, ...]]]:
+) -> Optional[tuple[int, int]]:
     """Exact minimum cover of ``universe`` by the given bitmask sets.
 
-    Returns ``(size, sorted set indices)``, or None when even the union of
-    all sets misses an element.  Branching: take the uncovered element with
-    the fewest live covering sets, try those sets in decreasing-coverage
-    order, and exclude each tried set from later branches.
+    Returns ``(size, chosen)``, where bit i of the mask ``chosen`` stands
+    for set i, or None when even the union of all sets misses an element.
+    Branching: take the uncovered element with the fewest live covering
+    sets, try those sets in decreasing-coverage order, and exclude each
+    tried set from later branches.
 
     A set is available until it is picked, dropped or excluded, and live
     while it is available and covers some uncovered element.  The
@@ -150,7 +155,7 @@ def min_set_cover(
     global nodes
     nodes = 0
     if universe == 0:
-        return 0, ()
+        return 0, 0
     masks = [m & universe for m in masks]
     union = 0
     for m in masks:
@@ -175,7 +180,7 @@ def min_set_cover(
             max_size = m.bit_count()
 
     greedy = _greedy_cover(masks, universe)
-    best = [len(greedy), tuple(sorted(greedy))]
+    best = [greedy.bit_count(), greedy]
     # Root certificate: a greedy cover that meets a lower bound is optimal.
     left = universe.bit_count()
     if max(_conflict_bound(universe, conflict), -(-left // max_size)) >= best[0]:
@@ -219,7 +224,7 @@ def min_set_cover(
             if not uncovered:
                 if count < best[0]:
                     best[0] = count
-                    best[1] = tuple(bitset.to_list(chosen))
+                    best[1] = chosen
                 return
             if fewest <= 1:
                 if not fewest:

@@ -9,7 +9,8 @@ ffibuilder = FFI()
 ffibuilder.cdef(
     """
     int didom_min_set_cover(const unsigned char *universe, const unsigned char *masks,
-                            int n_sets, int ne, double deadline, int *out, int64_t *nodes);
+                            int n_sets, int ne, double deadline, unsigned char *out,
+                            int64_t *nodes);
     int didom_max_independent_set(const unsigned char *adj, int n, double deadline,
                                   unsigned char *out, int64_t *nodes);
     """

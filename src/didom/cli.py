@@ -43,13 +43,12 @@ def _load_graph(spec: str) -> Digraph:
 
 
 def _cmd_invariants(args) -> int:
+    if (args.input is None) == (args.family is None):
+        print("invariants: provide an arc-list file or --family SPEC, not both", file=sys.stderr)
+        return 2
     if args.family is not None:
-        label = args.family
-        d = families.build_family(args.family)
+        label, d = args.family, families.build_family(args.family)
     else:
-        if args.input is None:
-            print("invariants: provide an arc-list file or --family SPEC", file=sys.stderr)
-            return 2
         label, d = args.input, read_arclist(args.input)
     if d.n == 0:
         print("invariants: graph has no vertices", file=sys.stderr)

@@ -11,20 +11,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from didom import bitset
 from didom.errors import ArcListParseError, CapacityError, InvalidArcError
 
 MAX_VERTICES = 4096
-
-# Tags assigned by classify_leaves.  A vertex can carry several (a vertex of
-# a 2-path is both a leaf and a support).
-ISOLATED_LEAF = "isolated_leaf"
-NON_ISOLATED_LEAF = "non_isolated_leaf"
-SUPPORT = "support"
-STRONG_SUPPORT = "strong_support"
-OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -240,30 +232,32 @@ def is_acyclic_digraph(d: Digraph) -> bool:
     return seen == d.n
 
 
-def classify_leaves(d: Digraph) -> tuple[frozenset[str], ...]:
-    """Per-vertex structural tags over the underlying graph.
+class LeafClasses(NamedTuple):
+    """Vertex masks over the underlying graph.  A leaf has underlying degree
+    1, and is isolated when it also has no in-neighbors; a support vertex
+    neighbors at least one leaf, a strong support at least two.  A vertex
+    can be in several masks (both vertices of a 2-path are leaves and
+    supports)."""
 
-    A leaf has underlying degree 1; it is isolated when it additionally has
-    no in-neighbors.  A support vertex neighbors at least one leaf, a strong
-    support at least two.  All applicable tags are reported; ``other`` marks
-    vertices with none.
-    """
+    isolated_leaves: int
+    non_isolated_leaves: int
+    supports: int
+    strong_supports: int
+
+
+def classify_leaves(d: Digraph) -> LeafClasses:
+    """The leaves and support vertices of d, as masks."""
     un = underlying_graph(d)
-    leaf_mask = bitset.from_iter(v for v in range(un.n) if un.degree(v) == 1)
-    tags = []
-    for v in range(un.n):
-        t = set()
-        if leaf_mask >> v & 1:
-            t.add(ISOLATED_LEAF if d.in_adj[v] == 0 else NON_ISOLATED_LEAF)
-        leaf_neighbors = (un.adj[v] & leaf_mask).bit_count()
-        if leaf_neighbors >= 1:
-            t.add(SUPPORT)
-        if leaf_neighbors >= 2:
-            t.add(STRONG_SUPPORT)
-        if not t:
-            t.add(OTHER)
-        tags.append(frozenset(t))
-    return tuple(tags)
+    leaves = isolated = supports = strong = 0
+    for v, nbrs in enumerate(un.adj):
+        if nbrs.bit_count() == 1:
+            leaves |= 1 << v
+            if not d.in_adj[v]:
+                isolated |= 1 << v
+            # a leaf's one neighbor is a support, strong the second time
+            strong |= supports & nbrs
+            supports |= nbrs
+    return LeafClasses(isolated, leaves ^ isolated, supports, strong)
 
 
 # ---------------------------------------------------------------------------

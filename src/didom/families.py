@@ -269,15 +269,6 @@ def _orient(edges: list[tuple[int, int]], states: Sequence[str]) -> list[tuple[i
     return arcs
 
 
-def gen_random_tree(n: int, seed: int) -> UndirectedGraph:
-    """Uniform random labeled tree on n vertices (Pruefer decode)."""
-    if n < 1:
-        raise ValueError(f"tree needs n >= 1, got {n}")
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(max(0, n - 2))]
-    return build_undirected(n, _labeled_tree_edges(seq, n))
-
-
 def random_ditree(
     n: int,
     seed: int,
@@ -402,10 +393,11 @@ class _KeyValues(dict):
 
 def parse_kv(body: str, keys: str) -> dict[str, str]:
     """The key=value pairs of a family spec or an instance source; a key
-    outside the comma-separated ``keys`` is a ValueError that names it."""
+    outside the comma-separated ``keys`` is a ValueError that names it.
+    An empty body has no pairs."""
     allowed = keys.split(",")
     out = _KeyValues()
-    for part in body.split(","):
+    for part in body.split(",") if body else ():
         key, _, value = part.partition("=")
         key = key.strip()
         if not value:

@@ -2,9 +2,11 @@
 
 Two backends implement one algorithm: the pure-Python ``didom._bnb_py`` and
 ``didom._kernels``, its port to C (``_bnb.c``, bound with cffi).  Both take
-bitsets of any width and return the same optima and witnesses after the
-same search.  The compiled backend solves every call whenever it imports,
-unless ``DIDOM_PURE_PYTHON`` is set in the environment at import.
+bitsets of any width and return the same optima and witness masks after
+the same search: ``min_set_cover`` gives ``(size, chosen-set mask)`` or
+None, ``max_independent_set`` gives ``(size, vertex mask)``.  The compiled
+backend solves every call whenever it imports, unless
+``DIDOM_PURE_PYTHON`` is set in the environment at import.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ class CompiledKernels:
         self._ffi, self._lib = module.ffi, module.lib
         self.nodes = 0
 
-    def _call(self, fn, args, deadline, out) -> int:
+    def _call(self, fn, args, deadline, out_bytes) -> tuple[int, int]:
+        """fn's return code, and the mask it stored in ``out_bytes`` bytes."""
+        out = self._ffi.new("unsigned char[]", out_bytes)
         nodes = self._ffi.new("int64_t *")
         got = fn(*args, math.inf if deadline is None else deadline, out, nodes)
         self.nodes = nodes[0]
@@ -35,18 +39,18 @@ class CompiledKernels:
             raise SolveTimeout("solve exceeded its deadline")
         if got == self.NO_MEMORY:
             raise MemoryError("the compiled kernel could not allocate its search")
-        return got
+        return got, int.from_bytes(self._ffi.buffer(out), "little")
 
     def min_set_cover(self, masks, universe, deadline=None):
         self.nodes = 0
         if universe == 0:
-            return 0, ()
+            return 0, 0
         size = -(-universe.bit_length() // 64) * 8
         data = b"".join((m & universe).to_bytes(size, "little") for m in masks)
-        out = self._ffi.new("int[]", len(masks))
         args = (universe.to_bytes(size, "little"), data, len(masks), size // 8)
-        got = self._call(self._lib.didom_min_set_cover, args, deadline, out)
-        return None if got < 0 else (got, tuple(self._ffi.unpack(out, got)))
+        out_bytes = (len(masks) // 64 + 1) * 8  # the n_sets / 64 + 1 words of _bnb.c
+        got, chosen = self._call(self._lib.didom_min_set_cover, args, deadline, out_bytes)
+        return None if got < 0 else (got, chosen)
 
     def max_independent_set(self, adj, n, deadline=None):
         self.nodes = 0
@@ -54,9 +58,7 @@ class CompiledKernels:
             return 0, 0
         size, full = -(-n // 64) * 8, (1 << n) - 1
         data = b"".join((adj[v] & full).to_bytes(size, "little") for v in range(n))
-        out = self._ffi.new("unsigned char[]", size)
-        got = self._call(self._lib.didom_max_independent_set, (data, n), deadline, out)
-        return got, int.from_bytes(self._ffi.buffer(out), "little")
+        return self._call(self._lib.didom_max_independent_set, (data, n), deadline, size)
 
 
 try:
@@ -86,7 +88,7 @@ def backend_for(n_bits: int, n_sets: int = 0) -> str:
 
 def min_set_cover(
     masks: Sequence[int], universe: int, deadline: Optional[float] = None
-) -> Optional[tuple[int, tuple[int, ...]]]:
+) -> Optional[tuple[int, int]]:
     return _backend().min_set_cover(masks, universe, deadline)
 
 

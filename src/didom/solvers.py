@@ -2,9 +2,10 @@
 
 Domination-type numbers reduce to minimum set cover over out-neighborhoods;
 packing-type numbers reduce to maximum independent sets of the auxiliary
-in-neighborhood graphs.  Every public function re-validates its witness
-through :mod:`didom.validate`, and checks its size, before returning, and
-`brute_force_invariant` provides a solver-independent oracle for small
+in-neighborhood graphs.  Every answer is ``(size, witness mask)``, and
+every kernel answer passes one check, ``_checked``, which re-validates the
+witness through :mod:`didom.validate` and its size before any caller sees
+it; `brute_force_invariant` provides a solver-independent oracle for small
 instances.  An undirected graph is a symmetric digraph, so it goes through
 the digraph solvers as its bidirected digraph.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from time import monotonic, perf_counter
 from typing import Optional
@@ -43,48 +45,40 @@ def _deadline(timeout_ms: Optional[float]) -> Optional[float]:
     return None if timeout_ms is None else monotonic() + timeout_ms / 1000.0
 
 
+def _checked(answer, valid, what: str):
+    """A kernel's ``(size, witness mask)``, once ``valid(witness)`` holds and
+    the witness has ``size`` members; otherwise AssertionError, raised
+    explicitly so that it also fires under ``python -O``.  None, a cover
+    that does not exist, passes through."""
+    if answer is not None:
+        size, witness = answer
+        if not valid(witness) or witness.bit_count() != size:
+            raise AssertionError(f"{what} witness failed re-validation")
+    return answer
+
+
 def min_set_cover(
     universe_size: int,
     sets: list[int],
     *,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> Optional[tuple[int, tuple[int, ...]]]:
+) -> Optional[tuple[int, int]]:
     """Exact minimum set cover; None when the sets cannot cover the universe.
 
-    Returns ``(size, chosen set indices)``.  A timeout raises SolveTimeout,
-    which is a distinct outcome from infeasibility.
+    Returns ``(size, chosen)``, bit i of ``chosen`` standing for ``sets[i]``.
+    A timeout raises SolveTimeout, which is a distinct outcome from
+    infeasibility.
     """
     universe = bitset.full(universe_size)
-    result = kernels.min_set_cover(sets, universe, _deadline(timeout_ms))
-    if result is None:
-        return None
-    size, chosen = result
-    if not validate.is_set_cover(sets, chosen, universe) or len(chosen) != size:
-        raise AssertionError("cover witness failed re-validation")
-    return size, chosen
-
-
-def _cover(d, sets, timeout_ms, valid, what: str) -> tuple[int, int]:
-    """Fewest vertices whose ``sets`` cover V(d), re-validated by ``valid``."""
-    size, chosen = kernels.min_set_cover(sets, bitset.full(d.n), _deadline(timeout_ms))
-    witness = bitset.from_iter(chosen)
-    if not valid(d, witness) or witness.bit_count() != size:
-        raise AssertionError(f"{what} witness failed re-validation")
-    return size, witness
-
-
-def _pack(g, aux: UndirectedGraph, timeout_ms, valid, what: str) -> tuple[int, int]:
-    """A maximum independent set of ``aux``, re-validated by ``valid`` on g."""
-    size, witness = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
-    if not valid(g, witness) or witness.bit_count() != size:
-        raise AssertionError(f"{what} witness failed re-validation")
-    return size, witness
+    answer = kernels.min_set_cover(sets, universe, _deadline(timeout_ms))
+    return _checked(answer, partial(validate.is_set_cover, sets, universe=universe), "cover")
 
 
 def max_independent_set(
     g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
-    return _pack(g, g, timeout_ms, validate.is_independent_set, "independent-set")
+    answer = kernels.max_independent_set(g.adj, g.n, _deadline(timeout_ms))
+    return _checked(answer, partial(validate.is_independent_set, g), "independent-set")
 
 
 def domination_number(
@@ -92,7 +86,8 @@ def domination_number(
 ) -> tuple[int, int]:
     """Minimum vertices whose closed out-neighborhoods cover V, plus witness."""
     sets = [d.out_closed(v) for v in range(d.n)]  # closed neighborhoods always cover
-    return _cover(d, sets, timeout_ms, validate.is_dominating_set, "dominating")
+    answer = kernels.min_set_cover(sets, bitset.full(d.n), _deadline(timeout_ms))
+    return _checked(answer, partial(validate.is_dominating_set, d), "dominating")
 
 
 def total_domination_number(
@@ -104,8 +99,8 @@ def total_domination_number(
     """
     if d.n == 0 or d.min_in_degree == 0:
         return None
-    sets = [d.out_adj[v] for v in range(d.n)]
-    return _cover(d, sets, timeout_ms, validate.is_total_dominating_set, "total dominating")
+    answer = kernels.min_set_cover(d.out_adj, bitset.full(d.n), _deadline(timeout_ms))
+    return _checked(answer, partial(validate.is_total_dominating_set, d), "total dominating")
 
 
 def packing_number(
@@ -113,7 +108,8 @@ def packing_number(
 ) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint closed in-neighborhoods."""
     aux = closed_in_neighborhood_graph(d)
-    return _pack(d, aux, timeout_ms, validate.is_packing, "packing")
+    answer = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
+    return _checked(answer, partial(validate.is_packing, d), "packing")
 
 
 def open_packing_number(
@@ -121,7 +117,8 @@ def open_packing_number(
 ) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint open in-neighborhoods."""
     aux = open_in_neighborhood_graph(d)
-    return _pack(d, aux, timeout_ms, validate.is_open_packing, "open packing")
+    answer = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
+    return _checked(answer, partial(validate.is_open_packing, d), "open packing")
 
 
 def _greedy_packing(d: Digraph, *, closed: bool = True) -> int:
@@ -290,7 +287,8 @@ def all_maximum_packings(
     """Every maximum packing of d, as bitmasks in ascending mask order."""
     deadline = _deadline(timeout_ms)
     aux = closed_in_neighborhood_graph(d)
-    target, _ = max_independent_set(aux, timeout_ms=timeout_ms)
+    answer = kernels.max_independent_set(aux.adj, aux.n, deadline)
+    target, _ = _checked(answer, partial(validate.is_packing, d), "packing")
     out: list[int] = []
 
     def rec(avail: int, size: int, mask: int) -> None:

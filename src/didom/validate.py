@@ -101,9 +101,10 @@ def is_clique(g: UndirectedGraph, members: int) -> bool:
     return True
 
 
-def is_set_cover(sets: list[int], chosen: tuple[int, ...], universe: int) -> bool:
+def is_set_cover(sets: list[int], chosen: int, universe: int) -> bool:
+    """The sets ``sets[i]`` for the bits i of ``chosen`` cover ``universe``."""
     covered = 0
-    for i in chosen:
+    for i in bitset.iter_bits(chosen):
         covered |= sets[i]
     return covered & universe == universe
 

@@ -33,10 +33,7 @@ from didom.auxgraph import (
 )
 from didom.core import (
     Digraph,
-    ISOLATED_LEAF,
     MAX_VERTICES,
-    NON_ISOLATED_LEAF,
-    SUPPORT,
     UndirectedGraph,
     build_digraph,
     classify_leaves,
@@ -460,13 +457,9 @@ def check_C4_equality(
 
 
 def _strong_support_with_two_nonisolated(d: Digraph) -> Optional[int]:
-    tags = classify_leaves(d)
-    un = underlying_graph(d)
-    non_iso = bitset.from_iter(
-        v for v in range(d.n) if NON_ISOLATED_LEAF in tags[v]
-    )
-    for v in range(d.n):
-        if (un.adj[v] & non_iso).bit_count() >= 2:
+    non_iso = classify_leaves(d).non_isolated_leaves
+    for v, nbrs in enumerate(underlying_graph(d).adj):
+        if (nbrs & non_iso).bit_count() >= 2:
             return v
     return None
 
@@ -575,8 +568,7 @@ def check_max_packing_dominates(
         # missing isolated leaves is one only if both factors have one
         witnesses, missing = {}, {}
         for i, t in ((1, t1), (2, t2)):
-            tags = classify_leaves(t)
-            iso = bitset.from_iter(v for v in range(t.n) if ISOLATED_LEAF in tags[v])
+            iso = classify_leaves(t).isolated_leaves
             packs = all_maximum_packings(t, timeout_ms=timeout_ms)
             if not witnesses:
                 un = underlying_graph(t)
@@ -917,11 +909,8 @@ def _pair_instances(source: str, rng: random.Random):
 
 def default_attach_vertex(t: Digraph) -> int:
     """Lowest-index support vertex, falling back to vertex 0."""
-    tags = classify_leaves(t)
-    for v in range(t.n):
-        if SUPPORT in tags[v]:
-            return v
-    return 0
+    supports = classify_leaves(t).supports
+    return (supports & -supports).bit_length() - 1 if supports else 0
 
 
 def _attach_source(source: str, rng: random.Random):

@@ -32,6 +32,19 @@ def compiled_kernels(tmp_path_factory, c_compiler):
     return kernels.CompiledKernels(module)
 
 
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request, monkeypatch):
+    """The name of the backend that solves every kernel call of the test:
+    "pure", or "compiled" as the ``compiled_kernels`` fixture builds it.
+    A test runs on both unless it parametrizes ``backend`` indirectly."""
+    compiled = None
+    if request.param == "compiled":
+        compiled = request.getfixturevalue("compiled_kernels")
+        monkeypatch.setattr(kernels, "_FORCE_PURE", False)
+    monkeypatch.setattr(kernels, "_compiled", compiled)
+    return request.param
+
+
 @pytest.fixture
 def directed_triangle():
     # strongly connected orientation of K3: a -> b -> c -> a

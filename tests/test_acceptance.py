@@ -5,11 +5,8 @@ Each test prints one `ACCEPTANCE <id> PASS|FAIL` line (visible under
 Run the whole gate with:  pytest tests/test_acceptance.py -v -s
 """
 
-import json
 import random
 from time import perf_counter
-
-import pytest
 
 import didom.verify as verify
 from didom import bitset, validate

@@ -18,7 +18,6 @@ from didom.families import gen_oriented_cycle, random_digraph, random_ditree
 from didom.records import HOLDS, HYPOTHESIS_NOT_MET
 from didom.solvers import (
     max_independent_set,
-    packing_number,
     two_packing_number,
     brute_force_invariant,
 )

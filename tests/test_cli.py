@@ -58,6 +58,14 @@ class TestInvariants:
         code, _, err = run_cli(capsys, "invariants")
         assert code == 2
 
+    def test_file_and_family_refused(self, capsys, tmp_path):
+        # the file was once ignored, even a missing one
+        code, out, err = run_cli(
+            capsys, "invariants", str(tmp_path / "missing.arcs"), "--family", "cycle:3"
+        )
+        assert code == 2 and not out
+        assert "not both" in err
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "invariants", str(tmp_path / "missing.arcs"))
         assert code == 2 and not out

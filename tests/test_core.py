@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 
 from didom import bitset
 from didom.core import (
-    ISOLATED_LEAF,
     Digraph,
+    LeafClasses,
     UndirectedGraph,
-    NON_ISOLATED_LEAF,
-    OTHER,
-    STRONG_SUPPORT,
-    SUPPORT,
     build_digraph,
     build_undirected,
     classify_leaves,
@@ -246,28 +242,28 @@ class TestPredicates:
 
 class TestClassifyLeaves:
     def test_k1_star(self):
-        tags = classify_leaves(gen_K1_star())
-        a, b, c, x, cp, bp, ap = tags
-        assert ISOLATED_LEAF in a and ISOLATED_LEAF in ap
-        assert SUPPORT in b and SUPPORT in bp
-        assert tags[3] == frozenset({OTHER})  # x has underlying degree 2
+        # a b c x c' b' a': the isolated leaves a, a' hang off the supports
+        # b, b', and x has underlying degree 2
+        classes = classify_leaves(gen_K1_star())
+        assert classes == LeafClasses(
+            isolated_leaves=0b1000001, non_isolated_leaves=0, supports=0b0100010,
+            strong_supports=0,
+        )
 
     def test_fig5_leaves_non_isolated(self):
         d = build_digraph(6, [(0, 1), (1, 2), (0, 3), (3, 0), (1, 4), (2, 5)])
-        tags = classify_leaves(d)
-        for leaf in (3, 4, 5):
-            assert NON_ISOLATED_LEAF in tags[leaf]
-        for support in (0, 1, 2):
-            assert SUPPORT in tags[support]
+        classes = classify_leaves(d)
+        assert classes.non_isolated_leaves == bitset.from_iter((3, 4, 5))
+        assert classes.supports == bitset.from_iter((0, 1, 2))
+        assert classes.isolated_leaves == classes.strong_supports == 0
 
     def test_single_arc_both_leaves(self):
-        tags = classify_leaves(build_digraph(2, [(0, 1)]))
-        assert tags[0] == frozenset({ISOLATED_LEAF, SUPPORT})
-        assert tags[1] == frozenset({NON_ISOLATED_LEAF, SUPPORT})
+        classes = classify_leaves(build_digraph(2, [(0, 1)]))
+        assert classes == LeafClasses(0b01, 0b10, 0b11, 0)
 
     def test_strong_support(self):
         star = build_digraph(3, [(0, 1), (0, 2)])
-        assert STRONG_SUPPORT in classify_leaves(star)[0]
+        assert classify_leaves(star) == LeafClasses(0, 0b110, 0b001, 0b001)
 
 
 # one spec of every family in the CLI's family-spec grammar, then one

@@ -22,7 +22,6 @@ from didom.families import (
     gen_chorded_5cycle,
     gen_corona_digraph,
     gen_oriented_cycle,
-    gen_random_tree,
     random_digraph_min_indegree,
     random_ditree,
 )
@@ -218,10 +217,10 @@ class TestRandomDitree:
             assert t.min_in_degree >= 1
 
     def test_random_tree_is_tree(self):
-        from didom.core import is_tree
+        from didom.core import is_tree, underlying_graph
 
         for seed in range(20):
-            assert is_tree(gen_random_tree(8, seed))
+            assert is_tree(underlying_graph(random_ditree(8, seed)))
 
 
 class TestEnumerateDitrees:

@@ -116,20 +116,20 @@ class TestPureSetCover:
         assert result[0] == 2
 
     def test_single_covering_set(self):
-        assert _bnb_py.min_set_cover([0b111], 0b111) == (1, (0,))
+        assert _bnb_py.min_set_cover([0b111], 0b111) == (1, 0b1)
 
     def test_infeasible(self):
         assert _bnb_py.min_set_cover([0b001, 0b010], 0b111) is None
 
     def test_empty_universe(self):
-        assert _bnb_py.min_set_cover([0b1], 0) == (0, ())
+        assert _bnb_py.min_set_cover([0b1], 0) == (0, 0)
 
     def test_example_from_three_sets(self):
         # universe {0,1,2}: sets {0,1}, {1,2}, {2} -> optimum 2
         size, chosen = _bnb_py.min_set_cover([0b011, 0b110, 0b100], 0b111)
-        assert size == 2
+        assert size == 2 and chosen.bit_count() == 2
         covered = 0
-        for i in chosen:
+        for i in bitset.iter_bits(chosen):
             covered |= [0b011, 0b110, 0b100][i]
         assert covered == 0b111
 
@@ -154,9 +154,9 @@ class TestPureSetCover:
         assert (result[0] if result else None) == best
         if result is not None:
             size, chosen = result
-            assert list(chosen) == sorted(set(chosen)) and len(chosen) == size
+            assert chosen >> len(sets) == 0 and chosen.bit_count() == size
             covered = 0
-            for i in chosen:
+            for i in bitset.iter_bits(chosen):
                 covered |= sets[i]
             assert covered & universe == universe
 
@@ -229,7 +229,7 @@ class TestSearchTreePinned:
         result, count = _solve(
             request, backend, "min_set_cover", *_closed_neighbourhoods(left, right)
         )
-        assert result == (len(witness), witness)
+        assert result == (len(witness), bitset.from_iter(witness))
         assert count == nodes
 
 
@@ -408,6 +408,9 @@ class TestBackendAgreement:
             pytest.param(_wide_system, id="90-bits"),
             # 81 elements and 81 sets: gamma = 24 after 408 nodes
             pytest.param(lambda: _closed_neighbourhoods("Gm:4", "Gm:4"), id="Gm:4-Gm:4"),
+            # 64 singletons: all chosen, the top one in the last bit of the
+            # first word of the chosen-set mask
+            pytest.param(lambda: ([1 << i for i in range(64)], bitset.full(64)), id="64-sets"),
         ],
     )
     def test_cover_agreement_over_64(self, request, system):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import didom.verify as verify
-from didom import bitset, kernels, solvers, validate
+from didom import bitset, solvers, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
     enumerate_ditrees,
@@ -798,16 +798,6 @@ class TestPairCertificate:
             assert validate.is_packing(d, pack) and pack.bit_count() == 2
 
 
-def _use_backend(request, monkeypatch, backend: str) -> None:
-    """Run the kernels on ``backend``: "pure", or "compiled" as built from
-    source by the ``compiled_kernels`` fixture."""
-    compiled = None
-    if backend == "compiled":
-        compiled = request.getfixturevalue("compiled_kernels")
-        monkeypatch.setattr(kernels, "_FORCE_PURE", False)
-    monkeypatch.setattr(kernels, "_compiled", compiled)
-
-
 class TestSuite:
     def test_config_parsing(self):
         cfg = verify.parse_suite_config(
@@ -829,12 +819,24 @@ class TestSuite:
             ("check problem:acyclic-packing-domination dags:exhuastive=2,random=3,n=5", "exhuastive"),
             ("check thm:ditree-packing-domination family:ditree:n=6,sed=5", "sed"),
             ("check prop:C4-equality family:corona:n=2,edge=fwd", "edge"),
+            # an empty body has no pairs, so it lacks the required count
+            ("check thm:meir-moon random-ditrees:", "missing key 'count'"),
         ],
     )
     def test_source_rejects_unknown_key(self, line, key):
-        # each of these once ran, with the key or option silently ignored
+        # the first five once ran, with the key or option silently ignored
         with pytest.raises(ValueError, match=key):
             verify.build_tasks(verify.parse_suite_config(line))
+
+    def test_empty_source_body_takes_the_defaults(self):
+        # an empty body has no pairs, so every key takes its default
+        records = [
+            verify.run_suite(verify.build_tasks(verify.parse_suite_config(
+                f"check problem:acyclic-packing-domination {source}\n"
+            ))).records[0].to_json(False)
+            for source in ("dags:", "dags:exhaustive=4,random=0,n=9")
+        ]
+        assert records[0] == records[1]
 
     def test_config_rejects_unknown_claim(self):
         with pytest.raises(verify.SuiteConfigError):
@@ -890,20 +892,18 @@ class TestSuite:
             )
             for backend in ("pure", "compiled")
         ],
+        indirect=["backend"],
     )
-    def test_default_suite_byte_stable(self, request, monkeypatch, backend, seed, digest):
-        _use_backend(request, monkeypatch, backend)
+    def test_default_suite_byte_stable(self, backend, seed, digest):
         cfg = verify.default_suite_config()
         cfg.seed = seed
         records = verify.run_suite(verify.build_tasks(cfg)).records
         text = "".join(r.to_json(False) + "\n" for r in records)
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
-    @pytest.mark.parametrize("backend", ["pure", "compiled"])
-    def test_c4_random_digraphs_byte_stable(self, request, monkeypatch, backend):
+    def test_c4_random_digraphs_byte_stable(self, backend):
         # 138 of these digraphs split into two dominating sets, 14 of them
         # into two minimum ones; the default suite checks two C4 instances
-        _use_backend(request, monkeypatch, backend)
         cfg = verify.parse_suite_config(
             "seed 42\ncheck prop:C4-equality random-digraphs:count=300,n=8\n"
         )
