@@ -106,9 +106,9 @@ def _find_hole(g: UndirectedGraph) -> Optional[tuple[int, ...]]:
         for ai in range(len(nbrs)):
             for bi in range(ai + 1, len(nbrs)):
                 u, w = nbrs[ai], nbrs[bi]
-                if g.has_edge(u, w):
+                if g.has_arc(u, w):
                     continue
-                allowed = ~(g.closed_neighborhood(v)) | (1 << u) | (1 << w)
+                allowed = ~g.out_closed(v) | (1 << u) | (1 << w)
                 prev = {u: -1}
                 queue = deque([u])
                 while queue:

@@ -34,10 +34,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full(n: int) -> int:
     """The set {0, ..., n-1}."""
     return (1 << n) - 1

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ``invariants``, ``product``, ``family``, ``verify``,
-``search-acyclic``.  Graph inputs are either compact family-spec strings or
-paths to arc-list files; all randomness is surfaced as ``--seed``.  Output
+``search-acyclic``.  A GRAPH argument is an arc-list file, else a compact
+family-spec string; all randomness is surfaced as ``--seed``.  Output
 is byte-stable for fixed inputs and seeds (timings are opt-in via
 ``--timings``).
 """
@@ -21,6 +21,8 @@ from didom.errors import ArcListParseError
 from didom.products import cartesian_product, direct_product
 from didom.solvers import DEFAULT_TIMEOUT_MS, compute_invariants, parse_timeout_ms
 
+_GRAPH_HELP = "an arc-list file, else a family spec"
+
 
 def _int_at_least(lowest: int):
     """An argparse type: an integer no smaller than ``lowest``."""
@@ -35,25 +37,21 @@ def _int_at_least(lowest: int):
 
 
 def _load_graph(spec: str) -> Digraph:
-    """Resolve a positional graph argument: existing file path wins,
-    otherwise the string is parsed as a family spec."""
+    """Read a GRAPH argument: an existing arc-list file, else a family spec."""
     if os.path.exists(spec):
         return read_arclist(spec)
-    return families.build_family(spec)
+    try:
+        return families.build_family(spec)
+    except ValueError as exc:
+        raise OSError(f"no file {spec!r}, and not a family spec: {exc}") from None
 
 
 def _cmd_invariants(args) -> int:
-    if (args.input is None) == (args.family is None):
-        print("invariants: provide an arc-list file or --family SPEC, not both", file=sys.stderr)
-        return 2
-    if args.family is not None:
-        label, d = args.family, families.build_family(args.family)
-    else:
-        label, d = args.input, read_arclist(args.input)
+    d = _load_graph(args.graph)
     if d.n == 0:
         print("invariants: graph has no vertices", file=sys.stderr)
         return 2
-    report = compute_invariants(d, digraph_id=label, timeout_ms=args.timeout_ms)
+    report = compute_invariants(d, digraph_id=args.graph, timeout_ms=args.timeout_ms)
     print(report.to_json(include_timings=args.timings))
     return 0
 
@@ -139,16 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_inv = sub.add_parser("invariants", help="compute gamma, gamma_t, rho, rho_o")
-    p_inv.add_argument("input", nargs="?", help="arc-list file")
-    p_inv.add_argument("--family", help="family spec instead of a file")
+    p_inv.add_argument("graph", help=_GRAPH_HELP)
     p_inv.add_argument("--timeout-ms", type=parse_timeout_ms, default=DEFAULT_TIMEOUT_MS)
     p_inv.add_argument("--timings", action="store_true", help="include elapsed times")
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_prod = sub.add_parser("product", help="write a Cartesian or direct product")
     p_prod.add_argument("op", choices=("cart", "direct"))
-    p_prod.add_argument("lhs", help="family spec or arc-list file")
-    p_prod.add_argument("rhs", help="family spec or arc-list file")
+    p_prod.add_argument("lhs", help=_GRAPH_HELP)
+    p_prod.add_argument("rhs", help=_GRAPH_HELP)
     p_prod.add_argument("--out", help="output arc-list file (default stdout)")
     p_prod.set_defaults(func=_cmd_product)
 

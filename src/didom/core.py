@@ -38,14 +38,8 @@ class Digraph:
                 in_adj[v] |= 1 << u
         return tuple(in_adj)
 
-    def out_open(self, v: int) -> int:
-        return self.out_adj[v]
-
     def out_closed(self, v: int) -> int:
         return self.out_adj[v] | (1 << v)
-
-    def in_open(self, v: int) -> int:
-        return self.in_adj[v]
 
     def in_closed(self, v: int) -> int:
         return self.in_adj[v] | (1 << v)
@@ -93,11 +87,6 @@ class UndirectedGraph(Digraph):
     def adj(self) -> tuple[int, ...]:
         return self.out_adj
 
-    neighborhood = Digraph.out_open
-    closed_neighborhood = Digraph.out_closed
-    degree = Digraph.out_degree
-    has_edge = Digraph.has_arc
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in self.arcs() if u < v]
 
@@ -135,20 +124,9 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
 
 
 def build_undirected(n: int, edges: Iterable[tuple[int, int]]) -> UndirectedGraph:
-    """Build an undirected graph; self-loops and bad indices are rejected."""
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > MAX_VERTICES:
-        raise CapacityError(f"{n} vertices exceeds capacity {MAX_VERTICES}")
-    adj = [0] * n
-    for u, v in edges:
-        if u == v:
-            raise InvalidArcError(f"self-loop ({u}, {v}) is not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidArcError(f"edge ({u}, {v}) out of range for n={n}")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return UndirectedGraph(n, tuple(adj))
+    """Build an undirected graph: the underlying graph of the arc list, with
+    ``build_digraph``'s checks."""
+    return underlying_graph(build_digraph(n, edges))
 
 
 def underlying_graph(d: Digraph) -> UndirectedGraph:

@@ -318,29 +318,28 @@ def enumerate_ditrees(n: int) -> Iterator[Digraph]:
 # ---------------------------------------------------------------------------
 
 
-def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
-    """Each ordered pair becomes an arc independently with ``arc_prob``."""
-    rng = random.Random(seed)
-    arcs = [
+def _random_arcs(n: int, arc_prob: float, rng: random.Random) -> list[tuple[int, int]]:
+    """Each ordered pair, in order, becomes an arc with ``arc_prob``."""
+    return [
         (u, v)
         for u in range(n)
         for v in range(n)
         if u != v and rng.random() < arc_prob
     ]
-    return build_digraph(n, arcs)
+
+
+def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
+    """Each ordered pair becomes an arc independently with ``arc_prob``."""
+    return build_digraph(n, _random_arcs(n, arc_prob, random.Random(seed)))
 
 
 def random_digraph_min_indegree(n: int, arc_prob: float, seed: int) -> Digraph:
-    """Random digraph patched so every vertex has an in-neighbor (n >= 2)."""
+    """``random_digraph`` patched so every vertex has an in-neighbor (n >= 2):
+    the same draws, then one random in-neighbor for each source."""
     if n < 2:
         raise ValueError("min in-degree >= 1 needs n >= 2")
     rng = random.Random(seed)
-    arcs = {
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.random() < arc_prob
-    }
+    arcs = _random_arcs(n, arc_prob, rng)
     indeg = [0] * n
     for _, v in arcs:
         indeg[v] += 1
@@ -349,8 +348,8 @@ def random_digraph_min_indegree(n: int, arc_prob: float, seed: int) -> Digraph:
             u = rng.randrange(n - 1)
             if u >= v:
                 u += 1
-            arcs.add((u, v))
-    return build_digraph(n, sorted(arcs))
+            arcs.append((u, v))
+    return build_digraph(n, arcs)
 
 
 def random_dag(n: int, arc_prob: float, seed: int) -> Digraph:
@@ -393,8 +392,8 @@ class _KeyValues(dict):
 
 def parse_kv(body: str, keys: str) -> dict[str, str]:
     """The key=value pairs of a family spec or an instance source; a key
-    outside the comma-separated ``keys`` is a ValueError that names it.
-    An empty body has no pairs."""
+    outside the comma-separated ``keys``, or given twice, is a ValueError
+    that names it.  An empty body has no pairs."""
     allowed = keys.split(",")
     out = _KeyValues()
     for part in body.split(",") if body else ():
@@ -404,6 +403,8 @@ def parse_kv(body: str, keys: str) -> dict[str, str]:
             raise ValueError(f"expected key=value, got {part!r}")
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {body!r}; expected {keys}")
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in {body!r}")
         out[key] = value.strip()
     return out
 

@@ -7,7 +7,6 @@ g * n_H + h, so witnesses decode back to factor pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from didom import bitset
 from didom.core import MAX_VERTICES, Digraph
@@ -85,16 +84,6 @@ def direct_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap]:
                 mask |= h.out_adj[b] << (a2 * h.n)
             out_adj.append(mask)
     return Digraph(g.n * h.n, tuple(out_adj)), pmap
-
-
-def fiber_vertices(
-    pmap: ProductVertexMap, *, g: Optional[int] = None, h: Optional[int] = None
-) -> int:
-    """Vertex set of one fiber: pass ``g=`` for the copy of the second factor
-    above g, or ``h=`` for the copy of the first factor at h."""
-    if (g is None) == (h is None):
-        raise ValueError("specify exactly one of g= or h=")
-    return pmap.h_fiber(g) if g is not None else pmap.g_fiber(h)
 
 
 def induced_subdigraph(d: Digraph, members: int) -> Digraph:

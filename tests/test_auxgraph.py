@@ -42,7 +42,7 @@ class TestAuxGraphConstructions:
     def test_single_arc_closed(self):
         d = build_digraph(2, [(0, 1)])
         aux = closed_in_neighborhood_graph(d)
-        assert aux.has_edge(0, 1)  # 0 lies in both closed in-neighborhoods
+        assert aux.has_arc(0, 1)  # 0 lies in both closed in-neighborhoods
 
     def test_two_isolated_closed(self):
         aux = closed_in_neighborhood_graph(build_digraph(2, []))
@@ -55,7 +55,7 @@ class TestAuxGraphConstructions:
     def test_common_in_neighbor_open(self):
         d = build_digraph(3, [(2, 0), (2, 1)])
         aux = open_in_neighborhood_graph(d)
-        assert aux.has_edge(0, 1)
+        assert aux.has_arc(0, 1)
 
     def test_single_arc_open_is_edgeless(self):
         aux = open_in_neighborhood_graph(build_digraph(2, [(0, 1)]))
@@ -80,7 +80,7 @@ class TestAuxGraphConstructions:
     def test_open_neighborhood_graph(self):
         p3 = build_undirected(3, [(0, 1), (1, 2)])
         aux = open_in_neighborhood_graph(p3)
-        assert aux.has_edge(0, 2) and aux.edge_count == 1
+        assert aux.has_arc(0, 2) and aux.edge_count == 1
 
 
 def brute_chordal(g) -> bool:
@@ -90,7 +90,7 @@ def brute_chordal(g) -> bool:
             degs = []
             ok = True
             for v in sub:
-                d = sum(1 for w in sub if w != v and g.has_edge(v, w))
+                d = sum(1 for w in sub if w != v and g.has_arc(v, w))
                 degs.append(d)
                 if d != 2:
                     ok = False
@@ -103,7 +103,7 @@ def brute_chordal(g) -> bool:
             while frontier:
                 x = frontier.pop()
                 for y in sub:
-                    if y not in seen and g.has_edge(x, y):
+                    if y not in seen and g.has_arc(x, y):
                         seen.add(y)
                         frontier.append(y)
             if len(seen) == k:
@@ -151,10 +151,10 @@ class TestChordality:
             # the hole is an induced chordless cycle
             k = len(hole)
             for i, v in enumerate(hole):
-                assert g.has_edge(v, hole[(i + 1) % k])
+                assert g.has_arc(v, hole[(i + 1) % k])
                 for j in range(i + 2, k):
                     if (j + 1) % k != i:
-                        assert not g.has_edge(v, hole[j])
+                        assert not g.has_arc(v, hole[j])
 
 
 class TestMaximalCliques:

@@ -8,7 +8,6 @@ def test_roundtrip_small():
     assert bitset.to_list(bitset.from_iter([5, 1, 3])) == [1, 3, 5]
     assert bitset.to_list(0) == []
     assert bitset.full(3) == 0b111
-    assert bitset.size(0b1011) == 3
     assert list(bitset.iter_bits(0b1010)) == [1, 3]
 
 
@@ -16,4 +15,3 @@ def test_roundtrip_small():
 def test_roundtrip_property(members):
     mask = bitset.from_iter(members)
     assert bitset.to_list(mask) == sorted(members)
-    assert bitset.size(mask) == len(members)

@@ -14,7 +14,7 @@ def run_cli(capsys, *argv):
 
 class TestInvariants:
     def test_family_gm3(self, capsys):
-        code, out, _ = run_cli(capsys, "invariants", "--family", "Gm:3")
+        code, out, _ = run_cli(capsys, "invariants", "Gm:3")
         assert code == 0
         data = json.loads(out)
         assert data["gamma"]["value"] == 4
@@ -22,12 +22,12 @@ class TestInvariants:
         assert "elapsed_ms" not in data["gamma"]
 
     def test_cycle_total_domination(self, capsys):
-        code, out, _ = run_cli(capsys, "invariants", "--family", "cycle:5")
+        code, out, _ = run_cli(capsys, "invariants", "cycle:5")
         assert code == 0
         assert json.loads(out)["gamma_t"]["value"] == 5
 
     def test_timings_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "invariants", "--family", "Gm:1", "--timings")
+        code, out, _ = run_cli(capsys, "invariants", "Gm:1", "--timings")
         assert code == 0
         assert "elapsed_ms" in json.loads(out)["gamma"]
 
@@ -55,25 +55,21 @@ class TestInvariants:
         assert "line 2" in err
 
     def test_missing_input(self, capsys):
-        code, _, err = run_cli(capsys, "invariants")
-        assert code == 2
-
-    def test_file_and_family_refused(self, capsys, tmp_path):
-        # the file was once ignored, even a missing one
-        code, out, err = run_cli(
-            capsys, "invariants", str(tmp_path / "missing.arcs"), "--family", "cycle:3"
-        )
-        assert code == 2 and not out
-        assert "not both" in err
+        # GRAPH is a required positional, so argparse exits with a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants"])
+        assert exc.value.code == 2
+        assert "graph" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "invariants", str(tmp_path / "missing.arcs"))
         assert code == 2 and not out
         assert err.startswith("io error:") and "missing.arcs" in err
+        assert "family specs:" in err
 
     def test_byte_stable(self, capsys):
-        _, out1, _ = run_cli(capsys, "invariants", "--family", "Hm:3")
-        _, out2, _ = run_cli(capsys, "invariants", "--family", "Hm:3")
+        _, out1, _ = run_cli(capsys, "invariants", "Hm:3")
+        _, out2, _ = run_cli(capsys, "invariants", "Hm:3")
         assert out1 == out2
 
 
@@ -97,6 +93,16 @@ class TestProduct:
         code, out, _ = run_cli(capsys, "product", "cart", str(lhs), "path:2")
         assert code == 0
         assert loads_arclist(out).n == 4
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_missing_file_is_io_error(self, capsys, tmp_path, side):
+        # a missing file once read as an unknown family, with no word of the file
+        graphs = ["path:2", "path:2"]
+        graphs[side] = str(tmp_path / "missing.arcs")
+        code, out, err = run_cli(capsys, "product", "cart", *graphs)
+        assert code == 2 and not out
+        assert err.startswith("io error:") and "missing.arcs" in err
+        assert "family specs:" in err
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.arcs"
@@ -124,7 +130,12 @@ class TestFamily:
     def test_unknown_family(self, capsys):
         # both ditree weights have a positive total, which is all
         # random.choices checks
-        for spec in ("mystery:9", "ditree:n=6,seed=1,w=1/-0.5/1", "ditree:n=6,seed=1,w=-1/-1/3"):
+        for spec in (
+            "mystery:9",
+            "ditree:n=6,seed=1,w=1/-0.5/1",
+            "ditree:n=6,seed=1,w=-1/-1/3",
+            "ditree:n=6,seed=1,seed=2",
+        ):
             code, out, _ = run_cli(capsys, "family", spec)
             assert code == 2 and out == ""
 
@@ -332,7 +343,7 @@ class TestVerify:
 
 class TestTimeoutFlag:
     COMMANDS = [
-        ["invariants", "--family", "Gm:1"],
+        ["invariants", "Gm:1"],
         ["verify", "--seed", "3"],
         ["search-acyclic", "--max-n", "2", "--budget", "1"],
     ]
@@ -348,7 +359,7 @@ class TestTimeoutFlag:
 
     @pytest.mark.parametrize("value", ["0", "inf"])
     def test_zero_and_inf_accepted(self, capsys, value):
-        code, out, _ = run_cli(capsys, "invariants", "--family", "Gm:1", "--timeout-ms", value)
+        code, out, _ = run_cli(capsys, "invariants", "Gm:1", "--timeout-ms", value)
         assert code == 0
         assert json.loads(out)["rho"]["value"] == 1
 

@@ -107,13 +107,13 @@ class TestNeighborhoods:
         # arcs a->b and c->a around vertex a
         assert bitset.to_list(directed_triangle.out_closed(0)) == [0, 1]
         assert bitset.to_list(directed_triangle.in_closed(0)) == [0, 2]
-        assert directed_triangle.out_open(0) == 0b010
-        assert directed_triangle.in_open(0) == 0b100
+        assert directed_triangle.out_adj[0] == 0b010
+        assert directed_triangle.in_adj[0] == 0b100
 
     def test_isolated(self):
         d = build_digraph(2, [])
         assert d.out_closed(0) == 0b01
-        assert d.out_open(0) == 0
+        assert d.out_adj[0] == 0
 
     def test_bidirected_interior(self, bidirected_p4):
         assert bitset.to_list(bidirected_p4.out_closed(1)) == [0, 1, 2]
@@ -122,7 +122,7 @@ class TestNeighborhoods:
     def test_neighborhood_union_is_underlying(self, d):
         un = underlying_graph(d)
         for v in range(d.n):
-            assert un.closed_neighborhood(v) == d.out_closed(v) | d.in_closed(v)
+            assert un.out_closed(v) == d.out_closed(v) | d.in_closed(v)
 
     @given(random_digraphs())
     def test_degree_sums_match_arc_count(self, d):
@@ -179,10 +179,10 @@ class TestUndirectedGraph:
         g = build_undirected(4, [(0, 1), (1, 2), (1, 3)])
         assert g.edges() == [(0, 1), (1, 2), (1, 3)]
         assert g.edge_count == 3
-        assert g.degree(1) == 3
-        assert g.neighborhood(1) == 0b1101
-        assert g.closed_neighborhood(0) == 0b0011
-        assert g.has_edge(2, 1) and not g.has_edge(2, 3)
+        assert g.out_degree(1) == 3
+        assert g.adj[1] == 0b1101
+        assert g.out_closed(0) == 0b0011
+        assert g.has_arc(2, 1) and not g.has_arc(2, 3)
         assert repr(g) == "UndirectedGraph(n=4, edges=3)"
 
     def test_equality_per_class(self):

@@ -187,7 +187,7 @@ class TestCorona:
         un = underlying_graph(d)
         assert un.edge_count == 5
         for i in range(3):
-            assert un.degree(3 + i) == 1
+            assert un.out_degree(3 + i) == 1
 
     def test_non_tree_base_rejected(self):
         square = build_undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -277,6 +277,7 @@ class TestFamilySpecs:
             "ditree:seed=1", "corona:edges=both",
             "ditree:n=6,sed=5", "corona:n=2,edge=fwd",
             "ditree:n=6,seed=1,w=1/-0.5/1", "ditree:n=6,seed=1,w=-1/-1/3",
+            "ditree:n=6,seed=1,seed=2", "corona:n=2,n=3",
         ):
             with pytest.raises(ValueError):
                 build_family(spec)

@@ -1,11 +1,14 @@
 """An unused-import check that needs no linter: every name a module under
 ``src/didom`` or ``tests`` imports must be read somewhere in that module.
-``__init__.py`` files are left out, since their imports are re-exports."""
+``__init__.py`` files are left out, since their imports are re-exports;
+``didom.__all__`` must list each of those exactly once."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import didom
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
@@ -42,3 +45,14 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_every_export_once():
+    init = ROOT / "src" / "didom" / "__init__.py"
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(didom.__all__) == sorted(imported + ["__version__"])

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from didom import bitset
 from didom.core import build_digraph
 from didom.errors import CapacityError
 from didom.families import gen_K1_star, gen_bidirected_path, gen_oriented_cycle
@@ -10,7 +9,6 @@ from didom.products import (
     ProductVertexMap,
     cartesian_product,
     direct_product,
-    fiber_vertices,
     induced_subdigraph,
 )
 from didom.solvers import domination_number
@@ -126,12 +124,12 @@ class TestDirect:
 class TestFibers:
     def test_fiber_cardinalities(self, directed_triangle, chorded_5cycle):
         _, pmap = cartesian_product(directed_triangle, chorded_5cycle)
-        assert bitset.size(fiber_vertices(pmap, g=1)) == 5
-        assert bitset.size(fiber_vertices(pmap, h=3)) == 3
+        assert pmap.h_fiber(1).bit_count() == 5
+        assert pmap.g_fiber(3).bit_count() == 3
 
     def test_cartesian_fiber_is_factor_copy(self, directed_triangle, chorded_5cycle):
         prod, pmap = cartesian_product(directed_triangle, chorded_5cycle)
-        fiber = induced_subdigraph(prod, fiber_vertices(pmap, h=2))
+        fiber = induced_subdigraph(prod, pmap.g_fiber(2))
         assert fiber.arc_count == directed_triangle.arc_count
         assert fiber.out_adj == directed_triangle.out_adj
 
@@ -140,12 +138,5 @@ class TestFibers:
         c3 = gen_oriented_cycle(3)
         prod, pmap = direct_product(c5, c3)
         for h in range(3):
-            fiber = induced_subdigraph(prod, fiber_vertices(pmap, h=h))
+            fiber = induced_subdigraph(prod, pmap.g_fiber(h))
             assert fiber.arc_count == 0
-
-    def test_requires_exactly_one_axis(self):
-        pmap = ProductVertexMap(2, 2)
-        with pytest.raises(ValueError):
-            fiber_vertices(pmap)
-        with pytest.raises(ValueError):
-            fiber_vertices(pmap, g=0, h=0)

@@ -821,6 +821,9 @@ class TestSuite:
             ("check prop:C4-equality family:corona:n=2,edge=fwd", "edge"),
             # an empty body has no pairs, so it lacks the required count
             ("check thm:meir-moon random-ditrees:", "missing key 'count'"),
+            # a repeated key once kept its last value
+            ("check problem:acyclic-packing-domination dags:n=3,n=9", "repeated key 'n'"),
+            ("check thm:ditree-packing-domination family:ditree:n=6,seed=1,seed=2", "repeated key 'seed'"),
         ],
     )
     def test_source_rejects_unknown_key(self, line, key):
