@@ -410,42 +410,47 @@ def max_independent_set(
         return cnt
 
     def dfs(avail: int, size: int, mask: int) -> None:
-        dl.poll()
+        # Each pass of the outer loop is one search node.  The take branch
+        # recurses; the exclude branch, the last thing a node does, runs as
+        # the next pass in this frame, so the depth grows only with the
+        # vertices taken, not with those excluded.
         while True:
-            changed = False
+            dl.poll()
+            while True:
+                changed = False
+                rem = avail
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    v = low.bit_length() - 1
+                    if (adj[v] & avail).bit_count() <= 1:
+                        avail &= ~closed[v]
+                        size += 1
+                        mask |= low
+                        changed = True
+                        break
+                if not changed:
+                    break
+            if not avail:
+                if size > best[0]:
+                    best[0] = size
+                    best[1] = mask
+                return
+            if size + clique_cover_bound(avail) <= best[0]:
+                return
+            best_v = -1
+            best_d = -1
             rem = avail
             while rem:
                 low = rem & -rem
                 rem ^= low
                 v = low.bit_length() - 1
-                if (adj[v] & avail).bit_count() <= 1:
-                    avail &= ~closed[v]
-                    size += 1
-                    mask |= low
-                    changed = True
-                    break
-            if not changed:
-                break
-        if not avail:
-            if size > best[0]:
-                best[0] = size
-                best[1] = mask
-            return
-        if size + clique_cover_bound(avail) <= best[0]:
-            return
-        best_v = -1
-        best_d = -1
-        rem = avail
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & avail).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
-        dfs(avail & ~closed[best_v], size + 1, mask | (1 << best_v))
-        dfs(avail & ~(1 << best_v), size, mask)
+                d = (adj[v] & avail).bit_count()
+                if d > best_d:
+                    best_d = d
+                    best_v = v
+            dfs(avail & ~closed[best_v], size + 1, mask | (1 << best_v))
+            avail &= ~(1 << best_v)
 
     # Root certificate: a greedy set that meets the clique cover is maximum.
     if clique_cover_bound((1 << n) - 1) > best[0]:

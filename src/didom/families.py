@@ -28,6 +28,8 @@ LEAF_BOTH = "both"
 LEAF_MODES = (LEAF_IN, LEAF_OUT, LEAF_BOTH)
 
 ENUM_DITREE_LIMIT = 6
+# all_digraphs(n) walks 2^(n(n-1)) digraphs: 2^20 at n = 5, 2^30 at n = 6
+EXHAUSTIVE_DAG_LIMIT = 5
 
 
 def gen_oriented_cycle(n: int) -> Digraph:

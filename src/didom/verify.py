@@ -10,7 +10,10 @@ record.  The one exception is G_m [] G_m for m >= 3, whose value is
 certified instead by the published dominating set and a fractional
 packing of the same value (weak LP duality).
 
-Every checker returns through one verdict rule, ``_record``:
+Every checker has one shape: a body that states its claim's mathematics
+and returns the verdict fields, made public by ``_checker``, which names,
+times and builds the record and turns a solve past its deadline into a
+``timeout`` record.  The fields come from one verdict rule, ``_verdict``:
 ``hypothesis_not_met`` when the hypotheses fail, otherwise ``holds`` or
 ``fails`` as the conclusion says.  Only two definitional self-checks (the
 direct product's sandwich, the C4 partition witness) report ``fails``
@@ -89,27 +92,45 @@ CLAIM_OPEN_HELLY = "lemma:open-helly"
 EXPECTED_FAILURE_CLAIMS = frozenset({CLAIM_VIZING, CLAIM_ACYCLIC})
 
 
-def _timed(claim: str, instance: str, build: Callable[[], VerificationRecord]):
-    start = perf_counter()
-    try:
-        record = build()
-    except SolveTimeout:
-        record = VerificationRecord(
-            claim, instance, hypotheses_met=None, lhs=None, rhs=None, verdict=TIMEOUT
-        )
-    record.elapsed_ms = (perf_counter() - start) * 1000.0
-    return record
+def _checker(claim: str, name: Optional[Callable[..., str]] = None):
+    """Decorator: the public checker of ``claim`` whose mathematics is the
+    decorated body, ``body(*args, **options)``, which returns the verdict
+    fields (as ``_verdict`` gives them).  ``check(*args, instance=None,
+    **options)`` names the record ``instance``, else ``name(*args)`` (the
+    digraph's descriptor by default), times it, and turns a solve past its
+    deadline into a ``timeout`` record.  The options are the body's own:
+    ``timeout_ms`` wherever it solves."""
+
+    def decorate(body):
+        def check(*args, instance: Optional[str] = None, **options) -> VerificationRecord:
+            # the suite names its records, which spares it the default name;
+            # the descriptor is looked up per call, where a tracer may wrap it
+            inst = instance or (name or digraph_descriptor)(*args)
+            start = perf_counter()
+            try:
+                record = VerificationRecord(claim, inst, **body(*args, **options))
+            except SolveTimeout:
+                record = VerificationRecord(claim, inst, None, None, None, TIMEOUT)
+            record.elapsed_ms = (perf_counter() - start) * 1000.0
+            return record
+
+        check.__name__, check.__qualname__ = body.__name__, body.__qualname__
+        check.__doc__ = body.__doc__
+        return check
+
+    return decorate
 
 
-def _record(
-    claim: str, inst: str, hyp: bool, lhs, rhs, holds: bool = True,
-    witnesses: Optional[dict] = None, **fields,
-) -> VerificationRecord:
+def _verdict(
+    hyp: bool, lhs, rhs, holds: bool = True, witnesses: Optional[dict] = None, **fields
+) -> dict:
     """The verdict rule: ``hypothesis_not_met`` unless ``hyp``, otherwise
-    ``holds`` or ``fails`` as ``holds`` says.  ``fields`` (extras, seed) go
-    to the record."""
+    ``holds`` or ``fails`` as ``holds`` says.  Returns the record's fields
+    after its claim and instance; ``fields`` (extras, seed) join them."""
     verdict = (HOLDS if holds else FAILS) if hyp else HYPOTHESIS_NOT_MET
-    return VerificationRecord(claim, inst, hyp, lhs, rhs, verdict, witnesses or {}, **fields)
+    return dict(
+        hypotheses_met=hyp, lhs=lhs, rhs=rhs, verdict=verdict, witnesses=witnesses or {}, **fields
+    )
 
 
 def _gammas(g: Digraph, h: Digraph, timeout_ms) -> tuple[int, int, int, int]:
@@ -132,68 +153,50 @@ def _pair_instance(spec_g: Digraph, spec_h: Digraph) -> str:
 
 
 def _packing_vs_domination(
-    claim: str, inst: str, hyp: bool, d, timeout_ms, closed: bool = True,
-    keys=("packing", "dominating_set"), **record_fields,
-) -> VerificationRecord:
+    d: Digraph, hyp: bool, timeout_ms, closed: bool = True, keys=("packing", "dominating_set")
+) -> dict:
     """The packing number (open packing number unless ``closed``) against
     the domination (total domination) number of d, witnessed under ``keys``.
     The domination side is solved first, by a solver looked up when the
     check runs; the total one may be None (no such set).  The packing side
-    comes from ``solvers.packing_against``.  ``record_fields`` go to the
-    record, and any ``witnesses`` among them join the two."""
-
-    def build():
-        dom_solver = domination_number if closed else total_domination_number
-        gamma, dom = dom_solver(d, timeout_ms=timeout_ms) or (None, None)
-        rho, pack = packing_against(d, gamma, closed=closed, timeout_ms=timeout_ms)
-        witnesses = {keys[0]: bitset.to_list(pack)}
-        if dom is not None:
-            witnesses[keys[1]] = bitset.to_list(dom)
-        witnesses.update(record_fields.pop("witnesses", {}))
-        return _record(claim, inst, hyp, rho, gamma, rho == gamma, witnesses, **record_fields)
-
-    return _timed(claim, inst, build)
+    comes from ``solvers.packing_against``."""
+    dom_solver = domination_number if closed else total_domination_number
+    gamma, dom = dom_solver(d, timeout_ms=timeout_ms) or (None, None)
+    rho, pack = packing_against(d, gamma, closed=closed, timeout_ms=timeout_ms)
+    witnesses = {keys[0]: bitset.to_list(pack)}
+    if dom is not None:
+        witnesses[keys[1]] = bitset.to_list(dom)
+    return _verdict(hyp, rho, gamma, rho == gamma, witnesses)
 
 
+@_checker(CLAIM_MEIR_MOON, name=lambda tree: f"tree:n={tree.n},edges={tree.edges()}")
 def check_meir_moon(
-    tree: UndirectedGraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    tree: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """2-packing number equals domination number on trees: the ditree
     theorem on the tree's bidirected digraph."""
-    inst = instance or f"tree:n={tree.n},edges={tree.edges()}"
     return _packing_vs_domination(
-        CLAIM_MEIR_MOON, inst, is_tree(tree), tree, timeout_ms,
-        keys=("two_packing", "dominating_set"),
+        tree, is_tree(tree), timeout_ms, keys=("two_packing", "dominating_set")
     )
 
 
+@_checker(CLAIM_DITREE_PACKING)
 def check_packing_equals_domination(
-    d: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """Packing number equals domination number on ditrees."""
-    inst = instance or digraph_descriptor(d)
-    return _packing_vs_domination(CLAIM_DITREE_PACKING, inst, is_ditree(d), d, timeout_ms)
+    return _packing_vs_domination(d, is_ditree(d), timeout_ms)
 
 
+@_checker(CLAIM_DITREE_OPEN_PACKING)
 def check_open_packing_equals_total_domination(
-    d: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """Open packing number equals total domination number on ditrees with
     minimum in-degree at least 1."""
-    inst = instance or digraph_descriptor(d)
     hyp = is_ditree(d) and d.n > 0 and d.min_in_degree >= 1
     return _packing_vs_domination(
-        CLAIM_DITREE_OPEN_PACKING, inst, hyp, d, timeout_ms, closed=False,
-        keys=("open_packing", "total_dominating_set"),
+        d, hyp, timeout_ms, closed=False, keys=("open_packing", "total_dominating_set")
     )
 
 
@@ -202,54 +205,41 @@ def check_open_packing_equals_total_domination(
 # ---------------------------------------------------------------------------
 
 
+@_checker(CLAIM_DIRECT_TOTAL, name=_pair_instance)
 def check_total_domination_direct_product(
-    g: Digraph,
-    h: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    g: Digraph, h: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """gamma_t(G x H) = gamma_t(G) gamma_t(H) when the first factor's open
     packing number equals its total domination number (both factors need
     minimum in-degree 1).  The product is solved exactly, and the
     definitional sandwich
     max(rho_o * gamma_t, ...) <= gamma_t(product) <= gamma_t * gamma_t
     is verified against the solved value."""
-    inst = instance or _pair_instance(g, h)
-
-    def build():
-        deg_ok = g.n > 0 and h.n > 0 and g.min_in_degree >= 1 and h.min_in_degree >= 1
-        if not deg_ok:
-            return _record(
-                CLAIM_DIRECT_TOTAL, inst, False, None, None,
-                extras={"reason": "a factor has a source vertex"},
-            )
-        gt_g, _ = total_domination_number(g, timeout_ms=timeout_ms)
-        gt_h, _ = total_domination_number(h, timeout_ms=timeout_ms)
-        ro_g, _ = packing_against(g, gt_g, closed=False, timeout_ms=timeout_ms)
-        ro_h, _ = packing_against(h, gt_h, closed=False, timeout_ms=timeout_ms)
-        hyp = ro_g == gt_g
-        rhs = gt_g * gt_h
-        sandwich_low = max(ro_g * gt_h, ro_h * gt_g)
-        prod, _ = direct_product(g, h)
-        extras = {
-            "gamma_t_G": gt_g,
-            "gamma_t_H": gt_h,
-            "rho_open_G": ro_g,
-            "rho_open_H": ro_h,
-        }
-        lhs, dom = total_domination_number(prod, timeout_ms=timeout_ms)
-        witnesses = {"product_total_dominating_set": bitset.to_list(dom)}
-        if not (sandwich_low <= lhs <= rhs):
-            # outside the definitional sandwich the solver is wrong, whatever the hypothesis
-            return VerificationRecord(
-                CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, FAILS, witnesses, extras=extras
-            )
-        return _record(
-            CLAIM_DIRECT_TOTAL, inst, hyp, lhs, rhs, lhs == rhs, witnesses, extras=extras
-        )
-
-    return _timed(CLAIM_DIRECT_TOTAL, inst, build)
+    if not (g.n > 0 and h.n > 0 and g.min_in_degree >= 1 and h.min_in_degree >= 1):
+        return _verdict(False, None, None, extras={"reason": "a factor has a source vertex"})
+    gt_g, _ = total_domination_number(g, timeout_ms=timeout_ms)
+    gt_h, _ = total_domination_number(h, timeout_ms=timeout_ms)
+    ro_g, _ = packing_against(g, gt_g, closed=False, timeout_ms=timeout_ms)
+    ro_h, _ = packing_against(h, gt_h, closed=False, timeout_ms=timeout_ms)
+    hyp = ro_g == gt_g
+    rhs = gt_g * gt_h
+    sandwich_low = max(ro_g * gt_h, ro_h * gt_g)
+    prod, _ = direct_product(g, h)
+    extras = {
+        "gamma_t_G": gt_g,
+        "gamma_t_H": gt_h,
+        "rho_open_G": ro_g,
+        "rho_open_H": ro_h,
+    }
+    lhs, dom = total_domination_number(prod, timeout_ms=timeout_ms)
+    fields = _verdict(
+        hyp, lhs, rhs, lhs == rhs,
+        {"product_total_dominating_set": bitset.to_list(dom)}, extras=extras,
+    )
+    if not (sandwich_low <= lhs <= rhs):
+        # outside the definitional sandwich the solver is wrong, whatever the hypothesis
+        fields["verdict"] = FAILS
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +247,22 @@ def check_total_domination_direct_product(
 # ---------------------------------------------------------------------------
 
 
-def _cartesian_bound(
-    claim: str, g: Digraph, h: Digraph, instance, timeout_ms, bound
-) -> VerificationRecord:
+def _cartesian_bound(g: Digraph, h: Digraph, timeout_ms, bound) -> dict:
     """gamma(G [] H) >= rhs, with gamma(G), gamma(H) and gamma(G [] H)
     solved exactly; ``bound(gamma_G, gamma_H, lhs)`` gives ``(rhs, extras)``
-    and its extras join the factor values.  A ``fails`` record carries the
+    and its extras join the factor values.  A ``fails`` verdict carries the
     product dominating set as its counterwitness."""
-    inst = instance or _pair_instance(g, h)
-
-    def build():
-        gamma_g, gamma_h, lhs, dom = _gammas(g, h, timeout_ms)
-        rhs, extras = bound(gamma_g, gamma_h, lhs)
-        extras.update({"gamma_G": gamma_g, "gamma_H": gamma_h})
-        witnesses = {"product_dominating_set": bitset.to_list(dom)} if lhs < rhs else {}
-        return _record(claim, inst, True, lhs, rhs, lhs >= rhs, witnesses, extras=extras)
-
-    return _timed(claim, inst, build)
+    gamma_g, gamma_h, lhs, dom = _gammas(g, h, timeout_ms)
+    rhs, extras = bound(gamma_g, gamma_h, lhs)
+    extras.update({"gamma_G": gamma_g, "gamma_H": gamma_h})
+    witnesses = {"product_dominating_set": bitset.to_list(dom)} if lhs < rhs else {}
+    return _verdict(True, lhs, rhs, lhs >= rhs, witnesses, extras=extras)
 
 
+@_checker(CLAIM_PACKING_LOWER, name=_pair_instance)
 def check_packing_lower_bound(
-    g: Digraph,
-    h: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    g: Digraph, h: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """gamma(G [] H) >= max(gamma(G) rho(H), gamma(H) rho(G))."""
 
     def bound(gamma_g, gamma_h, lhs):
@@ -290,32 +270,25 @@ def check_packing_lower_bound(
         rho_h, _ = packing_against(h, gamma_h, timeout_ms=timeout_ms)
         return max(gamma_g * rho_h, gamma_h * rho_g), {"rho_G": rho_g, "rho_H": rho_h}
 
-    return _cartesian_bound(CLAIM_PACKING_LOWER, g, h, instance, timeout_ms, bound)
+    return _cartesian_bound(g, h, timeout_ms, bound)
 
 
+@_checker(CLAIM_VIZING, name=_pair_instance)
 def check_vizing_inequality(
-    g: Digraph,
-    h: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    g: Digraph, h: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """gamma(G [] H) >= gamma(G) gamma(H): true for ditree factors, false in
     general; failures are first-class findings with a small dominating set
     attached as the counterwitness."""
     return _cartesian_bound(
-        CLAIM_VIZING, g, h, instance, timeout_ms,
-        lambda gamma_g, gamma_h, lhs: (gamma_g * gamma_h, {}),
+        g, h, timeout_ms, lambda gamma_g, gamma_h, lhs: (gamma_g * gamma_h, {})
     )
 
 
+@_checker(CLAIM_HALF_VIZING, name=_pair_instance)
 def check_half_vizing_bound(
-    g: Digraph,
-    h: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    g: Digraph, h: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """gamma(G [] H) >= (gamma(G) gamma(H) + max(gamma(G), gamma(H))) / 2.
 
     Unconditional; ``extras['slack_x2']`` records twice the slack so
@@ -326,7 +299,7 @@ def check_half_vizing_bound(
         # gamma of the product is an integer, so ceil the half-sum
         return -(-twice // 2), {"slack_x2": 2 * lhs - twice}
 
-    return _cartesian_bound(CLAIM_HALF_VIZING, g, h, instance, timeout_ms, bound)
+    return _cartesian_bound(g, h, timeout_ms, bound)
 
 
 def gm_square_dominating_set(m: int) -> tuple[Digraph, int]:
@@ -362,39 +335,29 @@ def gm_square_fractional_packing(m: int) -> tuple[list[int], int]:
     return [weight[r][s] for r in roles for s in roles], m
 
 
-def check_Gm_vizing_failure(
-    m: int,
-    *,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+@_checker(CLAIM_GM_FAILURE, name=lambda m: f"Gm:{m}|Gm:{m}")
+def check_Gm_vizing_failure(m: int, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS) -> dict:
     """The explicit dominating set of G_m [] G_m has size m^2 + 2m, strictly
     below gamma(G_m)^2 = (m+1)^2.  The exact product value is certified by a
     fractional packing of value m^2 + 2m for m >= 3 and solved for m <= 2;
     a certificate that does not validate raises AssertionError."""
-    inst = f"Gm:{m}|Gm:{m}"
-
-    def build():
-        prod, witness = gm_square_dominating_set(m)
-        size = witness.bit_count()
-        dominates = validate.is_dominating_set(prod, witness)
-        rhs = (m + 1) * (m + 1)
-        ok = dominates and size == m * m + 2 * m and size < rhs
-        if m >= 3:
-            num, den = gm_square_fractional_packing(m)
-            # weak duality: gamma >= sum(num) / den, and gamma is an integer
-            exact = -(-sum(num) // den)
-            if not validate.is_fractional_packing(prod, num, den) or exact != m * m + 2 * m:
-                raise AssertionError(f"fractional packing of {inst} does not certify its gamma")
-        else:
-            exact, _ = domination_number(prod, timeout_ms=timeout_ms)
-        ok = ok and exact <= size and exact < rhs
-        extras = {"dominates": dominates, "gamma_product": exact}
-        return _record(
-            CLAIM_GM_FAILURE, inst, True, size, rhs, ok,
-            {"product_dominating_set": bitset.to_list(witness)}, extras=extras,
-        )
-
-    return _timed(CLAIM_GM_FAILURE, inst, build)
+    prod, witness = gm_square_dominating_set(m)
+    size = witness.bit_count()
+    dominates = validate.is_dominating_set(prod, witness)
+    rhs = (m + 1) * (m + 1)
+    ok = dominates and size == m * m + 2 * m and size < rhs
+    if m >= 3:
+        num, den = gm_square_fractional_packing(m)
+        # weak duality: gamma >= sum(num) / den, and gamma is an integer
+        exact = -(-sum(num) // den)
+        if not validate.is_fractional_packing(prod, num, den) or exact != m * m + 2 * m:
+            raise AssertionError(f"fractional packing of Gm:{m}|Gm:{m} does not certify its gamma")
+    else:
+        exact, _ = domination_number(prod, timeout_ms=timeout_ms)
+    ok = ok and exact <= size and exact < rhs
+    extras = {"dominates": dominates, "gamma_product": exact}
+    witnesses = {"product_dominating_set": bitset.to_list(witness)}
+    return _verdict(True, size, rhs, ok, witnesses, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -402,58 +365,49 @@ def check_Gm_vizing_failure(
 # ---------------------------------------------------------------------------
 
 
-def check_C4_equality(
-    g: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+@_checker(CLAIM_C4_EQUALITY)
+def check_C4_equality(g: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS) -> dict:
     """Digraphs partitionable into two minimum dominating sets satisfy
     gamma(G [] C4^(0,2,0,2)) = 2 gamma(G); any two-dominating-set partition
     additionally certifies the upper bound gamma <= n(G)."""
-    inst = instance or digraph_descriptor(g)
-
-    def build():
-        part = partition_two_dominating_sets(g, timeout_ms=timeout_ms)
-        extras = {}
-        witnesses = {}
-        if part is not None:
-            # the product is read only when G splits
-            c4 = families.gen_C4_orientation((0, 2, 0, 2))
-            u_idx, v_idx = (w for w in range(4) if c4.out_degree(w) == 2)
-            prod, pmap = cartesian_product(g, c4)
-            side_a, side_b = part
-            partition_witness = bitset.from_iter(
-                [pmap.encode(x, u_idx) for x in bitset.iter_bits(side_a)]
-                + [pmap.encode(x, v_idx) for x in bitset.iter_bits(side_b)]
-            )
-            if not validate.is_dominating_set(prod, partition_witness):
-                # the construction itself is wrong, whatever the hypothesis
-                return VerificationRecord(
-                    CLAIM_C4_EQUALITY, inst, False, None, None, FAILS,
-                    {"partition_witness": bitset.to_list(partition_witness)},
-                    extras={"reason": "partition witness does not dominate product"},
-                )
-            extras["upper_bound_n"] = g.n
-            witnesses["side_a"] = bitset.to_list(side_a)
-            witnesses["side_b"] = bitset.to_list(side_b)
-        gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
-        # each side dominates, so has at least gamma vertices: n = 2 gamma
-        # makes both sides minimum
-        hyp = part is not None and g.n == 2 * gamma_g
-        rhs = 2 * gamma_g
-        extras["gamma_G"] = gamma_g
-        lhs = None
-        if hyp:
-            witnesses["minimum_side_a"] = bitset.to_list(side_a)
-            witnesses["minimum_side_b"] = bitset.to_list(side_b)
-            lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
-            witnesses["product_dominating_set"] = bitset.to_list(dom)
-        return _record(
-            CLAIM_C4_EQUALITY, inst, hyp, lhs, rhs, lhs == rhs, witnesses, extras=extras
+    part = partition_two_dominating_sets(g, timeout_ms=timeout_ms)
+    extras = {}
+    witnesses = {}
+    if part is not None:
+        # the product is read only when G splits
+        c4 = families.gen_C4_orientation((0, 2, 0, 2))
+        u_idx, v_idx = (w for w in range(4) if c4.out_degree(w) == 2)
+        prod, pmap = cartesian_product(g, c4)
+        side_a, side_b = part
+        partition_witness = bitset.from_iter(
+            [pmap.encode(x, u_idx) for x in bitset.iter_bits(side_a)]
+            + [pmap.encode(x, v_idx) for x in bitset.iter_bits(side_b)]
         )
-
-    return _timed(CLAIM_C4_EQUALITY, inst, build)
+        if not validate.is_dominating_set(prod, partition_witness):
+            # the construction itself is wrong, whatever the hypothesis
+            fields = _verdict(
+                False, None, None,
+                witnesses={"partition_witness": bitset.to_list(partition_witness)},
+                extras={"reason": "partition witness does not dominate product"},
+            )
+            fields["verdict"] = FAILS
+            return fields
+        extras["upper_bound_n"] = g.n
+        witnesses["side_a"] = bitset.to_list(side_a)
+        witnesses["side_b"] = bitset.to_list(side_b)
+    gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
+    # each side dominates, so has at least gamma vertices: n = 2 gamma
+    # makes both sides minimum
+    hyp = part is not None and g.n == 2 * gamma_g
+    rhs = 2 * gamma_g
+    extras["gamma_G"] = gamma_g
+    lhs = None
+    if hyp:
+        witnesses["minimum_side_a"] = bitset.to_list(side_a)
+        witnesses["minimum_side_b"] = bitset.to_list(side_b)
+        lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
+        witnesses["product_dominating_set"] = bitset.to_list(dom)
+    return _verdict(hyp, lhs, rhs, lhs == rhs, witnesses, extras=extras)
 
 
 def _strong_support_with_two_nonisolated(d: Digraph) -> Optional[int]:
@@ -464,35 +418,25 @@ def _strong_support_with_two_nonisolated(d: Digraph) -> Optional[int]:
     return None
 
 
+@_checker(CLAIM_STRONG_SUPPORT, name=_pair_instance)
 def check_strong_support_condition(
-    t: Digraph,
-    g: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    t: Digraph, g: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """Necessary condition, checked contrapositively: when the product
     equality gamma(T [] G) = gamma(T) gamma(G) holds exactly, T must not
     contain a strong support vertex adjacent to two non-isolated leaves."""
-    inst = instance or _pair_instance(t, g)
-
-    def build():
-        hyp = is_ditree(t) and underlying_connected(g) and g.n > 0
-        gamma_t_val, gamma_g, lhs, _ = _gammas(t, g, timeout_ms)
-        rhs = gamma_t_val * gamma_g
-        bad_vertex = _strong_support_with_two_nonisolated(t)
-        extras = {
-            "gamma_T": gamma_t_val,
-            "gamma_G": gamma_g,
-            "strong_support_with_two_nonisolated_leaves": bad_vertex,
-        }
-        fails = hyp and lhs == rhs and bad_vertex is not None
-        witnesses = {"strong_support_vertex": [bad_vertex]} if fails else {}
-        return _record(
-            CLAIM_STRONG_SUPPORT, inst, hyp, lhs, rhs, not fails, witnesses, extras=extras
-        )
-
-    return _timed(CLAIM_STRONG_SUPPORT, inst, build)
+    hyp = is_ditree(t) and underlying_connected(g) and g.n > 0
+    gamma_t_val, gamma_g, lhs, _ = _gammas(t, g, timeout_ms)
+    rhs = gamma_t_val * gamma_g
+    bad_vertex = _strong_support_with_two_nonisolated(t)
+    extras = {
+        "gamma_T": gamma_t_val,
+        "gamma_G": gamma_g,
+        "strong_support_with_two_nonisolated_leaves": bad_vertex,
+    }
+    fails = hyp and lhs == rhs and bad_vertex is not None
+    witnesses = {"strong_support_vertex": [bad_vertex]} if fails else {}
+    return _verdict(hyp, lhs, rhs, not fails, witnesses, extras=extras)
 
 
 def attach_isolated_leaf(d: Digraph, attach_at: int) -> Digraph:
@@ -503,92 +447,71 @@ def attach_isolated_leaf(d: Digraph, attach_at: int) -> Digraph:
     return build_digraph(d.n + 1, d.arcs() + [(d.n, attach_at)])
 
 
+@_checker(CLAIM_ISOLATED_LEAF, name=lambda t, h, at: f"{_pair_instance(t, h)};attach={at}")
 def check_isolated_leaf_extension(
-    t: Digraph,
-    h: Digraph,
-    attach_at: int,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    t: Digraph, h: Digraph, attach_at: int, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """Attaching a new isolated leaf that raises gamma by one preserves the
     product equality gamma(T [] H) = gamma(T) gamma(H)."""
-    inst = instance or f"{_pair_instance(t, h)};attach={attach_at}"
-
-    def build():
-        t_ext = attach_isolated_leaf(t, attach_at)
-        gamma_t_val, gamma_h, base, _ = _gammas(t, h, timeout_ms)
-        gamma_ext, _ = domination_number(t_ext, timeout_ms=timeout_ms)
-        base_equality = base == gamma_t_val * gamma_h
-        extras = {
-            "gamma_T": gamma_t_val,
-            "gamma_T_extended": gamma_ext,
-            "gamma_H": gamma_h,
-            "base_equality": base_equality,
-        }
-        hyp = is_ditree(t) and gamma_ext == gamma_t_val + 1 and base_equality
-        prod, _ = cartesian_product(t_ext, h)
-        lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
-        rhs = gamma_ext * gamma_h
-        fails = hyp and lhs != rhs
-        witnesses = {"product_dominating_set": bitset.to_list(dom)} if fails else {}
-        return _record(
-            CLAIM_ISOLATED_LEAF, inst, hyp, lhs, rhs, not fails, witnesses, extras=extras
-        )
-
-    return _timed(CLAIM_ISOLATED_LEAF, inst, build)
+    t_ext = attach_isolated_leaf(t, attach_at)
+    gamma_t_val, gamma_h, base, _ = _gammas(t, h, timeout_ms)
+    gamma_ext, _ = domination_number(t_ext, timeout_ms=timeout_ms)
+    base_equality = base == gamma_t_val * gamma_h
+    extras = {
+        "gamma_T": gamma_t_val,
+        "gamma_T_extended": gamma_ext,
+        "gamma_H": gamma_h,
+        "base_equality": base_equality,
+    }
+    hyp = is_ditree(t) and gamma_ext == gamma_t_val + 1 and base_equality
+    prod, _ = cartesian_product(t_ext, h)
+    lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
+    rhs = gamma_ext * gamma_h
+    fails = hyp and lhs != rhs
+    witnesses = {"product_dominating_set": bitset.to_list(dom)} if fails else {}
+    return _verdict(hyp, lhs, rhs, not fails, witnesses, extras=extras)
 
 
+@_checker(CLAIM_MAX_PACKING, name=_pair_instance)
 def check_max_packing_dominates(
-    t1: Digraph,
-    t2: Digraph,
-    *,
-    instance: Optional[str] = None,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> VerificationRecord:
+    t1: Digraph, t2: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+) -> dict:
     """For ditree pairs attaining the product equality, every maximum packing
     dominates its underlying tree, and all maximum packings of one factor
     contain all of its isolated leaves (a disjunction across the pair)."""
-    inst = instance or _pair_instance(t1, t2)
-
-    def build():
-        reason = None
-        if t1.n < 3 or t2.n < 3:
-            reason = "both factors must have order at least 3"
-        elif not (is_ditree(t1) and is_ditree(t2)):
-            reason = "both factors must be ditrees"
-        if reason:
-            return _record(CLAIM_MAX_PACKING, inst, False, None, None, extras={"reason": reason})
-        gamma_1, gamma_2, lhs, _ = _gammas(t1, t2, timeout_ms)
-        rhs = gamma_1 * gamma_2
-        extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2}
-        if lhs != rhs:
-            return _record(CLAIM_MAX_PACKING, inst, False, lhs, rhs, extras=extras)
-        # the first non-dominating packing found is the witness; a packing
-        # missing isolated leaves is one only if both factors have one
-        witnesses, missing = {}, {}
-        for i, t in ((1, t1), (2, t2)):
-            iso = classify_leaves(t).isolated_leaves
-            packs = all_maximum_packings(t, timeout_ms=timeout_ms)
-            if not witnesses:
-                un = underlying_graph(t)
-                for p in packs:
-                    if not validate.is_dominating_set(un, p):
-                        witnesses[f"factor{i}_nondominating_packing"] = bitset.to_list(p)
-                        break
-            miss = next((p for p in packs if p & iso != iso), None)
-            if miss is not None:
-                missing[f"factor{i}_packing_missing_isolated"] = bitset.to_list(miss)
-            extras[f"max_packings_T{i}"] = len(packs)
-            extras[f"isolated_leaves_T{i}"] = bitset.to_list(iso)
-            extras[f"all_T{i}_packings_contain_isolated"] = miss is None
-        if len(missing) == 2:
-            witnesses.update(missing)
-        return _record(
-            CLAIM_MAX_PACKING, inst, True, lhs, rhs, not witnesses, witnesses, extras=extras
-        )
-
-    return _timed(CLAIM_MAX_PACKING, inst, build)
+    reason = None
+    if t1.n < 3 or t2.n < 3:
+        reason = "both factors must have order at least 3"
+    elif not (is_ditree(t1) and is_ditree(t2)):
+        reason = "both factors must be ditrees"
+    if reason:
+        return _verdict(False, None, None, extras={"reason": reason})
+    gamma_1, gamma_2, lhs, _ = _gammas(t1, t2, timeout_ms)
+    rhs = gamma_1 * gamma_2
+    extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2}
+    if lhs != rhs:
+        return _verdict(False, lhs, rhs, extras=extras)
+    # the first non-dominating packing found is the witness; a packing
+    # missing isolated leaves is one only if both factors have one
+    witnesses, missing = {}, {}
+    for i, t in ((1, t1), (2, t2)):
+        iso = classify_leaves(t).isolated_leaves
+        packs = all_maximum_packings(t, timeout_ms=timeout_ms)
+        if not witnesses:
+            un = underlying_graph(t)
+            for p in packs:
+                if not validate.is_dominating_set(un, p):
+                    witnesses[f"factor{i}_nondominating_packing"] = bitset.to_list(p)
+                    break
+        miss = next((p for p in packs if p & iso != iso), None)
+        if miss is not None:
+            missing[f"factor{i}_packing_missing_isolated"] = bitset.to_list(miss)
+        extras[f"max_packings_T{i}"] = len(packs)
+        extras[f"isolated_leaves_T{i}"] = bitset.to_list(iso)
+        extras[f"all_T{i}_packings_contain_isolated"] = miss is None
+    if len(missing) == 2:
+        witnesses.update(missing)
+    return _verdict(True, lhs, rhs, not witnesses, witnesses, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -596,52 +519,71 @@ def check_max_packing_dominates(
 # ---------------------------------------------------------------------------
 
 
-def _helly_record(claim: str, d: Digraph, closed: bool, hyp: bool) -> VerificationRecord:
+def _helly(d: Digraph, closed: bool, hyp: bool) -> dict:
     """Every maximal clique of the closed (open) in-neighborhood graph sits
     inside some closed (open) out-neighborhood; ``hyp`` joins the girth
     hypothesis."""
-    inst = digraph_descriptor(d)
-
-    def build():
-        g = girth(underlying_graph(d))
-        hypotheses_met = (g is None or g >= 7) and hyp
-        aux = closed_in_neighborhood_graph(d) if closed else open_in_neighborhood_graph(d)
-        cliques = maximal_cliques(aux)
-        contained = 0
-        failing = None
-        for k in cliques:
-            for w in range(d.n):
-                target = d.out_closed(w) if closed else d.out_adj[w]
-                if k & ~target == 0:
-                    contained += 1
-                    break
-            else:
-                if failing is None:
-                    failing = k
-        witnesses = {} if failing is None else {"uncontained_clique": bitset.to_list(failing)}
-        return _record(
-            claim, inst, hypotheses_met, contained, len(cliques), failing is None, witnesses
-        )
-
-    return _timed(claim, inst, build)
+    g = girth(underlying_graph(d))
+    hypotheses_met = (g is None or g >= 7) and hyp
+    aux = closed_in_neighborhood_graph(d) if closed else open_in_neighborhood_graph(d)
+    cliques = maximal_cliques(aux)
+    contained = 0
+    failing = None
+    for k in cliques:
+        for w in range(d.n):
+            target = d.out_closed(w) if closed else d.out_adj[w]
+            if k & ~target == 0:
+                contained += 1
+                break
+        else:
+            if failing is None:
+                failing = k
+    witnesses = {} if failing is None else {"uncontained_clique": bitset.to_list(failing)}
+    return _verdict(hypotheses_met, contained, len(cliques), failing is None, witnesses)
 
 
-def check_closed_helly_lemma(d: Digraph) -> VerificationRecord:
+@_checker(CLAIM_CLOSED_HELLY)
+def check_closed_helly_lemma(d: Digraph) -> dict:
     """Every maximal clique of the closed in-neighborhood graph sits inside
     some closed out-neighborhood (hypothesis: underlying girth >= 7)."""
-    return _helly_record(CLAIM_CLOSED_HELLY, d, True, True)
+    return _helly(d, True, True)
 
 
-def check_open_helly_lemma(d: Digraph) -> VerificationRecord:
+@_checker(CLAIM_OPEN_HELLY)
+def check_open_helly_lemma(d: Digraph) -> dict:
     """Open variant: maximal cliques of the open in-neighborhood graph sit
     inside open out-neighborhoods (hypotheses: girth >= 7 and min in-degree
     >= 1, the setting in which total domination is defined)."""
-    return _helly_record(CLAIM_OPEN_HELLY, d, False, d.min_in_degree >= 1)
+    return _helly(d, False, d.min_in_degree >= 1)
 
 
 # ---------------------------------------------------------------------------
 # Open problem: packing vs domination on acyclic digraphs
 # ---------------------------------------------------------------------------
+
+
+def _check_acyclic_sizes(who: str, exhaustive: int, budget: int, max_n: int) -> None:
+    """Refuse, before any record, acyclic search sizes that cannot run: the
+    exhaustive walk covers every labeled digraph on up to min(exhaustive,
+    max_n) vertices, so it stops at EXHAUSTIVE_DAG_LIMIT, and ``max_n``, the
+    largest DAG's order, at MAX_VERTICES.  ``who`` names the caller."""
+    walk_ok = min(exhaustive, max_n) <= families.EXHAUSTIVE_DAG_LIMIT
+    if not (exhaustive >= 0 and budget >= 0 and 1 <= max_n <= MAX_VERTICES and walk_ok):
+        raise ValueError(
+            f"{who} wants exhaustive >= 0, random >= 0, n in 1..{MAX_VERTICES} and "
+            f"min(exhaustive, n) <= {families.EXHAUSTIVE_DAG_LIMIT}; "
+            f"got exhaustive={exhaustive}, random={budget}, n={max_n}"
+        )
+
+
+@_checker(CLAIM_ACYCLIC, name=lambda d, arcs, seed: arc_list_descriptor(d.n, arcs))
+def _check_dag(d: Digraph, arcs: list, seed: Optional[int], *, timeout_ms) -> dict:
+    """rho against gamma on one DAG, whose ``arcs`` name it and join the
+    witnesses."""
+    fields = _packing_vs_domination(d, True, timeout_ms)
+    fields["witnesses"]["arcs"] = [list(a) for a in arcs]
+    fields["seed"] = seed
+    return fields
 
 
 def search_acyclic_problem(
@@ -657,32 +599,21 @@ def search_acyclic_problem(
 
     Asserts nothing (the question is open); any strict inequality comes out
     as a ``fails`` record carrying both witnesses.  Sizes out of range raise
-    ValueError before any record.
+    ValueError before any record; the message names ``exhaustive_n``,
+    ``budget`` and ``max_n`` as exhaustive, random and n.
     """
-    if max_n < 1 or budget < 0 or exhaustive_n < 0:
-        raise ValueError(
-            "acyclic search wants max_n >= 1, budget >= 0, exhaustive_n >= 0; "
-            f"got {max_n}, {budget}, {exhaustive_n}"
-        )
-
-    def one(d: Digraph, inst_seed: Optional[int]) -> VerificationRecord:
-        arcs = d.arcs()  # listed once, for the instance name and the witness
-        return _packing_vs_domination(
-            CLAIM_ACYCLIC, arc_list_descriptor(d.n, arcs), True, d, timeout_ms,
-            witnesses={"arcs": [list(a) for a in arcs]}, seed=inst_seed,
-        )
-
+    _check_acyclic_sizes("acyclic search", exhaustive_n, budget, max_n)
     for n in range(1, min(exhaustive_n, max_n) + 1):
         for d in families.all_digraphs(n):
             if is_acyclic_digraph(d):
-                yield one(d, None)
+                yield _check_dag(d, d.arcs(), None, timeout_ms=timeout_ms)
     rng = random.Random(seed)
     for _ in range(budget):
         n = rng.randint(min(exhaustive_n, max_n) + 1, max_n) if max_n > exhaustive_n else max_n
         p = rng.uniform(0.1, 0.7)
         inst_seed = rng.getrandbits(32)
         d = families.random_dag(n, p, inst_seed)
-        yield one(d, inst_seed)
+        yield _check_dag(d, d.arcs(), inst_seed, timeout_ms=timeout_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +874,7 @@ def _dags_source(source: str, rng: random.Random):
     kv = families.parse_kv(source[len("dags:") :], "exhaustive,random,n")
     exhaustive, budget = int(kv.get("exhaustive", "4")), int(kv.get("random", "0"))
     max_n = int(kv.get("n", "9"))
-    if exhaustive < 0 or budget < 0 or max_n < 1:
-        raise SuiteConfigError(f"dags wants exhaustive, random >= 0 and n >= 1, got {source!r}")
+    _check_acyclic_sizes("dags", exhaustive, budget, max_n)
     yield exhaustive, budget, max_n
 
 
@@ -969,14 +899,13 @@ def _run_acyclic(
         return VerificationRecord(
             CLAIM_ACYCLIC, inst, None, holds, total, TIMEOUT, seed=config.seed
         )
-    return _record(
-        CLAIM_ACYCLIC, inst, total > 0, holds, total, bad is None,
-        bad.witnesses if bad else None, seed=config.seed,
-    )
+    return VerificationRecord(CLAIM_ACYCLIC, inst, **_verdict(
+        total > 0, holds, total, bad is None, bad.witnesses if bad else None, seed=config.seed
+    ))
 
 
 def _run_checker(checker):
-    """Run for a checker of the form checker(*graphs, instance, timeout_ms)."""
+    """The run of a checker that solves: the source's label names the record."""
 
     def run(config: SuiteConfig, label: str, *args) -> VerificationRecord:
         return checker(*args, instance=label, timeout_ms=config.timeout_ms)

@@ -256,6 +256,8 @@ class TestVerify:
             ("problem:acyclic-packing-domination dags:exhaustive=2,random=2,n=0", "dags wants"),
             ("problem:acyclic-packing-domination dags:exhaustive=2,random=-3,n=4", "dags wants"),
             ("problem:acyclic-packing-domination dags:exhaustive=-1,random=0,n=4", "dags wants"),
+            ("problem:acyclic-packing-domination dags:exhaustive=6,random=0,n=6", "dags wants"),
+            ("problem:acyclic-packing-domination dags:exhaustive=1,random=1,n=4097", "dags wants"),
             ("thm:meir-moon random-ditrees:count=-2,n=5", "count must be >= 0, got -2"),
             ("thm:meir-moon random-ditrees:count=2,n=1", "n must be >= 2, got 1"),
             ("lemma:closed-helly random-digraphs:count=2,n=0", "n must be >= 1, got 0"),
@@ -430,6 +432,17 @@ class TestSearchAcyclic:
             main(["search-acyclic", flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    def test_max_n_over_capacity_refused_before_any_record(self, capsys):
+        # this run once printed 572 records, then failed on a 4,705-vertex DAG
+        code, out, err = run_cli(
+            capsys, "search-acyclic", "--max-n", "5000", "--budget", "1", "--seed", "6"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: acyclic search wants exhaustive >= 0, random >= 0, n in 1..4096 and "
+            "min(exhaustive, n) <= 5; got exhaustive=4, random=1, n=5000\n"
+        )
 
     def test_stdout_stream(self, capsys):
         code, out, _ = run_cli(

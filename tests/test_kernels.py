@@ -456,6 +456,18 @@ class TestBackendAgreement:
         compiled = _solve(request, "compiled", "max_independent_set", list(aux.adj), aux.n)
         assert compiled == pure and pure[0][0] == 16
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_mis_long_exclude_chain(self, request, backend):
+        # rho of this dense 1,102-vertex DAG: its search excludes vertex
+        # after vertex down one branch, which took the pure kernel past
+        # Python's default recursion limit while it recursed per exclusion
+        d = families.random_dag(1102, 0.4415223248933273, 3445702192)
+        aux = auxgraph.closed_in_neighborhood_graph(d)
+        (size, witness), count = _solve(
+            request, backend, "max_independent_set", list(aux.adj), aux.n
+        )
+        assert (size, count, bitset.to_list(witness)) == (4, 2147, [86, 470, 666, 772])
+
     def test_dispatcher_uses_compiled_at_every_width(self, compiled_kernels, monkeypatch):
         monkeypatch.setattr(kernels, "_compiled", compiled_kernels)
         monkeypatch.setattr(kernels, "_FORCE_PURE", False)

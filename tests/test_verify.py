@@ -12,6 +12,7 @@ import didom.verify as verify
 from didom import bitset, solvers, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
+    build_family,
     enumerate_ditrees,
     fig5_corona,
     gen_bidirected_path,
@@ -21,6 +22,7 @@ from didom.families import (
     random_digraph_min_indegree,
     random_ditree,
 )
+from didom.products import cartesian_product
 from didom.records import (
     ERROR,
     FAILS,
@@ -489,6 +491,76 @@ class TestMaxPackingDominates:
         assert rec.extras == {"reason": "both factors must be ditrees"}
 
 
+def _pair_name(g, h):
+    return f"{digraph_descriptor(g)}|{digraph_descriptor(h)}"
+
+
+def _product(left, right):
+    return cartesian_product(build_family(left), build_family(right))[0]
+
+
+def _checker_cases():
+    """(checker, args, default instance name) for every public checker
+    that solves; each instance needs a search node, so a zero deadline
+    stops it."""
+    tree = underlying_graph(build_family("ditree:n=30,seed=1"))
+    gm2, c3c4 = _product("Gm:2", "Gm:2"), _product("cycle:3", "cycle:4")
+    pair = build_family("Tstar(path:3)"), build_family("Gm:3")
+    indeg = random_digraph_min_indegree(5, 0.3, 19), random_digraph_min_indegree(5, 0.3, 1019)
+    k1star, p4 = gen_K1_star(), gen_bidirected_path(4)
+    fig5 = fig5_corona()
+    return [
+        (verify.check_meir_moon, (tree,), f"tree:n=30,edges={tree.edges()}"),
+        (verify.check_packing_equals_domination, (gm2,), digraph_descriptor(gm2)),
+        (verify.check_open_packing_equals_total_domination, (c3c4,), digraph_descriptor(c3c4)),
+        (verify.check_total_domination_direct_product, indeg, _pair_name(*indeg)),
+        (verify.check_packing_lower_bound, pair, _pair_name(*pair)),
+        (verify.check_vizing_inequality, pair, _pair_name(*pair)),
+        (verify.check_half_vizing_bound, pair, _pair_name(*pair)),
+        (verify.check_Gm_vizing_failure, (2,), "Gm:2|Gm:2"),
+        (verify.check_C4_equality, (fig5,), digraph_descriptor(fig5)),
+        (verify.check_strong_support_condition, pair, _pair_name(*pair)),
+        (verify.check_isolated_leaf_extension, (*pair, 1), f"{_pair_name(*pair)};attach=1"),
+        (verify.check_max_packing_dominates, (k1star, p4), _pair_name(k1star, p4)),
+    ]
+
+
+class TestCheckerShape:
+    """Every public checker names its record by its default name, and a
+    solve past its deadline gives a ``timeout`` record under that name; the
+    checkers the suite labels take that label as ``instance``."""
+
+    @pytest.mark.parametrize(
+        "checker, args, name",
+        [pytest.param(*case, id=case[0].__name__) for case in _checker_cases()],
+    )
+    def test_names_and_deadline(self, checker, args, name):
+        stopped = checker(*args, timeout_ms=0)
+        assert (stopped.instance, stopped.verdict, stopped.hypotheses_met) == (name, TIMEOUT, None)
+        assert (stopped.lhs, stopped.rhs, stopped.witnesses, stopped.extras) == (None, None, {}, {})
+
+    @pytest.mark.parametrize(
+        "checker, args",
+        [
+            pytest.param(checker, args, id=checker.__name__)
+            for checker, args, _ in _checker_cases()
+            if checker is not verify.check_Gm_vizing_failure  # the suite does not label it
+        ],
+    )
+    def test_instance_names_the_record(self, checker, args):
+        given = checker(*args, instance="given", timeout_ms=0)
+        assert (given.instance, given.verdict) == ("given", TIMEOUT)
+
+    @pytest.mark.parametrize(
+        "checker", [verify.check_closed_helly_lemma, verify.check_open_helly_lemma]
+    )
+    def test_helly_names_and_takes_no_deadline(self, checker):
+        d = random_ditree(8, 3)
+        assert checker(d).instance == digraph_descriptor(d)
+        with pytest.raises(TypeError):
+            checker(d, timeout_ms=0)  # nothing in it solves against a deadline
+
+
 class TestFailsBranches:
     """The theorems hold, so the `fails` branches are reached by replacing
     one helper that ``verify`` imports with a wrong one."""
@@ -653,8 +725,17 @@ class TestAcyclicSearch:
             if rec.verdict == FAILS:
                 assert rec.witnesses
 
+    def test_walk_capped_by_max_n(self):
+        # exhaustive_n past the limit is fine while max_n caps the walk
+        walk = verify.search_acyclic_problem(max_n=3, budget=0, exhaustive_n=6)
+        assert len(list(walk)) == 29
+
     @pytest.mark.parametrize(
-        "max_n, budget, exhaustive_n", [(0, 2, 4), (-1, 0, 4), (5, -2, 4), (5, 2, -1)]
+        "max_n, budget, exhaustive_n",
+        # over capacity, and an exhaustive walk of the 2^30 digraphs on 6
+        # vertices: the first once failed after the exhaustive records, the
+        # second ran on
+        [(0, 2, 4), (-1, 0, 4), (5, -2, 4), (5, 2, -1), (4097, 1, 4), (6, 0, 6)],
     )
     def test_sizes_refused_before_any_record(self, max_n, budget, exhaustive_n):
         search = verify.search_acyclic_problem(max_n, budget, exhaustive_n=exhaustive_n)
