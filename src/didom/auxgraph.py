@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from time import monotonic
 from typing import Optional
 
 from didom import bitset
 from didom.core import Digraph, UndirectedGraph
-from didom.errors import CliqueLimitExceeded
+from didom.errors import CliqueLimitExceeded, SolveTimeout
 
 DEFAULT_CLIQUE_CAP = 1_000_000
 
@@ -142,18 +143,24 @@ def is_chordal(g: UndirectedGraph) -> ChordalityResult:
     return ChordalityResult(False, None, hole)
 
 
-def maximal_cliques(g: UndirectedGraph, cap: int = DEFAULT_CLIQUE_CAP) -> list[int]:
+def maximal_cliques(
+    g: UndirectedGraph, cap: int = DEFAULT_CLIQUE_CAP, *, timeout_ms: Optional[float] = None
+) -> list[int]:
     """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting).
 
     The result is complete, duplicate-free, and sorted by member lists; the
-    cap turns pathological inputs into CliqueLimitExceeded.
+    cap turns pathological inputs into CliqueLimitExceeded, and a search
+    past ``timeout_ms`` (None: no deadline) into SolveTimeout.
     """
     if g.n == 0:
         return []
+    deadline = None if timeout_ms is None else monotonic() + timeout_ms / 1000.0
     out: list[int] = []
     adj = g.adj
 
     def expand(r: int, p: int, x: int) -> None:
+        if deadline is not None and monotonic() > deadline:
+            raise SolveTimeout("clique enumeration exceeded its deadline")
         if not p and not x:
             out.append(r)
             if len(out) > cap:

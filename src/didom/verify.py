@@ -12,8 +12,11 @@ packing of the same value (weak LP duality).
 
 Every checker has one shape: a body that states its claim's mathematics
 and returns the verdict fields, made public by ``_checker``, which names,
-times and builds the record and turns a solve past its deadline into a
-``timeout`` record.  The fields come from one verdict rule, ``_verdict``:
+times and builds the record, hands the body its deadline and turns a
+solve past it into a ``timeout`` record.  The suite calls every checker
+one way: by name when the task runs, with its source's label as the
+record's instance and the suite's deadline.  The fields come from one
+verdict rule, ``_verdict``:
 ``hypothesis_not_met`` when the hypotheses fail, otherwise ``holds`` or
 ``fails`` as the conclusion says.  Only two definitional self-checks (the
 direct product's sandwich, the C4 partition witness) report ``fails``
@@ -37,7 +40,6 @@ from didom.auxgraph import (
 from didom.core import (
     Digraph,
     MAX_VERTICES,
-    UndirectedGraph,
     build_digraph,
     classify_leaves,
     girth,
@@ -94,21 +96,23 @@ EXPECTED_FAILURE_CLAIMS = frozenset({CLAIM_VIZING, CLAIM_ACYCLIC})
 
 def _checker(claim: str, name: Optional[Callable[..., str]] = None):
     """Decorator: the public checker of ``claim`` whose mathematics is the
-    decorated body, ``body(*args, **options)``, which returns the verdict
+    decorated body, ``body(*args, timeout_ms)``, which returns the verdict
     fields (as ``_verdict`` gives them).  ``check(*args, instance=None,
-    **options)`` names the record ``instance``, else ``name(*args)`` (the
-    digraph's descriptor by default), times it, and turns a solve past its
-    deadline into a ``timeout`` record.  The options are the body's own:
-    ``timeout_ms`` wherever it solves."""
+    timeout_ms=DEFAULT_TIMEOUT_MS)`` names the record ``instance``, else
+    ``name(*args)`` (the digraph's descriptor by default), passes the
+    deadline to the body, times the record, and turns a solve past its
+    deadline into a ``timeout`` record.  The suite passes both keywords."""
 
     def decorate(body):
-        def check(*args, instance: Optional[str] = None, **options) -> VerificationRecord:
+        def check(
+            *args, instance: Optional[str] = None, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+        ) -> VerificationRecord:
             # the suite names its records, which spares it the default name;
             # the descriptor is looked up per call, where a tracer may wrap it
             inst = instance or (name or digraph_descriptor)(*args)
             start = perf_counter()
             try:
-                record = VerificationRecord(claim, inst, **body(*args, **options))
+                record = VerificationRecord(claim, inst, **body(*args, timeout_ms=timeout_ms))
             except SolveTimeout:
                 record = VerificationRecord(claim, inst, None, None, None, TIMEOUT)
             record.elapsed_ms = (perf_counter() - start) * 1000.0
@@ -169,29 +173,24 @@ def _packing_vs_domination(
     return _verdict(hyp, rho, gamma, rho == gamma, witnesses)
 
 
-@_checker(CLAIM_MEIR_MOON, name=lambda tree: f"tree:n={tree.n},edges={tree.edges()}")
-def check_meir_moon(
-    tree: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+@_checker(CLAIM_MEIR_MOON, name=lambda d: f"tree:n={d.n},edges={underlying_graph(d).edges()}")
+def check_meir_moon(d: Digraph, *, timeout_ms) -> dict:
     """2-packing number equals domination number on trees: the ditree
-    theorem on the tree's bidirected digraph."""
+    theorem on the bidirected digraph of d's underlying graph."""
+    tree = underlying_graph(d)
     return _packing_vs_domination(
         tree, is_tree(tree), timeout_ms, keys=("two_packing", "dominating_set")
     )
 
 
 @_checker(CLAIM_DITREE_PACKING)
-def check_packing_equals_domination(
-    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_packing_equals_domination(d: Digraph, *, timeout_ms) -> dict:
     """Packing number equals domination number on ditrees."""
     return _packing_vs_domination(d, is_ditree(d), timeout_ms)
 
 
 @_checker(CLAIM_DITREE_OPEN_PACKING)
-def check_open_packing_equals_total_domination(
-    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_open_packing_equals_total_domination(d: Digraph, *, timeout_ms) -> dict:
     """Open packing number equals total domination number on ditrees with
     minimum in-degree at least 1."""
     hyp = is_ditree(d) and d.n > 0 and d.min_in_degree >= 1
@@ -206,9 +205,7 @@ def check_open_packing_equals_total_domination(
 
 
 @_checker(CLAIM_DIRECT_TOTAL, name=_pair_instance)
-def check_total_domination_direct_product(
-    g: Digraph, h: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_total_domination_direct_product(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
     """gamma_t(G x H) = gamma_t(G) gamma_t(H) when the first factor's open
     packing number equals its total domination number (both factors need
     minimum in-degree 1).  The product is solved exactly, and the
@@ -260,9 +257,7 @@ def _cartesian_bound(g: Digraph, h: Digraph, timeout_ms, bound) -> dict:
 
 
 @_checker(CLAIM_PACKING_LOWER, name=_pair_instance)
-def check_packing_lower_bound(
-    g: Digraph, h: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_packing_lower_bound(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
     """gamma(G [] H) >= max(gamma(G) rho(H), gamma(H) rho(G))."""
 
     def bound(gamma_g, gamma_h, lhs):
@@ -274,9 +269,7 @@ def check_packing_lower_bound(
 
 
 @_checker(CLAIM_VIZING, name=_pair_instance)
-def check_vizing_inequality(
-    g: Digraph, h: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_vizing_inequality(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
     """gamma(G [] H) >= gamma(G) gamma(H): true for ditree factors, false in
     general; failures are first-class findings with a small dominating set
     attached as the counterwitness."""
@@ -286,9 +279,7 @@ def check_vizing_inequality(
 
 
 @_checker(CLAIM_HALF_VIZING, name=_pair_instance)
-def check_half_vizing_bound(
-    g: Digraph, h: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_half_vizing_bound(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
     """gamma(G [] H) >= (gamma(G) gamma(H) + max(gamma(G), gamma(H))) / 2.
 
     Unconditional; ``extras['slack_x2']`` records twice the slack so
@@ -336,7 +327,7 @@ def gm_square_fractional_packing(m: int) -> tuple[list[int], int]:
 
 
 @_checker(CLAIM_GM_FAILURE, name=lambda m: f"Gm:{m}|Gm:{m}")
-def check_Gm_vizing_failure(m: int, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS) -> dict:
+def check_Gm_vizing_failure(m: int, *, timeout_ms) -> dict:
     """The explicit dominating set of G_m [] G_m has size m^2 + 2m, strictly
     below gamma(G_m)^2 = (m+1)^2.  The exact product value is certified by a
     fractional packing of value m^2 + 2m for m >= 3 and solved for m <= 2;
@@ -366,7 +357,7 @@ def check_Gm_vizing_failure(m: int, *, timeout_ms: Optional[float] = DEFAULT_TIM
 
 
 @_checker(CLAIM_C4_EQUALITY)
-def check_C4_equality(g: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS) -> dict:
+def check_C4_equality(g: Digraph, *, timeout_ms) -> dict:
     """Digraphs partitionable into two minimum dominating sets satisfy
     gamma(G [] C4^(0,2,0,2)) = 2 gamma(G); any two-dominating-set partition
     additionally certifies the upper bound gamma <= n(G)."""
@@ -419,9 +410,7 @@ def _strong_support_with_two_nonisolated(d: Digraph) -> Optional[int]:
 
 
 @_checker(CLAIM_STRONG_SUPPORT, name=_pair_instance)
-def check_strong_support_condition(
-    t: Digraph, g: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_strong_support_condition(t: Digraph, g: Digraph, *, timeout_ms) -> dict:
     """Necessary condition, checked contrapositively: when the product
     equality gamma(T [] G) = gamma(T) gamma(G) holds exactly, T must not
     contain a strong support vertex adjacent to two non-isolated leaves."""
@@ -448,9 +437,7 @@ def attach_isolated_leaf(d: Digraph, attach_at: int) -> Digraph:
 
 
 @_checker(CLAIM_ISOLATED_LEAF, name=lambda t, h, at: f"{_pair_instance(t, h)};attach={at}")
-def check_isolated_leaf_extension(
-    t: Digraph, h: Digraph, attach_at: int, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_isolated_leaf_extension(t: Digraph, h: Digraph, attach_at: int, *, timeout_ms) -> dict:
     """Attaching a new isolated leaf that raises gamma by one preserves the
     product equality gamma(T [] H) = gamma(T) gamma(H)."""
     t_ext = attach_isolated_leaf(t, attach_at)
@@ -473,9 +460,7 @@ def check_isolated_leaf_extension(
 
 
 @_checker(CLAIM_MAX_PACKING, name=_pair_instance)
-def check_max_packing_dominates(
-    t1: Digraph, t2: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> dict:
+def check_max_packing_dominates(t1: Digraph, t2: Digraph, *, timeout_ms) -> dict:
     """For ditree pairs attaining the product equality, every maximum packing
     dominates its underlying tree, and all maximum packings of one factor
     contain all of its isolated leaves (a disjunction across the pair)."""
@@ -519,14 +504,14 @@ def check_max_packing_dominates(
 # ---------------------------------------------------------------------------
 
 
-def _helly(d: Digraph, closed: bool, hyp: bool) -> dict:
+def _helly(d: Digraph, closed: bool, hyp: bool, timeout_ms) -> dict:
     """Every maximal clique of the closed (open) in-neighborhood graph sits
     inside some closed (open) out-neighborhood; ``hyp`` joins the girth
     hypothesis."""
     g = girth(underlying_graph(d))
     hypotheses_met = (g is None or g >= 7) and hyp
     aux = closed_in_neighborhood_graph(d) if closed else open_in_neighborhood_graph(d)
-    cliques = maximal_cliques(aux)
+    cliques = maximal_cliques(aux, timeout_ms=timeout_ms)
     contained = 0
     failing = None
     for k in cliques:
@@ -543,18 +528,18 @@ def _helly(d: Digraph, closed: bool, hyp: bool) -> dict:
 
 
 @_checker(CLAIM_CLOSED_HELLY)
-def check_closed_helly_lemma(d: Digraph) -> dict:
+def check_closed_helly_lemma(d: Digraph, *, timeout_ms) -> dict:
     """Every maximal clique of the closed in-neighborhood graph sits inside
     some closed out-neighborhood (hypothesis: underlying girth >= 7)."""
-    return _helly(d, True, True)
+    return _helly(d, True, True, timeout_ms)
 
 
 @_checker(CLAIM_OPEN_HELLY)
-def check_open_helly_lemma(d: Digraph) -> dict:
+def check_open_helly_lemma(d: Digraph, *, timeout_ms) -> dict:
     """Open variant: maximal cliques of the open in-neighborhood graph sit
     inside open out-neighborhoods (hypotheses: girth >= 7 and min in-degree
     >= 1, the setting in which total domination is defined)."""
-    return _helly(d, False, d.min_in_degree >= 1)
+    return _helly(d, False, d.min_in_degree >= 1, timeout_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -860,12 +845,13 @@ def _m_source(source: str, rng: random.Random):
     for m_str in source[2:].split(","):
         if not m_str.isdecimal() or int(m_str) < 1:
             raise SuiteConfigError(f"m must be a positive integer, got {m_str!r} in {source!r}")
-        order = (2 * int(m_str) + 1) ** 2
+        m = int(m_str)
+        order = (2 * m + 1) ** 2
         if order > MAX_VERTICES:
             raise SuiteConfigError(
                 f"m = {m_str} gives product order {order}, over capacity {MAX_VERTICES}, in {source!r}"
             )
-        yield (int(m_str),)
+        yield f"Gm:{m}|Gm:{m}", m
 
 
 def _dags_source(source: str, rng: random.Random):
@@ -875,12 +861,11 @@ def _dags_source(source: str, rng: random.Random):
     exhaustive, budget = int(kv.get("exhaustive", "4")), int(kv.get("random", "0"))
     max_n = int(kv.get("n", "9"))
     _check_acyclic_sizes("dags", exhaustive, budget, max_n)
-    yield exhaustive, budget, max_n
+    yield f"dags:exhaustive={exhaustive},random={budget},n={max_n}", exhaustive, budget, max_n
 
 
-def _run_acyclic(
-    config: SuiteConfig, exhaustive: int, budget: int, max_n: int
-) -> VerificationRecord:
+@_checker(CLAIM_ACYCLIC)
+def _fold_acyclic(exhaustive: int, budget: int, max_n: int, seed: int, *, timeout_ms) -> dict:
     """The acyclic search folded into one summary record carrying the first
     failure's witnesses; with no failure, any DAG past its deadline makes it
     a ``timeout`` record, since the equality was not checked there.  A search
@@ -888,62 +873,56 @@ def _run_acyclic(
     holds = total = 0
     bad = None
     for r in search_acyclic_problem(
-        max_n, budget, config.seed, exhaustive_n=exhaustive, timeout_ms=config.timeout_ms
+        max_n, budget, seed, exhaustive_n=exhaustive, timeout_ms=timeout_ms
     ):
         total += 1
         holds += r.verdict == HOLDS
         if bad is None and r.verdict == FAILS:
             bad = r
-    inst = f"dags:exhaustive={exhaustive},random={budget},n={max_n}"
     if bad is None and holds < total:
-        return VerificationRecord(
-            CLAIM_ACYCLIC, inst, None, holds, total, TIMEOUT, seed=config.seed
-        )
-    return VerificationRecord(CLAIM_ACYCLIC, inst, **_verdict(
-        total > 0, holds, total, bad is None, bad.witnesses if bad else None, seed=config.seed
-    ))
+        return dict(hypotheses_met=None, lhs=holds, rhs=total, verdict=TIMEOUT, seed=seed)
+    return _verdict(total > 0, holds, total, bad is None, bad.witnesses if bad else None, seed=seed)
 
 
-def _run_checker(checker):
-    """The run of a checker that solves: the source's label names the record."""
+def _run_acyclic(config: SuiteConfig, label: str, *args) -> VerificationRecord:
+    """The suite's run of the acyclic fold, the one claim given the suite's seed."""
+    return _fold_acyclic(*args, config.seed, instance=label, timeout_ms=config.timeout_ms)
+
+
+def _run_checker(name: str):
+    """The suite's run of the public checker ``name``, looked up when the
+    task runs, where a tracer may have wrapped it: the source's label names
+    the record and the suite's deadline bounds it."""
 
     def run(config: SuiteConfig, label: str, *args) -> VerificationRecord:
-        return checker(*args, instance=label, timeout_ms=config.timeout_ms)
+        return globals()[name](*args, instance=label, timeout_ms=config.timeout_ms)
 
     return run
 
 
-# claim -> (instance source, run).  A source yields one argument tuple per
-# instance; each task calls run(config, *args).  Sources draw from the rng
-# in a fixed order, which keeps suites reproducible from their seed.
+# claim -> (instance source, run).  A source yields one tuple per instance,
+# its label first; each task calls run(config, label, *args).  Sources draw
+# from the rng in a fixed order, which keeps suites reproducible from their
+# seed.
 _CLAIM_TABLE = {
-    CLAIM_MEIR_MOON: (
-        _digraph_instances,
-        lambda c, label, d: check_meir_moon(
-            underlying_graph(d), instance=label, timeout_ms=c.timeout_ms
-        ),
-    ),
-    CLAIM_DITREE_PACKING: (_digraph_instances, _run_checker(check_packing_equals_domination)),
+    CLAIM_MEIR_MOON: (_digraph_instances, _run_checker("check_meir_moon")),
+    CLAIM_DITREE_PACKING: (_digraph_instances, _run_checker("check_packing_equals_domination")),
     CLAIM_DITREE_OPEN_PACKING: (
         _digraph_instances,
-        _run_checker(check_open_packing_equals_total_domination),
+        _run_checker("check_open_packing_equals_total_domination"),
     ),
-    CLAIM_DIRECT_TOTAL: (_pair_instances, _run_checker(check_total_domination_direct_product)),
-    CLAIM_PACKING_LOWER: (_pair_instances, _run_checker(check_packing_lower_bound)),
-    CLAIM_VIZING: (_pair_instances, _run_checker(check_vizing_inequality)),
-    CLAIM_HALF_VIZING: (_pair_instances, _run_checker(check_half_vizing_bound)),
-    CLAIM_GM_FAILURE: (
-        _m_source,
-        lambda c, m: check_Gm_vizing_failure(m, timeout_ms=c.timeout_ms),
-    ),
-    CLAIM_C4_EQUALITY: (_digraph_instances, _run_checker(check_C4_equality)),
-    CLAIM_STRONG_SUPPORT: (_pair_instances, _run_checker(check_strong_support_condition)),
-    CLAIM_ISOLATED_LEAF: (_attach_source, _run_checker(check_isolated_leaf_extension)),
-    CLAIM_MAX_PACKING: (_pair_instances, _run_checker(check_max_packing_dominates)),
+    CLAIM_DIRECT_TOTAL: (_pair_instances, _run_checker("check_total_domination_direct_product")),
+    CLAIM_PACKING_LOWER: (_pair_instances, _run_checker("check_packing_lower_bound")),
+    CLAIM_VIZING: (_pair_instances, _run_checker("check_vizing_inequality")),
+    CLAIM_HALF_VIZING: (_pair_instances, _run_checker("check_half_vizing_bound")),
+    CLAIM_GM_FAILURE: (_m_source, _run_checker("check_Gm_vizing_failure")),
+    CLAIM_C4_EQUALITY: (_digraph_instances, _run_checker("check_C4_equality")),
+    CLAIM_STRONG_SUPPORT: (_pair_instances, _run_checker("check_strong_support_condition")),
+    CLAIM_ISOLATED_LEAF: (_attach_source, _run_checker("check_isolated_leaf_extension")),
+    CLAIM_MAX_PACKING: (_pair_instances, _run_checker("check_max_packing_dominates")),
     CLAIM_ACYCLIC: (_dags_source, _run_acyclic),
-    # Helly records name their instance by digraph_descriptor, not the label
-    CLAIM_CLOSED_HELLY: (_digraph_instances, lambda c, label, d: check_closed_helly_lemma(d)),
-    CLAIM_OPEN_HELLY: (_digraph_instances, lambda c, label, d: check_open_helly_lemma(d)),
+    CLAIM_CLOSED_HELLY: (_digraph_instances, _run_checker("check_closed_helly_lemma")),
+    CLAIM_OPEN_HELLY: (_digraph_instances, _run_checker("check_open_helly_lemma")),
 }
 
 ALL_CLAIMS = tuple(_CLAIM_TABLE)

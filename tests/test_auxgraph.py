@@ -13,7 +13,7 @@ from didom.auxgraph import (
     open_in_neighborhood_graph,
 )
 from didom.core import build_digraph, build_undirected, underlying_graph
-from didom.errors import CliqueLimitExceeded
+from didom.errors import CliqueLimitExceeded, SolveTimeout
 from didom.families import gen_oriented_cycle, random_digraph, random_ditree
 from didom.records import HOLDS, HYPOTHESIS_NOT_MET
 from didom.solvers import (
@@ -178,6 +178,11 @@ class TestMaximalCliques:
         g = build_undirected(9, edges)
         with pytest.raises(CliqueLimitExceeded):
             maximal_cliques(g, cap=2)
+
+    def test_deadline(self):
+        p3 = build_undirected(3, [(0, 1), (1, 2)])
+        with pytest.raises(SolveTimeout):
+            maximal_cliques(p3, timeout_ms=0)
 
     @settings(max_examples=60, deadline=None)
     @given(small_undirected())

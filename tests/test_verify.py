@@ -96,6 +96,14 @@ class TestMeirMoon:
         c4 = build_undirected(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert verify.check_meir_moon(c4).verdict == HYPOTHESIS_NOT_MET
 
+    def test_digraph_checked_as_its_underlying_graph(self):
+        d = build_family("ditree:n=6,seed=2")
+        tree = underlying_graph(d)
+        on_d, on_tree = verify.check_meir_moon(d), verify.check_meir_moon(tree)
+        assert on_d.instance == f"tree:n=6,edges={tree.edges()}"
+        assert on_d.to_json(False) == on_tree.to_json(False)
+        assert verify.check_meir_moon(d, instance="x").instance == "x"
+
 
 class TestDitreeEqualities:
     def test_k1_star(self):
@@ -500,15 +508,14 @@ def _product(left, right):
 
 
 def _checker_cases():
-    """(checker, args, default instance name) for every public checker
-    that solves; each instance needs a search node, so a zero deadline
-    stops it."""
+    """(checker, args, default instance name) for every public checker;
+    each instance needs a search node, so a zero deadline stops it."""
     tree = underlying_graph(build_family("ditree:n=30,seed=1"))
     gm2, c3c4 = _product("Gm:2", "Gm:2"), _product("cycle:3", "cycle:4")
     pair = build_family("Tstar(path:3)"), build_family("Gm:3")
     indeg = random_digraph_min_indegree(5, 0.3, 19), random_digraph_min_indegree(5, 0.3, 1019)
     k1star, p4 = gen_K1_star(), gen_bidirected_path(4)
-    fig5 = fig5_corona()
+    fig5, ditree = fig5_corona(), random_ditree(8, 3)
     return [
         (verify.check_meir_moon, (tree,), f"tree:n=30,edges={tree.edges()}"),
         (verify.check_packing_equals_domination, (gm2,), digraph_descriptor(gm2)),
@@ -522,13 +529,15 @@ def _checker_cases():
         (verify.check_strong_support_condition, pair, _pair_name(*pair)),
         (verify.check_isolated_leaf_extension, (*pair, 1), f"{_pair_name(*pair)};attach=1"),
         (verify.check_max_packing_dominates, (k1star, p4), _pair_name(k1star, p4)),
+        (verify.check_closed_helly_lemma, (ditree,), digraph_descriptor(ditree)),
+        (verify.check_open_helly_lemma, (ditree,), digraph_descriptor(ditree)),
     ]
 
 
 class TestCheckerShape:
     """Every public checker names its record by its default name, and a
     solve past its deadline gives a ``timeout`` record under that name; the
-    checkers the suite labels take that label as ``instance``."""
+    suite's label, given as ``instance``, names it instead."""
 
     @pytest.mark.parametrize(
         "checker, args, name",
@@ -541,24 +550,11 @@ class TestCheckerShape:
 
     @pytest.mark.parametrize(
         "checker, args",
-        [
-            pytest.param(checker, args, id=checker.__name__)
-            for checker, args, _ in _checker_cases()
-            if checker is not verify.check_Gm_vizing_failure  # the suite does not label it
-        ],
+        [pytest.param(checker, args, id=checker.__name__) for checker, args, _ in _checker_cases()],
     )
     def test_instance_names_the_record(self, checker, args):
         given = checker(*args, instance="given", timeout_ms=0)
         assert (given.instance, given.verdict) == ("given", TIMEOUT)
-
-    @pytest.mark.parametrize(
-        "checker", [verify.check_closed_helly_lemma, verify.check_open_helly_lemma]
-    )
-    def test_helly_names_and_takes_no_deadline(self, checker):
-        d = random_ditree(8, 3)
-        assert checker(d).instance == digraph_descriptor(d)
-        with pytest.raises(TypeError):
-            checker(d, timeout_ms=0)  # nothing in it solves against a deadline
 
 
 class TestFailsBranches:
@@ -568,7 +564,7 @@ class TestFailsBranches:
     def test_helly_uncontained_clique(self, monkeypatch):
         k1star = gen_K1_star()
         everything = (1 << k1star.n) - 1
-        monkeypatch.setattr(verify, "maximal_cliques", lambda aux: [0b1, everything])
+        monkeypatch.setattr(verify, "maximal_cliques", lambda aux, timeout_ms: [0b1, everything])
         rec = verify.check_closed_helly_lemma(k1star)
         assert rec.verdict == FAILS and rec.hypotheses_met is True
         assert (rec.lhs, rec.rhs) == (1, 2)
@@ -956,6 +952,25 @@ class TestSuite:
         for line in lines:
             VerificationRecord.from_json(line)
 
+    def test_suite_looks_up_every_checker_when_it_runs(self, monkeypatch):
+        # each checker is swapped after the tasks are built, as a tracer swaps
+        # module attributes: a task must look its checker up when it runs
+        tasks = verify.build_tasks(verify.default_suite_config())
+        names = [name for name in vars(verify) if name.startswith("check_")]
+        entered = Counter()
+
+        def counting(name, checker):
+            def count(*args, **kwargs):
+                entered[name] += 1
+                return checker(*args, **kwargs)
+
+            return count
+
+        for name in names:
+            monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+        verify.run_suite(tasks)
+        assert len(names) == 14 and set(entered) == set(names)
+
     def test_suite_deterministic_given_seed(self):
         cfg = verify.parse_suite_config(
             "seed 11\ncheck thm:ditree-packing-domination random-ditrees:count=4,n=6\n"
@@ -971,8 +986,8 @@ class TestSuite:
         [
             pytest.param(backend, seed, digest, id=f"{backend}-{seed}")
             for seed, digest in (
-                (42, "08439cf68941dbfb88d41ecf160ea720c2de9e91fde2db0addfc44bad613c993"),
-                (7, "012c74825613d23aa85a7fe1a6f43c9c48763b933f0d95bdef5c31fc34c54caa"),
+                (42, "305e8adc1a695b749f44793fc16890db43c2126f7c8f81ed5b674874c18e9a22"),
+                (7, "75f25c583ab86f8fc62c9bae6aef2cd59d5142ffba01976d96e1793d199d8ba5"),
             )
             for backend in ("pure", "compiled")
         ],
@@ -1041,7 +1056,7 @@ check problem:acyclic-packing-domination dags:exhaustive=3,random=400,n=5
         text = "".join(r.to_json(False) + "\n" for r in records)
         assert (
             hashlib.sha256(text.encode("ascii")).hexdigest()
-            == "a59085559eebc3142aaf720d8b239de377cf0da6507e42dafecb49e80bccbfd0"
+            == "03c6baa186a2fc4e6ac8e90ddaa28493ad7c8f7e2118bdf47d0d087e07aaff93"
         )
 
     def test_config_rejects_removed_jobs_key(self):
@@ -1091,6 +1106,16 @@ check problem:acyclic-packing-domination dags:exhaustive=3,random=400,n=5
         (rec,) = verify.run_suite(verify.build_tasks(cfg)).records
         assert (rec.verdict, rec.hypotheses_met, rec.lhs, rec.rhs) == (TIMEOUT, None, 310, 329)
         assert rec.seed == 3 and not rec.witnesses
+
+    def test_acyclic_fold_is_timed(self, tmp_path):
+        cfg = verify.parse_suite_config(
+            "check problem:acyclic-packing-domination dags:exhaustive=3,random=20,n=6\n"
+        )
+        for timings in (True, False):
+            out = tmp_path / f"timings-{timings}.jsonl"
+            verify.run_suite(verify.build_tasks(cfg), out_path=str(out), include_timings=timings)
+            elapsed = json.loads(out.read_text())["elapsed_ms"]
+            assert elapsed > 0 if timings else elapsed is None
 
     def test_acyclic_failure_outranks_timeout(self, monkeypatch):
         # a `fails` record carries a real counterexample, so it wins
