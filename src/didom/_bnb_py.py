@@ -9,8 +9,9 @@ independent set for vertex v.
 A change to the search here must be made there too.  The two are not
 line-for-line twins: the pure cover search keeps per-node tables of live
 counts and coverage sizes, which the C kernel recomputes at every node
-from its word arrays.  ``nodes`` holds the search nodes of the last call
-of either kernel here, as ``CompiledKernels.nodes`` does for the C one.
+from its word arrays.  Each kernel takes an ``errors.Deadline`` (None: no
+bound) and polls it once per search node, so the caller reads the search's
+node count off the deadline it passed, as it does for the C kernels.
 
 Both kernels first check their greedy answer against a root bound.  An
 answer that meets it is optimal and is returned without a search, after 0
@@ -20,30 +21,10 @@ never times out.
 
 from __future__ import annotations
 
-from time import monotonic
 from typing import Optional, Sequence
 
 from didom import bitset
-from didom.errors import SolveTimeout
-
-
-nodes = 0  # search nodes of the last call of either kernel
-
-
-class _Deadline:
-    """Polled once per search node, which it counts; a set deadline reads
-    the clock every time, so a timeout stops within one node of it."""
-
-    __slots__ = ("at", "nodes")
-
-    def __init__(self, at: Optional[float]):
-        self.at = at
-        self.nodes = 0
-
-    def poll(self) -> None:
-        self.nodes += 1
-        if self.at is not None and monotonic() > self.at:
-            raise SolveTimeout("solve exceeded its deadline")
+from didom.errors import Deadline
 
 
 def _greedy_cover(masks: Sequence[int], universe: int) -> int:
@@ -89,7 +70,7 @@ def _ordered_packing(covers: Sequence[int], cnt: Sequence[int], left: int) -> in
 
 
 def min_set_cover(
-    masks: Sequence[int], universe: int, deadline: Optional[float] = None
+    masks: Sequence[int], universe: int, deadline: Optional[Deadline] = None
 ) -> Optional[tuple[int, int]]:
     """Exact minimum cover of ``universe`` by the given bitmask sets.
 
@@ -152,8 +133,6 @@ def min_set_cover(
     optimal and is returned after 0 search nodes.  The search would have
     kept it too, since it replaces the incumbent only by a smaller cover.
     """
-    global nodes
-    nodes = 0
     if universe == 0:
         return 0, 0
     masks = [m & universe for m in masks]
@@ -190,7 +169,7 @@ def min_set_cover(
     if _ordered_packing(covers, cnt, left) >= best[0]:
         return best[0], best[1]
     members = [None] * width  # element -> its sets, listed on first use
-    dl = _Deadline(deadline)
+    poll = Deadline().poll if deadline is None else deadline.poll
 
     def take(i: int, uncovered: int, cnt: list) -> tuple[int, int]:
         """Cover set i's uncovered elements, which leave ``cnt``.  Returns
@@ -213,7 +192,7 @@ def min_set_cover(
         # stale: the sets that lost an element since the last subsumption
         # pass, whose size that pass has yet to recount; every set at the
         # root, which has had no pass.
-        dl.poll()
+        poll()
         # An element with no live set ends the branch, the first with a
         # single live set forces it, and otherwise the first with the fewest
         # is the branch element.  ``fewest`` is the least count.  A pick
@@ -348,15 +327,12 @@ def min_set_cover(
                 cnt[low.bit_length() - 1] -= 1
 
     all_sets = (1 << len(masks)) - 1
-    try:
-        dfs(universe, all_sets, 0, 0, all_sets, cnt, [0] * len(masks))
-    finally:
-        nodes = dl.nodes
+    dfs(universe, all_sets, 0, 0, all_sets, cnt, [0] * len(masks))
     return best[0], best[1]
 
 
 def max_independent_set(
-    adj: Sequence[int], n: int, deadline: Optional[float] = None
+    adj: Sequence[int], n: int, deadline: Optional[Deadline] = None
 ) -> tuple[int, int]:
     """Exact maximum independent set; returns ``(size, witness bitmask)``.
 
@@ -365,12 +341,10 @@ def max_independent_set(
     large as the clique cover of the whole graph (α ≤ the clique-cover
     number) is maximum and is returned after 0 search nodes.
     """
-    global nodes
-    nodes = 0
     if n == 0:
         return 0, 0
     closed = [adj[v] | (1 << v) for v in range(n)]
-    dl = _Deadline(deadline)
+    poll = Deadline().poll if deadline is None else deadline.poll
 
     # Greedy incumbent: repeatedly take a minimum-degree vertex.
     avail = (1 << n) - 1
@@ -415,7 +389,7 @@ def max_independent_set(
         # the next pass in this frame, so the depth grows only with the
         # vertices taken, not with those excluded.
         while True:
-            dl.poll()
+            poll()
             while True:
                 changed = False
                 rem = avail
@@ -454,8 +428,5 @@ def max_independent_set(
 
     # Root certificate: a greedy set that meets the clique cover is maximum.
     if clique_cover_bound((1 << n) - 1) > best[0]:
-        try:
-            dfs((1 << n) - 1, 0, 0)
-        finally:
-            nodes = dl.nodes
+        dfs((1 << n) - 1, 0, 0)
     return best[0], best[1]

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from time import monotonic
 from typing import Optional
 
 from didom import bitset
 from didom.core import Digraph, UndirectedGraph
-from didom.errors import CliqueLimitExceeded, SolveTimeout
+from didom.errors import CliqueLimitExceeded, Deadline
 
-DEFAULT_CLIQUE_CAP = 1_000_000
+CLIQUE_CAP = 1_000_000  # maximal_cliques raises past this many
 
 
 def _clique_union(n: int, sets) -> UndirectedGraph:
@@ -143,28 +142,25 @@ def is_chordal(g: UndirectedGraph) -> ChordalityResult:
     return ChordalityResult(False, None, hole)
 
 
-def maximal_cliques(
-    g: UndirectedGraph, cap: int = DEFAULT_CLIQUE_CAP, *, timeout_ms: Optional[float] = None
-) -> list[int]:
+def maximal_cliques(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -> list[int]:
     """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting).
 
-    The result is complete, duplicate-free, and sorted by member lists; the
-    cap turns pathological inputs into CliqueLimitExceeded, and a search
-    past ``timeout_ms`` (None: no deadline) into SolveTimeout.
+    The result is complete, duplicate-free, and sorted by member lists;
+    more than ``CLIQUE_CAP`` cliques raise CliqueLimitExceeded, and a search
+    past ``timeout_ms`` (None: no deadline) raises SolveTimeout.
     """
     if g.n == 0:
         return []
-    deadline = None if timeout_ms is None else monotonic() + timeout_ms / 1000.0
+    deadline = Deadline(timeout_ms)
     out: list[int] = []
     adj = g.adj
 
     def expand(r: int, p: int, x: int) -> None:
-        if deadline is not None and monotonic() > deadline:
-            raise SolveTimeout("clique enumeration exceeded its deadline")
+        deadline.poll()
         if not p and not x:
             out.append(r)
-            if len(out) > cap:
-                raise CliqueLimitExceeded(f"more than {cap} maximal cliques")
+            if len(out) > CLIQUE_CAP:
+                raise CliqueLimitExceeded(f"more than {CLIQUE_CAP} maximal cliques")
             return
         pivot = -1
         best = -1

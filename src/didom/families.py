@@ -441,8 +441,8 @@ def build_family(spec: str) -> Digraph:
         kv = parse_kv(body, "n,edges,leaves")
         n = int(kv["n"])
         base = build_undirected(n, [(i, i + 1) for i in range(n - 1)])
-        edges = kv.get("edges", "/".join([EDGE_BOTH] * (n - 1))).split("/") if n > 1 else []
-        leaves = kv.get("leaves", "/".join([LEAF_BOTH] * n)).split("/")
+        edges = kv["edges"].split("/") if "edges" in kv else [EDGE_BOTH] * (n - 1)
+        leaves = kv["leaves"].split("/") if "leaves" in kv else [LEAF_BOTH] * n
         return gen_corona_digraph(base, edges, leaves)
     if kind == "ditree":
         kv = parse_kv(body, "n,seed,w")

@@ -6,43 +6,45 @@ bitsets of any width and return the same optima and witness masks after
 the same search: ``min_set_cover`` gives ``(size, chosen-set mask)`` or
 None, ``max_independent_set`` gives ``(size, vertex mask)``.  The compiled
 backend solves every call whenever it imports, unless
-``DIDOM_PURE_PYTHON`` is set in the environment at import.
+``DIDOM_PURE_PYTHON`` is set in the environment at import.  Every call
+takes an optional ``errors.Deadline``, which bounds the search and holds
+its node count on either backend.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from typing import Optional, Sequence
 
 from didom import _bnb_py
-from didom.errors import SolveTimeout
+from didom.errors import Deadline, SolveTimeout
 
 
 class CompiledKernels:
     """The C kernels of a built ``didom._kernels`` module, called and
-    answering like ``_bnb_py``; ``nodes`` counts the last call's search nodes."""
+    answering like ``_bnb_py``: the search runs to ``deadline.at`` and adds
+    its nodes to ``deadline.nodes``."""
 
     TIMED_OUT, NO_MEMORY = -2, -3  # return codes of _bnb.c
 
     def __init__(self, module):
         self._ffi, self._lib = module.ffi, module.lib
-        self.nodes = 0
 
     def _call(self, fn, args, deadline, out_bytes) -> tuple[int, int]:
         """fn's return code, and the mask it stored in ``out_bytes`` bytes."""
+        if deadline is None:
+            deadline = Deadline()
         out = self._ffi.new("unsigned char[]", out_bytes)
         nodes = self._ffi.new("int64_t *")
-        got = fn(*args, math.inf if deadline is None else deadline, out, nodes)
-        self.nodes = nodes[0]
+        got = fn(*args, deadline.at, out, nodes)
+        deadline.nodes += nodes[0]
         if got == self.TIMED_OUT:
-            raise SolveTimeout("solve exceeded its deadline")
+            raise SolveTimeout("search exceeded its deadline")
         if got == self.NO_MEMORY:
             raise MemoryError("the compiled kernel could not allocate its search")
         return got, int.from_bytes(self._ffi.buffer(out), "little")
 
     def min_set_cover(self, masks, universe, deadline=None):
-        self.nodes = 0
         if universe == 0:
             return 0, 0
         size = -(-universe.bit_length() // 64) * 8
@@ -53,7 +55,6 @@ class CompiledKernels:
         return None if got < 0 else (got, chosen)
 
     def max_independent_set(self, adj, n, deadline=None):
-        self.nodes = 0
         if n == 0:
             return 0, 0
         size, full = -(-n // 64) * 8, (1 << n) - 1
@@ -87,12 +88,12 @@ def backend_for(n_bits: int, n_sets: int = 0) -> str:
 
 
 def min_set_cover(
-    masks: Sequence[int], universe: int, deadline: Optional[float] = None
+    masks: Sequence[int], universe: int, deadline: Optional[Deadline] = None
 ) -> Optional[tuple[int, int]]:
     return _backend().min_set_cover(masks, universe, deadline)
 
 
 def max_independent_set(
-    adj: Sequence[int], n: int, deadline: Optional[float] = None
+    adj: Sequence[int], n: int, deadline: Optional[Deadline] = None
 ) -> tuple[int, int]:
     return _backend().max_independent_set(adj, n, deadline)

@@ -16,17 +16,18 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import Optional
 
 from didom import bitset, kernels, validate
 from didom.auxgraph import closed_in_neighborhood_graph, open_in_neighborhood_graph
 from didom.core import Digraph, UndirectedGraph
-from didom.errors import CliqueLimitExceeded, SolveTimeout
+from didom.errors import CliqueLimitExceeded, Deadline, SolveTimeout
 from didom.records import digraph_descriptor
 
 DEFAULT_TIMEOUT_MS = 60_000
 BRUTE_FORCE_LIMIT = 24
+PACKING_CAP = 100_000  # all_maximum_packings raises past this many
 
 STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
@@ -39,10 +40,6 @@ def parse_timeout_ms(text: str) -> float:
     if not value >= 0:  # false for nan too
         raise ValueError(f"timeout_ms must be a number >= 0 or inf, got {text!r}")
     return value
-
-
-def _deadline(timeout_ms: Optional[float]) -> Optional[float]:
-    return None if timeout_ms is None else monotonic() + timeout_ms / 1000.0
 
 
 def _checked(answer, valid, what: str):
@@ -70,14 +67,14 @@ def min_set_cover(
     infeasibility.
     """
     universe = bitset.full(universe_size)
-    answer = kernels.min_set_cover(sets, universe, _deadline(timeout_ms))
+    answer = kernels.min_set_cover(sets, universe, Deadline(timeout_ms))
     return _checked(answer, partial(validate.is_set_cover, sets, universe=universe), "cover")
 
 
 def max_independent_set(
     g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
-    answer = kernels.max_independent_set(g.adj, g.n, _deadline(timeout_ms))
+    answer = kernels.max_independent_set(g.adj, g.n, Deadline(timeout_ms))
     return _checked(answer, partial(validate.is_independent_set, g), "independent-set")
 
 
@@ -86,7 +83,7 @@ def domination_number(
 ) -> tuple[int, int]:
     """Minimum vertices whose closed out-neighborhoods cover V, plus witness."""
     sets = [d.out_closed(v) for v in range(d.n)]  # closed neighborhoods always cover
-    answer = kernels.min_set_cover(sets, bitset.full(d.n), _deadline(timeout_ms))
+    answer = kernels.min_set_cover(sets, bitset.full(d.n), Deadline(timeout_ms))
     return _checked(answer, partial(validate.is_dominating_set, d), "dominating")
 
 
@@ -99,7 +96,7 @@ def total_domination_number(
     """
     if d.n == 0 or d.min_in_degree == 0:
         return None
-    answer = kernels.min_set_cover(d.out_adj, bitset.full(d.n), _deadline(timeout_ms))
+    answer = kernels.min_set_cover(d.out_adj, bitset.full(d.n), Deadline(timeout_ms))
     return _checked(answer, partial(validate.is_total_dominating_set, d), "total dominating")
 
 
@@ -108,7 +105,7 @@ def packing_number(
 ) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint closed in-neighborhoods."""
     aux = closed_in_neighborhood_graph(d)
-    answer = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
+    answer = kernels.max_independent_set(aux.adj, aux.n, Deadline(timeout_ms))
     return _checked(answer, partial(validate.is_packing, d), "packing")
 
 
@@ -117,7 +114,7 @@ def open_packing_number(
 ) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint open in-neighborhoods."""
     aux = open_in_neighborhood_graph(d)
-    answer = kernels.max_independent_set(aux.adj, aux.n, _deadline(timeout_ms))
+    answer = kernels.max_independent_set(aux.adj, aux.n, Deadline(timeout_ms))
     return _checked(answer, partial(validate.is_open_packing, d), "open packing")
 
 
@@ -237,7 +234,7 @@ def partition_two_dominating_sets(
     in_closed = [d.in_closed(v) for v in range(n)]
     if any(m.bit_count() < 2 for m in in_closed):
         return None
-    deadline = _deadline(timeout_ms)
+    deadline = Deadline(timeout_ms)
     full = bitset.full(n)
 
     def feasible(side_a: int, side_b: int, assigned: int) -> bool:
@@ -253,8 +250,7 @@ def partition_two_dominating_sets(
     side_a = side_b = 0
     v, side = 0, 0
     while v < n:
-        if deadline is not None and monotonic() > deadline:
-            raise SolveTimeout("partition search exceeded its deadline")
+        deadline.poll()
         bit = 1 << v
         a, b = (side_a | bit, side_b) if side == 0 else (side_a, side_b | bit)
         if feasible(a, b, bitset.full(v + 1)):
@@ -279,25 +275,23 @@ def partition_two_dominating_sets(
 
 
 def all_maximum_packings(
-    d: Digraph,
-    *,
-    cap: int = 100_000,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
+    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> list[int]:
-    """Every maximum packing of d, as bitmasks in ascending mask order."""
-    deadline = _deadline(timeout_ms)
+    """Every maximum packing of d, as bitmasks in ascending mask order; more
+    than ``PACKING_CAP`` of them raise CliqueLimitExceeded.  One deadline
+    bounds the solve of the packing number and the enumeration after it."""
+    deadline = Deadline(timeout_ms)
     aux = closed_in_neighborhood_graph(d)
     answer = kernels.max_independent_set(aux.adj, aux.n, deadline)
     target, _ = _checked(answer, partial(validate.is_packing, d), "packing")
     out: list[int] = []
 
     def rec(avail: int, size: int, mask: int) -> None:
-        if deadline is not None and monotonic() > deadline:
-            raise SolveTimeout("packing enumeration exceeded its deadline")
+        deadline.poll()
         if size == target:
             out.append(mask)
-            if len(out) > cap:
-                raise CliqueLimitExceeded(f"more than {cap} maximum packings")
+            if len(out) > PACKING_CAP:
+                raise CliqueLimitExceeded(f"more than {PACKING_CAP} maximum packings")
             return
         while avail:
             if size + avail.bit_count() < target:

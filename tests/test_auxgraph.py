@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from didom import bitset, validate
+from didom import auxgraph, bitset, validate
 from didom.auxgraph import (
     closed_in_neighborhood_graph,
     is_chordal,
@@ -170,14 +170,15 @@ class TestMaximalCliques:
         aux = closed_in_neighborhood_graph(directed_triangle)
         assert maximal_cliques(aux) == [0b111]
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         # 3 disjoint triangles -> moderate count; cap of 2 must trip
         edges = []
         for b in (0, 3, 6):
             edges += [(b, b + 1), (b + 1, b + 2), (b, b + 2)]
         g = build_undirected(9, edges)
+        monkeypatch.setattr(auxgraph, "CLIQUE_CAP", 2)
         with pytest.raises(CliqueLimitExceeded):
-            maximal_cliques(g, cap=2)
+            maximal_cliques(g)
 
     def test_deadline(self):
         p3 = build_undirected(3, [(0, 1), (1, 2)])

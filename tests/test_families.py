@@ -181,6 +181,19 @@ class TestCorona:
         d = gen_corona_digraph(base, [], ["both"])
         assert d.n == 2 and domination_number(d)[0] == 1
 
+    @pytest.mark.parametrize("spec", ["corona:n=1,edges=fwd", "corona:n=1,edges=bogus"])
+    def test_one_vertex_spec_wants_no_edges(self, spec):
+        # a one-vertex base has no edge, so any given orientation is one
+        # too many, as a 3-vertex base refuses a single one
+        with pytest.raises(ValueError, match="need 0 edge orientations"):
+            build_family(spec)
+
+    @pytest.mark.parametrize(
+        "spec, arcs", [("corona:n=1", [(0, 1), (1, 0)]), ("corona:n=1,leaves=in", [(0, 1)])]
+    )
+    def test_one_vertex_spec_builds(self, spec, arcs):
+        assert sorted(build_family(spec).arcs()) == arcs
+
     def test_underlying_is_corona(self):
         base = build_undirected(3, [(0, 1), (1, 2)])
         d = gen_corona_digraph(base, ["both", "both"], ["in", "out", "both"])

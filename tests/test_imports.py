@@ -3,7 +3,10 @@
 ``__init__.py`` files are left out, since their imports are re-exports;
 ``didom.__all__`` must list each of those exactly once.  Every private
 function, class or constant a module under ``src/didom`` defines at module
-level must be read somewhere in ``src/didom`` outside its own definition."""
+level must be read somewhere in ``src/didom`` outside its own definition.
+No module under ``src/didom`` has a ``global`` statement, and only
+``errors.py``, where ``Deadline`` turns a timeout into a clock time, imports
+``monotonic``."""
 
 import ast
 from pathlib import Path
@@ -47,6 +50,45 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def global_and_clock_uses(source: str) -> list[str]:
+    """The ``global`` statements in ``source``, and the imports of
+    ``monotonic`` (``from time import monotonic`` or ``time.monotonic``
+    through ``import time``), each with its line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Global):
+            found.append(f"global (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and any(
+            alias.name == "monotonic" for alias in node.names
+        ):
+            found.append(f"monotonic (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "monotonic":
+            found.append(f"monotonic (line {node.lineno})")
+    return found
+
+
+def test_detects_globals_and_clock_reads():
+    source = (
+        "import time\nfrom time import monotonic, sleep\nn = 0\n"
+        "def f():\n    global n\n    return time.monotonic()\n"
+    )
+    assert global_and_clock_uses(source) == [
+        "monotonic (line 2)", "global (line 5)", "monotonic (line 6)"
+    ]
+
+
+PACKAGE_MODULES = [path for path in MODULES if path.parent.name == "didom"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_one_clock_and_no_globals(path):
+    found = global_and_clock_uses(path.read_text())
+    if path.name == "errors.py":  # Deadline's clock
+        assert [use.split()[0] for use in found] == ["monotonic"]
+    else:
+        assert found == []
 
 
 def _module_level(body):

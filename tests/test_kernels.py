@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from didom import _bnb_py, auxgraph, bitset, families, kernels, products
-from didom.errors import SolveTimeout
+from didom import _bnb_py, auxgraph, bitset, errors, families, kernels, products, solvers
+from didom.core import build_digraph, build_undirected
+from didom.errors import Deadline, SolveTimeout
 
 
 def _exhaustive_cover_size(sets, universe):
@@ -33,10 +34,24 @@ def _exhaustive_alpha(adj, n):
     return best
 
 
+def _run(kernel, fn, *args):
+    """fn of ``kernel`` on args, and the search nodes it took."""
+    deadline = Deadline()
+    return getattr(kernel, fn)(*args, deadline), deadline.nodes
+
+
 def _solve(request, backend, fn, *args):
     """fn of the named backend on args, and the search nodes it took."""
     kernel = _bnb_py if backend == "pure" else request.getfixturevalue("compiled_kernels")
-    return getattr(kernel, fn)(*args), kernel.nodes
+    return _run(kernel, fn, *args)
+
+
+def _agree(compiled_kernels, fn, *args):
+    """fn's answer on args and the search nodes it took, once both backends
+    give the same answer after the same nodes."""
+    pure = _run(_bnb_py, fn, *args)
+    assert _run(compiled_kernels, fn, *args) == pure
+    return pure
 
 
 def _wide_system():
@@ -274,11 +289,9 @@ class TestRootCertificate:
     @example(system=([0b1111, 0b10011, 0b101100, 0b10000, 0b100000], 0b111111))
     def test_certified_cover_is_optimal(self, compiled_kernels, system):
         sets, universe = system
-        pure = _bnb_py.min_set_cover(sets, universe)
-        if _bnb_py.nodes == 0 and pure is not None:
+        pure, nodes = _agree(compiled_kernels, "min_set_cover", sets, universe)
+        if nodes == 0 and pure is not None:
             assert pure[0] == _exhaustive_cover_size(sets, universe)
-        assert compiled_kernels.min_set_cover(sets, universe) == pure
-        assert compiled_kernels.nodes == _bnb_py.nodes
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(graphs())
@@ -286,11 +299,9 @@ class TestRootCertificate:
     @example(graph=([44, 20, 3, 33, 34, 25], 6))
     def test_certified_independent_set_is_maximum(self, compiled_kernels, graph):
         adj, n = graph
-        pure = _bnb_py.max_independent_set(adj, n)
-        if _bnb_py.nodes == 0:
+        pure, nodes = _agree(compiled_kernels, "max_independent_set", adj, n)
+        if nodes == 0:
             assert pure[0] == _exhaustive_alpha(adj, n)
-        assert compiled_kernels.max_independent_set(adj, n) == pure
-        assert compiled_kernels.nodes == _bnb_py.nodes
 
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
@@ -329,11 +340,7 @@ class TestBackendAgreement:
             n = rng.randint(1, 14)
             k = rng.randint(1, 12)
             sets = [rng.getrandbits(n) for _ in range(k)]
-            universe = bitset.full(n)
-            assert _bnb_py.min_set_cover(sets, universe) == compiled_kernels.min_set_cover(
-                sets, universe
-            )
-            assert compiled_kernels.nodes == _bnb_py.nodes
+            _agree(compiled_kernels, "min_set_cover", sets, bitset.full(n))
 
     def test_cover_sparse_systems(self, compiled_kernels):
         # 12-16 elements in 10-16 sets of 2-4: large enough that the cheap
@@ -348,10 +355,8 @@ class TestBackendAgreement:
             universe = 0
             for m in sets:
                 universe |= m
-            pure = _bnb_py.min_set_cover(sets, universe)
-            assert pure[0] == _exhaustive_cover_size(sets, universe)
-            assert compiled_kernels.min_set_cover(sets, universe) == pure
-            assert compiled_kernels.nodes == _bnb_py.nodes
+            (size, _), _ = _agree(compiled_kernels, "min_set_cover", sets, universe)
+            assert size == _exhaustive_cover_size(sets, universe)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(sparse_systems())
@@ -368,10 +373,8 @@ class TestBackendAgreement:
     )
     def test_cover_remainder_bound(self, compiled_kernels, system):
         sets, universe = system
-        pure = _bnb_py.min_set_cover(sets, universe)
-        assert pure[0] == _exhaustive_cover_size(sets, universe)
-        assert compiled_kernels.min_set_cover(sets, universe) == pure
-        assert compiled_kernels.nodes == _bnb_py.nodes
+        (size, _), _ = _agree(compiled_kernels, "min_set_cover", sets, universe)
+        assert size == _exhaustive_cover_size(sets, universe)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(set_systems())
@@ -380,11 +383,7 @@ class TestBackendAgreement:
     # live count, 5 included, or the packing bound prunes too much
     @example(system=([1161, 3590, 1101, 1664, 3264], 0b111011001100))
     def test_cover_agreement_random_systems(self, compiled_kernels, system):
-        sets, universe = system
-        assert compiled_kernels.min_set_cover(sets, universe) == _bnb_py.min_set_cover(
-            sets, universe
-        )
-        assert compiled_kernels.nodes == _bnb_py.nodes
+        _agree(compiled_kernels, "min_set_cover", *system)
 
     def test_mis_agreement(self, compiled_kernels):
         rng = random.Random(10)
@@ -396,10 +395,7 @@ class TestBackendAgreement:
                     if rng.random() < rng.choice((0.2, 0.5, 0.8)):
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-            assert _bnb_py.max_independent_set(
-                adj, n
-            ) == compiled_kernels.max_independent_set(adj, n)
-            assert compiled_kernels.nodes == _bnb_py.nodes
+            _agree(compiled_kernels, "max_independent_set", adj, n)
 
     @pytest.mark.parametrize(
         "system",
@@ -413,9 +409,8 @@ class TestBackendAgreement:
             pytest.param(lambda: ([1 << i for i in range(64)], bitset.full(64)), id="64-sets"),
         ],
     )
-    def test_cover_agreement_over_64(self, request, system):
-        pure = _solve(request, "pure", "min_set_cover", *system())
-        assert _solve(request, "compiled", "min_set_cover", *system()) == pure
+    def test_cover_agreement_over_64(self, compiled_kernels, system):
+        _agree(compiled_kernels, "min_set_cover", *system())
 
     def test_sweep_digraphs(self, compiled_kernels):
         # seeded digraphs like the observation sweep's: n in 1..10, arc
@@ -439,22 +434,19 @@ class TestBackendAgreement:
                 ("max_independent_set", list(closed.adj), closed.n),
                 ("max_independent_set", list(open_.adj), open_.n),
             ):
-                pure = getattr(_bnb_py, fn)(*args)
-                assert getattr(compiled_kernels, fn)(*args) == pure
-                assert compiled_kernels.nodes == _bnb_py.nodes
-                if pure is not None and _bnb_py.nodes == 0:
+                pure, nodes = _agree(compiled_kernels, fn, *args)
+                if pure is not None and nodes == 0:
                     certified[fn] += 1
         assert certified == {"min_set_cover": 407, "max_independent_set": 570}
 
-    def test_mis_agreement_over_64(self, request):
+    def test_mis_agreement_over_64(self, compiled_kernels):
         # packing number of cycle:9 [] path:8: 72 vertices, 3,507 nodes
         prod, _ = products.cartesian_product(
             families.build_family("cycle:9"), families.build_family("path:8")
         )
         aux = auxgraph.closed_in_neighborhood_graph(prod)
-        pure = _solve(request, "pure", "max_independent_set", list(aux.adj), aux.n)
-        compiled = _solve(request, "compiled", "max_independent_set", list(aux.adj), aux.n)
-        assert compiled == pure and pure[0][0] == 16
+        (size, _), _ = _agree(compiled_kernels, "max_independent_set", list(aux.adj), aux.n)
+        assert size == 16
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_mis_long_exclude_chain(self, request, backend):
@@ -474,9 +466,11 @@ class TestBackendAgreement:
         for shape in ((40, 40), (100, 10), (10, 100), (4096, 4096)):
             assert kernels.backend_for(*shape) == "compiled"
         # 81 bits that need a search: greedy exceeds every root bound
-        compiled_kernels.nodes = 0
-        assert kernels.min_set_cover(*_closed_neighbourhoods("Gm:4", "Gm:4"))[0] == 24
-        assert compiled_kernels.nodes > 0
+        monkeypatch.setattr(_bnb_py, "min_set_cover", lambda *args: pytest.fail("pure call"))
+        deadline = Deadline()
+        sets, universe = _closed_neighbourhoods("Gm:4", "Gm:4")
+        assert kernels.min_set_cover(sets, universe, deadline)[0] == 24
+        assert deadline.nodes > 0
 
     def test_dispatcher_env_override(self, compiled_kernels, monkeypatch):
         monkeypatch.setattr(kernels, "_compiled", compiled_kernels)
@@ -530,24 +524,23 @@ class TestTimeouts:
 
     def test_pure_timeout_raises(self):
         sets, universe = self._hard_cover()
-        deadline = time.monotonic() - 1.0  # already expired
         with pytest.raises(SolveTimeout):
-            _bnb_py.min_set_cover(sets, universe, deadline)
+            _bnb_py.min_set_cover(sets, universe, Deadline(-1000))  # already expired
 
     def test_compiled_timeout_raises(self, compiled_kernels):
         sets, universe = self._hard_cover()
-        deadline = time.monotonic() - 1.0
         with pytest.raises(SolveTimeout):
-            compiled_kernels.min_set_cover(sets, universe, deadline)
+            compiled_kernels.min_set_cover(sets, universe, Deadline(-1000))
 
     @pytest.mark.parametrize("kernel", ["cover", "mis"])
     def test_compiled_timeout_on_first_node(self, compiled_kernels, kernel):
         # every node reads the clock, so an expired deadline stops node 1
         args = self._hard_cover() if kernel == "cover" else self._mis_graph()
         fn = getattr(compiled_kernels, "min_set_cover" if kernel == "cover" else "max_independent_set")
+        deadline = Deadline(-1000)
         with pytest.raises(SolveTimeout):
-            fn(*args, deadline=time.monotonic() - 1.0)
-        assert compiled_kernels.nodes == 1
+            fn(*args, deadline=deadline)
+        assert deadline.nodes == 1
 
     def test_compiled_deadline_is_monotonic_time(self, compiled_kernels):
         # gamma(Gm:7 [] Gm:7) takes 29,945 nodes, most of a second compiled;
@@ -555,23 +548,46 @@ class TestTimeouts:
         # it finishes
         sets, universe = _closed_neighbourhoods("Gm:7", "Gm:7")
         start = time.monotonic()
+        deadline = Deadline(50)
         with pytest.raises(SolveTimeout):
-            compiled_kernels.min_set_cover(sets, universe, start + 0.05)
+            compiled_kernels.min_set_cover(sets, universe, deadline)
         assert time.monotonic() - start < 1.0
-        assert 1 < compiled_kernels.nodes < 29_945
+        assert 1 < deadline.nodes < 29_945
 
-    @pytest.mark.parametrize("kernel", ["cover", "mis"])
-    def test_pure_timeout_on_first_node_past_deadline(self, monkeypatch, kernel):
-        # a fake clock that advances one tick per read passes the deadline
-        # 5.0 on its 6th read; every node reads it, so node 6 must raise
-        clock = itertools.count(1)
-        monkeypatch.setattr(_bnb_py, "monotonic", lambda: next(clock))
+    @pytest.mark.parametrize("search", ["cover", "mis", "partition", "packings", "cliques"])
+    def test_pure_timeout_on_first_node_past_deadline(self, monkeypatch, search):
+        # a fake clock that advances one tick per read: the search's one
+        # deadline reads 0 and sets itself at 5.0, which the 6th node's read
+        # passes; every search polls once per node, so node 6 must raise
+        clock = itertools.count(0)
+        monkeypatch.setattr(errors, "monotonic", lambda: next(clock))
+        made = []
+        init = Deadline.__init__
+
+        def recorded(deadline, timeout_ms=None):
+            made.append(deadline)
+            init(deadline, timeout_ms)
+
+        monkeypatch.setattr(Deadline, "__init__", recorded)
         with pytest.raises(SolveTimeout):
-            if kernel == "cover":
-                _bnb_py.min_set_cover(*self._hard_cover(), deadline=5.0)
+            if search == "cover":
+                _bnb_py.min_set_cover(*self._hard_cover(), Deadline(5000))
+            elif search == "mis":
+                _bnb_py.max_independent_set(*self._mis_graph(), Deadline(5000))
+            elif search == "partition":
+                d = families.build_family("corona:n=20")
+                solvers.partition_two_dominating_sets(d, timeout_ms=5000)
+            elif search == "packings":
+                # 16 disjoint bidirected edges: the packing number is
+                # certified at the root, after 0 nodes, and 2^16 maximum
+                # packings follow
+                edges = [a for i in range(0, 32, 2) for a in ((i, i + 1), (i + 1, i))]
+                solvers.all_maximum_packings(build_digraph(32, edges), timeout_ms=5000)
             else:
-                _bnb_py.max_independent_set(*self._mis_graph(), deadline=5.0)
-        assert _bnb_py.nodes == 6
+                # 8 disjoint edges have 2^8 maximal cliques
+                g = build_undirected(16, [(i, i + 1) for i in range(0, 16, 2)])
+                auxgraph.maximal_cliques(g, timeout_ms=5000)
+        assert [deadline.nodes for deadline in made] == [6]
         assert next(clock) == 7
 
     def test_no_deadline_still_solves(self):

@@ -431,12 +431,13 @@ class TestAllMaximumPackings:
             all_maximum_packings(d, timeout_ms=50)
         assert perf_counter() - start < 1.0
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         from didom.errors import CliqueLimitExceeded
 
         arcless = build_digraph(6, [])
+        monkeypatch.setattr(solvers, "PACKING_CAP", 0)
         with pytest.raises(CliqueLimitExceeded):
-            all_maximum_packings(arcless, cap=0)
+            all_maximum_packings(arcless)
 
 
 class TestInvariantReport:
