@@ -57,15 +57,16 @@ def _conflict_bound(uncovered: int, conflict: Sequence[int]) -> int:
 
 
 def _ordered_packing(covers: Sequence[int], cnt: Sequence[int], left: int) -> int:
-    """The root's packing bound: the ``left`` elements with a count, in
-    increasing order of (``cnt``, index), each kept when its sets miss
-    those of every element kept before it.  Kept elements need pairwise
-    distinct sets (γ ≥ ρ)."""
+    """The root's packing bound, as the mask of the kept elements: the
+    ``left`` elements with the least counts, in increasing order of
+    (``cnt``, index), each kept when its sets miss those of every element
+    kept before it.  Kept elements need pairwise distinct sets (γ ≥ ρ).
+    ``solvers.packing_against`` takes its greedy packing from it too."""
     used = kept = 0
     for e in sorted(range(len(cnt)), key=cnt.__getitem__)[:left]:
         if not covers[e] & used:
             used |= covers[e]
-            kept += 1
+            kept |= 1 << e
     return kept
 
 
@@ -128,10 +129,11 @@ def min_set_cover(
     the ordered packing: the elements in increasing order of (number of
     sets holding them, index), each kept when its sets miss those of the
     elements kept before it.  That is the search's packing bound over the
-    whole instance, and on closed out-neighbourhoods it is the packing that
-    ``solvers._greedy_packing`` builds.  A greedy cover that meets a bound is
-    optimal and is returned after 0 search nodes.  The search would have
-    kept it too, since it replaces the incumbent only by a smaller cover.
+    whole instance.  On closed out-neighbourhoods an element's sets are its
+    closed in-neighbourhood, so this is the greedy packing that
+    ``solvers.packing_against`` tries first.  A greedy cover that meets a
+    bound is optimal and is returned after 0 search nodes.  The search would
+    have kept it too, since it replaces the incumbent only by a smaller cover.
     """
     if universe == 0:
         return 0, 0
@@ -166,7 +168,7 @@ def min_set_cover(
         return best[0], best[1]
     done = len(masks) + 1  # cnt of an element with nothing left to cover
     cnt = [c.bit_count() or done for c in covers]
-    if _ordered_packing(covers, cnt, left) >= best[0]:
+    if _ordered_packing(covers, cnt, left).bit_count() >= best[0]:
         return best[0], best[1]
     members = [None] * width  # element -> its sets, listed on first use
     poll = Deadline().poll if deadline is None else deadline.poll

@@ -154,26 +154,36 @@ def maximal_cliques(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -
     deadline = Deadline(timeout_ms)
     out: list[int] = []
     adj = g.adj
-
-    def expand(r: int, p: int, x: int) -> None:
-        deadline.poll()
+    # the search path by depth k: the clique, candidates, excluded vertices
+    # and branch vertices left of its k-th node that has children.  Lists,
+    # not the call stack, so no recursion limit bounds the depth.
+    rs, ps, xs, branches = ([0] * (g.n + 1) for _ in range(4))
+    r, p, x, k = 0, bitset.full(g.n), 0, -1
+    while True:
+        deadline.poll()  # entering the node (r, p, x)
         if not p and not x:
             out.append(r)
             if len(out) > CLIQUE_CAP:
                 raise CliqueLimitExceeded(f"more than {CLIQUE_CAP} maximal cliques")
-            return
-        pivot = -1
-        best = -1
-        for u in bitset.iter_bits(p | x):
-            c = (p & adj[u]).bit_count()
-            if c > best:
-                best = c
-                pivot = u
-        for v in bitset.iter_bits(p & ~adj[pivot]):
-            expand(r | (1 << v), p & adj[v], x & adj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    expand(0, bitset.full(g.n), 0)
+        else:
+            pivot = -1
+            best = -1
+            for u in bitset.iter_bits(p | x):
+                c = (p & adj[u]).bit_count()
+                if c > best:
+                    best = c
+                    pivot = u
+            k += 1
+            rs[k], ps[k], xs[k], branches[k] = r, p, x, p & ~adj[pivot]
+        while k >= 0 and not branches[k]:
+            k -= 1
+        if k < 0:
+            break
+        low = branches[k] & -branches[k]
+        v = low.bit_length() - 1
+        branches[k] ^= low
+        p, x = ps[k], xs[k]
+        ps[k], xs[k] = p & ~low, x | low
+        r, p, x = rs[k] | low, p & adj[v], x & adj[v]
     return sorted(out, key=bitset.to_list)
 

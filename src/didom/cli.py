@@ -10,6 +10,7 @@ is byte-stable for fixed inputs and seeds (timings are opt-in via
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections import Counter
@@ -51,8 +52,10 @@ def _cmd_invariants(args) -> int:
     if d.n == 0:
         print("invariants: graph has no vertices", file=sys.stderr)
         return 2
-    report = compute_invariants(d, digraph_id=args.graph, timeout_ms=args.timeout_ms)
-    print(report.to_json(include_timings=args.timings))
+    report = compute_invariants(
+        d, digraph_id=args.graph, timeout_ms=args.timeout_ms, include_timings=args.timings
+    )
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 

@@ -414,14 +414,24 @@ def parse_kv(body: str, keys: str) -> dict[str, str]:
 def build_family(spec: str) -> Digraph:
     """Build the digraph a compact family-spec string describes."""
     spec = spec.strip()
+    levels = 0  # Tstar(...) wrappers, peeled in a loop however deep they nest
+    while spec.startswith("Tstar(") and spec.endswith(")"):
+        spec = spec[len("Tstar(") : -1].strip()
+        levels += 1
+    d = _base_family(spec)
+    for _ in range(levels):
+        d = gen_T_star(d)
+    return d
+
+
+def _base_family(spec: str) -> Digraph:
+    """The digraph of a stripped family spec that is not ``Tstar(...)``."""
     if spec == "K1star":
         return gen_K1_star()
     if spec == "chord5":
         return gen_chorded_5cycle()
     if spec == "fig5corona":
         return fig5_corona()
-    if spec.startswith("Tstar(") and spec.endswith(")"):
-        return gen_T_star(build_family(spec[len("Tstar(") : -1]))
     if ":" not in spec:
         raise ValueError(f"unrecognized family {spec!r}; {_FAMILY_USAGE}")
     kind, body = spec.split(":", 1)

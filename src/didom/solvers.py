@@ -12,25 +12,23 @@ the digraph solvers as its bidirected digraph.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from time import perf_counter
 from typing import Optional
 
 from didom import bitset, kernels, validate
+from didom._bnb_py import _ordered_packing
 from didom.auxgraph import closed_in_neighborhood_graph, open_in_neighborhood_graph
 from didom.core import Digraph, UndirectedGraph
 from didom.errors import CliqueLimitExceeded, Deadline, SolveTimeout
-from didom.records import digraph_descriptor
+from didom.records import TIMEOUT, digraph_descriptor
 
 DEFAULT_TIMEOUT_MS = 60_000
 BRUTE_FORCE_LIMIT = 24
 PACKING_CAP = 100_000  # all_maximum_packings raises past this many
 
 STATUS_OK = "ok"
-STATUS_TIMEOUT = "timeout"
 STATUS_UNDEFINED = "undefined"
 
 
@@ -118,22 +116,6 @@ def open_packing_number(
     return _checked(answer, partial(validate.is_open_packing, d), "open packing")
 
 
-def _greedy_packing(d: Digraph, *, closed: bool = True) -> int:
-    """A packing (an open packing unless ``closed``) as a bitmask, not
-    necessarily maximum and not re-validated: the vertices in increasing
-    order of (in-neighborhood size, index), each kept when its closed (open)
-    in-neighborhood misses those of the vertices kept before it.  The cover
-    kernels' root bound takes the elements in the same order."""
-    hoods = [m | (1 << v) if closed else m for v, m in enumerate(d.in_adj)]
-    kept = used = 0
-    # the sort is stable, so ties stay in index order
-    for v in sorted(range(d.n), key=lambda v: hoods[v].bit_count()):
-        if not hoods[v] & used:
-            used |= hoods[v]
-            kept |= 1 << v
-    return kept
-
-
 def packing_against(
     d: Digraph, gamma: Optional[int], *, closed: bool = True, timeout_ms=DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
@@ -144,10 +126,13 @@ def packing_against(
     Weak duality: a dominating set meets every closed in-neighborhood and a
     packing's are disjoint, so rho <= gamma (and rho_o <= gamma_t, read
     openly).  A greedy packing that validates and has gamma vertices is
-    therefore maximum; otherwise the exact solver runs, and a value above
-    gamma raises AssertionError."""
+    therefore maximum; it is the cover kernel's root packing,
+    ``_bnb_py._ordered_packing``, of the closed (open) in-neighborhoods.
+    Otherwise the exact solver runs, and a value above gamma raises
+    AssertionError."""
     if gamma is not None:
-        pack = _greedy_packing(d, closed=closed)
+        hoods = [m | (1 << v) if closed else m for v, m in enumerate(d.in_adj)]
+        pack = _ordered_packing(hoods, [m.bit_count() for m in hoods], d.n)
         valid = validate.is_packing if closed else validate.is_open_packing
         # explicit tests, not asserts, so they also run under -O
         if pack.bit_count() == gamma and valid(d, pack):
@@ -284,24 +269,31 @@ def all_maximum_packings(
     aux = closed_in_neighborhood_graph(d)
     answer = kernels.max_independent_set(aux.adj, aux.n, deadline)
     target, _ = _checked(answer, partial(validate.is_packing, d), "packing")
+    deadline.poll()  # the root, a leaf only when d has no vertices
+    if not target:
+        return [0]
+    # the search path by depth k, the size of node k's packing: masks[k] is
+    # that packing and avails[k] the vertices node k may still add.  Lists,
+    # not the call stack, so no recursion limit bounds the depth.
+    avails, masks = [bitset.full(d.n)] + [0] * target, [0] * (target + 1)
     out: list[int] = []
-
-    def rec(avail: int, size: int, mask: int) -> None:
-        deadline.poll()
-        if size == target:
-            out.append(mask)
+    k = 0
+    while k >= 0:
+        avail = avails[k]
+        if k + avail.bit_count() < target:  # an empty avail included
+            k -= 1
+            continue
+        low = avail & -avail
+        avails[k] = avail ^ low
+        deadline.poll()  # entering the child that adds low
+        if k + 1 == target:
+            out.append(masks[k] | low)
             if len(out) > PACKING_CAP:
                 raise CliqueLimitExceeded(f"more than {PACKING_CAP} maximum packings")
-            return
-        while avail:
-            if size + avail.bit_count() < target:
-                return
-            low = avail & -avail
-            avail ^= low
-            v = low.bit_length() - 1
-            rec(avail & ~aux.adj[v], size + 1, mask | low)
-
-    rec(bitset.full(d.n), 0, 0)
+            continue
+        avails[k + 1] = avail & ~low & ~aux.adj[low.bit_length() - 1]
+        masks[k + 1] = masks[k] | low
+        k += 1
     for p in out:
         if not validate.is_packing(d, p):
             raise AssertionError("enumerated packing failed re-validation")
@@ -313,71 +305,36 @@ def all_maximum_packings(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class InvariantEntry:
-    status: str  # ok | timeout | undefined
-    value: Optional[int] = None
-    witness: Optional[int] = None  # bitmask
-    elapsed_ms: float = 0.0
-
-    def as_dict(self, include_timings: bool = True) -> dict:
-        out: dict = {"status": self.status, "value": self.value}
-        out["witness"] = None if self.witness is None else bitset.to_list(self.witness)
-        if include_timings:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
-
-
-@dataclass
-class InvariantReport:
-    """All computed invariants and witnesses for one digraph."""
-
-    digraph_id: str
-    n: int
-    gamma: InvariantEntry = field(default_factory=lambda: InvariantEntry(STATUS_OK))
-    gamma_t: InvariantEntry = field(default_factory=lambda: InvariantEntry(STATUS_OK))
-    rho: InvariantEntry = field(default_factory=lambda: InvariantEntry(STATUS_OK))
-    rho_open: InvariantEntry = field(default_factory=lambda: InvariantEntry(STATUS_OK))
-
-    def as_dict(self, include_timings: bool = True) -> dict:
-        return {
-            "digraph": self.digraph_id,
-            "n": self.n,
-            "gamma": self.gamma.as_dict(include_timings),
-            "gamma_t": self.gamma_t.as_dict(include_timings),
-            "rho": self.rho.as_dict(include_timings),
-            "rho_open": self.rho_open.as_dict(include_timings),
-        }
-
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.as_dict(include_timings), sort_keys=True)
-
-
-def _timed_entry(solve, d, timeout_ms, *args, **kwargs) -> InvariantEntry:
-    start = perf_counter()
-    try:
-        result = solve(d, *args, timeout_ms=timeout_ms, **kwargs)
-    except SolveTimeout:
-        return InvariantEntry(STATUS_TIMEOUT, elapsed_ms=(perf_counter() - start) * 1e3)
-    elapsed = (perf_counter() - start) * 1e3
-    if result is None:
-        return InvariantEntry(STATUS_UNDEFINED, elapsed_ms=elapsed)
-    value, witness = result
-    return InvariantEntry(STATUS_OK, value, witness, elapsed)
-
-
 def compute_invariants(
     d: Digraph,
     *,
     digraph_id: Optional[str] = None,
     timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> InvariantReport:
-    """Gamma, gamma_t, rho, and open rho with witnesses and per-solve timing."""
-    report = InvariantReport(digraph_id or digraph_descriptor(d), d.n)
-    report.gamma = _timed_entry(domination_number, d, timeout_ms)
-    report.gamma_t = _timed_entry(total_domination_number, d, timeout_ms)
-    report.rho = _timed_entry(packing_against, d, timeout_ms, report.gamma.value)
-    report.rho_open = _timed_entry(
-        packing_against, d, timeout_ms, report.gamma_t.value, closed=False
-    )
+    include_timings: bool = True,
+) -> dict:
+    """The JSON object ``didom invariants`` prints: gamma, gamma_t, rho and
+    open rho of d, each an entry ``{"status", "value", "witness"}`` (plus
+    its ``elapsed_ms`` with ``include_timings``) whose status is ``ok``,
+    ``timeout`` or ``undefined`` (no total dominating set)."""
+
+    def entry(solve, *args, **kwargs) -> dict:
+        start = perf_counter()
+        try:
+            answer = solve(d, *args, timeout_ms=timeout_ms, **kwargs)
+            status = STATUS_OK if answer else STATUS_UNDEFINED
+        except SolveTimeout:
+            answer, status = None, TIMEOUT
+        elapsed_ms = round((perf_counter() - start) * 1e3, 3)
+        value, witness = answer or (None, None)
+        out = {"status": status, "value": value}
+        out["witness"] = None if witness is None else bitset.to_list(witness)
+        if include_timings:
+            out["elapsed_ms"] = elapsed_ms
+        return out
+
+    report = {"digraph": digraph_id or digraph_descriptor(d), "n": d.n}
+    report["gamma"] = entry(domination_number)
+    report["gamma_t"] = entry(total_domination_number)
+    report["rho"] = entry(packing_against, report["gamma"]["value"])
+    report["rho_open"] = entry(packing_against, report["gamma_t"]["value"], closed=False)
     return report

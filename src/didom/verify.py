@@ -831,11 +831,16 @@ def default_attach_vertex(t: Digraph) -> int:
 
 def _attach_source(source: str, rng: random.Random):
     """A pair source with an optional ``;attach=K`` (default: the first
-    factor's lowest support vertex)."""
+    factor's lowest support vertex).  The config fixes the first factor of
+    a ``pair:`` source, so a K outside it raises SuiteConfigError; a random
+    source draws one per instance, and an instance whose first factor lacks
+    K gives that instance's error record."""
     source, sep, option = source.partition(";")
     attach = int(families.parse_kv(option, "attach")["attach"]) if sep else None
     for label, a, b in _pair_instances(source, rng):
         at = default_attach_vertex(a) if attach is None else attach
+        if source.startswith("pair:") and not 0 <= at < a.n:
+            raise SuiteConfigError(f"attach vertex {at} is not a vertex of {label}'s first factor")
         yield f"{label};attach={at}", a, b, at
 
 

@@ -12,7 +12,7 @@ from didom.auxgraph import (
     maximal_cliques,
     open_in_neighborhood_graph,
 )
-from didom.core import build_digraph, build_undirected, underlying_graph
+from didom.core import UndirectedGraph, build_digraph, build_undirected, underlying_graph
 from didom.errors import CliqueLimitExceeded, SolveTimeout
 from didom.families import gen_oriented_cycle, random_digraph, random_ditree
 from didom.records import HOLDS, HYPOTHESIS_NOT_MET
@@ -184,6 +184,12 @@ class TestMaximalCliques:
         p3 = build_undirected(3, [(0, 1), (1, 2)])
         with pytest.raises(SolveTimeout):
             maximal_cliques(p3, timeout_ms=0)
+
+    def test_search_deeper_than_recursion_limit(self):
+        # the one clique of K_1100 lies 1100 search nodes deep
+        full = bitset.full(1100)
+        k = UndirectedGraph(1100, tuple(full ^ (1 << v) for v in range(1100)))
+        assert maximal_cliques(k) == [full]
 
     @settings(max_examples=60, deadline=None)
     @given(small_undirected())

@@ -72,6 +72,70 @@ class TestInvariants:
         _, out2, _ = run_cli(capsys, "invariants", "Hm:3")
         assert out1 == out2
 
+    # the exact report in each entry status: every entry ok; gamma_t
+    # undefined (T* has leaves, so its minimum in-degree is 0); and every
+    # entry timeout (gamma(Gm:3 [] Gm:3) takes 121 search nodes, and no
+    # root certificate answers it or the other three before a zero deadline)
+    PINS = {
+        "Gm:3": (
+            '{"digraph": "Gm:3", '
+            '"gamma": {"status": "ok", "value": 4, "witness": [0, 1, 3, 5]}, '
+            '"gamma_t": {"status": "ok", "value": 5, "witness": [0, 1, 2, 3, 5]}, '
+            '"n": 7, '
+            '"rho": {"status": "ok", "value": 3, "witness": [2, 4, 5]}, '
+            '"rho_open": {"status": "ok", "value": 5, "witness": [0, 1, 2, 4, 6]}}\n'
+        ),
+        "Tstar(path:3)": (
+            '{"digraph": "Tstar(path:3)", '
+            '"gamma": {"status": "ok", "value": 12, '
+            '"witness": [0, 2, 4, 6, 7, 9, 11, 13, 14, 16, 18, 20]}, '
+            '"gamma_t": {"status": "undefined", "value": null, "witness": null}, '
+            '"n": 21, '
+            '"rho": {"status": "ok", "value": 12, '
+            '"witness": [0, 2, 4, 6, 7, 9, 11, 13, 14, 16, 18, 20]}, '
+            '"rho_open": {"status": "ok", "value": 18, '
+            '"witness": [0, 1, 2, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 18, 19, 20]}}\n'
+        ),
+        "GM3_SQUARE": (
+            '{"digraph": "GM3_SQUARE", '
+            '"gamma": {"status": "timeout", "value": null, "witness": null}, '
+            '"gamma_t": {"status": "timeout", "value": null, "witness": null}, '
+            '"n": 49, '
+            '"rho": {"status": "timeout", "value": null, "witness": null}, '
+            '"rho_open": {"status": "timeout", "value": null, "witness": null}}\n'
+        ),
+    }
+
+    @staticmethod
+    def _pinned_argv(capsys, tmp_path, graph):
+        """The arguments that run ``graph``, and the digraph field of its
+        report; GM3_SQUARE is the arc list of Gm:3 [] Gm:3, read at a zero
+        deadline."""
+        if graph != "GM3_SQUARE":
+            return [graph], graph
+        path = str(tmp_path / "gm3sq.arcs")
+        assert run_cli(capsys, "product", "cart", "Gm:3", "Gm:3", "--out", path)[0] == 0
+        return [path, "--timeout-ms", "0"], path
+
+    @pytest.mark.parametrize("graph", PINS)
+    def test_report_bytes(self, capsys, tmp_path, graph):
+        argv, name = self._pinned_argv(capsys, tmp_path, graph)
+        code, out, err = run_cli(capsys, "invariants", *argv)
+        assert (code, err) == (0, "")
+        assert out == self.PINS[graph].replace("GM3_SQUARE", json.dumps(name)[1:-1])
+
+    @pytest.mark.parametrize("graph", PINS)
+    def test_report_keys_with_timings(self, capsys, tmp_path, graph):
+        argv, _ = self._pinned_argv(capsys, tmp_path, graph)
+        code, out, _ = run_cli(capsys, "invariants", *argv, "--timings")
+        assert code == 0
+        data = json.loads(out)
+        entries = ("gamma", "gamma_t", "rho", "rho_open")
+        assert set(data) == {"digraph", "n", *entries}
+        for which in entries:
+            assert set(data[which]) == {"status", "value", "witness", "elapsed_ms"}
+            assert data[which]["elapsed_ms"] >= 0
+
 
 class TestProduct:
     def test_cart_to_file(self, capsys, tmp_path):
@@ -138,6 +202,14 @@ class TestFamily:
         ):
             code, out, _ = run_cli(capsys, "family", spec)
             assert code == 2 and out == ""
+
+    def test_deep_tstar_nesting(self, capsys):
+        # T* multiplies the order by 7, so the fourth level over K1star has
+        # 16807 vertices; a spec 1200 levels deep once hit the recursion limit
+        spec = "Tstar(" * 1200 + "K1star" + ")" * 1200
+        code, out, err = run_cli(capsys, "family", spec)
+        assert code == 2 and out == ""
+        assert err == "error: 16807 vertices exceeds capacity 4096\n"
 
 
 class TestVerify:
@@ -277,6 +349,17 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", str(cfg))
         assert code == 2 and out == ""
         assert err.startswith(f"error: line 2: {message}")
+
+    @pytest.mark.parametrize("at", ["99", "-1"])
+    def test_attach_vertex_checked(self, capsys, tmp_path, at):
+        # K1star has 7 vertices; the leaf extension once raised at run time
+        # on a vertex outside them and wrote an error record
+        cfg, records = tmp_path / "attach.cfg", tmp_path / "out.jsonl"
+        source = f"pair:K1star|path:4;attach={at}"
+        cfg.write_text(f"seed 3\ncheck cor:isolated-leaf-extension {source}\n")
+        code, out, err = run_cli(capsys, "verify", str(cfg), "--out", str(records))
+        assert code == 2 and out == "" and not records.exists()
+        assert err.startswith(f"error: line 2: attach vertex {at} is not a vertex of K1star|path:4")
 
     def test_zero_count_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "zero.cfg"

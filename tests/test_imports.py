@@ -6,7 +6,8 @@ function, class or constant a module under ``src/didom`` defines at module
 level must be read somewhere in ``src/didom`` outside its own definition.
 No module under ``src/didom`` has a ``global`` statement, and only
 ``errors.py``, where ``Deadline`` turns a timeout into a clock time, imports
-``monotonic``."""
+``monotonic``.  No function under ``src/didom`` calls itself, apart from the
+two kernel searches of ``_bnb_py.py``."""
 
 import ast
 from pathlib import Path
@@ -89,6 +90,60 @@ def test_one_clock_and_no_globals(path):
         assert [use.split()[0] for use in found] == ["monotonic"]
     else:
         assert found == []
+
+
+def self_calls(source: str) -> list[str]:
+    """The functions in ``source`` that call themselves, by name or, for a
+    method, through ``self``, each as its dotted path of enclosing
+    functions and classes, with its line."""
+    found = []
+
+    def calls_itself(fn) -> bool:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name) and f.id == fn.name:
+                    return True
+                if isinstance(f, ast.Attribute) and f.attr == fn.name:
+                    if isinstance(f.value, ast.Name) and f.value.id == "self":
+                        return True
+        return False
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if calls_itself(child):
+                    found.append(f"{prefix}{child.name} (line {child.lineno})")
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_detects_a_function_calling_itself():
+    source = (
+        "def f(n):\n    return f(n - 1) if n else g()\n"
+        "def g():\n    def walk(x):\n        walk(x)\n    return walk\n"
+        "class C:\n    def m(self):\n        self.m()\n    def k(self, other):\n"
+        "        other.k(self)\n"
+    )
+    assert self_calls(source) == ["f (line 1)", "g.walk (line 4)", "C.m (line 8)"]
+
+
+# Each pure kernel search recurses once per branching pick, which ``_bnb.c``
+# mirrors frame for frame; every other search keeps an explicit path, so no
+# input within the vertex capacity reaches the recursion limit.
+ALLOWED_SELF_CALLS = {"_bnb_py.py": ["min_set_cover.dfs", "max_independent_set.dfs"]}
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_function_calls_itself(path):
+    found = [call.split()[0] for call in self_calls(path.read_text())]
+    assert found == ALLOWED_SELF_CALLS.get(path.name, [])
 
 
 def _module_level(body):

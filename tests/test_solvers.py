@@ -171,7 +171,7 @@ class TestUndirectedIsSymmetricDigraph:
         "total_domination_number": total_domination_number,
         "brute_force_gamma_t": lambda d: brute_force_invariant(d, "gamma_t"),
         "partition_two_dominating_sets": partition_two_dominating_sets,
-        "compute_invariants": lambda d: compute_invariants(d).to_json(False),
+        "compute_invariants": lambda d: compute_invariants(d, include_timings=False),
         "closed_helly": lambda d: check_closed_helly_lemma(d).to_json(False),
         "open_helly": lambda d: check_open_helly_lemma(d).to_json(False),
     }
@@ -431,6 +431,11 @@ class TestAllMaximumPackings:
             all_maximum_packings(d, timeout_ms=50)
         assert perf_counter() - start < 1.0
 
+    def test_search_deeper_than_recursion_limit(self):
+        # the one maximum packing of the edgeless digraph on 1100 vertices
+        # lies 1100 search nodes deep
+        assert all_maximum_packings(build_digraph(1100, [])) == [bitset.full(1100)]
+
     def test_cap_enforced(self, monkeypatch):
         from didom.errors import CliqueLimitExceeded
 
@@ -442,8 +447,7 @@ class TestAllMaximumPackings:
 
 class TestInvariantReport:
     def test_report_shape(self, directed_triangle):
-        rep = compute_invariants(directed_triangle, digraph_id="triangle")
-        data = rep.as_dict()
+        data = compute_invariants(directed_triangle, digraph_id="triangle")
         assert data["digraph"] == "triangle"
         assert data["gamma"]["value"] == 2
         assert data["gamma_t"]["value"] == 3
@@ -453,16 +457,16 @@ class TestInvariantReport:
 
     def test_gamma_t_undefined(self):
         rep = compute_invariants(build_digraph(2, [(0, 1)]))
-        assert rep.gamma_t.status == "undefined"
-        assert rep.gamma_t.value is None
+        assert rep["gamma_t"]["status"] == "undefined"
+        assert rep["gamma_t"]["value"] is None
 
     def test_timeout_entry(self):
         # gamma(Gm:3 [] Gm:3) takes 121 search nodes, so no root certificate
         # answers it before a zero deadline
         gm = gen_G_m(3)
         prod, _ = cartesian_product(gm, gm)
-        rep = compute_invariants(prod, timeout_ms=0)
-        assert rep.gamma.as_dict(False) == {"status": "timeout", "value": None, "witness": None}
+        rep = compute_invariants(prod, timeout_ms=0, include_timings=False)
+        assert rep["gamma"] == {"status": "timeout", "value": None, "witness": None}
 
     @pytest.mark.parametrize(
         "spec, exact_solves", [("path:7", {}), ("Gm:3", {"packing_number": 1})]
@@ -482,11 +486,11 @@ class TestInvariantReport:
         rep = compute_invariants(d)
         assert calls == exact_solves
         for which in ("gamma", "gamma_t", "rho", "rho_open"):
-            assert getattr(rep, which).value == brute_force_invariant(d, which)
+            assert rep[which]["value"] == brute_force_invariant(d, which)
 
     def test_json_stable_without_timings(self, directed_triangle):
-        a = compute_invariants(directed_triangle, digraph_id="t").to_json(False)
-        b = compute_invariants(directed_triangle, digraph_id="t").to_json(False)
+        a = compute_invariants(directed_triangle, digraph_id="t", include_timings=False)
+        b = compute_invariants(directed_triangle, digraph_id="t", include_timings=False)
         assert a == b
 
 
@@ -516,7 +520,7 @@ class TestRevalidationSurvivesOptimize:
             from didom import families, solvers, verify
             def fallback(d, timeout_ms=None):
                 raise AssertionError("the corrupted packing was rejected")
-            solvers._greedy_packing = lambda d, closed=True: 0b11  # gamma(P4) = 2
+            solvers._ordered_packing = lambda covers, cnt, left: 0b11  # gamma(P4) = 2
             solvers.packing_number = fallback
             verify.check_packing_equals_domination(families.build_family("path:4"))
             """,

@@ -825,7 +825,8 @@ class TestPairCertificate:
             solve, valid = solvers.open_packing_number, validate.is_open_packing
             gamma = verify.total_domination_number(d)[0]
         certified = check(d)
-        greedy = solvers._greedy_packing(d, closed=kind == "closed")
+        hoods = [d.in_closed(v) if kind == "closed" else d.in_adj[v] for v in range(d.n)]
+        greedy = solvers._ordered_packing(hoods, [m.bit_count() for m in hoods], d.n)
         assert greedy.bit_count() == gamma >= 2  # both mutants exist
         if mutant == "non-packing":
             bad = next(
@@ -834,7 +835,7 @@ class TestPairCertificate:
             )
         else:
             bad = greedy & (greedy - 1)  # drop the lowest vertex
-        monkeypatch.setattr(solvers, "_greedy_packing", lambda d, closed=True: bad)
+        monkeypatch.setattr(solvers, "_ordered_packing", lambda covers, cnt, left: bad)
         rec = check(d)
         rho, pack = solve(d)
         assert (rec.lhs, rec.rhs, rec.verdict) == (rho, gamma, certified.verdict)
