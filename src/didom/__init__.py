@@ -46,8 +46,6 @@ from didom.solvers import (
     packing_number,
     partition_two_dominating_sets,
     total_domination_number,
-    two_packing_number,
-    undirected_domination_number,
 )
 from didom.records import VerificationRecord
 
@@ -89,10 +87,8 @@ __all__ = [
     "partition_two_dominating_sets",
     "read_arclist",
     "total_domination_number",
-    "two_packing_number",
     "underlying_connected",
     "underlying_graph",
-    "undirected_domination_number",
     "write_arclist",
     "__version__",
 ]

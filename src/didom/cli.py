@@ -25,18 +25,6 @@ from didom.solvers import DEFAULT_TIMEOUT_MS, compute_invariants, parse_timeout_
 _GRAPH_HELP = "an arc-list file, else a family spec"
 
 
-def _int_at_least(lowest: int):
-    """An argparse type: an integer no smaller than ``lowest``."""
-
-    def integer(text: str) -> int:
-        value = int(text)  # a ValueError reads "invalid integer value"
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {value}")
-        return value
-
-    return integer
-
-
 def _load_graph(spec: str) -> Digraph:
     """Read a GRAPH argument: an existing arc-list file, else a family spec."""
     if os.path.exists(spec):
@@ -106,26 +94,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search_acyclic(args) -> int:
-    sink = open(args.out, "a", encoding="ascii") if args.out else None
+    # sizes out of range raise here, before --out is opened
+    records = verify.search_acyclic_problem(
+        max_n=args.max_n, budget=args.budget, seed=args.seed, timeout_ms=args.timeout_ms
+    )
+    sink = open(args.out, "a", encoding="ascii") if args.out else sys.stdout
     counts = Counter()
     try:
-        for record in verify.search_acyclic_problem(
-            max_n=args.max_n,
-            budget=args.budget,
-            seed=args.seed,
-            timeout_ms=args.timeout_ms,
-        ):
-            line = record.to_json(include_timings=args.timings)
-            if sink is not None:
-                sink.write(line + "\n")
-            else:
-                print(line)
+        for record in records:
+            print(record.to_json(include_timings=args.timings), file=sink)
             counts[record.verdict] += 1
             if record.verdict == verify.FAILS:
                 gap = f"{record.lhs} < {record.rhs}"
                 print(f"packing < domination on {record.instance}: {gap}", file=sys.stderr)
     finally:
-        if sink is not None:
+        if sink is not sys.stdout:
             sink.close()
     done = f"equality on {counts[verify.HOLDS]}, strict inequality on {counts[verify.FAILS]}"
     print(f"acyclic search: {done}, timeout on {counts[verify.TIMEOUT]}", file=sys.stderr)
@@ -168,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_acy = sub.add_parser(
         "search-acyclic", help="record packing vs domination over acyclic digraphs"
     )
-    p_acy.add_argument("--max-n", type=_int_at_least(1), default=9, dest="max_n")
-    p_acy.add_argument("--budget", type=_int_at_least(0), default=10_000)
+    p_acy.add_argument("--max-n", type=int, default=9, dest="max_n")
+    p_acy.add_argument("--budget", type=int, default=10_000)
     p_acy.add_argument("--seed", type=int, default=0)
     p_acy.add_argument("--timeout-ms", type=parse_timeout_ms, default=DEFAULT_TIMEOUT_MS)
     p_acy.add_argument("--out", help="append records to this file (default stdout)")

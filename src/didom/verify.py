@@ -584,10 +584,15 @@ def search_acyclic_problem(
 
     Asserts nothing (the question is open); any strict inequality comes out
     as a ``fails`` record carrying both witnesses.  Sizes out of range raise
-    ValueError before any record; the message names ``exhaustive_n``,
-    ``budget`` and ``max_n`` as exhaustive, random and n.
+    ValueError at the call, naming ``exhaustive_n``, ``budget`` and ``max_n``
+    as exhaustive, random and n.
     """
     _check_acyclic_sizes("acyclic search", exhaustive_n, budget, max_n)
+    return _acyclic_records(max_n, budget, seed, exhaustive_n, timeout_ms)
+
+
+def _acyclic_records(max_n, budget, seed, exhaustive_n, timeout_ms) -> Iterator[VerificationRecord]:
+    """The stream ``search_acyclic_problem`` returns once its sizes pass."""
     for n in range(1, min(exhaustive_n, max_n) + 1):
         for d in families.all_digraphs(n):
             if is_acyclic_digraph(d):
@@ -716,8 +721,7 @@ class SuiteConfig:
     seed: int = 42
     timeout_ms: float = DEFAULT_TIMEOUT_MS
     out: Optional[str] = None
-    checks: list[tuple[str, str]] = field(default_factory=list)
-    lines: list[int] = field(default_factory=list)  # config line of each parsed check
+    checks: list[tuple[str, str, int]] = field(default_factory=list)  # (claim, source, line)
 
 
 class SuiteConfigError(ValueError):
@@ -747,8 +751,7 @@ def parse_suite_config(text: str) -> SuiteConfig:
                     raise ValueError(f"unknown claim {claim!r}")
                 if not source:
                     raise ValueError("missing instance source")
-                config.checks.append((claim, source[0]))
-                config.lines.append(line_no)
+                config.checks.append((claim, source[0], line_no))
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
@@ -756,15 +759,20 @@ def parse_suite_config(text: str) -> SuiteConfig:
     return config
 
 
-def _count_and_order(source: str, lowest: int) -> tuple[int, int]:
+_PAIR_N = int(MAX_VERTICES**0.5)  # a random pair's largest n: every product fits
+
+
+def _count_and_order(source: str, lowest: int, highest: int = MAX_VERTICES) -> tuple[int, int]:
     """``count`` and ``n`` of a random source ``kind:count=C,n=N``; a negative
-    count, or an n below the source's smallest order ``lowest``, raises."""
+    count, or an n outside the source's orders ``lowest..highest``, raises."""
     kv = families.parse_kv(source.split(":", 1)[1], "count,n")
     count, n = int(kv["count"]), int(kv["n"])
     if count < 0:
         raise SuiteConfigError(f"count must be >= 0, got {count} in {source!r}")
     if n < lowest:
         raise SuiteConfigError(f"n must be >= {lowest}, got {n} in {source!r}")
+    if n > highest:
+        raise SuiteConfigError(f"n must be <= {highest}, got {n} in {source!r}")
     return count, n
 
 
@@ -807,11 +815,16 @@ def _pair_instances(source: str, rng: random.Random):
         left, sep, right = source[len("pair:") :].partition("|")
         if not sep:
             raise SuiteConfigError(f"pair source wants specL|specR, got {source!r}")
-        yield f"{left}|{right}", families.build_family(left), families.build_family(right)
+        g, h = families.build_family(left), families.build_family(right)
+        if g.n * h.n > MAX_VERTICES:
+            raise SuiteConfigError(
+                f"product order {g.n * h.n}, over capacity {MAX_VERTICES}, in {source!r}"
+            )
+        yield f"{left}|{right}", g, h
     elif source.startswith(("random-pairs:", "random-min-indeg-pairs:")):
         need_indeg = source.startswith("random-min-indeg-pairs:")
         lo = 2 if need_indeg else 1
-        count, n_max = _count_and_order(source, lo)
+        count, n_max = _count_and_order(source, lo, _PAIR_N)
         gen = families.random_digraph_min_indegree if need_indeg else families.random_digraph
         for _ in range(count):
             n1, n2 = rng.randint(lo, n_max), rng.randint(lo, n_max)
@@ -833,10 +846,14 @@ def _attach_source(source: str, rng: random.Random):
     """A pair source with an optional ``;attach=K`` (default: the first
     factor's lowest support vertex).  The config fixes the first factor of
     a ``pair:`` source, so a K outside it raises SuiteConfigError; a random
-    source draws one per instance, and an instance whose first factor lacks
-    K gives that instance's error record."""
+    source draws one of at most n vertices per instance, so a K outside
+    0..n-1 raises, and a draw that lacks K gives its own error record."""
     source, sep, option = source.partition(";")
     attach = int(families.parse_kv(option, "attach")["attach"]) if sep else None
+    if sep and source.startswith("random-"):
+        n_max = _count_and_order(source, 1, _PAIR_N)[1]
+        if not 0 <= attach < n_max:
+            raise SuiteConfigError(f"attach vertex {attach} is in no first factor of {source!r}")
     for label, a, b in _pair_instances(source, rng):
         at = default_attach_vertex(a) if attach is None else attach
         if source.startswith("pair:") and not 0 <= at < a.n:
@@ -936,9 +953,9 @@ ALL_CLAIMS = tuple(_CLAIM_TABLE)
 def build_tasks(config: SuiteConfig) -> list[SuiteTask]:
     """Expand configured checks into runnable suite tasks (deterministic
     given the config seed).  A source that cannot be expanded raises
-    SuiteConfigError, naming its config line when the check was parsed."""
+    SuiteConfigError, naming its config line."""
     tasks: list[SuiteTask] = []
-    for index, (claim, source) in enumerate(config.checks):
+    for index, (claim, source, line) in enumerate(config.checks):
         # string seeding hashes via sha512: stable across platforms and runs
         rng = random.Random(f"{config.seed}:{index}:{claim}:{source}")
         instances, run = _CLAIM_TABLE[claim]
@@ -946,8 +963,7 @@ def build_tasks(config: SuiteConfig) -> list[SuiteTask]:
             for args in instances(source, rng):
                 tasks.append(SuiteTask(claim, partial(run, config, *args), source))
         except ValueError as exc:  # SuiteConfigError included
-            where = f"line {config.lines[index]}: " if index < len(config.lines) else ""
-            raise SuiteConfigError(f"{where}{exc}") from None
+            raise SuiteConfigError(f"line {line}: {exc}") from None
     return tasks
 
 

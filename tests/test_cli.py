@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from didom import families
 from didom.cli import main
 from didom.core import loads_arclist, read_arclist
 
@@ -339,15 +340,40 @@ class TestVerify:
                 "thm:direct-product-total-domination random-min-indeg-pairs:count=2,n=1",
                 "n must be >= 2, got 1",
             ),
+            ("lemma:closed-helly random-digraphs:count=1,n=4097", "n must be <= 4096, got 4097"),
+            ("prop:packing-lower-bound random-pairs:count=1,n=65", "n must be <= 64, got 65"),
+            (
+                "thm:direct-product-total-domination random-min-indeg-pairs:count=1,n=65",
+                "n must be <= 64, got 65",
+            ),
+            (
+                "prop:packing-lower-bound pair:path:100|path:100",
+                "product order 10000, over capacity 4096, in 'pair:path:100|path:100'",
+            ),
+            (
+                "cor:isolated-leaf-extension random-pairs:count=3,n=5;attach=99",
+                "attach vertex 99 is in no first factor of 'random-pairs:count=3,n=5'",
+            ),
+            (
+                "cor:isolated-leaf-extension random-pairs:count=3,n=5;attach=-1",
+                "attach vertex -1 is in no first factor",
+            ),
         ],
     )
-    def test_source_sizes_checked(self, capsys, tmp_path, check, message):
+    def test_source_sizes_checked(self, capsys, tmp_path, monkeypatch, check, message):
         # each of these once ran nothing, ran another order, or checked the
-        # empty digraph; two died in randrange instead
-        cfg = tmp_path / "sizes.cfg"
+        # empty digraph; two died in randrange instead.  Of those over
+        # capacity, the random ones were refused only when a draw was, after
+        # its O(n^2) build, and the pair and attach ones gave error records
+        def no_draw(*args):
+            raise AssertionError("a refused source drew a digraph")
+
+        monkeypatch.setattr(families, "random_digraph", no_draw)
+        monkeypatch.setattr(families, "random_digraph_min_indegree", no_draw)
+        cfg, records = tmp_path / "sizes.cfg", tmp_path / "out.jsonl"
         cfg.write_text(f"seed 3\ncheck {check}\n")
-        code, out, err = run_cli(capsys, "verify", str(cfg))
-        assert code == 2 and out == ""
+        code, out, err = run_cli(capsys, "verify", str(cfg), "--out", str(records))
+        assert code == 2 and out == "" and not records.exists()
         assert err.startswith(f"error: line 2: {message}")
 
     @pytest.mark.parametrize("at", ["99", "-1"])
@@ -391,11 +417,12 @@ class TestVerify:
         assert "fails=1" in out
 
     def test_checker_error_recorded_and_run_continues(self, capsys, tmp_path):
-        # an attach vertex outside every factor makes the checker raise
+        # vertex 4 fits a first factor of n = 5, so the source is accepted, but
+        # each of these three draws is smaller and makes the checker raise
         cfg = tmp_path / "err.cfg"
         cfg.write_text(
             "seed 42\n"
-            "check cor:isolated-leaf-extension random-pairs:count=3,n=5;attach=99\n"
+            "check cor:isolated-leaf-extension random-pairs:count=3,n=5;attach=4\n"
             "check conj:vizing-inequality pair:cycle:4|cycle:4\n"
         )
         out_file = tmp_path / "records.jsonl"
@@ -404,8 +431,8 @@ class TestVerify:
         assert "suite: 4 records" in out and "error=3" in out
         records = [json.loads(l) for l in out_file.read_text().splitlines()]
         assert [r["verdict"] for r in records] == ["error"] * 3 + ["holds"]
-        assert records[0]["instance"] == "random-pairs:count=3,n=5;attach=99"
-        assert records[0]["extras"]["error"] == "ValueError: attach vertex 99 out of range"
+        assert records[0]["instance"] == "random-pairs:count=3,n=5;attach=4"
+        assert records[0]["extras"]["error"] == "ValueError: attach vertex 4 out of range"
 
     def test_max_packing_unmet_hypotheses_are_records(self, capsys, tmp_path):
         # factors of order below 3 or not ditrees fail the claim's hypotheses
@@ -500,28 +527,31 @@ class TestSearchAcyclic:
             "acyclic search: equality on 839, strict inequality on 0, timeout on 33",
         ]
 
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--max-n", "0", "must be an integer >= 1, got 0"),
-            ("--max-n", "-3", "must be an integer >= 1, got -3"),
-            ("--budget", "-2", "must be an integer >= 0, got -2"),
-            ("--budget", "x", "invalid integer value: 'x'"),
-        ],
-    )
-    def test_sizes_are_usage_errors(self, capsys, flag, value, message):
-        # --max-n 0 checked the 0-vertex digraph; --budget -2 ran no DAG
-        with pytest.raises(SystemExit) as exc:
-            main(["search-acyclic", flag, value])
-        assert exc.value.code == 2
-        assert f"argument {flag}: {message}" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value", [("--max-n", "0"), ("--max-n", "-3"), ("--budget", "-2")])
+    def test_sizes_are_usage_errors(self, capsys, tmp_path, flag, value):
+        # --max-n 0 checked the 0-vertex digraph; --budget -2 ran no DAG.  The
+        # search refuses them as it refuses --max-n over capacity
+        out_file = tmp_path / "dags.jsonl"
+        code, out, err = run_cli(capsys, "search-acyclic", flag, value, "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        key = "n" if flag == "--max-n" else "random"
+        assert err.startswith("error: acyclic search wants ") and f" {key}={value}" in err
 
-    def test_max_n_over_capacity_refused_before_any_record(self, capsys):
-        # this run once printed 572 records, then failed on a 4,705-vertex DAG
+    def test_budget_not_an_integer_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search-acyclic", "--budget", "x"])
+        assert exc.value.code == 2
+        assert "argument --budget: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_max_n_over_capacity_refused_before_any_record(self, capsys, tmp_path):
+        # this run once printed 572 records, then failed on a 4,705-vertex
+        # DAG; later it was refused, but only after --out was opened
+        out_file = tmp_path / "dags.jsonl"
         code, out, err = run_cli(
-            capsys, "search-acyclic", "--max-n", "5000", "--budget", "1", "--seed", "6"
+            capsys, "search-acyclic", "--max-n", "5000", "--budget", "1", "--seed", "6",
+            "--out", str(out_file),
         )
-        assert code == 2 and out == ""
+        assert code == 2 and out == "" and not out_file.exists()
         assert err == (
             "error: acyclic search wants exhaustive >= 0, random >= 0, n in 1..4096 and "
             "min(exhaustive, n) <= 5; got exhaustive=4, random=1, n=5000\n"

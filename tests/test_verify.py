@@ -734,9 +734,9 @@ class TestAcyclicSearch:
         [(0, 2, 4), (-1, 0, 4), (5, -2, 4), (5, 2, -1), (4097, 1, 4), (6, 0, 6)],
     )
     def test_sizes_refused_before_any_record(self, max_n, budget, exhaustive_n):
-        search = verify.search_acyclic_problem(max_n, budget, exhaustive_n=exhaustive_n)
+        # refused at the call, not at the first next()
         with pytest.raises(ValueError, match="acyclic search wants"):
-            next(search)
+            verify.search_acyclic_problem(max_n, budget, exhaustive_n=exhaustive_n)
 
     def test_c4_0202_equality(self):
         from didom.families import gen_C4_orientation
@@ -885,8 +885,8 @@ class TestSuite:
         )
         assert cfg.seed == 7 and cfg.timeout_ms == 1000
         assert cfg.checks == [
-            ("thm:meir-moon", "random-ditrees:count=2,n=5"),
-            ("thm:meir-moon", "random-ditrees:count=2,n=4"),
+            ("thm:meir-moon", "random-ditrees:count=2,n=5", 4),
+            ("thm:meir-moon", "random-ditrees:count=2,n=4", 5),
         ]
 
     @pytest.mark.parametrize(
@@ -939,7 +939,7 @@ class TestSuite:
 
     def test_default_suite_covers_every_claim(self):
         cfg = verify.default_suite_config()
-        claimed = {claim for claim, _ in cfg.checks}
+        claimed = {claim for claim, _, _ in cfg.checks}
         assert claimed == set(verify.ALL_CLAIMS)
 
     def test_default_suite_runs_clean(self, tmp_path):
