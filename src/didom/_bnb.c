@@ -6,14 +6,14 @@
  * same search nodes.  The cover search prunes with the conflict packing, a
  * packing of the residual instance (gamma >= rho) and that packing's
  * remainder term, which implies the size bound count + ceil(left / max_cov).
- * A greedy answer that meets the root bound (the conflict packing, the size
- * bound or the ordered packing for covers, the clique cover for independent
- * sets) is optimal and is returned without a search, after 0 nodes.  Under
- * a deadline every node reads CLOCK_MONOTONIC, the clock of
- * Python's time.monotonic().  A call returns the optimum size, INFEASIBLE,
- * TIMED_OUT or NO_MEMORY, stores its node count in *nodes and its witness
- * in out, as little-endian bytes: the chosen sets of a cover, the vertices
- * of an independent set. */
+ * A greedy answer that meets a root bound (for covers the size bound, tested
+ * before any element table is built, the conflict packing or the ordered
+ * packing; for independent sets the clique cover) is optimal and is returned
+ * without a search, after 0 nodes.  Under a deadline every node reads
+ * CLOCK_MONOTONIC, the clock of Python's time.monotonic().  A call returns
+ * the optimum size, INFEASIBLE, TIMED_OUT or NO_MEMORY, stores its node
+ * count in *nodes and its witness in out, as little-endian bytes: the
+ * chosen sets of a cover, the vertices of an independent set. */
 
 /* clock_gettime and CLOCK_MONOTONIC are POSIX, outside strict C99 */
 #ifndef _POSIX_C_SOURCE
@@ -324,18 +324,8 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
     c.rem = c.ci + ne;
     load(uni, universe, ne);
     load(c.masks, masks, (size_t)n_sets * ne);
-    memcpy(c.rem, uni, BYTES(ne));
-    for (int i = 0; i < n_sets; i++) {
-        int size = popcount_and(MASK(&c, i), MASK(&c, i), ne);
-        EACH(e, MASK(&c, i), ne) {
-            COVERS(&c, e)[i >> 6] |= BIT(i);
-            FOR_W(ne) c.conflict[(size_t)e * ne + w] |= MASK(&c, i)[w];
-        }
-        FOR_W(ne) c.rem[w] &= ~MASK(&c, i)[w];
-        if (size > max_size) max_size = size;
-    }
-    if (any(c.rem, ne)) goto done;
-    /* greedy incumbent: the set covering most uncovered elements, first on ties */
+    /* greedy incumbent: the set covering most uncovered elements, first on
+     * ties; its first pick is a largest set; no pick: INFEASIBLE */
     for (memcpy(c.rem, uni, BYTES(ne)); any(c.rem, ne); c.best++) {
         int best_i = -1, best_cnt = 0;
         for (int i = 0; i < n_sets; i++)
@@ -343,29 +333,36 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
                 best_cnt = popcount_and(MASK(&c, i), c.rem, ne);
                 best_i = i;
             }
+        if (best_i < 0) goto done;
+        if (!max_size) max_size = best_cnt;
         c.best_chosen[best_i >> 6] |= BIT(best_i);
         FOR_W(ne) c.rem[w] &= ~MASK(&c, best_i)[w];
     }
     /* root certificate: a greedy cover that meets a lower bound is optimal,
-     * so the search runs only when all three bounds fall below it; the
-     * ordered packing, the dearest, runs only when the other two do */
-    if (conflict_bound(&c, uni) < c.best
-        && (popcount_and(uni, uni, ne) + max_size - 1) / max_size < c.best) {
-        result = NO_MEMORY;
-        /* a child is entered only below the incumbent size: depth < best */
-        c.cands = malloc(((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el) * sizeof(int));
-        if (!c.cands) goto done;
-        c.size = c.cands + (size_t)(c.best + 1) * n_sets;
-        c.order = c.size + n_sets;
-        c.order_cnt = c.order + n_el;
-        if (ordered_packing(&c, uni) < c.best) {
-            c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
-            if (!c.frames) goto done;
-            memcpy(c.frames, uni, BYTES(ne));
-            for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);
-            cover_dfs(&c, 0, 0, 1);
+     * so the search runs only when all three bounds fall below it; they are
+     * tested cheapest first, and the size bound reads no table */
+    if ((popcount_and(uni, uni, ne) + max_size - 1) / max_size >= c.best) goto answered;
+    for (int i = 0; i < n_sets; i++)
+        EACH(e, MASK(&c, i), ne) {
+            COVERS(&c, e)[i >> 6] |= BIT(i);
+            FOR_W(ne) c.conflict[(size_t)e * ne + w] |= MASK(&c, i)[w];
         }
+    if (conflict_bound(&c, uni) >= c.best) goto answered;
+    result = NO_MEMORY;
+    /* a child is entered only below the incumbent size: depth < best */
+    c.cands = malloc(((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el) * sizeof(int));
+    if (!c.cands) goto done;
+    c.size = c.cands + (size_t)(c.best + 1) * n_sets;
+    c.order = c.size + n_sets;
+    c.order_cnt = c.order + n_el;
+    if (ordered_packing(&c, uni) < c.best) {
+        c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
+        if (!c.frames) goto done;
+        memcpy(c.frames, uni, BYTES(ne));
+        for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);
+        cover_dfs(&c, 0, 0, 1);
     }
+answered:
     *nodes = c.s.nodes;
     result = c.s.timed_out ? TIMED_OUT : c.best;
     store(out, c.best_chosen, ns);

@@ -27,10 +27,11 @@ from didom import bitset
 from didom.errors import Deadline
 
 
-def _greedy_cover(masks: Sequence[int], universe: int) -> int:
-    """The mask of the sets greedy picks: each time, the first set that
-    covers the most uncovered elements."""
-    chosen = 0
+def _greedy_cover(masks: Sequence[int], universe: int) -> Optional[tuple[int, int]]:
+    """The mask of the sets greedy picks, each time the first set covering
+    the most uncovered elements, and the size of its first pick, a largest
+    set; None when no set covers an element left uncovered."""
+    chosen = largest = 0
     uncovered = universe
     while uncovered:
         best_i = -1
@@ -40,9 +41,12 @@ def _greedy_cover(masks: Sequence[int], universe: int) -> int:
             if c > best_c:
                 best_c = c
                 best_i = i
+        if best_i < 0:
+            return None
+        largest = largest or best_c
         chosen |= 1 << best_i
         uncovered &= ~masks[best_i]
-    return chosen
+    return chosen, largest
 
 
 def _conflict_bound(uncovered: int, conflict: Sequence[int]) -> int:
@@ -124,10 +128,11 @@ def min_set_cover(
     a search without it.  Only the node count falls.
 
     Root certificate: before any search, the greedy cover is compared with
-    three root bounds, cheapest first: the conflict packing of the universe
-    (γ ≥ ρ), ⌈|universe| / largest set⌉, and, only when both fall short,
-    the ordered packing: the elements in increasing order of (number of
-    sets holding them, index), each kept when its sets miss those of the
+    three root bounds, cheapest first: ⌈|universe| / largest set⌉, read off
+    greedy's first pick before ``covers`` and ``conflict`` are built, then
+    the conflict packing of the universe (γ ≥ ρ), and, only when both fall
+    short, the ordered packing: the elements in increasing order of (number
+    of sets holding them, index), each kept when its sets miss those of the
     elements kept before it.  That is the search's packing bound over the
     whole instance.  On closed out-neighbourhoods an element's sets are its
     closed in-neighbourhood, so this is the greedy packing that
@@ -138,16 +143,18 @@ def min_set_cover(
     if universe == 0:
         return 0, 0
     masks = [m & universe for m in masks]
-    union = 0
-    for m in masks:
-        union |= m
-    if universe & ~union:
+    greedy = _greedy_cover(masks, universe)
+    if greedy is None:
         return None
-
+    chosen, max_size = greedy
+    best = [chosen.bit_count(), chosen]
+    # Root certificate: a greedy cover that meets a lower bound is optimal.
+    left = universe.bit_count()
+    if -(-left // max_size) >= best[0]:
+        return best[0], best[1]
     width = universe.bit_length()
     covers = [0] * width  # element -> bitmask over the sets containing it
     conflict = [0] * width  # element -> union of all sets containing it
-    max_size = 0
     for i, m in enumerate(masks):
         bit = 1 << i
         rem = m
@@ -157,14 +164,7 @@ def min_set_cover(
             e = low.bit_length() - 1
             covers[e] |= bit
             conflict[e] |= m
-        if m.bit_count() > max_size:
-            max_size = m.bit_count()
-
-    greedy = _greedy_cover(masks, universe)
-    best = [greedy.bit_count(), greedy]
-    # Root certificate: a greedy cover that meets a lower bound is optimal.
-    left = universe.bit_count()
-    if max(_conflict_bound(universe, conflict), -(-left // max_size)) >= best[0]:
+    if _conflict_bound(universe, conflict) >= best[0]:
         return best[0], best[1]
     done = len(masks) + 1  # cnt of an element with nothing left to cover
     cnt = [c.bit_count() or done for c in covers]

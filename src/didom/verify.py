@@ -776,6 +776,13 @@ def _count_and_order(source: str, lowest: int, highest: int = MAX_VERTICES) -> t
     return count, n
 
 
+def _check_fits(order: int, what: str, source: str) -> None:
+    """SuiteConfigError when ``source`` gives a digraph of ``order`` vertices
+    over MAX_VERTICES; ``what`` names that digraph."""
+    if order > MAX_VERTICES:
+        raise SuiteConfigError(f"{what} order {order}, over capacity {MAX_VERTICES}, in {source!r}")
+
+
 def _digraph_instances(source: str, rng: random.Random):
     """Yield (label, digraph) pairs for a single-digraph source."""
     if source.startswith("family:"):
@@ -816,10 +823,7 @@ def _pair_instances(source: str, rng: random.Random):
         if not sep:
             raise SuiteConfigError(f"pair source wants specL|specR, got {source!r}")
         g, h = families.build_family(left), families.build_family(right)
-        if g.n * h.n > MAX_VERTICES:
-            raise SuiteConfigError(
-                f"product order {g.n * h.n}, over capacity {MAX_VERTICES}, in {source!r}"
-            )
+        _check_fits(g.n * h.n, "product", source)
         yield f"{left}|{right}", g, h
     elif source.startswith(("random-pairs:", "random-min-indeg-pairs:")):
         need_indeg = source.startswith("random-min-indeg-pairs:")
@@ -844,20 +848,22 @@ def default_attach_vertex(t: Digraph) -> int:
 
 def _attach_source(source: str, rng: random.Random):
     """A pair source with an optional ``;attach=K`` (default: the first
-    factor's lowest support vertex).  The config fixes the first factor of
-    a ``pair:`` source, so a K outside it raises SuiteConfigError; a random
-    source draws one of at most n vertices per instance, so a K outside
-    0..n-1 raises, and a draw that lacks K gives its own error record."""
+    factor's lowest support vertex).  The extended product T'□H has
+    (n_T + 1)·n_H vertices, so a ``pair:`` source over capacity there, or a
+    random one with n over 63, raises SuiteConfigError, as does a K outside
+    a ``pair:`` source's first factor or outside a random source's 0..n-1.
+    A random draw that lacks K gives its own error record."""
     source, sep, option = source.partition(";")
     attach = int(families.parse_kv(option, "attach")["attach"]) if sep else None
-    if sep and source.startswith("random-"):
-        n_max = _count_and_order(source, 1, _PAIR_N)[1]
-        if not 0 <= attach < n_max:
+    if source.startswith("random-"):
+        n_max = _count_and_order(source, 1, _PAIR_N - 1)[1]
+        if sep and not 0 <= attach < n_max:
             raise SuiteConfigError(f"attach vertex {attach} is in no first factor of {source!r}")
     for label, a, b in _pair_instances(source, rng):
         at = default_attach_vertex(a) if attach is None else attach
         if source.startswith("pair:") and not 0 <= at < a.n:
             raise SuiteConfigError(f"attach vertex {at} is not a vertex of {label}'s first factor")
+        _check_fits((a.n + 1) * b.n, "extended product", source)
         yield f"{label};attach={at}", a, b, at
 
 
@@ -868,11 +874,7 @@ def _m_source(source: str, rng: random.Random):
         if not m_str.isdecimal() or int(m_str) < 1:
             raise SuiteConfigError(f"m must be a positive integer, got {m_str!r} in {source!r}")
         m = int(m_str)
-        order = (2 * m + 1) ** 2
-        if order > MAX_VERTICES:
-            raise SuiteConfigError(
-                f"m = {m_str} gives product order {order}, over capacity {MAX_VERTICES}, in {source!r}"
-            )
+        _check_fits((2 * m + 1) ** 2, f"m = {m_str} gives product", source)
         yield f"Gm:{m}|Gm:{m}", m
 
 

@@ -358,13 +358,20 @@ class TestVerify:
                 "cor:isolated-leaf-extension random-pairs:count=3,n=5;attach=-1",
                 "attach vertex -1 is in no first factor",
             ),
+            (
+                "cor:isolated-leaf-extension pair:path:64|path:64;attach=0",
+                "extended product order 4160, over capacity 4096, in 'pair:path:64|path:64'",
+            ),
+            ("cor:isolated-leaf-extension random-pairs:count=2,n=64", "n must be <= 63, got 64"),
         ],
     )
     def test_source_sizes_checked(self, capsys, tmp_path, monkeypatch, check, message):
         # each of these once ran nothing, ran another order, or checked the
         # empty digraph; two died in randrange instead.  Of those over
         # capacity, the random ones were refused only when a draw was, after
-        # its O(n^2) build, and the pair and attach ones gave error records
+        # its O(n^2) build, and the pair and attach ones gave error records;
+        # the 64-vertex leaf extensions, whose T'[]H needs 65 * 64 = 4160
+        # vertices, were accepted, and the pair ran 60 s into a timeout record
         def no_draw(*args):
             raise AssertionError("a refused source drew a digraph")
 

@@ -304,6 +304,26 @@ class TestRootCertificate:
             assert pure[0] == _exhaustive_alpha(adj, n)
 
 
+    def test_size_bound_needs_no_element_table(self, monkeypatch):
+        # greedy's first pick covers all three elements, so ceil(3 / 3) = 1
+        # certifies it before covers and conflict exist for the conflict bound
+        def no_table(*args):
+            raise AssertionError("the conflict bound ran before the size bound")
+
+        monkeypatch.setattr(_bnb_py, "_conflict_bound", no_table)
+        assert _bnb_py.min_set_cover([0b111, 0b001], 0b111) == (1, 0b1)
+
+    @pytest.mark.parametrize(
+        "sets, universe",
+        [
+            pytest.param([0b011, 0b001], 0b111, id="greedy-stalls-midway"),
+            pytest.param([], 0b1, id="no-sets"),
+        ],
+    )
+    def test_greedy_finds_infeasibility(self, compiled_kernels, sets, universe):
+        # the greedy cover, not a union pass, finds the element no set holds
+        assert _agree(compiled_kernels, "min_set_cover", sets, universe) == (None, 0)
+
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_dag_sample_root_counts(self, request, backend):
         # domination covers of 1,000 seeded DAGs on 5-9 vertices: the

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -295,6 +296,30 @@ class TestWitnessValidation:
             total = total_domination_number(d)
             if total is not None:
                 assert validate.is_total_dominating_set(d, total[1])
+
+    def test_sweep_witnesses_pinned(self, backend):
+        # 2,000 digraphs like the observation sweep's: n in 1..10, arc
+        # densities 0.1-0.9; one digest over the (value, witness) of all
+        # seven invariants, so a change to any kernel's root order or
+        # search that moves a witness fails here
+        rng = random.Random(3)
+        answers = []
+        for _ in range(2000):
+            d = random_digraph(
+                rng.randint(1, 10), rng.choice((0.1, 0.2, 0.35, 0.5, 0.7, 0.9)),
+                rng.getrandbits(32),
+            )
+            un = underlying_graph(d)
+            answers.append((
+                domination_number(d), total_domination_number(d),
+                packing_number(d), open_packing_number(d),
+                undirected_domination_number(un), two_packing_number(un),
+                undirected_open_packing_number(un),
+            ))
+        assert (
+            hashlib.sha256(repr(answers).encode("ascii")).hexdigest()
+            == "784e0ca4e618037647510c0334145d1c3457c68be48621f1d4db89ffb1c525d3"
+        )
 
     def test_open_packing_is_pairwise_disjointness(self):
         # every vertex subset of small random digraphs, against the
