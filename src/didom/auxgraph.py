@@ -3,6 +3,8 @@
 Packings of a digraph are exactly the independent sets of its closed
 in-neighborhood graph (and open packings those of the open variant), which
 is what lets the exact independent-set kernel compute packing numbers.
+``solvers.packing_against`` builds them only for the packings that its
+root bounds do not certify.
 """
 
 from __future__ import annotations

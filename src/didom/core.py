@@ -112,9 +112,9 @@ def build_digraph(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     in_adj = [0] * n
     for u, v in arcs:
         if u == v:
-            raise InvalidArcError(f"self-loop ({u}, {v}) is not allowed")
+            raise InvalidArcError(f"self-loop ({u}, {v}) is not allowed", (u, v))
         if not (0 <= u < n and 0 <= v < n):
-            raise InvalidArcError(f"arc ({u}, {v}) out of range for n={n}")
+            raise InvalidArcError(f"arc ({u}, {v}) out of range for n={n}", (u, v))
         out_adj[u] |= 1 << v
         in_adj[v] |= 1 << u
     d = Digraph(n, tuple(out_adj))
@@ -253,6 +253,7 @@ def dumps_arclist(d: Digraph) -> str:
 def loads_arclist(text: str) -> Digraph:
     n: Optional[int] = None
     arcs: list[tuple[int, int]] = []
+    lines: list[int] = []  # the line of each arc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -274,12 +275,18 @@ def loads_arclist(text: str) -> Digraph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ArcListParseError(f"non-integer arc {line!r}", line_no) from None
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ArcListParseError(f"invalid arc ({u}, {v}) for n={n}", line_no)
         arcs.append((u, v))
+        lines.append(line_no)
     if n is None:
         raise ArcListParseError("empty input: missing 'n <count>' header", 1)
-    return build_digraph(n, arcs)
+    try:
+        return build_digraph(n, arcs)
+    except InvalidArcError as exc:
+        # build_digraph stops at the first invalid arc, so that arc's first
+        # occurrence is its line
+        u, v = exc.arc
+        line_no = lines[arcs.index(exc.arc)]
+        raise ArcListParseError(f"invalid arc ({u}, {v}) for n={n}", line_no) from None
 
 
 def write_arclist(d: Digraph, path_or_file) -> None:

@@ -11,7 +11,12 @@ class CapacityError(ValueError):
 
 
 class InvalidArcError(ValueError):
-    """An arc is a self-loop or references a vertex out of range."""
+    """An arc is a self-loop or references a vertex out of range; ``arc``
+    is that arc."""
+
+    def __init__(self, message: str, arc: tuple[int, int]):
+        super().__init__(message)
+        self.arc = arc
 
 
 class ArcListParseError(ValueError):

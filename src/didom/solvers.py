@@ -1,13 +1,16 @@
 """Exact invariant solvers with witnesses.
 
-Domination-type numbers reduce to minimum set cover over out-neighborhoods;
-packing-type numbers reduce to maximum independent sets of the auxiliary
-in-neighborhood graphs.  Every answer is ``(size, witness mask)``, and
-every kernel answer passes one check, ``_checked``, which re-validates the
-witness through :mod:`didom.validate` and its size before any caller sees
-it; `brute_force_invariant` provides a solver-independent oracle for small
-instances.  An undirected graph is a symmetric digraph, so it goes through
-the digraph solvers as its bidirected digraph.
+Domination-type numbers reduce to minimum set cover over out-neighborhoods.
+Every packing-type number is solved by ``packing_against``: a greedy
+packing that meets an upper bound is returned as it is, and only otherwise
+is the packing a maximum independent set of the auxiliary in-neighborhood
+graph.  Every answer is ``(size, witness mask)``, and every kernel answer
+passes one check, ``_checked``, which re-validates the witness through
+:mod:`didom.validate` and its size before any caller sees it (a certified
+greedy packing is validated before it is returned); `brute_force_invariant`
+provides a solver-independent oracle for small instances.  An undirected
+graph is a symmetric digraph, so it goes through the digraph solvers as its
+bidirected digraph.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from time import perf_counter
 from typing import Optional
 
 from didom import bitset, kernels, validate
-from didom._bnb_py import _ordered_packing
+from didom._bnb_py import _greedy_cover, _ordered_packing
 from didom.auxgraph import closed_in_neighborhood_graph, open_in_neighborhood_graph
 from didom.core import Digraph, UndirectedGraph
 from didom.errors import CliqueLimitExceeded, Deadline, SolveTimeout
@@ -102,18 +105,14 @@ def packing_number(
     d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint closed in-neighborhoods."""
-    aux = closed_in_neighborhood_graph(d)
-    answer = kernels.max_independent_set(aux.adj, aux.n, Deadline(timeout_ms))
-    return _checked(answer, partial(validate.is_packing, d), "packing")
+    return packing_against(d, None, timeout_ms=timeout_ms)
 
 
 def open_packing_number(
     d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint open in-neighborhoods."""
-    aux = open_in_neighborhood_graph(d)
-    answer = kernels.max_independent_set(aux.adj, aux.n, Deadline(timeout_ms))
-    return _checked(answer, partial(validate.is_open_packing, d), "open packing")
+    return packing_against(d, None, closed=False, timeout_ms=timeout_ms)
 
 
 def packing_against(
@@ -121,23 +120,52 @@ def packing_against(
 ) -> tuple[int, int]:
     """A maximum packing (open packing unless ``closed``) of d, given its
     solved domination (total domination) number, or None when that is
-    undefined or unsolved.
+    undefined or unsolved; every packing solve runs here.
 
-    Weak duality: a dominating set meets every closed in-neighborhood and a
-    packing's are disjoint, so rho <= gamma (and rho_o <= gamma_t, read
-    openly).  A greedy packing that validates and has gamma vertices is
-    therefore maximum; it is the cover kernel's root packing,
-    ``_bnb_py._ordered_packing``, of the closed (open) in-neighborhoods.
-    Otherwise the exact solver runs, and a value above gamma raises
-    AssertionError."""
-    if gamma is not None:
-        hoods = [m | (1 << v) if closed else m for v, m in enumerate(d.in_adj)]
-        pack = _ordered_packing(hoods, [m.bit_count() for m in hoods], d.n)
-        valid = validate.is_packing if closed else validate.is_open_packing
-        # explicit tests, not asserts, so they also run under -O
-        if pack.bit_count() == gamma and valid(d, pack):
-            return gamma, pack
-    rho, pack = (packing_number if closed else open_packing_number)(d, timeout_ms=timeout_ms)
+    The greedy packing is the cover kernel's root packing,
+    ``_bnb_py._ordered_packing``, of the closed (open) in-neighborhoods.  It
+    is maximum when it meets an upper bound on the packing number, tried
+    cheapest first:
+
+    - gamma itself.  Weak duality: a dominating set meets every closed
+      in-neighborhood and a packing's are disjoint, so rho <= gamma (and
+      rho_o <= gamma_t, read openly).  A valid greedy packing above gamma
+      raises AssertionError.
+    - Counting: the ``free`` vertices with empty in-neighborhoods (sources,
+      in the open case), which join every maximal packing, plus n // the
+      least nonempty in-neighborhood, since the others are disjoint.
+    - Only without gamma, ``free`` plus a greedy cover of the other
+      vertices by closed (open) out-neighborhoods: gamma >= rho again, each
+      packed vertex needing its own cover set.
+
+    A greedy packing that meets a bound and validates is returned without
+    building an auxiliary graph.  Otherwise the independent-set kernel
+    solves the in-neighborhood graph, and a value above gamma raises."""
+    n = d.n
+    hoods = [m | (1 << v) if closed else m for v, m in enumerate(d.in_adj)]
+    sizes = [m.bit_count() for m in hoods]
+    pack = _ordered_packing(hoods, sizes, n)
+    k = pack.bit_count()
+    valid = validate.is_packing if closed else validate.is_open_packing
+    if gamma is not None and k >= gamma:
+        certified = True
+    else:
+        free = sizes.count(0)
+        least = min(filter(None, sizes), default=0)
+        certified = k >= free + (n // least if least else 0)
+        if not certified and gamma is None:
+            rest = sum(1 << v for v, s in enumerate(sizes) if s)
+            outs = [d.out_closed(w) for w in range(n)] if closed else d.out_adj
+            chosen, _ = _greedy_cover(outs, rest)
+            certified = k >= free + chosen.bit_count()
+    if certified and valid(d, pack):
+        rho = k
+    else:
+        aux = (closed_in_neighborhood_graph if closed else open_in_neighborhood_graph)(d)
+        answer = kernels.max_independent_set(aux.adj, aux.n, Deadline(timeout_ms))
+        what = "packing" if closed else "open packing"
+        rho, pack = _checked(answer, partial(valid, d), what)
+    # an explicit test, not an assert, so that it also runs under -O
     if gamma is not None and rho > gamma:
         raise AssertionError(f"packing number {rho} exceeds its domination bound {gamma}")
     return rho, pack

@@ -1,10 +1,11 @@
 import importlib.util
 import shutil
 import sysconfig
+from collections import Counter
 
 import pytest
 
-from didom import kernels
+from didom import kernels, solvers, verify
 from didom.core import build_digraph
 
 
@@ -43,6 +44,34 @@ def backend(request, monkeypatch):
         monkeypatch.setattr(kernels, "_FORCE_PURE", False)
     monkeypatch.setattr(kernels, "_compiled", compiled)
     return request.param
+
+
+@pytest.fixture
+def exact_packing_solves(monkeypatch):
+    """A Counter of the packing solves that the root of
+    ``solvers.packing_against`` leaves to the independent-set kernel, under
+    "closed" and "open"; the kernel calls of ``all_maximum_packings`` are
+    not counted."""
+    calls = Counter()
+    against, solve = solvers.packing_against, kernels.max_independent_set
+    kinds = []  # the kind of each packing_against call in progress
+
+    def counted_against(d, gamma, *, closed=True, **kwargs):
+        kinds.append("closed" if closed else "open")
+        try:
+            return against(d, gamma, closed=closed, **kwargs)
+        finally:
+            kinds.pop()
+
+    def counted_solve(*args):
+        if kinds:
+            calls[kinds[-1]] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(solvers, "packing_against", counted_against)
+    monkeypatch.setattr(verify, "packing_against", counted_against)
+    monkeypatch.setattr(kernels, "max_independent_set", counted_solve)
+    return calls
 
 
 @pytest.fixture

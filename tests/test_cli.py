@@ -83,7 +83,7 @@ class TestInvariants:
             '"gamma": {"status": "ok", "value": 4, "witness": [0, 1, 3, 5]}, '
             '"gamma_t": {"status": "ok", "value": 5, "witness": [0, 1, 2, 3, 5]}, '
             '"n": 7, '
-            '"rho": {"status": "ok", "value": 3, "witness": [2, 4, 5]}, '
+            '"rho": {"status": "ok", "value": 3, "witness": [1, 4, 6]}, '
             '"rho_open": {"status": "ok", "value": 5, "witness": [0, 1, 2, 4, 6]}}\n'
         ),
         "Tstar(path:3)": (

@@ -330,6 +330,12 @@ class TestArcListFormat:
         with pytest.raises(ArcListParseError, match="line 3"):
             loads_arclist("n 2\n0 1\n0 2\n")
 
+    def test_self_loop_line_number(self):
+        # the first invalid arc is named, after a valid one and before an
+        # out-of-range one
+        with pytest.raises(ArcListParseError, match=r"^line 3: invalid arc \(2, 2\) for n=3$"):
+            loads_arclist("n 3\n0 1\n2 2\n0 5\n")
+
     def test_non_integer(self):
         with pytest.raises(ArcListParseError, match="line 2"):
             loads_arclist("n 2\n0 x\n")

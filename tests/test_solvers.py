@@ -9,7 +9,7 @@ from time import perf_counter
 import pytest
 
 import didom
-from didom import bitset, kernels, solvers, validate
+from didom import auxgraph, bitset, kernels, solvers, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.families import (
     all_digraphs,
@@ -196,6 +196,16 @@ def _misreport(solve, delta):
 
 _P4 = build_undirected(4, [(0, 1), (1, 2), (2, 3)])
 _CYCLE5 = gen_oriented_cycle(5)
+# packing solves that every root bound leaves to the kernel:
+# a directed triangle plus an isolated vertex, rho = 2 (counting bound 4,
+# greedy cover 3);
+_TRIANGLE_K1 = build_digraph(4, [(0, 1), (1, 3), (3, 0)])
+# rho_o = 2 (counting bound 4, greedy cover 3);
+_OPEN_SHORT = build_digraph(4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 3)])
+# C4 plus an isolated vertex, two-packing number 2 (5 and 3);
+_C4_K1 = build_undirected(5, [(0, 3), (3, 2), (2, 4), (4, 0)])
+# C6, whose open packing number is 2 (3 and 4)
+_C6 = build_undirected(6, [(v, (v + 1) % 6) for v in range(6)])
 
 
 class TestSizeMisreport:
@@ -221,10 +231,10 @@ class TestSizeMisreport:
         "solve",
         [
             lambda: max_independent_set(_P4),
-            lambda: packing_number(_CYCLE5),
-            lambda: open_packing_number(_CYCLE5),
-            lambda: two_packing_number(_P4),
-            lambda: undirected_open_packing_number(_P4),
+            lambda: packing_number(_TRIANGLE_K1),
+            lambda: open_packing_number(_OPEN_SHORT),
+            lambda: two_packing_number(_C4_K1),
+            lambda: undirected_open_packing_number(_C6),
             lambda: all_maximum_packings(_CYCLE5),
         ],
         ids=[
@@ -279,6 +289,56 @@ class TestBruteForceOracle:
             assert (gt[0] if gt else None) == brute_force_invariant(d, "gamma_t")
 
 
+class TestPackingRoot:
+    """Every packing solve first compares its greedy packing with gamma,
+    when given, with the counting bound and, without gamma, with a greedy
+    cover; a packing that meets one is returned with no auxiliary graph."""
+
+    _KINDS = (("rho", packing_number, validate.is_packing),
+              ("rho_open", open_packing_number, validate.is_open_packing))
+
+    def test_oracle_up_to_n4(self, backend):
+        # every digraph on at most 4 vertices and its underlying graph
+        for n in range(5):
+            for d in all_digraphs(n):
+                for g in (d, underlying_graph(d)):
+                    for which, solve, valid in self._KINDS:
+                        value, witness = solve(g)
+                        assert value == brute_force_invariant(g, which)
+                        assert valid(g, witness) and witness.bit_count() == value
+
+    @pytest.mark.parametrize(
+        "d, closed, counting_only",
+        [
+            # rho(cycle:5) = 2 = 5 // 2, so no greedy cover is taken
+            pytest.param(gen_oriented_cycle(5), True, True, id="counting-bound"),
+            # rho(K1star) = 4, below the counting bound 7 and equal to the
+            # size of a greedy cover by closed out-neighbourhoods
+            pytest.param(build_family("K1star"), True, False, id="greedy-cover"),
+            # the out-star 0 -> 1, 2, 3: the source joins every maximal open
+            # packing, and one open out-neighbourhood covers the rest, so
+            # rho_o = 1 + 1, while the counting bound is 1 + 4
+            pytest.param(
+                build_digraph(4, [(0, 1), (0, 2), (0, 3)]), False, False, id="open-with-source"
+            ),
+        ],
+    )
+    def test_certified_without_auxiliary_graph(self, monkeypatch, d, closed, counting_only):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the root left a certified packing to the kernel")
+
+        for module in (solvers, auxgraph):
+            monkeypatch.setattr(module, "closed_in_neighborhood_graph", refuse)
+            monkeypatch.setattr(module, "open_in_neighborhood_graph", refuse)
+        monkeypatch.setattr(kernels, "max_independent_set", refuse)
+        if counting_only:
+            monkeypatch.setattr(solvers, "_greedy_cover", refuse)
+        which, solve, valid = self._KINDS[not closed]
+        value, witness = solve(d)
+        assert value == brute_force_invariant(d, which)
+        assert valid(d, witness) and witness.bit_count() == value
+
+
 class TestWitnessValidation:
     def test_witnesses_satisfy_definitions(self, backend):
         rng = random.Random(31)
@@ -318,7 +378,7 @@ class TestWitnessValidation:
             ))
         assert (
             hashlib.sha256(repr(answers).encode("ascii")).hexdigest()
-            == "784e0ca4e618037647510c0334145d1c3457c68be48621f1d4db89ffb1c525d3"
+            == "2a32afe33456fcd4617943b0cba45871c175e05048ac0edeb3da8163d95364e4"
         )
 
     def test_open_packing_is_pairwise_disjointness(self):
@@ -494,22 +554,18 @@ class TestInvariantReport:
         assert rep["gamma"] == {"status": "timeout", "value": None, "witness": None}
 
     @pytest.mark.parametrize(
-        "spec, exact_solves", [("path:7", {}), ("Gm:3", {"packing_number": 1})]
+        "spec, exact_solves",
+        [("path:7", {}), ("Gm:3", {}), ("fig5corona", {"closed": 1})],
     )
-    def test_packings_taken_against_dominations(self, monkeypatch, spec, exact_solves):
-        # path:7 is a ditree, so both greedy packings meet gamma and gamma_t
-        # and no packing search runs; Gm:3 has rho = 3 < gamma = 4, so its
-        # closed packing falls back to the exact solver
-        calls = {}
-        for name in ("packing_number", "open_packing_number"):
-            def counted(d, timeout_ms=None, name=name, solve=getattr(solvers, name)):
-                calls[name] = calls.get(name, 0) + 1
-                return solve(d, timeout_ms=timeout_ms)
-
-            monkeypatch.setattr(solvers, name, counted)
+    def test_packings_taken_against_dominations(self, exact_packing_solves, spec, exact_solves):
+        # path:7 is a ditree, so both greedy packings meet gamma and gamma_t;
+        # Gm:3 has rho = 3 < gamma = 4, and its greedy packing meets the
+        # counting bound 7 // 2; fig5corona's greedy packing has 2 vertices,
+        # below rho = gamma = 3 and the counting bound 3, so its closed
+        # packing alone goes to the kernel
         d = build_family(spec)
         rep = compute_invariants(d)
-        assert calls == exact_solves
+        assert exact_packing_solves == exact_solves
         for which in ("gamma", "gamma_t", "rho", "rho_open"):
             assert rep[which]["value"] == brute_force_invariant(d, which)
 
@@ -532,21 +588,29 @@ class TestRevalidationSurvivesOptimize:
             validate.is_dominating_set = lambda d, s: False
             solvers.partition_two_dominating_sets(families.fig5_corona())
             """,
-            # a report whose packing number exceeds its domination number
+            # a report whose packing number exceeds its domination number:
+            # no root bound certifies the greedy packing of a directed
+            # triangle plus an isolated vertex (rho = 2 < gamma = 3), and
+            # the kernel's answer, all four vertices, is taken as valid
             """
-            from didom import families, solvers
-            solvers.packing_number = lambda d, timeout_ms=None: (d.n + 1, 0)
-            solvers.compute_invariants(families.build_family("cycle:3"))
+            from didom import core, kernels, solvers, validate
+            kernels.max_independent_set = lambda adj, n, deadline: (n, (1 << n) - 1)
+            validate.is_packing = lambda d, s: True
+            try:
+                solvers.compute_invariants(core.build_digraph(4, [(0, 1), (1, 3), (3, 0)]))
+            except AssertionError as exc:
+                if "exceeds its domination bound" in str(exc):
+                    raise
             """,
             # a greedy packing as large as gamma that is no packing: the
-            # pair check must reject it and fall back to the exact solver,
-            # here a stub that raises
+            # pair check must reject it and fall back to the kernel, here a
+            # stub that raises
             """
-            from didom import families, solvers, verify
-            def fallback(d, timeout_ms=None):
+            from didom import families, kernels, solvers, verify
+            def fallback(adj, n, deadline):
                 raise AssertionError("the corrupted packing was rejected")
             solvers._ordered_packing = lambda covers, cnt, left: 0b11  # gamma(P4) = 2
-            solvers.packing_number = fallback
+            kernels.max_independent_set = fallback
             verify.check_packing_equals_domination(families.build_family("path:4"))
             """,
             # a domination number below the packing number (rho(P4) = 2)

@@ -634,15 +634,15 @@ class TestFailsBranches:
         assert validate.is_total_dominating_set(prod, witness)
 
     def test_packing_checkers_call_solvers_by_name(self, monkeypatch):
-        # each checker looks its domination solver up in ``verify``, and
-        # ``solvers.packing_against`` its packing solver in ``solvers``,
-        # when they run
-        fakes = {
-            (solvers, "packing_number"): 7, (verify, "domination_number"): 8,
-            (solvers, "open_packing_number"): 9, (verify, "total_domination_number"): 10,
-        }
+        # each checker looks its domination solver and ``packing_against``
+        # up in ``verify`` when they run
+        fakes = {(verify, "domination_number"): 8, (verify, "total_domination_number"): 10}
         for (module, name), value in fakes.items():
             monkeypatch.setattr(module, name, lambda d, timeout_ms=None, v=value: (v, 0))
+        monkeypatch.setattr(
+            verify, "packing_against",
+            lambda d, gamma, closed=True, timeout_ms=None: (7 if closed else 9, 0),
+        )
         p3 = gen_bidirected_path(3)
         records = [
             verify.check_meir_moon(build_undirected(3, [(0, 1), (1, 2)])),
@@ -769,24 +769,13 @@ class TestAcyclicSearch:
 
 class TestPairCertificate:
     """The pair checkers take rho = gamma (rho_o = gamma_t) from a greedy
-    packing that validates and is as large as the solved domination value,
-    and otherwise fall back to the exact packing solver."""
+    packing that validates and is as large as the solved domination value
+    or a counting bound, and otherwise fall back to the kernel."""
 
-    @staticmethod
-    def _count_exact_solves(monkeypatch) -> Counter:
-        calls = Counter()
-        for name in ("packing_number", "open_packing_number"):
-            def counted(d, timeout_ms=None, name=name, solve=getattr(solvers, name)):
-                calls[name] += 1
-                return solve(d, timeout_ms=timeout_ms)
-
-            monkeypatch.setattr(solvers, name, counted)
-        return calls
-
-    def test_ditrees_match_oracle(self, monkeypatch):
+    def test_ditrees_match_oracle(self, exact_packing_solves):
         # every labelled ditree on n <= 5 vertices and every 64th one on 6
         # (all 325,516 on n <= 6 take about 100 s)
-        calls = self._count_exact_solves(monkeypatch)
+        calls = exact_packing_solves
         checked = with_gamma_t = 0
         for n in range(1, 7):
             for i, d in enumerate(enumerate_ditrees(n)):
@@ -804,10 +793,11 @@ class TestPairCertificate:
                 checked += 1
                 with_gamma_t += rec.rhs is not None
         # the greedy packing certifies 14,808 of the 15,509 closed pairs;
-        # every open pair with a total dominating set is certified, and
-        # only the ditrees without one solve rho_o exactly
+        # every open pair with a total dominating set is certified by
+        # gamma_t, and the 11,994 ditrees without one by the counting bound
+        # or a greedy cover
         assert (checked, with_gamma_t) == (15509, 3515)
-        assert calls == {"packing_number": 701, "open_packing_number": checked - with_gamma_t}
+        assert calls == {"closed": 701}
 
     @pytest.mark.parametrize("mutant", ["non-packing", "too-small"])
     @pytest.mark.parametrize("kind", ["closed", "open"])
@@ -841,21 +831,18 @@ class TestPairCertificate:
         assert (rec.lhs, rec.rhs, rec.verdict) == (rho, gamma, certified.verdict)
         assert rec.witnesses[key] == bitset.to_list(pack)
 
-    def test_default_suite_exact_solves_per_claim(self, monkeypatch):
+    def test_default_suite_exact_solves_per_claim(self, exact_packing_solves):
         # every check that solves gamma (gamma_t) takes its packings through
-        # solvers.packing_against; at seed 42 the greedy packing settles all
-        # but these (the two factor checkers made 22 and 14 exact solves
-        # when they did not use it)
-        calls = self._count_exact_solves(monkeypatch)
+        # solvers.packing_against; at seed 42 its root certifies every one
+        # (the two factor checkers made 22 and 14 exact solves when they did
+        # not use it, and 2 and 1 when gamma was its only bound)
+        calls = exact_packing_solves
         per_claim = Counter()
         for task in verify.build_tasks(verify.default_suite_config()):
             before = sum(calls.values())
             task.run()
             per_claim[task.claim] += sum(calls.values()) - before
-        assert +per_claim == {
-            verify.CLAIM_PACKING_LOWER: 2,
-            verify.CLAIM_DIRECT_TOTAL: 1,
-        }
+        assert +per_claim == {}
 
     def test_acyclic_counterexample_classes(self, monkeypatch):
         # README's two isomorphism classes of 5-vertex DAGs with rho = 2 <
@@ -1057,7 +1044,7 @@ check problem:acyclic-packing-domination dags:exhaustive=3,random=400,n=5
         text = "".join(r.to_json(False) + "\n" for r in records)
         assert (
             hashlib.sha256(text.encode("ascii")).hexdigest()
-            == "03c6baa186a2fc4e6ac8e90ddaa28493ad7c8f7e2118bdf47d0d087e07aaff93"
+            == "45ee0e878c9d1c720088fb81a187c94c97f2e75d95e3239c0bf5712d0e21cdd8"
         )
 
     def test_config_rejects_removed_jobs_key(self):
