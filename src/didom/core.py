@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from didom import bitset
-from didom.errors import ArcListParseError, CapacityError, InvalidArcError
+from didom.errors import ArcListParseError, CapacityError, Deadline, InvalidArcError
 
 MAX_VERTICES = 4096
 
@@ -137,34 +137,58 @@ def underlying_graph(d: Digraph) -> UndirectedGraph:
     return UndirectedGraph(d.n, tuple([o | i for o, i in zip(d.out_adj, d.in_adj)]))
 
 
-def girth(g: UndirectedGraph) -> Optional[int]:
+def girth(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -> Optional[int]:
     """Length of a shortest cycle, or None when the graph is a forest.
 
-    BFS from every vertex; the minimum closing-edge estimate over all roots
-    is exact for unweighted graphs.
+    Every cycle lies in the 2-core, what is left once vertices of degree at
+    most 1 are peeled until none is left (Batagelj & Zaversnik 2003).  A
+    forest peels to nothing in one pass over its edges and returns None
+    with no search.  Otherwise a BFS runs from every core vertex, inside
+    the core; the least closing-edge estimate over all roots is exact for
+    unweighted graphs (Itai & Rodeh 1978).  A triangle ends the search at
+    once, since no cycle is shorter.  Each BFS root polls one deadline of
+    ``timeout_ms`` (None: no deadline), so a search past it raises
+    SolveTimeout.
     """
+    adj = g.adj
+    degree = [m.bit_count() for m in adj]
+    core = bitset.full(g.n)
+    peel = [v for v in range(g.n) if degree[v] <= 1]
+    while peel:
+        v = peel.pop()
+        core ^= 1 << v
+        for w in bitset.iter_bits(adj[v] & core):
+            degree[w] -= 1
+            if degree[w] == 1:
+                peel.append(w)
+    if not core:
+        return None
+    deadline = Deadline(timeout_ms)
     best: Optional[int] = None
-    dist = [0] * g.n
+    dist = [-1] * g.n
     parent = [0] * g.n
-    for root in range(g.n):
-        for v in range(g.n):
-            dist[v] = -1
+    for root in bitset.iter_bits(core):
+        deadline.poll()
         dist[root] = 0
         parent[root] = -1
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            if best is not None and 2 * dist[x] >= best:
+        order = [root]
+        for x in order:  # the BFS queue: the loop reaches what it appends
+            dx = dist[x]
+            if best is not None and 2 * dx >= best:
                 break
-            for y in bitset.iter_bits(g.adj[x]):
+            for y in bitset.iter_bits(adj[x] & core):
                 if dist[y] == -1:
-                    dist[y] = dist[x] + 1
+                    dist[y] = dx + 1
                     parent[y] = x
-                    queue.append(y)
+                    order.append(y)
                 elif y != parent[x]:
-                    cycle = dist[x] + dist[y] + 1
+                    cycle = dx + dist[y] + 1
+                    if cycle == 3:
+                        return 3
                     if best is None or cycle < best:
                         best = cycle
+        for v in order:
+            dist[v] = -1
     return best
 
 

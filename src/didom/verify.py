@@ -505,24 +505,30 @@ def check_max_packing_dominates(t1: Digraph, t2: Digraph, *, timeout_ms) -> dict
 
 
 def _helly(d: Digraph, closed: bool, hyp: bool, timeout_ms) -> dict:
-    """Every maximal clique of the closed (open) in-neighborhood graph sits
+    """Every maximal clique K of the closed (open) in-neighborhood graph sits
     inside some closed (open) out-neighborhood; ``hyp`` joins the girth
-    hypothesis."""
-    g = girth(underlying_graph(d))
+    hypothesis.  K lies in N+[w] exactly when w is in N-[v] for every v in
+    K, so K counts as contained iff its members have a common closed (open)
+    in-neighbor: the intersection of their N-[v] (N-(v)) is not empty.
+    That is the Helly statement itself.  The girth search and the clique
+    enumeration each stop at ``timeout_ms``."""
+    g = girth(underlying_graph(d), timeout_ms=timeout_ms)
     hypotheses_met = (g is None or g >= 7) and hyp
     aux = closed_in_neighborhood_graph(d) if closed else open_in_neighborhood_graph(d)
     cliques = maximal_cliques(aux, timeout_ms=timeout_ms)
+    hoods = [d.in_closed(v) for v in range(d.n)] if closed else d.in_adj
     contained = 0
     failing = None
     for k in cliques:
-        for w in range(d.n):
-            target = d.out_closed(w) if closed else d.out_adj[w]
-            if k & ~target == 0:
-                contained += 1
+        common = bitset.full(d.n)
+        for v in bitset.iter_bits(k):
+            common &= hoods[v]
+            if not common:
                 break
-        else:
-            if failing is None:
-                failing = k
+        if common:
+            contained += 1
+        elif failing is None:
+            failing = k
     witnesses = {} if failing is None else {"uncontained_clique": bitset.to_list(failing)}
     return _verdict(hypotheses_met, contained, len(cliques), failing is None, witnesses)
 

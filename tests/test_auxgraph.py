@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,10 +13,10 @@ from didom.auxgraph import (
     maximal_cliques,
     open_in_neighborhood_graph,
 )
-from didom.core import UndirectedGraph, build_digraph, build_undirected, underlying_graph
+from didom.core import UndirectedGraph, build_digraph, build_undirected, girth, underlying_graph
 from didom.errors import CliqueLimitExceeded, SolveTimeout
-from didom.families import gen_oriented_cycle, random_digraph, random_ditree
-from didom.records import HOLDS, HYPOTHESIS_NOT_MET
+from didom.families import build_family, gen_oriented_cycle, random_digraph, random_ditree
+from didom.records import FAILS, HOLDS, HYPOTHESIS_NOT_MET, TIMEOUT
 from didom.solvers import (
     max_independent_set,
     two_packing_number,
@@ -318,3 +319,60 @@ class TestHellyCheckers:
                 if found >= 10:
                     break
         assert found >= 1
+
+
+def _helly_by_scan(d, closed, hyp):
+    """The Helly verdict fields by the definitional scan: a maximal clique
+    is contained when some closed (open) out-neighborhood holds it, found by
+    trying every vertex w."""
+    aux = closed_in_neighborhood_graph(d) if closed else open_in_neighborhood_graph(d)
+    cliques = maximal_cliques(aux)
+    contained, failing = 0, None
+    for k in cliques:
+        if any(k & ~(d.out_closed(w) if closed else d.out_adj[w]) == 0 for w in range(d.n)):
+            contained += 1
+        elif failing is None:
+            failing = k
+    g = girth(underlying_graph(d))
+    if not ((g is None or g >= 7) and hyp):
+        verdict = HYPOTHESIS_NOT_MET
+    else:
+        verdict = HOLDS if failing is None else FAILS
+    witnesses = {} if failing is None else {"uncontained_clique": bitset.to_list(failing)}
+    return contained, len(cliques), verdict, witnesses
+
+
+class TestHellyByCommonInNeighbor:
+    """The checkers count a clique as contained when its members have a
+    common in-neighbor; every field equals the per-vertex scan's."""
+
+    @staticmethod
+    def _samples():
+        rng = random.Random(31)
+        for _ in range(300):
+            yield random_digraph(rng.randint(1, 10), rng.uniform(0.05, 0.9), rng.getrandbits(32))
+        for _ in range(200):
+            weights = rng.choice([(1.0, 1.0, 1.0), (0.15, 0.15, 0.7), (0.45, 0.45, 0.1)])
+            yield random_ditree(rng.randint(1, 40), rng.getrandbits(32), orientation_weights=weights)
+
+    def test_same_fields_as_scan(self):
+        verdicts = Counter()
+        for d in self._samples():
+            for closed, checker in ((True, check_closed_helly_lemma), (False, check_open_helly_lemma)):
+                rec = checker(d)
+                hyp = closed or d.min_in_degree >= 1
+                expected = _helly_by_scan(d, closed, hyp)
+                assert (rec.lhs, rec.rhs, rec.verdict, rec.witnesses) == expected, d.arcs()
+                verdicts[rec.verdict, bool(rec.witnesses)] += 1
+        # the sample reaches held lemmas and uncontained cliques alike
+        assert verdicts[HOLDS, False] and verdicts[HYPOTHESIS_NOT_MET, True]
+
+    def test_closed_at_capacity(self):
+        rec = check_closed_helly_lemma(random_ditree(4000, 1))
+        assert rec.verdict == HOLDS and rec.lhs == rec.rhs
+
+    def test_girth_search_stops_at_deadline(self):
+        # the 2-core of a cycle is the whole cycle: its girth search runs
+        # seconds past a 100 ms deadline unless the search polls it
+        for checker in (check_closed_helly_lemma, check_open_helly_lemma):
+            assert checker(build_family("cycle:2000"), timeout_ms=100).verdict == TIMEOUT

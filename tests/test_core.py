@@ -1,6 +1,8 @@
 import dataclasses
 import io
+import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -22,7 +24,7 @@ from didom.core import (
     underlying_connected,
     underlying_graph,
 )
-from didom.errors import ArcListParseError, CapacityError, InvalidArcError
+from didom.errors import ArcListParseError, CapacityError, InvalidArcError, SolveTimeout
 from didom.families import _FAMILY_USAGE, build_family, gen_C4_orientation, gen_G_m, gen_K1_star
 from didom.products import cartesian_product, direct_product, induced_subdigraph
 
@@ -216,6 +218,89 @@ class TestGirth:
     def test_c5_with_long_tail(self):
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6)]
         assert girth(build_undirected(7, edges)) == 5
+
+    def test_agrees_with_definition(self):
+        rng = random.Random(31)
+        kinds = Counter()
+        for _ in range(2000):
+            kind, g = _girth_sample(rng)
+            kinds[kind, girth_oracle(g) is None] += 1
+            assert girth(g) == girth_oracle(g), (kind, g.n, g.edges())
+        assert girth(build_undirected(0, [])) is None
+        # every kind of sample, and both forests and graphs with cycles
+        assert {k for k, _ in kinds} == {"random", "forest", "cycle+trees", "components"}
+        assert kinds["forest", True] and kinds["cycle+trees", False]
+        assert kinds["random", True] and kinds["random", False]
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_complete(self, n):
+        k = build_undirected(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        assert girth(k) == 3
+
+    @pytest.mark.parametrize("k", range(3, 61))
+    def test_cycle(self, k):
+        assert girth(build_undirected(k, [(v, (v + 1) % k) for v in range(k)])) == k
+
+    def test_deadline(self):
+        with pytest.raises(SolveTimeout):
+            girth(underlying_graph(build_family("cycle:5")), timeout_ms=0)
+        # a forest peels to nothing, with no search to stop
+        tree = build_undirected(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        assert girth(tree, timeout_ms=0) is None
+
+
+def girth_oracle(g):
+    """The girth from its definition: the least 1 + dist(u, v) over edges
+    uv, the distance taken with uv removed; None when no edge closes."""
+    best = None
+    for u, v in g.edges():
+        dist = {u: 0}
+        frontier = [u]
+        while frontier and v not in dist:
+            nxt = []
+            for x in frontier:
+                for y in bitset.iter_bits(g.adj[x]):
+                    if y not in dist and {x, y} != {u, v}:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
+def _girth_sample(rng):
+    """A random graph on at most 13 vertices, relabeled at random, and its
+    kind: G(n, p); a forest; a cycle with pendant trees and perhaps one
+    chord; or the disjoint union of two or three such graphs."""
+
+    def part(n, kind):
+        if kind == "random":
+            p = rng.choice([0.1, 0.2, 0.3, 0.5])
+            return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        if kind == "forest":
+            return [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8]
+        k = rng.randint(3, n)
+        edges = [(v, (v + 1) % k) for v in range(k)]
+        edges += [(v, rng.randrange(v)) for v in range(k, n)]
+        if rng.random() < 0.3:
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v))
+        return edges
+
+    kind = rng.choice(["random", "forest", "cycle+trees", "components"])
+    if kind == "components":
+        edges, n = [], 0
+        for _ in range(rng.randint(2, 3)):
+            size = rng.randint(3, 4)
+            edges += [(n + u, n + v) for u, v in part(size, rng.choice(["random", "forest", "cycle+trees"]))]
+            n += size
+    else:
+        n = rng.randint(3 if kind == "cycle+trees" else 0, 13)
+        edges = part(n, kind)
+    label = list(range(n))
+    rng.shuffle(label)
+    return kind, build_undirected(n, {(label[u], label[v]) for u, v in edges})
 
 
 class TestPredicates:
