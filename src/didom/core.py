@@ -143,32 +143,36 @@ def girth(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -> Optional
     Every cycle lies in the 2-core, what is left once vertices of degree at
     most 1 are peeled until none is left (Batagelj & Zaversnik 2003).  A
     forest peels to nothing in one pass over its edges and returns None
-    with no search.  Otherwise a BFS runs from every core vertex, inside
-    the core; the least closing-edge estimate over all roots is exact for
-    unweighted graphs (Itai & Rodeh 1978).  A triangle ends the search at
-    once, since no cycle is shorter.  Each BFS root polls one deadline of
-    ``timeout_ms`` (None: no deadline), so a search past it raises
-    SolveTimeout.
+    with no search.  Otherwise a BFS runs from a core vertex, inside the
+    core; its least closing-edge estimate is at most the shortest cycle
+    through the root, and every estimate is at least the girth (Itai &
+    Rodeh 1978).  So once its BFS ends the root is peeled too, with what
+    that leaves of degree at most 1, and the next root is taken from what
+    is left; on a cycle the first BFS is the only one.  A triangle ends the
+    search at once, since no cycle is shorter.  Each BFS root polls one
+    deadline of ``timeout_ms`` (None: no deadline), so a search past it
+    raises SolveTimeout.
     """
     adj = g.adj
     degree = [m.bit_count() for m in adj]
     core = bitset.full(g.n)
     peel = [v for v in range(g.n) if degree[v] <= 1]
-    while peel:
-        v = peel.pop()
-        core ^= 1 << v
-        for w in bitset.iter_bits(adj[v] & core):
-            degree[w] -= 1
-            if degree[w] == 1:
-                peel.append(w)
-    if not core:
-        return None
     deadline = Deadline(timeout_ms)
     best: Optional[int] = None
     dist = [-1] * g.n
     parent = [0] * g.n
-    for root in bitset.iter_bits(core):
+    while True:
+        while peel:
+            v = peel.pop()
+            core ^= 1 << v
+            for w in bitset.iter_bits(adj[v] & core):
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peel.append(w)
+        if not core:
+            return best
         deadline.poll()
+        root = (core & -core).bit_length() - 1
         dist[root] = 0
         parent[root] = -1
         order = [root]
@@ -189,7 +193,7 @@ def girth(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -> Optional
                         best = cycle
         for v in order:
             dist[v] = -1
-    return best
+        peel.append(root)
 
 
 def underlying_connected(d: Digraph) -> bool:

@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from didom import bitset
 from didom.core import Digraph
 
 HOLDS = "holds"
@@ -81,13 +82,24 @@ class VerificationRecord:
 
 
 def digraph_descriptor(d: Digraph) -> str:
-    """Stable inline descriptor: vertex count plus an arc-list digest."""
-    return arc_list_descriptor(d.n, d.arcs())
+    """Stable inline descriptor: vertex count plus an arc-list digest.  The
+    payload is ``arc_list_descriptor``'s, read off the out-masks row by row
+    with no arc tuples."""
+    names = [str(v) for v in range(d.n)]
+    rows = []
+    for u, out in enumerate(d.out_adj):
+        if out:
+            head = names[u] + ","
+            rows.append(head + (";" + head).join([names[v] for v in bitset.iter_bits(out)]))
+    return _descriptor(d.n, ";".join(rows))
 
 
 def arc_list_descriptor(n: int, arcs: list[tuple[int, int]]) -> str:
     """``digraph_descriptor`` of the digraph on n vertices with these arcs,
     listed as ``Digraph.arcs`` lists them."""
-    payload = f"{n};" + ";".join(f"{u},{v}" for u, v in arcs)
-    digest = hashlib.sha1(payload.encode("ascii")).hexdigest()[:12]
+    return _descriptor(n, ";".join(f"{u},{v}" for u, v in arcs))
+
+
+def _descriptor(n: int, arc_text: str) -> str:
+    digest = hashlib.sha1(f"{n};{arc_text}".encode("ascii")).hexdigest()[:12]
     return f"digraph:n={n},h={digest}"

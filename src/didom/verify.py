@@ -43,7 +43,6 @@ from didom.core import (
     build_digraph,
     classify_leaves,
     girth,
-    is_acyclic_digraph,
     is_ditree,
     is_tree,
     underlying_connected,
@@ -156,17 +155,24 @@ def _pair_instance(spec_g: Digraph, spec_h: Digraph) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _solve_packing_vs_domination(d: Digraph, closed: bool, timeout_ms) -> tuple:
+    """(gamma, dominating set, rho, packing) of d, open and total unless
+    ``closed``.  The domination side is solved first, by a solver looked up
+    when the check runs; the total one may be (None, None) (no such set).
+    The packing side comes from ``solvers.packing_against``."""
+    dom_solver = domination_number if closed else total_domination_number
+    gamma, dom = dom_solver(d, timeout_ms=timeout_ms) or (None, None)
+    rho, pack = packing_against(d, gamma, closed=closed, timeout_ms=timeout_ms)
+    return gamma, dom, rho, pack
+
+
 def _packing_vs_domination(
     d: Digraph, hyp: bool, timeout_ms, closed: bool = True, keys=("packing", "dominating_set")
 ) -> dict:
     """The packing number (open packing number unless ``closed``) against
-    the domination (total domination) number of d, witnessed under ``keys``.
-    The domination side is solved first, by a solver looked up when the
-    check runs; the total one may be None (no such set).  The packing side
-    comes from ``solvers.packing_against``."""
-    dom_solver = domination_number if closed else total_domination_number
-    gamma, dom = dom_solver(d, timeout_ms=timeout_ms) or (None, None)
-    rho, pack = packing_against(d, gamma, closed=closed, timeout_ms=timeout_ms)
+    the domination (total domination) number of d, witnessed under ``keys``,
+    as ``_solve_packing_vs_domination`` solves them."""
+    gamma, dom, rho, pack = _solve_packing_vs_domination(d, closed, timeout_ms)
     witnesses = {keys[0]: bitset.to_list(pack)}
     if dom is not None:
         witnesses[keys[1]] = bitset.to_list(dom)
@@ -555,8 +561,8 @@ def check_open_helly_lemma(d: Digraph, *, timeout_ms) -> dict:
 
 def _check_acyclic_sizes(who: str, exhaustive: int, budget: int, max_n: int) -> None:
     """Refuse, before any record, acyclic search sizes that cannot run: the
-    exhaustive walk covers every labeled digraph on up to min(exhaustive,
-    max_n) vertices, so it stops at EXHAUSTIVE_DAG_LIMIT, and ``max_n``, the
+    exhaustive walk covers every labeled DAG on up to min(exhaustive, max_n)
+    vertices, so it stops at EXHAUSTIVE_DAG_LIMIT, and ``max_n``, the
     largest DAG's order, at MAX_VERTICES.  ``who`` names the caller."""
     walk_ok = min(exhaustive, max_n) <= families.EXHAUSTIVE_DAG_LIMIT
     if not (exhaustive >= 0 and budget >= 0 and 1 <= max_n <= MAX_VERTICES and walk_ok):
@@ -594,22 +600,27 @@ def search_acyclic_problem(
     as exhaustive, random and n.
     """
     _check_acyclic_sizes("acyclic search", exhaustive_n, budget, max_n)
-    return _acyclic_records(max_n, budget, seed, exhaustive_n, timeout_ms)
+    return (
+        _check_dag(d, d.arcs(), inst_seed, timeout_ms=timeout_ms)
+        for d, inst_seed in _acyclic_instances(max_n, budget, seed, exhaustive_n)
+    )
 
 
-def _acyclic_records(max_n, budget, seed, exhaustive_n, timeout_ms) -> Iterator[VerificationRecord]:
-    """The stream ``search_acyclic_problem`` returns once its sizes pass."""
+def _acyclic_instances(
+    max_n, budget, seed, exhaustive_n
+) -> Iterator[tuple[Digraph, Optional[int]]]:
+    """The acyclic search's DAGs with the seed that drew each (None for the
+    exhaustive ones): every DAG on 1..min(exhaustive_n, max_n) vertices,
+    then ``budget`` random DAGs drawn from ``seed``."""
     for n in range(1, min(exhaustive_n, max_n) + 1):
-        for d in families.all_digraphs(n):
-            if is_acyclic_digraph(d):
-                yield _check_dag(d, d.arcs(), None, timeout_ms=timeout_ms)
+        for d in families.all_dags(n):
+            yield d, None
     rng = random.Random(seed)
     for _ in range(budget):
         n = rng.randint(min(exhaustive_n, max_n) + 1, max_n) if max_n > exhaustive_n else max_n
         p = rng.uniform(0.1, 0.7)
         inst_seed = rng.getrandbits(32)
-        d = families.random_dag(n, p, inst_seed)
-        yield _check_dag(d, d.arcs(), inst_seed, timeout_ms=timeout_ms)
+        yield families.random_dag(n, p, inst_seed), inst_seed
 
 
 # ---------------------------------------------------------------------------
@@ -899,16 +910,26 @@ def _fold_acyclic(exhaustive: int, budget: int, max_n: int, seed: int, *, timeou
     """The acyclic search folded into one summary record carrying the first
     failure's witnesses; with no failure, any DAG past its deadline makes it
     a ``timeout`` record, since the equality was not checked there.  A search
-    of no DAG checked nothing, so its record is ``hypothesis_not_met``."""
+    of no DAG checked nothing, so its record is ``hypothesis_not_met``.
+    Each DAG is only solved; the first whose rho differs from gamma gets its
+    ``_check_dag`` record, for the witnesses."""
+    _check_acyclic_sizes("acyclic search", exhaustive, budget, max_n)
     holds = total = 0
     bad = None
-    for r in search_acyclic_problem(
-        max_n, budget, seed, exhaustive_n=exhaustive, timeout_ms=timeout_ms
-    ):
+    for d, inst_seed in _acyclic_instances(max_n, budget, seed, exhaustive):
         total += 1
-        holds += r.verdict == HOLDS
-        if bad is None and r.verdict == FAILS:
-            bad = r
+        try:
+            gamma, _, rho, _ = _solve_packing_vs_domination(d, True, timeout_ms)
+        except SolveTimeout:
+            continue
+        if rho == gamma:
+            holds += 1
+        elif bad is None:
+            # the same solves again; past the deadline this time, the DAG
+            # counts as a timeout, as it would have then
+            record = _check_dag(d, d.arcs(), inst_seed, timeout_ms=timeout_ms)
+            if record.verdict == FAILS:
+                bad = record
     if bad is None and holds < total:
         return dict(hypotheses_met=None, lhs=holds, rhs=total, verdict=TIMEOUT, seed=seed)
     return _verdict(total > 0, holds, total, bad is None, bad.witnesses if bad else None, seed=seed)

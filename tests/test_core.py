@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from didom import bitset
+from didom import bitset, core
 from didom.core import (
     Digraph,
     LeafClasses,
@@ -240,6 +240,20 @@ class TestGirth:
     @pytest.mark.parametrize("k", range(3, 61))
     def test_cycle(self, k):
         assert girth(build_undirected(k, [(v, (v + 1) % k) for v in range(k)])) == k
+
+    def test_cycle_takes_one_bfs(self, monkeypatch):
+        # every cycle through a root is at least what its BFS found, so the
+        # root is peeled; on a cycle that peels the rest, and one BFS is all
+        polls = []
+
+        class Counting(core.Deadline):
+            def poll(self):
+                polls.append(1)
+                super().poll()
+
+        monkeypatch.setattr(core, "Deadline", Counting)
+        assert girth(underlying_graph(build_family("cycle:2000"))) == 2000
+        assert len(polls) == 1
 
     def test_deadline(self):
         with pytest.raises(SolveTimeout):

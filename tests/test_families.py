@@ -10,6 +10,8 @@ from didom.core import (
 )
 from didom.families import (
     C4_VARIANTS,
+    all_dags,
+    all_digraphs,
     build_family,
     enumerate_ditrees,
     fig5_corona,
@@ -249,6 +251,18 @@ class TestEnumerateDitrees:
     def test_large_rejected_without_flag(self):
         with pytest.raises(ValueError, match="the limit is n=6"):
             next(enumerate_ditrees(7))
+
+
+# labeled DAGs on n vertices (OEIS A003024)
+LABELED_DAGS = {1: 1, 2: 3, 3: 25, 4: 543}
+
+
+class TestAllDags:
+    @pytest.mark.parametrize("n", sorted(LABELED_DAGS))
+    def test_acyclic_digraphs_in_walk_order(self, n):
+        walk = list(all_dags(n))
+        assert walk == [d for d in all_digraphs(n) if is_acyclic_digraph(d)]
+        assert len(walk) == LABELED_DAGS[n]
 
 
 class TestRandomDigraphMinIndegree:

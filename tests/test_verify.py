@@ -11,6 +11,7 @@ import pytest
 import didom.verify as verify
 from didom import bitset, solvers, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
+from didom.errors import SolveTimeout
 from didom.families import (
     build_family,
     enumerate_ditrees,
@@ -19,6 +20,7 @@ from didom.families import (
     gen_G_m,
     gen_K1_star,
     gen_oriented_cycle,
+    random_digraph,
     random_digraph_min_indegree,
     random_ditree,
 )
@@ -30,6 +32,7 @@ from didom.records import (
     HYPOTHESIS_NOT_MET,
     TIMEOUT,
     VerificationRecord,
+    arc_list_descriptor,
     digraph_descriptor,
 )
 from didom.solvers import brute_force_invariant
@@ -76,6 +79,17 @@ class TestRecords:
         assert digraph_descriptor(directed_triangle) == digraph_descriptor(
             build_digraph(3, [(0, 1), (1, 2), (2, 0)])
         )
+
+    def test_descriptor_from_masks_matches_arc_list(self):
+        # digraph_descriptor reads the out-masks; arc_list_descriptor the arcs
+        rng = random.Random(32)
+        complete = build_digraph(9, [(u, v) for u in range(9) for v in range(9) if u != v])
+        digraphs = [build_digraph(0, []), build_digraph(7, []), complete]
+        for _ in range(497):
+            n = rng.randint(0, 40)
+            digraphs.append(random_digraph(n, rng.random(), rng.getrandbits(32)))
+        for d in digraphs:
+            assert digraph_descriptor(d) == arc_list_descriptor(d.n, d.arcs())
 
 
 class TestMeirMoon:
@@ -1106,19 +1120,68 @@ check problem:acyclic-packing-domination dags:exhaustive=3,random=400,n=5
             assert elapsed > 0 if timings else elapsed is None
 
     def test_acyclic_failure_outranks_timeout(self, monkeypatch):
-        # a `fails` record carries a real counterexample, so it wins
-        def stream(*args, **kwargs):
-            yield VerificationRecord(verify.CLAIM_ACYCLIC, "a", None, None, None, TIMEOUT)
-            yield VerificationRecord(verify.CLAIM_ACYCLIC, "b", True, 2, 3, FAILS, {"packing": [0]})
-            yield VerificationRecord(verify.CLAIM_ACYCLIC, "c", True, 1, 1, HOLDS)
+        # a `fails` record carries a real counterexample, so it wins over an
+        # earlier DAG past its deadline: the walk's one exhaustive DAG holds,
+        # its first random DAG's gamma solve times out, and its second is
+        # README's counterexample, rho = 2 < gamma = 3
+        stuck = build_digraph(3, [(0, 1)])
+        counterexample = build_digraph(5, [(0, 1), (0, 2), (1, 3), (3, 2), (4, 0)])
+        dags = iter([stuck, counterexample])
+        monkeypatch.setattr(verify.families, "random_dag", lambda n, p, seed: next(dags))
+        solve = verify.domination_number
 
-        monkeypatch.setattr(verify, "search_acyclic_problem", stream)
+        def domination_number(d, timeout_ms=None):
+            if d is stuck:
+                raise SolveTimeout("search exceeded its deadline")
+            return solve(d, timeout_ms=timeout_ms)
+
+        monkeypatch.setattr(verify, "domination_number", domination_number)
         cfg = verify.parse_suite_config(
             "check problem:acyclic-packing-domination dags:exhaustive=1,random=2,n=3\n"
         )
         (rec,) = verify.run_suite(verify.build_tasks(cfg)).records
         assert (rec.verdict, rec.hypotheses_met, rec.lhs, rec.rhs) == (FAILS, True, 1, 3)
-        assert rec.witnesses == {"packing": [0]}
+        expected = verify._check_dag(counterexample, counterexample.arcs(), None)
+        assert rec.witnesses == expected.witnesses
+
+    @pytest.mark.parametrize(
+        "exhaustive, budget, max_n, seed, timeout_ms, verdict",
+        [(4, 2000, 8, seed, None, FAILS) for seed in range(5)]
+        + [
+            (3, 50, 7, 42, None, HOLDS),
+            (3, 50, 7, 7, None, HOLDS),
+            (3, 300, 9, 3, 0, TIMEOUT),
+            (0, 0, 1, 0, None, HYPOTHESIS_NOT_MET),
+        ],
+    )
+    def test_acyclic_fold_matches_search_records(
+        self, exhaustive, budget, max_n, seed, timeout_ms, verdict
+    ):
+        # the fold only solves each DAG; README's rule applied to the search's
+        # own records must give the same record, byte for byte
+        records = list(
+            verify.search_acyclic_problem(
+                max_n, budget, seed, exhaustive_n=exhaustive, timeout_ms=timeout_ms
+            )
+        )
+        holds = sum(r.verdict == HOLDS for r in records)
+        bad = next((r for r in records if r.verdict == FAILS), None)
+        if bad is not None:
+            hyp, expected = True, FAILS
+        elif holds < len(records):
+            hyp, expected = None, TIMEOUT
+        else:
+            hyp = bool(records)
+            expected = HOLDS if hyp else HYPOTHESIS_NOT_MET
+        reference = VerificationRecord(
+            verify.CLAIM_ACYCLIC, "dags", hyp, holds, len(records), expected,
+            bad.witnesses if bad else {}, seed=seed,
+        )
+        fold = verify._fold_acyclic(
+            exhaustive, budget, max_n, seed, instance="dags", timeout_ms=timeout_ms
+        )
+        assert expected == verdict
+        assert fold.to_json(False) == reference.to_json(False)
 
     def test_readme_config_and_claims_match(self):
         # README's suite-config example must parse, and its claim list must
