@@ -40,8 +40,6 @@ from didom.solvers import (
     brute_force_invariant,
     compute_invariants,
     domination_number,
-    max_independent_set,
-    min_set_cover,
     open_packing_number,
     packing_number,
     partition_two_dominating_sets,
@@ -78,9 +76,7 @@ __all__ = [
     "is_chordal",
     "is_ditree",
     "loads_arclist",
-    "max_independent_set",
     "maximal_cliques",
-    "min_set_cover",
     "open_in_neighborhood_graph",
     "open_packing_number",
     "packing_number",

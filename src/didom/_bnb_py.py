@@ -9,7 +9,8 @@ independent set for vertex v.
 A change to the search here must be made there too.  The two are not
 line-for-line twins: the pure cover search keeps per-node tables of live
 counts and coverage sizes, which the C kernel recomputes at every node
-from its word arrays.  Each kernel takes an ``errors.Deadline`` (None: no
+from its word arrays, and it keeps its search path in a list where the C
+kernel recurses.  Each kernel takes an ``errors.Deadline`` (None: no
 bound) and polls it once per search node, so the caller reads the search's
 node count off the deadline it passed, as it does for the C kernels.
 
@@ -187,10 +188,14 @@ def min_set_cover(
             touched |= covers[e]
         return picked, touched
 
-    def dfs(
+    def enter(
         uncovered: int, avail: int, chosen: int, count: int, stale: int,
         cnt: list, size: list,
-    ) -> None:
+    ) -> Optional[list]:
+        """One search node: its forced picks, subsumption drops and bounds.
+        Returns the node's frame, ``[uncovered, avail, chosen, count, cnt,
+        size, cands]`` with the branch sets ``cands`` in reverse trial
+        order, or None when the node is a leaf or pruned."""
         # stale: the sets that lost an element since the last subsumption
         # pass, whose size that pass has yet to recount; every set at the
         # root, which has had no pass.
@@ -310,26 +315,39 @@ def min_set_cover(
         cands = bitset.to_list(avail & covers[cnt.index(fewest)])
         # decreasing coverage; the stable sort keeps ties in index order
         cands.sort(key=size.__getitem__, reverse=True)
-        for i in cands:
-            if count + 1 >= best[0]:
-                break
-            child_cnt = cnt[:]
-            picked, touched = take(i, uncovered, child_cnt)
-            dfs(
-                uncovered ^ picked, avail, chosen | (1 << i), count + 1,
-                touched, child_cnt, size[:],
-            )
-            # later siblings exclude set i
-            avail ^= 1 << i
-            size[i] = 0
-            rem = masks[i] & uncovered
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                cnt[low.bit_length() - 1] -= 1
+        cands.reverse()
+        return [uncovered, avail, chosen, count, cnt, size, cands]
 
+    # The search path, one frame per node whose branch sets are still being
+    # tried: lists, not the call stack, so no recursion limit bounds the
+    # depth.  A child starts from copies of its parent's tables, so the
+    # parent excludes the child's set for the later siblings at once.
     all_sets = (1 << len(masks)) - 1
-    dfs(universe, all_sets, 0, 0, all_sets, cnt, [0] * len(masks))
+    root = enter(universe, all_sets, 0, 0, all_sets, cnt, [0] * len(masks))
+    path = [] if root is None else [root]
+    while path:
+        frame = path[-1]
+        uncovered, avail, chosen, count, cnt, size, cands = frame
+        if not cands or count + 1 >= best[0]:
+            path.pop()
+            continue
+        i = cands.pop()
+        child_cnt = cnt[:]
+        picked, touched = take(i, uncovered, child_cnt)
+        child = enter(
+            uncovered ^ picked, avail, chosen | (1 << i), count + 1,
+            touched, child_cnt, size[:],
+        )
+        # later siblings exclude set i
+        frame[1] = avail ^ (1 << i)
+        size[i] = 0
+        rem = masks[i] & uncovered
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            cnt[low.bit_length() - 1] -= 1
+        if child is not None:
+            path.append(child)
     return best[0], best[1]
 
 

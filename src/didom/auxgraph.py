@@ -4,7 +4,9 @@ Packings of a digraph are exactly the independent sets of its closed
 in-neighborhood graph (and open packings those of the open variant), which
 is what lets the exact independent-set kernel compute packing numbers.
 ``solvers.packing_against`` builds them only for the packings that its
-root bounds do not certify.
+root bounds do not certify, and ``solvers.all_maximum_packings`` builds the
+closed one to enumerate the maximum packings once ``packing_against`` has
+solved their size.
 """
 
 from __future__ import annotations

@@ -9,6 +9,12 @@ backend solves every call whenever it imports, unless
 ``DIDOM_PURE_PYTHON`` is set in the environment at import.  Every call
 takes an optional ``errors.Deadline``, which bounds the search and holds
 its node count on either backend.
+
+Inside the package the invariant solvers are the only callers:
+``solvers.domination_number`` and ``solvers.total_domination_number`` call
+``min_set_cover``, and ``solvers.packing_against`` calls
+``max_independent_set``; they re-validate every answer.  Code that wants a
+raw cover or independent set calls these two functions directly.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """Exact invariant solvers with witnesses.
 
-Domination-type numbers reduce to minimum set cover over out-neighborhoods.
-Every packing-type number is solved by ``packing_against``: a greedy
+Three solvers are the package's only route to the kernels:
+``domination_number`` and ``total_domination_number`` reduce to minimum set
+cover over out-neighborhoods, and ``packing_against`` is the one caller of
+the independent-set kernel.  Every packing-type number, the target of
+``all_maximum_packings`` included, is solved by ``packing_against``: a greedy
 packing that meets an upper bound is returned as it is, and only otherwise
 is the packing a maximum independent set of the auxiliary in-neighborhood
 graph.  Every answer is ``(size, witness mask)``, and every kernel answer
@@ -15,7 +18,6 @@ bidirected digraph.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import combinations
 from time import perf_counter
 from typing import Optional
@@ -43,40 +45,14 @@ def parse_timeout_ms(text: str) -> float:
     return value
 
 
-def _checked(answer, valid, what: str):
-    """A kernel's ``(size, witness mask)``, once ``valid(witness)`` holds and
-    the witness has ``size`` members; otherwise AssertionError, raised
-    explicitly so that it also fires under ``python -O``.  None, a cover
-    that does not exist, passes through."""
-    if answer is not None:
-        size, witness = answer
-        if not valid(witness) or witness.bit_count() != size:
-            raise AssertionError(f"{what} witness failed re-validation")
+def _checked(answer: tuple[int, int], valid, d: Digraph, what: str) -> tuple[int, int]:
+    """A kernel's ``(size, witness mask)`` for d, once ``valid(d, witness)``
+    holds and the witness has ``size`` members; otherwise AssertionError,
+    raised explicitly so that it also fires under ``python -O``."""
+    size, witness = answer
+    if not valid(d, witness) or witness.bit_count() != size:
+        raise AssertionError(f"{what} witness failed re-validation")
     return answer
-
-
-def min_set_cover(
-    universe_size: int,
-    sets: list[int],
-    *,
-    timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS,
-) -> Optional[tuple[int, int]]:
-    """Exact minimum set cover; None when the sets cannot cover the universe.
-
-    Returns ``(size, chosen)``, bit i of ``chosen`` standing for ``sets[i]``.
-    A timeout raises SolveTimeout, which is a distinct outcome from
-    infeasibility.
-    """
-    universe = bitset.full(universe_size)
-    answer = kernels.min_set_cover(sets, universe, Deadline(timeout_ms))
-    return _checked(answer, partial(validate.is_set_cover, sets, universe=universe), "cover")
-
-
-def max_independent_set(
-    g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> tuple[int, int]:
-    answer = kernels.max_independent_set(g.adj, g.n, Deadline(timeout_ms))
-    return _checked(answer, partial(validate.is_independent_set, g), "independent-set")
 
 
 def domination_number(
@@ -85,7 +61,7 @@ def domination_number(
     """Minimum vertices whose closed out-neighborhoods cover V, plus witness."""
     sets = [d.out_closed(v) for v in range(d.n)]  # closed neighborhoods always cover
     answer = kernels.min_set_cover(sets, bitset.full(d.n), Deadline(timeout_ms))
-    return _checked(answer, partial(validate.is_dominating_set, d), "dominating")
+    return _checked(answer, validate.is_dominating_set, d, "dominating")
 
 
 def total_domination_number(
@@ -98,7 +74,7 @@ def total_domination_number(
     if d.n == 0 or d.min_in_degree == 0:
         return None
     answer = kernels.min_set_cover(d.out_adj, bitset.full(d.n), Deadline(timeout_ms))
-    return _checked(answer, partial(validate.is_total_dominating_set, d), "total dominating")
+    return _checked(answer, validate.is_total_dominating_set, d, "total dominating")
 
 
 def packing_number(
@@ -164,7 +140,7 @@ def packing_against(
         aux = (closed_in_neighborhood_graph if closed else open_in_neighborhood_graph)(d)
         answer = kernels.max_independent_set(aux.adj, aux.n, Deadline(timeout_ms))
         what = "packing" if closed else "open packing"
-        rho, pack = _checked(answer, partial(valid, d), what)
+        rho, pack = _checked(answer, valid, d, what)
     # an explicit test, not an assert, so that it also runs under -O
     if gamma is not None and rho > gamma:
         raise AssertionError(f"packing number {rho} exceeds its domination bound {gamma}")
@@ -291,15 +267,15 @@ def all_maximum_packings(
     d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> list[int]:
     """Every maximum packing of d, as bitmasks in ascending mask order; more
-    than ``PACKING_CAP`` of them raise CliqueLimitExceeded.  One deadline
-    bounds the solve of the packing number and the enumeration after it."""
+    than ``PACKING_CAP`` of them raise CliqueLimitExceeded.  The packing
+    number comes from ``packing_against``; the enumeration's deadline starts
+    before it, so one timeout bounds the solve and the enumeration."""
     deadline = Deadline(timeout_ms)
-    aux = closed_in_neighborhood_graph(d)
-    answer = kernels.max_independent_set(aux.adj, aux.n, deadline)
-    target, _ = _checked(answer, partial(validate.is_packing, d), "packing")
+    target, _ = packing_against(d, None, timeout_ms=timeout_ms)
     deadline.poll()  # the root, a leaf only when d has no vertices
     if not target:
         return [0]
+    adj = closed_in_neighborhood_graph(d).adj
     # the search path by depth k, the size of node k's packing: masks[k] is
     # that packing and avails[k] the vertices node k may still add.  Lists,
     # not the call stack, so no recursion limit bounds the depth.
@@ -319,7 +295,7 @@ def all_maximum_packings(
             if len(out) > PACKING_CAP:
                 raise CliqueLimitExceeded(f"more than {PACKING_CAP} maximum packings")
             continue
-        avails[k + 1] = avail & ~low & ~aux.adj[low.bit_length() - 1]
+        avails[k + 1] = avail & ~low & ~adj[low.bit_length() - 1]
         masks[k + 1] = masks[k] | low
         k += 1
     for p in out:

@@ -86,27 +86,12 @@ def is_fractional_packing(d: Digraph, num: list[int], den: int) -> bool:
     return True
 
 
-def is_independent_set(g: UndirectedGraph, members: int) -> bool:
-    for v in bitset.iter_bits(members):
-        if g.adj[v] & members:
-            return False
-    return True
-
-
 def is_clique(g: UndirectedGraph, members: int) -> bool:
     for v in bitset.iter_bits(members):
         rest = members & ~(1 << v)
         if rest & ~g.adj[v]:
             return False
     return True
-
-
-def is_set_cover(sets: list[int], chosen: int, universe: int) -> bool:
-    """The sets ``sets[i]`` for the bits i of ``chosen`` cover ``universe``."""
-    covered = 0
-    for i in bitset.iter_bits(chosen):
-        covered |= sets[i]
-    return covered & universe == universe
 
 
 def is_perfect_elimination_order(g: UndirectedGraph, order: tuple[int, ...]) -> bool:

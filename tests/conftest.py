@@ -49,9 +49,8 @@ def backend(request, monkeypatch):
 @pytest.fixture
 def exact_packing_solves(monkeypatch):
     """A Counter of the packing solves that the root of
-    ``solvers.packing_against`` leaves to the independent-set kernel, under
-    "closed" and "open"; the kernel calls of ``all_maximum_packings`` are
-    not counted."""
+    ``solvers.packing_against``, the kernel's one caller, leaves to the
+    independent-set kernel, under "closed" and "open"."""
     calls = Counter()
     against, solve = solvers.packing_against, kernels.max_independent_set
     kinds = []  # the kind of each packing_against call in progress

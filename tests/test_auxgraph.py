@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from didom import auxgraph, bitset, validate
+from didom import auxgraph, bitset, kernels, validate
 from didom.auxgraph import (
     closed_in_neighborhood_graph,
     is_chordal,
@@ -17,11 +17,7 @@ from didom.core import UndirectedGraph, build_digraph, build_undirected, girth, 
 from didom.errors import CliqueLimitExceeded, SolveTimeout
 from didom.families import build_family, gen_oriented_cycle, random_digraph, random_ditree
 from didom.records import FAILS, HOLDS, HYPOTHESIS_NOT_MET, TIMEOUT
-from didom.solvers import (
-    max_independent_set,
-    two_packing_number,
-    brute_force_invariant,
-)
+from didom.solvers import brute_force_invariant, two_packing_number
 from didom.verify import check_closed_helly_lemma, check_open_helly_lemma
 
 
@@ -217,24 +213,32 @@ class TestMaximalCliques:
                     assert mask in seen
 
 
+def _alpha(g: UndirectedGraph) -> tuple[int, int]:
+    """The independence number of g and the kernel's witness."""
+    return kernels.max_independent_set(g.adj, g.n)
+
+
 class TestObservationIdentities:
-    """Packing numbers coincide with independence numbers of the aux graphs."""
+    """Packing numbers coincide with independence numbers of the aux graphs,
+    and a maximum independent set of one is a maximum packing."""
 
     def test_rho_equals_alpha_closed(self):
         rng = random.Random(11)
         for trial in range(400):
             n = rng.randint(1, 7)
             d = random_digraph(n, rng.uniform(0.1, 0.9), rng.getrandbits(32))
-            alpha, _ = max_independent_set(closed_in_neighborhood_graph(d))
+            alpha, witness = _alpha(closed_in_neighborhood_graph(d))
             assert alpha == brute_force_invariant(d, "rho")
+            assert validate.is_packing(d, witness)
 
     def test_rho_open_equals_alpha_open(self):
         rng = random.Random(12)
         for trial in range(400):
             n = rng.randint(1, 7)
             d = random_digraph(n, rng.uniform(0.1, 0.9), rng.getrandbits(32))
-            alpha, _ = max_independent_set(open_in_neighborhood_graph(d))
+            alpha, witness = _alpha(open_in_neighborhood_graph(d))
             assert alpha == brute_force_invariant(d, "rho_open")
+            assert validate.is_open_packing(d, witness)
 
     def test_two_packing_equals_alpha_square(self):
         rng = random.Random(13)
@@ -248,7 +252,7 @@ class TestObservationIdentities:
             ]
             g = build_undirected(n, edges)
             rho2, witness = two_packing_number(g)
-            alpha, _ = max_independent_set(closed_in_neighborhood_graph(g))
+            alpha, _ = _alpha(closed_in_neighborhood_graph(g))
             assert rho2 == alpha
             assert validate.is_packing(g, witness)
 

@@ -7,7 +7,8 @@ level must be read somewhere in ``src/didom`` outside its own definition.
 No module under ``src/didom`` has a ``global`` statement, and only
 ``errors.py``, where ``Deadline`` turns a timeout into a clock time, imports
 ``monotonic``.  No function under ``src/didom`` calls itself, apart from the
-two kernel searches of ``_bnb_py.py``."""
+pure independent-set search.  Only three solvers call the kernel entry
+points of ``didom.kernels``."""
 
 import ast
 from pathlib import Path
@@ -134,16 +135,77 @@ def test_detects_a_function_calling_itself():
     assert self_calls(source) == ["f (line 1)", "g.walk (line 4)", "C.m (line 8)"]
 
 
-# Each pure kernel search recurses once per branching pick, which ``_bnb.c``
-# mirrors frame for frame; every other search keeps an explicit path, so no
-# input within the vertex capacity reaches the recursion limit.
-ALLOWED_SELF_CALLS = {"_bnb_py.py": ["min_set_cover.dfs", "max_independent_set.dfs"]}
+# The pure independent-set search recurses once per vertex that it takes by
+# branching.  Every branching vertex has at least two neighbours left, so a
+# take removes at least three vertices, and the depth stays below n / 3.
+# Every other search keeps its path in lists.
+ALLOWED_SELF_CALLS = {"_bnb_py.py": ["max_independent_set.dfs"]}
 
 
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_function_calls_itself(path):
     found = [call.split()[0] for call in self_calls(path.read_text())]
     assert found == ALLOWED_SELF_CALLS.get(path.name, [])
+
+
+KERNEL_ENTRIES = ("min_set_cover", "max_independent_set")
+
+
+def kernel_calls(module: str, source: str) -> list[str]:
+    """The calls ``kernels.<entry>(...)`` of the kernel entry points in
+    ``source``, each as ``module.<enclosing function path>: <entry>``, and
+    every import of an entry point from ``didom.kernels``, which would
+    call it without the ``kernels.`` prefix."""
+    found = []
+
+    def visit(node, path: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{path}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (
+                    isinstance(f, ast.Attribute)
+                    and f.attr in KERNEL_ENTRIES
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "kernels"
+                ):
+                    found.append(f"{path}: {f.attr}")
+            elif isinstance(child, ast.ImportFrom) and child.module == "didom.kernels":
+                names = [alias.name for alias in child.names]
+                found.extend(f"{path}: import {name}" for name in names if name in KERNEL_ENTRIES)
+            visit(child, path)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_detects_kernel_calls():
+    source = (
+        "from didom import kernels\nfrom didom.kernels import max_independent_set as mis\n"
+        "def solve(d):\n    def inner():\n        return kernels.min_set_cover([], 0)\n"
+        "    return inner(), kernels.has_compiled_kernels()\n"
+        "class C:\n    def m(self):\n        kernels.max_independent_set([], 0)\n"
+    )
+    assert kernel_calls("mod", source) == [
+        "mod: import max_independent_set",
+        "mod.solve.inner: min_set_cover",
+        "mod.C.m: max_independent_set",
+    ]
+
+
+def test_only_the_invariant_solvers_call_the_kernels():
+    found = [
+        call
+        for path in PACKAGE_MODULES
+        for call in kernel_calls(path.stem, path.read_text())
+    ]
+    assert sorted(found) == [
+        "solvers.domination_number: min_set_cover",
+        "solvers.packing_against: max_independent_set",
+        "solvers.total_domination_number: min_set_cover",
+    ]
 
 
 def _module_level(body):

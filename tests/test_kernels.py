@@ -1,6 +1,9 @@
 import itertools
+import os
 import random
 import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -179,6 +182,34 @@ class TestPureSetCover:
         # beyond 64 bits: pure backend handles arbitrary width
         size, chosen = _bnb_py.min_set_cover(*_wide_system())
         assert size == 45
+
+    def test_search_deeper_than_recursion_limit(self):
+        # gamma of 200 disjoint bidirected 4-cycles: no root bound certifies
+        # greedy's cover, and the search path grows past 150 picks, so a
+        # search on the call stack would raise RecursionError under that
+        # limit instead of running until its deadline
+        script = """
+            import sys
+            from didom.core import build_digraph
+            from didom.errors import SolveTimeout
+            from didom.solvers import domination_number
+            cycle = [(v, (v + 1) % 4) for v in range(4)]
+            arcs = [(4 * c + a, 4 * c + b) for c in range(200) for u, v in cycle
+                    for a, b in ((u, v), (v, u))]
+            d = build_digraph(800, arcs)
+            sys.setrecursionlimit(150)
+            try:
+                domination_number(d, timeout_ms=500)
+            except SolveTimeout:
+                print("timeout")
+        """
+        src = os.path.dirname(os.path.dirname(solvers.__file__))
+        env = dict(os.environ, DIDOM_PURE_PYTHON="1", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "timeout\n", "")
 
 
 # (left, right, nodes, witness) of gamma(left [] right)

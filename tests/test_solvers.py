@@ -27,8 +27,6 @@ from didom.solvers import (
     brute_force_invariant,
     compute_invariants,
     domination_number,
-    max_independent_set,
-    min_set_cover,
     open_packing_number,
     packing_number,
     partition_two_dominating_sets,
@@ -40,35 +38,43 @@ from didom.solvers import (
 from didom.verify import check_closed_helly_lemma, check_open_helly_lemma
 
 
+# A raw cover or independent set comes from the kernel entry points of
+# didom.kernels, which dispatch to the backend in use; the solvers are their
+# only callers inside the package.
+
+
 class TestMinSetCover:
     def test_basic(self):
-        assert min_set_cover(3, [0b011, 0b110, 0b100])[0] == 2
+        assert kernels.min_set_cover([0b011, 0b110, 0b100], 0b111)[0] == 2
 
     def test_single_set(self):
-        assert min_set_cover(3, [0b111]) == (1, 0b1)
+        assert kernels.min_set_cover([0b111], 0b111) == (1, 0b1)
 
     def test_infeasible_returns_none(self):
-        assert min_set_cover(3, [0b011]) is None
+        assert kernels.min_set_cover([0b011], 0b111) is None
 
     def test_fig1_closed_neighborhoods(self, chorded_5cycle):
         sets = [chorded_5cycle.out_closed(v) for v in range(5)]
-        assert min_set_cover(5, sets)[0] == 3
+        size, chosen = kernels.min_set_cover(sets, bitset.full(5))
+        assert size == 3 and validate.is_dominating_set(chorded_5cycle, chosen)
 
 
 class TestMaxIndependentSet:
     def test_edgeless(self):
-        size, witness = max_independent_set(build_undirected(4, []))
-        assert size == 4 and witness == 0b1111
+        g = build_undirected(4, [])
+        assert kernels.max_independent_set(g.adj, g.n) == (4, 0b1111)
 
     def test_complete(self):
         k4 = build_undirected(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-        assert max_independent_set(k4)[0] == 1
+        assert kernels.max_independent_set(k4.adj, k4.n)[0] == 1
 
     def test_aux_graph_of_G3(self):
-        from didom.auxgraph import closed_in_neighborhood_graph
-
-        aux = closed_in_neighborhood_graph(gen_G_m(3))
-        assert max_independent_set(aux)[0] == 3  # equals the packing number
+        # alpha of the closed in-neighborhood graph is the packing number,
+        # and its witness is a packing
+        d = gen_G_m(3)
+        aux = auxgraph.closed_in_neighborhood_graph(d)
+        size, witness = kernels.max_independent_set(aux.adj, aux.n)
+        assert size == 3 and validate.is_packing(d, witness)
 
 
 class TestDominationValues:
@@ -215,12 +221,11 @@ class TestSizeMisreport:
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda: min_set_cover(3, [0b011, 0b110, 0b100]),
             lambda: domination_number(_CYCLE5),
             lambda: total_domination_number(_CYCLE5),
             lambda: undirected_domination_number(_P4),
         ],
-        ids=["min_set_cover", "gamma", "gamma_t", "undirected-gamma"],
+        ids=["gamma", "gamma_t", "undirected-gamma"],
     )
     def test_cover_size_one_short(self, monkeypatch, solve):
         monkeypatch.setattr(kernels, "min_set_cover", _misreport(kernels.min_set_cover, -1))
@@ -230,16 +235,14 @@ class TestSizeMisreport:
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda: max_independent_set(_P4),
             lambda: packing_number(_TRIANGLE_K1),
             lambda: open_packing_number(_OPEN_SHORT),
             lambda: two_packing_number(_C4_K1),
             lambda: undirected_open_packing_number(_C6),
-            lambda: all_maximum_packings(_CYCLE5),
+            lambda: all_maximum_packings(_TRIANGLE_K1),
         ],
         ids=[
-            "max_independent_set", "rho", "rho_open", "two-packing", "undirected-open-packing",
-            "all-maximum-packings",
+            "rho", "rho_open", "two-packing", "undirected-open-packing", "all-maximum-packings",
         ],
     )
     def test_packing_size_one_over(self, monkeypatch, solve):
@@ -505,6 +508,20 @@ class TestAllMaximumPackings:
             if mask.bit_count() == rho and validate.is_packing(d, mask)
         ]
         assert sorted(packs) == sorted(brute)
+
+    def test_matches_subset_enumeration(self, backend):
+        # every digraph on 4 vertices and 50 random ditrees on up to 9: the
+        # enumeration is exactly the packings of the brute-force rho
+        rng = random.Random(33)
+        ditrees = [random_ditree(rng.randint(1, 9), rng.getrandbits(32)) for _ in range(50)]
+        for d in [*all_digraphs(4), *ditrees]:
+            rho = brute_force_invariant(d, "rho")
+            brute = [
+                mask
+                for mask in range(1 << d.n)
+                if mask.bit_count() == rho and validate.is_packing(d, mask)
+            ]
+            assert all_maximum_packings(d) == brute
 
     def test_stops_at_deadline(self):
         from didom.errors import SolveTimeout
