@@ -9,10 +9,13 @@ independent set for vertex v.
 A change to the search here must be made there too.  The two are not
 line-for-line twins: the pure cover search keeps per-node tables of live
 counts and coverage sizes, which the C kernel recomputes at every node
-from its word arrays, and it keeps its search path in a list where the C
-kernel recurses.  Each kernel takes an ``errors.Deadline`` (None: no
-bound) and polls it once per search node, so the caller reads the search's
-node count off the deadline it passed, as it does for the C kernels.
+from its word arrays; the independent-set search names its branching
+vertex in its last reduction scan, where the C kernel scans once more; and
+both keep their search path in a list where the C kernels recurse, so no
+recursion limit bounds their depth.  Each kernel takes an
+``errors.Deadline`` (None: no bound) and polls it once per search node, so
+the caller reads the search's node count off the deadline it passed, as it
+does for the C kernels.
 
 Both kernels first check their greedy answer against a root bound.  An
 answer that meets it is optimal and is returned without a search, after 0
@@ -359,7 +362,10 @@ def max_independent_set(
     Branching on the maximum-degree vertex (take first), with greedy
     clique-cover upper bounds and degree<=1 reductions.  A greedy set as
     large as the clique cover of the whole graph (α ≤ the clique-cover
-    number) is maximum and is returned after 0 search nodes.
+    number) is maximum and is returned after 0 search nodes.  Each
+    reduction pass scans the available vertices once: the first vertex of
+    degree <= 1 is taken, and a pass that finds none names the branching
+    vertex, the first of maximum degree.
     """
     if n == 0:
         return 0, 0
@@ -367,9 +373,10 @@ def max_independent_set(
     poll = Deadline().poll if deadline is None else deadline.poll
 
     # Greedy incumbent: repeatedly take a minimum-degree vertex.
-    avail = (1 << n) - 1
-    g_mask = 0
-    g_size = 0
+    every = (1 << n) - 1
+    avail = every
+    best_mask = 0
+    best_size = 0
     while avail:
         best_v = -1
         best_d = n + 1
@@ -382,10 +389,9 @@ def max_independent_set(
             if d < best_d:
                 best_d = d
                 best_v = v
-        g_mask |= 1 << best_v
-        g_size += 1
+        best_mask |= 1 << best_v
+        best_size += 1
         avail &= ~closed[best_v]
-    best = [g_size, g_mask]
 
     def clique_cover_bound(avail: int) -> int:
         cnt = 0
@@ -403,35 +409,16 @@ def max_independent_set(
             cnt += 1
         return cnt
 
-    def dfs(avail: int, size: int, mask: int) -> None:
-        # Each pass of the outer loop is one search node.  The take branch
-        # recurses; the exclude branch, the last thing a node does, runs as
-        # the next pass in this frame, so the depth grows only with the
-        # vertices taken, not with those excluded.
+    # The nodes still to enter, as (avail, size, mask): each node pushes its
+    # exclude child under its take child, so they are entered in the C
+    # kernel's preorder.  Root certificate: a greedy set that meets the
+    # clique cover is maximum, and the list starts empty.
+    pending = [(every, 0, 0)] if clique_cover_bound(every) > best_size else []
+    while pending:
+        avail, size, mask = pending.pop()
+        poll()
+        # the pass that finds no vertex of degree <= 1 leaves best_v set
         while True:
-            poll()
-            while True:
-                changed = False
-                rem = avail
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    v = low.bit_length() - 1
-                    if (adj[v] & avail).bit_count() <= 1:
-                        avail &= ~closed[v]
-                        size += 1
-                        mask |= low
-                        changed = True
-                        break
-                if not changed:
-                    break
-            if not avail:
-                if size > best[0]:
-                    best[0] = size
-                    best[1] = mask
-                return
-            if size + clique_cover_bound(avail) <= best[0]:
-                return
             best_v = -1
             best_d = -1
             rem = avail
@@ -440,13 +427,23 @@ def max_independent_set(
                 rem ^= low
                 v = low.bit_length() - 1
                 d = (adj[v] & avail).bit_count()
+                if d <= 1:
+                    avail &= ~closed[v]
+                    size += 1
+                    mask |= low
+                    break
                 if d > best_d:
                     best_d = d
                     best_v = v
-            dfs(avail & ~closed[best_v], size + 1, mask | (1 << best_v))
-            avail &= ~(1 << best_v)
-
-    # Root certificate: a greedy set that meets the clique cover is maximum.
-    if clique_cover_bound((1 << n) - 1) > best[0]:
-        dfs((1 << n) - 1, 0, 0)
-    return best[0], best[1]
+            else:
+                break
+        if not avail:
+            if size > best_size:
+                best_size = size
+                best_mask = mask
+            continue
+        if size + clique_cover_bound(avail) <= best_size:
+            continue
+        pending.append((avail & ~(1 << best_v), size, mask))
+        pending.append((avail & ~closed[best_v], size + 1, mask | (1 << best_v)))
+    return best_size, best_mask

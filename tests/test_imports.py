@@ -6,9 +6,8 @@ function, class or constant a module under ``src/didom`` defines at module
 level must be read somewhere in ``src/didom`` outside its own definition.
 No module under ``src/didom`` has a ``global`` statement, and only
 ``errors.py``, where ``Deadline`` turns a timeout into a clock time, imports
-``monotonic``.  No function under ``src/didom`` calls itself, apart from the
-pure independent-set search.  Only three solvers call the kernel entry
-points of ``didom.kernels``."""
+``monotonic``.  No function under ``src/didom`` calls itself.  Only three
+solvers call the kernel entry points of ``didom.kernels``."""
 
 import ast
 from pathlib import Path
@@ -135,17 +134,9 @@ def test_detects_a_function_calling_itself():
     assert self_calls(source) == ["f (line 1)", "g.walk (line 4)", "C.m (line 8)"]
 
 
-# The pure independent-set search recurses once per vertex that it takes by
-# branching.  Every branching vertex has at least two neighbours left, so a
-# take removes at least three vertices, and the depth stays below n / 3.
-# Every other search keeps its path in lists.
-ALLOWED_SELF_CALLS = {"_bnb_py.py": ["max_independent_set.dfs"]}
-
-
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_function_calls_itself(path):
-    found = [call.split()[0] for call in self_calls(path.read_text())]
-    assert found == ALLOWED_SELF_CALLS.get(path.name, [])
+    assert self_calls(path.read_text()) == []
 
 
 KERNEL_ENTRIES = ("min_set_cover", "max_independent_set")

@@ -57,6 +57,18 @@ def _agree(compiled_kernels, fn, *args):
     return pure
 
 
+def _run_pure(script):
+    """The exit code, stdout and stderr of ``script`` run by a fresh Python
+    on the pure backend."""
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    env = dict(os.environ, DIDOM_PURE_PYTHON="1", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def _wide_system():
     # 45 disjoint pairs over 90 elements, wider than a 64-bit word
     n = 90
@@ -203,13 +215,7 @@ class TestPureSetCover:
             except SolveTimeout:
                 print("timeout")
         """
-        src = os.path.dirname(os.path.dirname(solvers.__file__))
-        env = dict(os.environ, DIDOM_PURE_PYTHON="1", PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", textwrap.dedent(script)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "timeout\n", "")
+        assert _run_pure(script) == (0, "timeout\n", "")
 
 
 # (left, right, nodes, witness) of gamma(left [] right)
@@ -248,8 +254,29 @@ _PINNED_TREES = [
 _FIRST_PINNED_NODES = (57, 435, 217, 609, 340, 199, 1005, 2117, 2008, 444, 1467)
 
 
+# (m, in-neighbourhood graph, nodes, witness) of the independent-set search
+# on that graph of Gm:m [] Gm:m: rho on the closed one, rho-open on the open
+_PINNED_PACKINGS = [
+    (3, "closed", 121, (0, 8, 16, 18, 20, 24, 30, 32, 34, 40, 44, 46, 48)),
+    (
+        3, "open", 517,
+        (2, 4, 6, 9, 13, 16, 17, 18, 20, 25, 29, 30, 32, 34, 43, 44, 46, 48),
+    ),
+    (
+        4, "closed", 861,
+        (0, 10, 20, 22, 24, 26, 30, 38, 40, 42, 44, 50, 56, 58, 60, 62, 70, 74,
+         76, 78, 80),
+    ),
+    (
+        4, "open", 25815,
+        (2, 4, 6, 8, 11, 15, 17, 20, 21, 22, 24, 26, 31, 37, 38, 40, 42, 44, 55,
+         56, 58, 60, 62, 73, 74, 76, 78, 80),
+    ),
+]
+
+
 class TestSearchTreePinned:
-    """Node counts and witnesses of the cover kernels on fixed products.
+    """Node counts and witnesses of the kernels on fixed products.
 
     The counts do not depend on the machine: any change to the branching
     order, tie-breaks, reductions or bounds moves them.  Both backends must
@@ -275,6 +302,19 @@ class TestSearchTreePinned:
         result, count = _solve(
             request, backend, "min_set_cover", *_closed_neighbourhoods(left, right)
         )
+        assert result == (len(witness), bitset.from_iter(witness))
+        assert count == nodes
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize(
+        "m, graph, nodes, witness", _PINNED_PACKINGS,
+        ids=[f"Gm:{m}-{graph}-{nodes}" for m, graph, nodes, _ in _PINNED_PACKINGS],
+    )
+    def test_product_packing_tree(self, request, backend, m, graph, nodes, witness):
+        family = families.build_family(f"Gm:{m}")
+        prod, _ = products.cartesian_product(family, family)
+        aux = getattr(auxgraph, f"{graph}_in_neighborhood_graph")(prod)
+        result, count = _solve(request, backend, "max_independent_set", list(aux.adj), aux.n)
         assert result == (len(witness), bitset.from_iter(witness))
         assert count == nodes
 
@@ -307,6 +347,27 @@ class TestPureMis:
             assert size == _exhaustive_alpha(adj, n)
             assert witness.bit_count() == size
             assert all(not adj[v] & witness for v in bitset.iter_bits(witness))
+
+    def test_search_deeper_than_recursion_limit(self):
+        # rho-open of 200 out-stars K1,3 and a bidirected 5-cycle: greedy's
+        # set misses the clique cover, and the search path grows past 150
+        # takes, so a search on the call stack would raise RecursionError
+        # under that limit instead of running until its deadline
+        script = """
+            import sys
+            from didom.core import build_digraph
+            from didom.errors import SolveTimeout
+            from didom.solvers import open_packing_number
+            arcs = [(4 * i, 4 * i + k) for i in range(200) for k in (1, 2, 3)]
+            arcs += [(800 + v, 800 + (v + s) % 5) for v in range(5) for s in (1, 4)]
+            d = build_digraph(805, arcs)
+            sys.setrecursionlimit(150)
+            try:
+                open_packing_number(d, timeout_ms=500)
+            except SolveTimeout:
+                print("timeout")
+        """
+        assert _run_pure(script) == (0, "timeout\n", "")
 
 
 class TestRootCertificate:
