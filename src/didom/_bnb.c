@@ -153,6 +153,14 @@ static int ordered_packing(Cover *c, const word *uni) {
     return kept;
 }
 
+/* The largest coverage among e's sets in avail, as of the last subsumption
+ * pass. */
+static int largest_live(const Cover *c, int e, const word *avail) {
+    int top = 0;
+    EACH(i, COVERS(c, e), c->ns) if (HAS(avail, i) && c->size[i] > top) top = c->size[i];
+    return top;
+}
+
 /* gone: the elements covered since the last subsumption pass; gone_all
  * (every element) at the root, which has had no pass. */
 static void cover_dfs(Cover *c, int d, int count, int gone_all) {
@@ -160,11 +168,11 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
     word *unc = FRAME(c, d), *gone = unc + ne, *avail = gone + ne;
     word *chosen = avail + ns, *excl = chosen + ns, *child = FRAME(c, d + 1);
     int *cand = c->cands + (size_t)d * c->n_sets;
-    int branch_e = -1, max_cov = 0, left, n_order, kept, reach = 0, k = 0;
+    int branch_e, max_cov = 0, left, n_order, kept, reach = 0, k = 0;
 
     if (poll_deadline(&c->s)) return;
     for (;;) {
-        int forced = -1, branch_cnt = c->n_sets + 1, dropped = 0;
+        int forced = -1, dropped = 0;
         if (!any(unc, ne)) {
             if (count < c->best) {
                 c->best = count;
@@ -173,20 +181,15 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
             return;
         }
         /* Scan elements in increasing order: one with no live set ends the
-         * branch, the first with a single live set forces it, and otherwise
-         * the first with the fewest is the branch element. */
+         * branch, and the first with a single live set forces it. */
         memset(c->live, 0, BYTES(ns));
         EACH(e, unc, ne) {
             int cnt = popcount_and(COVERS(c, e), avail, ns);
-            if (cnt < branch_cnt) {
-                if (cnt == 0) return;
-                if (cnt == 1) {
-                    FOR_W(ns) if (COVERS(c, e)[w] & avail[w])
-                        forced = w << 6 | __builtin_ctzll(COVERS(c, e)[w] & avail[w]);
-                    break;
-                }
-                branch_cnt = cnt;
-                branch_e = e;
+            if (cnt == 0) return;
+            if (cnt == 1) {
+                FOR_W(ns) if (COVERS(c, e)[w] & avail[w])
+                    forced = w << 6 | __builtin_ctzll(COVERS(c, e)[w] & avail[w]);
+                break;
             }
             FOR_W(ns) c->live[w] |= COVERS(c, e)[w] & avail[w];
         }
@@ -261,13 +264,12 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
     kept = count;
     for (int t = 0; t < n_order; t++) {
         const word *cv = COVERS(c, c->order[t]);
-        int disjoint = 1, top = 0;
+        int disjoint = 1;
         FOR_W(ns) disjoint &= !(cv[w] & avail[w] & c->used[w]);
         if (!disjoint) continue;
         FOR_W(ns) c->used[w] |= cv[w] & avail[w];
         if (++kept >= c->best) return;
-        EACH(i, cv, ns) if (HAS(avail, i) && c->size[i] > top) top = c->size[i];
-        reach += top;
+        reach += largest_live(c, c->order[t], avail);
     }
     /* Remainder: the kept elements' sets cover at most reach elements, and
      * each further set at most max_cov.  As reach <= (kept - count) *
@@ -275,6 +277,18 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
      * reach >= left the quotient is at most 0, so the test prunes exactly
      * where Python's ceiling does. */
     if (kept + (left - reach + max_cov - 1) / max_cov >= c->best) return;
+    /* The branch element: of the elements with the fewest live sets, the
+     * prefix of c->order in element order, the first whose largest live set
+     * is largest. */
+    branch_e = c->order[0];
+    for (int t = 1, top = largest_live(c, branch_e, avail);
+         t < n_order && c->order_cnt[t] == c->order_cnt[0]; t++) {
+        int s = largest_live(c, c->order[t], avail);
+        if (s > top) {
+            top = s;
+            branch_e = c->order[t];
+        }
+    }
     /* candidates in decreasing-coverage order, ties by index */
     EACH(i, COVERS(c, branch_e), ns) {
         int pos = k;

@@ -85,9 +85,12 @@ def min_set_cover(
 
     Returns ``(size, chosen)``, where bit i of the mask ``chosen`` stands
     for set i, or None when even the union of all sets misses an element.
-    Branching: take the uncovered element with the fewest live covering
-    sets, try those sets in decreasing-coverage order, and exclude each
-    tried set from later branches.
+    Branching: take an uncovered element with the fewest live covering
+    sets, among those the one whose largest live set covers the most
+    uncovered elements, then the lowest index; try its sets in
+    decreasing-coverage order, and exclude each tried set from later
+    branches.  Favouring large sets is the usual lever for exact dominating
+    set (van Rooij & Bodlaender, Discrete Appl. Math. 2011).
 
     A set is available until it is picked, dropped or excluded, and live
     while it is available and covers some uncovered element.  The
@@ -204,10 +207,11 @@ def min_set_cover(
         # root, which has had no pass.
         poll()
         # An element with no live set ends the branch, the first with a
-        # single live set forces it, and otherwise the first with the fewest
-        # is the branch element.  ``fewest`` is the least count.  A pick
-        # covers elements, which may hold it, so it is recounted; a drop
-        # only lowers the counts of the dropped sets' elements.
+        # single live set forces it, and otherwise the branch element is
+        # one with the fewest, named after the bounds.  ``fewest`` is the
+        # least count.  A pick covers elements, which may hold it, so it is
+        # recounted; a drop only lowers the counts of the dropped sets'
+        # elements.
         fewest = min(cnt)
         while True:
             if not uncovered:
@@ -293,7 +297,8 @@ def min_set_cover(
         used = 0
         kept = count
         reach = 0
-        for e in sorted(range(width), key=cnt.__getitem__)[:left]:
+        order = sorted(range(width), key=cnt.__getitem__)
+        for e in order[:left]:
             cand = covers[e] & avail
             if not cand & used:
                 used |= cand
@@ -315,7 +320,23 @@ def min_set_cover(
         max_cov = max(size)
         if kept - (reach - left) // max_cov >= best[0]:
             return
-        cands = bitset.to_list(avail & covers[cnt.index(fewest)])
+        # The branch element: of the elements with the fewest live sets,
+        # the order's prefix in index order, the first whose largest live
+        # set is largest.  None is larger than max_cov.
+        branch = order[0]
+        if left > 1 and cnt[order[1]] == fewest:
+            top = 0
+            for e in order:
+                if cnt[e] != fewest or top == max_cov:
+                    break
+                s = 0
+                for i in members[e] or bitset.to_list(covers[e]):
+                    if size[i] > s:
+                        s = size[i]
+                if s > top:
+                    top = s
+                    branch = e
+        cands = bitset.to_list(avail & covers[branch])
         # decreasing coverage; the stable sort keeps ties in index order
         cands.sort(key=size.__getitem__, reverse=True)
         cands.reverse()

@@ -22,11 +22,14 @@ from didom.errors import CliqueLimitExceeded, Deadline
 CLIQUE_CAP = 1_000_000  # maximal_cliques raises past this many
 
 
-def _clique_union(n: int, sets) -> UndirectedGraph:
+def _clique_union(n: int, sets, deadline: Optional[Deadline]) -> UndirectedGraph:
     """The graph on n vertices in which every set of the family induces a
-    clique (and no other edges)."""
+    clique (and no other edges).  Each set polls ``deadline`` (None: no
+    bound), so a construction past it raises SolveTimeout."""
     adj = [0] * n
     for m in sets:
+        if deadline is not None:
+            deadline.poll()
         rem = m
         while rem:
             low = rem & -rem
@@ -37,19 +40,23 @@ def _clique_union(n: int, sets) -> UndirectedGraph:
     return UndirectedGraph(n, tuple(adj))
 
 
-def closed_in_neighborhood_graph(d: Digraph) -> UndirectedGraph:
+def closed_in_neighborhood_graph(
+    d: Digraph, deadline: Optional[Deadline] = None
+) -> UndirectedGraph:
     """Edge uv iff the closed in-neighborhoods of u and v intersect.
 
     Equivalently: every closed out-neighborhood N+[w] induces a clique.
     On an undirected graph this is its square (edges at distance <= 2).
+    Each N+[w] polls ``deadline`` (None: no bound).
     """
-    return _clique_union(d.n, [d.out_closed(w) for w in range(d.n)])
+    return _clique_union(d.n, [d.out_closed(w) for w in range(d.n)], deadline)
 
 
-def open_in_neighborhood_graph(d: Digraph) -> UndirectedGraph:
+def open_in_neighborhood_graph(d: Digraph, deadline: Optional[Deadline] = None) -> UndirectedGraph:
     """Edge uv iff the open in-neighborhoods of u and v intersect; on an
-    undirected graph, iff u and v have a common neighbor."""
-    return _clique_union(d.n, d.out_adj)
+    undirected graph, iff u and v have a common neighbor.  Each N+(w)
+    polls ``deadline`` (None: no bound)."""
+    return _clique_union(d.n, d.out_adj, deadline)
 
 
 @dataclass(frozen=True)
@@ -146,16 +153,16 @@ def is_chordal(g: UndirectedGraph) -> ChordalityResult:
     return ChordalityResult(False, None, hole)
 
 
-def maximal_cliques(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -> list[int]:
+def maximal_cliques(g: UndirectedGraph, *, deadline: Optional[Deadline] = None) -> list[int]:
     """All maximal cliques as bitmasks (Bron-Kerbosch with pivoting).
 
     The result is complete, duplicate-free, and sorted by member lists;
     more than ``CLIQUE_CAP`` cliques raise CliqueLimitExceeded, and a search
-    past ``timeout_ms`` (None: no deadline) raises SolveTimeout.
+    past ``deadline`` (None: no bound) raises SolveTimeout.
     """
     if g.n == 0:
         return []
-    deadline = Deadline(timeout_ms)
+    poll = Deadline().poll if deadline is None else deadline.poll
     out: list[int] = []
     adj = g.adj
     # the search path by depth k: the clique, candidates, excluded vertices
@@ -164,7 +171,7 @@ def maximal_cliques(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -
     rs, ps, xs, branches = ([0] * (g.n + 1) for _ in range(4))
     r, p, x, k = 0, bitset.full(g.n), 0, -1
     while True:
-        deadline.poll()  # entering the node (r, p, x)
+        poll()  # entering the node (r, p, x)
         if not p and not x:
             out.append(r)
             if len(out) > CLIQUE_CAP:

@@ -138,7 +138,7 @@ def underlying_graph(d: Digraph) -> UndirectedGraph:
     return UndirectedGraph(d.n, tuple([o | i for o, i in zip(d.out_adj, d.in_adj)]))
 
 
-def girth(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -> Optional[int]:
+def girth(g: UndirectedGraph, *, deadline: Optional[Deadline] = None) -> Optional[int]:
     """Length of a shortest cycle, or None when the graph is a forest.
 
     Every cycle lies in the 2-core, what is left once vertices of degree at
@@ -150,15 +150,14 @@ def girth(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -> Optional
     Rodeh 1978).  So once its BFS ends the root is peeled too, with what
     that leaves of degree at most 1, and the next root is taken from what
     is left; on a cycle the first BFS is the only one.  A triangle ends the
-    search at once, since no cycle is shorter.  Each BFS root polls one
-    deadline of ``timeout_ms`` (None: no deadline), so a search past it
-    raises SolveTimeout.
+    search at once, since no cycle is shorter.  Each BFS root polls
+    ``deadline`` (None: no bound), so a search past it raises SolveTimeout.
     """
     adj = g.adj
     degree = [m.bit_count() for m in adj]
     core = bitset.full(g.n)
     peel = [v for v in range(g.n) if degree[v] <= 1]
-    deadline = Deadline(timeout_ms)
+    poll = Deadline().poll if deadline is None else deadline.poll
     best: Optional[int] = None
     dist = [-1] * g.n
     parent = [0] * g.n
@@ -172,7 +171,7 @@ def girth(g: UndirectedGraph, *, timeout_ms: Optional[float] = None) -> Optional
                     peel.append(w)
         if not core:
             return best
-        deadline.poll()
+        poll()
         root = (core & -core).bit_length() - 1
         dist[root] = 0
         parent[root] = -1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from didom import auxgraph, bitset, kernels, validate
+from didom import auxgraph, bitset, errors, kernels, validate, verify
 from didom.auxgraph import (
     closed_in_neighborhood_graph,
     is_chordal,
@@ -14,7 +14,7 @@ from didom.auxgraph import (
     open_in_neighborhood_graph,
 )
 from didom.core import UndirectedGraph, build_digraph, build_undirected, girth, underlying_graph
-from didom.errors import CliqueLimitExceeded, SolveTimeout
+from didom.errors import CliqueLimitExceeded, Deadline, SolveTimeout
 from didom.families import build_family, gen_oriented_cycle, random_digraph, random_ditree
 from didom.records import FAILS, HOLDS, HYPOTHESIS_NOT_MET, TIMEOUT
 from didom.solvers import brute_force_invariant, two_packing_number
@@ -180,7 +180,7 @@ class TestMaximalCliques:
     def test_deadline(self):
         p3 = build_undirected(3, [(0, 1), (1, 2)])
         with pytest.raises(SolveTimeout):
-            maximal_cliques(p3, timeout_ms=0)
+            maximal_cliques(p3, deadline=Deadline(0))
 
     def test_search_deeper_than_recursion_limit(self):
         # the one clique of K_1100 lies 1100 search nodes deep
@@ -383,3 +383,43 @@ class TestHellyByCommonInNeighbor:
             assert checker(build_family("cycle:2000"), timeout_ms=0).verdict == TIMEOUT
             rec = checker(build_family("cycle:2000"), timeout_ms=100)
             assert (rec.verdict, rec.lhs, rec.rhs) == (HOLDS, 2000, 2000)
+
+    @pytest.mark.parametrize("checker", [check_closed_helly_lemma, check_open_helly_lemma])
+    def test_dense_digraph_stops_at_deadline(self, checker):
+        # 800 vertices at density 0.3: naming the record, building the
+        # in-neighborhood graph and enumerating its cliques each take tens
+        # of ms, so a 10 ms deadline ends the check
+        d = random_digraph(800, 0.3, 1)
+        assert checker(d, timeout_ms=10).verdict == TIMEOUT
+        assert checker(d, instance="x", timeout_ms=10).verdict == TIMEOUT
+
+    @pytest.mark.parametrize("checker", [check_closed_helly_lemma, check_open_helly_lemma])
+    def test_one_deadline_starts_before_the_name(self, monkeypatch, checker):
+        # a clock that only the record's name advances, by a second: the
+        # check's one deadline of 10 ms has passed at the girth's first BFS
+        # root, while a record named by the caller is not delayed and holds
+        now = [0.0]
+        monkeypatch.setattr(errors, "monotonic", lambda: now[0])
+        name = verify.digraph_descriptor
+
+        def slow_name(d):
+            now[0] += 1.0
+            return name(d)
+
+        monkeypatch.setattr(verify, "digraph_descriptor", slow_name)
+        d = build_family("cycle:8")
+        assert checker(d, timeout_ms=10).verdict == TIMEOUT
+        assert checker(d, instance="cycle:8", timeout_ms=10).verdict == HOLDS
+
+    @pytest.mark.parametrize(
+        "build", [closed_in_neighborhood_graph, open_in_neighborhood_graph]
+    )
+    def test_in_neighborhood_graph_polls_per_set(self, monkeypatch, build):
+        # a clock that advances one tick per read: the deadline reads 0 and
+        # sets itself at 5.0, which the 6th set's read passes
+        clock = iter(range(100))
+        monkeypatch.setattr(errors, "monotonic", lambda: next(clock))
+        deadline = Deadline(5000)
+        with pytest.raises(SolveTimeout):
+            build(build_family("cycle:10"), deadline)
+        assert deadline.nodes == 6

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from didom import bitset, core
+from didom import bitset
 from didom.core import (
     Digraph,
     LeafClasses,
@@ -24,7 +24,9 @@ from didom.core import (
     underlying_connected,
     underlying_graph,
 )
-from didom.errors import ArcListParseError, CapacityError, InvalidArcError, SolveTimeout
+from didom.errors import (
+    ArcListParseError, CapacityError, Deadline, InvalidArcError, SolveTimeout,
+)
 from didom.families import _FAMILY_USAGE, build_family, gen_C4_orientation, gen_G_m, gen_K1_star
 from didom.products import cartesian_product, direct_product, induced_subdigraph
 
@@ -241,26 +243,19 @@ class TestGirth:
     def test_cycle(self, k):
         assert girth(build_undirected(k, [(v, (v + 1) % k) for v in range(k)])) == k
 
-    def test_cycle_takes_one_bfs(self, monkeypatch):
+    def test_cycle_takes_one_bfs(self):
         # every cycle through a root is at least what its BFS found, so the
         # root is peeled; on a cycle that peels the rest, and one BFS is all
-        polls = []
-
-        class Counting(core.Deadline):
-            def poll(self):
-                polls.append(1)
-                super().poll()
-
-        monkeypatch.setattr(core, "Deadline", Counting)
-        assert girth(underlying_graph(build_family("cycle:2000"))) == 2000
-        assert len(polls) == 1
+        deadline = Deadline()
+        assert girth(underlying_graph(build_family("cycle:2000")), deadline=deadline) == 2000
+        assert deadline.nodes == 1
 
     def test_deadline(self):
         with pytest.raises(SolveTimeout):
-            girth(underlying_graph(build_family("cycle:5")), timeout_ms=0)
+            girth(underlying_graph(build_family("cycle:5")), deadline=Deadline(0))
         # a forest peels to nothing, with no search to stop
         tree = build_undirected(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-        assert girth(tree, timeout_ms=0) is None
+        assert girth(tree, deadline=Deadline(0)) is None
 
 
 def girth_oracle(g):

@@ -220,38 +220,56 @@ class TestPureSetCover:
 
 # (left, right, nodes, witness) of gamma(left [] right)
 _PINNED_TREES = [
-    ("Gm:2", "Gm:3", 41, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
-    ("Gm:3", "Gm:3", 121, (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42)),
-    ("K1star", "path:7", 159, (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48)),
-    ("cycle:5", "path:7", 387, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
-    ("chord5", "path:7", 169, (1, 5, 8, 11, 12, 17, 22, 26, 28, 31, 34)),
-    ("fig5corona", "path:8", 57, (0, 3, 7, 8, 9, 13, 19, 23, 25, 29, 35, 38, 41, 45)),
+    ("Gm:2", "Gm:3", 34, (2, 4, 6, 7, 15, 17, 19, 21, 29, 31, 33)),
+    ("Gm:3", "Gm:3", 66, (1, 3, 5, 9, 11, 13, 14, 23, 25, 27, 28, 37, 39, 41, 42)),
+    ("K1star", "path:7", 139, (0, 2, 5, 15, 17, 18, 20, 28, 30, 31, 33, 43, 46, 48)),
+    ("cycle:5", "path:7", 335, (1, 4, 8, 11, 12, 15, 16, 20, 21, 25, 30, 34)),
+    ("chord5", "path:7", 117, (1, 5, 7, 10, 13, 17, 22, 26, 29, 31, 33)),
+    ("fig5corona", "path:8", 111, (2, 6, 7, 8, 12, 18, 22, 24, 28, 34, 38, 41, 43, 46)),
     # larger trees, where most nodes skip unchanged sets in the incremental
     # subsumption pass
     (
-        "Gm:3", "Gm:4", 154,
+        "Gm:3", "Gm:4", 127,
         (2, 4, 6, 8, 9, 19, 21, 23, 25, 27, 37, 39, 41, 43, 45, 55, 57, 59, 61),
     ),
     (
-        "K1star", "path:10", 1170,
+        "K1star", "path:10", 949,
         (1, 2, 5, 8, 15, 20, 23, 27, 29, 36, 41, 42, 44, 48, 56, 60, 63, 66, 69),
     ),
-    ("cycle:5", "path:9", 1148, (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43)),
+    ("cycle:5", "path:9", 966, (1, 4, 7, 10, 13, 16, 19, 22, 25, 28, 31, 34, 37, 40, 43)),
     # gamma(Gm:m [] Gm:m) = m^2 + 2m, the paper's dominating set being optimal
     (
-        "Gm:4", "Gm:4", 408,
+        "Gm:4", "Gm:4", 225,
         (1, 3, 5, 7, 11, 13, 15, 17, 18, 29, 31, 33, 35, 36, 47, 49, 51, 53, 54,
          65, 67, 69, 71, 72),
     ),
     (
-        "Gm:5", "Gm:5", 1447,
+        "Gm:5", "Gm:5", 732,
         (1, 3, 5, 7, 9, 13, 15, 17, 19, 21, 22, 35, 37, 39, 41, 43, 44, 57, 59, 61,
          63, 65, 66, 79, 81, 83, 85, 87, 88, 101, 103, 105, 107, 109, 110),
+    ),
+    # gamma(Hm:k) = 6k, the half-Vizing family; G [] path:1 is G itself
+    (
+        "Hm:3", "path:1", 367,
+        (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18, 19, 21, 22, 24, 25),
+    ),
+    (
+        "Hm:4", "path:1", 2605,
+        (0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18, 19, 21, 22, 24, 25, 27, 28,
+         30, 31, 33, 34),
+    ),
+    (
+        "Gm:6", "Gm:6", 1941,
+        (1, 3, 5, 7, 9, 11, 15, 17, 19, 21, 23, 25, 26, 41, 43, 45, 47, 49, 51, 52,
+         67, 69, 71, 73, 75, 77, 78, 93, 95, 97, 99, 101, 103, 104, 119, 121, 123,
+         125, 127, 129, 130, 145, 147, 149, 151, 153, 155, 156),
     ),
 ]
 # the node count of each tree when it was first pinned: it names the test,
 # so re-pinning a count after a change to the search keeps the test ids
-_FIRST_PINNED_NODES = (57, 435, 217, 609, 340, 199, 1005, 2117, 2008, 444, 1467)
+_FIRST_PINNED_NODES = (
+    57, 435, 217, 609, 340, 199, 1005, 2117, 2008, 444, 1467, 367, 2605, 1941
+)
 
 
 # (m, in-neighbourhood graph, nodes, witness) of the independent-set search
@@ -304,6 +322,19 @@ class TestSearchTreePinned:
         )
         assert result == (len(witness), bitset.from_iter(witness))
         assert count == nodes
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_branch_tie_goes_to_largest_live_set(self, request, backend):
+        # elements 0-6 each lie in two sets, so all seven tie on the fewest
+        # live sets at the root; element 0's sets have two elements and
+        # element 1's four, so the search branches on element 1: 3 nodes,
+        # where branching on element 0, the lowest index, would take 5
+        sets = [bitset.from_iter(s) for s in (
+            (0, 2), (5, 6), (0, 7), (1, 2, 4, 7), (3, 4, 5, 7), (1, 3, 6, 7),
+        )]
+        result, count = _solve(request, backend, "min_set_cover", sets, bitset.full(8))
+        assert result == (3, bitset.from_iter((0, 4, 5)))
+        assert count == 3
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     @pytest.mark.parametrize(
@@ -655,16 +686,16 @@ class TestTimeouts:
         assert deadline.nodes == 1
 
     def test_compiled_deadline_is_monotonic_time(self, compiled_kernels):
-        # gamma(Gm:7 [] Gm:7) takes 29,945 nodes, most of a second compiled;
+        # gamma(Hm:7) takes 946,071 nodes, over a third of a second compiled;
         # a deadline 50 ms after time.monotonic() must stop it long before
         # it finishes
-        sets, universe = _closed_neighbourhoods("Gm:7", "Gm:7")
+        sets, universe = _closed_neighbourhoods("Hm:7", "path:1")
         start = time.monotonic()
         deadline = Deadline(50)
         with pytest.raises(SolveTimeout):
             compiled_kernels.min_set_cover(sets, universe, deadline)
         assert time.monotonic() - start < 1.0
-        assert 1 < deadline.nodes < 29_945
+        assert 1 < deadline.nodes < 946_071
 
     @pytest.mark.parametrize("search", ["cover", "mis", "partition", "packings", "cliques"])
     def test_pure_timeout_on_first_node_past_deadline(self, monkeypatch, search):
@@ -698,7 +729,7 @@ class TestTimeouts:
             else:
                 # 8 disjoint edges have 2^8 maximal cliques
                 g = build_undirected(16, [(i, i + 1) for i in range(0, 16, 2)])
-                auxgraph.maximal_cliques(g, timeout_ms=5000)
+                auxgraph.maximal_cliques(g, deadline=Deadline(5000))
         assert [deadline.nodes for deadline in made] == [6]
         assert next(clock) == 7
 

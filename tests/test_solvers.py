@@ -381,7 +381,7 @@ class TestWitnessValidation:
             ))
         assert (
             hashlib.sha256(repr(answers).encode("ascii")).hexdigest()
-            == "2a32afe33456fcd4617943b0cba45871c175e05048ac0edeb3da8163d95364e4"
+            == "219ff91c19134a419af9d9f0c763aa577143855a3d1fe284979fa889246f6331"
         )
 
     def test_open_packing_is_pairwise_disjointness(self):

@@ -578,7 +578,7 @@ class TestFailsBranches:
     def test_helly_uncontained_clique(self, monkeypatch):
         k1star = gen_K1_star()
         everything = (1 << k1star.n) - 1
-        monkeypatch.setattr(verify, "maximal_cliques", lambda aux, timeout_ms: [0b1, everything])
+        monkeypatch.setattr(verify, "maximal_cliques", lambda aux, deadline: [0b1, everything])
         rec = verify.check_closed_helly_lemma(k1star)
         assert rec.verdict == FAILS and rec.hypotheses_met is True
         assert (rec.lhs, rec.rhs) == (1, 2)
