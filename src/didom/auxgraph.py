@@ -49,7 +49,7 @@ def closed_in_neighborhood_graph(
     On an undirected graph this is its square (edges at distance <= 2).
     Each N+[w] polls ``deadline`` (None: no bound).
     """
-    return _clique_union(d.n, [d.out_closed(w) for w in range(d.n)], deadline)
+    return _clique_union(d.n, [m | 1 << w for w, m in enumerate(d.out_adj)], deadline)
 
 
 def open_in_neighborhood_graph(d: Digraph, deadline: Optional[Deadline] = None) -> UndirectedGraph:
@@ -81,7 +81,7 @@ def _lex_bfs(g: UndirectedGraph) -> list[int]:
                 best = v
         visited[best] = True
         order.append(best)
-        for w in bitset.iter_bits(g.adj[best]):
+        for w in bitset.to_list(g.adj[best]):
             if not visited[w]:
                 labels[w].append(g.n - step)
     return order
@@ -101,7 +101,7 @@ def _peo_violation(
         later = g.adj[v] & ~eliminated
         if not later:
             continue
-        w = min(bitset.iter_bits(later), key=lambda u: pos[u])
+        w = min(bitset.to_list(later), key=lambda u: pos[u])
         rest = later & ~(1 << w) & ~g.adj[w]
         if rest:
             u = (rest & -rest).bit_length() - 1
@@ -126,7 +126,7 @@ def _find_hole(g: UndirectedGraph) -> Optional[tuple[int, ...]]:
                     x = queue.popleft()
                     if x == w:
                         break
-                    for y in bitset.iter_bits(g.adj[x] & allowed):
+                    for y in bitset.to_list(g.adj[x] & allowed):
                         if y not in prev:
                             prev[y] = x
                             queue.append(y)
@@ -179,7 +179,7 @@ def maximal_cliques(g: UndirectedGraph, *, deadline: Optional[Deadline] = None) 
         else:
             pivot = -1
             best = -1
-            for u in bitset.iter_bits(p | x):
+            for u in bitset.to_list(p | x):
                 c = (p & adj[u]).bit_count()
                 if c > best:
                     best = c

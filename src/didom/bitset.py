@@ -7,7 +7,7 @@ representation serves graphs of any supported order.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def from_iter(vertices: Iterable[int]) -> int:
@@ -18,20 +18,15 @@ def from_iter(vertices: Iterable[int]) -> int:
 
 
 def to_list(mask: int) -> list[int]:
-    """Members of the set in increasing order."""
+    """Members of the set in increasing order.  Code that iterates over a
+    set's members goes through this list, or, where the path is hot, the
+    inline lowest-bit loop it runs."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def full(n: int) -> int:

@@ -34,7 +34,7 @@ class Digraph:
     def in_adj(self) -> tuple[int, ...]:
         in_adj = [0] * self.n
         for u, mask in enumerate(self.out_adj):
-            for v in bitset.iter_bits(mask):
+            for v in bitset.to_list(mask):
                 in_adj[v] |= 1 << u
         return tuple(in_adj)
 
@@ -54,7 +54,7 @@ class Digraph:
         return bool(self.out_adj[u] >> v & 1)
 
     def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bitset.iter_bits(self.out_adj[u])]
+        return [(u, v) for u, m in enumerate(self.out_adj) if m for v in bitset.to_list(m)]
 
     @cached_property
     def arc_count(self) -> int:
@@ -165,7 +165,7 @@ def girth(g: UndirectedGraph, *, deadline: Optional[Deadline] = None) -> Optiona
         while peel:
             v = peel.pop()
             core ^= 1 << v
-            for w in bitset.iter_bits(adj[v] & core):
+            for w in bitset.to_list(adj[v] & core):
                 degree[w] -= 1
                 if degree[w] == 1:
                     peel.append(w)
@@ -180,7 +180,7 @@ def girth(g: UndirectedGraph, *, deadline: Optional[Deadline] = None) -> Optiona
             dx = dist[x]
             if best is not None and 2 * dx >= best:
                 break
-            for y in bitset.iter_bits(adj[x] & core):
+            for y in bitset.to_list(adj[x] & core):
                 if dist[y] == -1:
                     dist[y] = dx + 1
                     parent[y] = x
@@ -207,7 +207,7 @@ def is_connected(g: UndirectedGraph) -> bool:
     frontier = 1
     while frontier:
         nxt = 0
-        for v in bitset.iter_bits(frontier):
+        for v in bitset.to_list(frontier):
             nxt |= g.adj[v]
         frontier = nxt & ~seen
         seen |= frontier
@@ -231,7 +231,7 @@ def is_acyclic_digraph(d: Digraph) -> bool:
     while queue:
         v = queue.popleft()
         seen += 1
-        for w in bitset.iter_bits(d.out_adj[v]):
+        for w in bitset.to_list(d.out_adj[v]):
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)

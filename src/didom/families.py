@@ -367,11 +367,8 @@ def random_dag(n: int, arc_prob: float, seed: int) -> Digraph:
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
-    arcs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < arc_prob:
-                arcs.append((order[i], order[j]))
+    draw = rng.random
+    arcs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if draw() < arc_prob]
     return build_digraph(n, arcs)
 
 

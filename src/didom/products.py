@@ -61,10 +61,10 @@ def cartesian_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap
     out_adj = []
     for a in range(g.n):
         base = a * h.n
-        move_g = g.out_adj[a]
+        move_g = bitset.to_list(g.out_adj[a])
         for b in range(h.n):
             mask = h.out_adj[b] << base
-            for a2 in bitset.iter_bits(move_g):
+            for a2 in move_g:
                 mask |= 1 << (a2 * h.n + b)
             out_adj.append(mask)
     return Digraph(g.n * h.n, tuple(out_adj)), pmap
@@ -77,10 +77,10 @@ def direct_product(g: Digraph, h: Digraph) -> tuple[Digraph, ProductVertexMap]:
     pmap = ProductVertexMap(g.n, h.n)
     out_adj = []
     for a in range(g.n):
-        move_g = g.out_adj[a]
+        move_g = bitset.to_list(g.out_adj[a])
         for b in range(h.n):
             mask = 0
-            for a2 in bitset.iter_bits(move_g):
+            for a2 in move_g:
                 mask |= h.out_adj[b] << (a2 * h.n)
             out_adj.append(mask)
     return Digraph(g.n * h.n, tuple(out_adj)), pmap
@@ -93,7 +93,7 @@ def induced_subdigraph(d: Digraph, members: int) -> Digraph:
     return Digraph(
         len(verts),
         tuple(
-            bitset.from_iter(index[w] for w in bitset.iter_bits(d.out_adj[v] & members))
+            bitset.from_iter(index[w] for w in bitset.to_list(d.out_adj[v] & members))
             for v in verts
         ),
     )

@@ -18,6 +18,9 @@ ERROR = "error"  # the checker raised; extras["error"] holds the exception
 
 VERDICTS = (HOLDS, FAILS, HYPOTHESIS_NOT_MET, TIMEOUT, ERROR)
 
+# json.dumps(obj, sort_keys=True), without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 @dataclass
 class VerificationRecord:
@@ -62,7 +65,7 @@ class VerificationRecord:
         return out
 
     def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timings), sort_keys=True)
+        return _encode(self.to_dict(include_timings))
 
     @classmethod
     def from_json(cls, line: str) -> "VerificationRecord":
@@ -90,7 +93,7 @@ def digraph_descriptor(d: Digraph) -> str:
     for u, out in enumerate(d.out_adj):
         if out:
             head = names[u] + ","
-            rows.append(head + (";" + head).join([names[v] for v in bitset.iter_bits(out)]))
+            rows.append(head + (";" + head).join([names[v] for v in bitset.to_list(out)]))
     return _descriptor(d.n, ";".join(rows))
 
 

@@ -18,7 +18,9 @@ bidirected digraph.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from time import perf_counter
 from typing import Optional
 
@@ -59,7 +61,7 @@ def domination_number(
     d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
 ) -> tuple[int, int]:
     """Minimum vertices whose closed out-neighborhoods cover V, plus witness."""
-    sets = [d.out_closed(v) for v in range(d.n)]  # closed neighborhoods always cover
+    sets = [m | 1 << v for v, m in enumerate(d.out_adj)]  # closed ones always cover
     answer = kernels.min_set_cover(sets, bitset.full(d.n), Deadline(timeout_ms))
     return _checked(answer, validate.is_dominating_set, d, "dominating")
 
@@ -107,9 +109,11 @@ def packing_against(
       in-neighborhood and a packing's are disjoint, so rho <= gamma (and
       rho_o <= gamma_t, read openly).  A valid greedy packing above gamma
       raises AssertionError.
-    - Counting: the ``free`` vertices with empty in-neighborhoods (sources,
-      in the open case), which join every maximal packing, plus n // the
-      least nonempty in-neighborhood, since the others are disjoint.
+    - Counting: the ``free`` vertices with empty in-neighborhoods, which
+      join every maximal packing, plus n // the least nonempty
+      in-neighborhood, since the others are disjoint.  Only the open case
+      has free vertices (the sources): every closed in-neighborhood holds
+      its own vertex.
     - Only without gamma, ``free`` plus a greedy cover of the other
       vertices by closed (open) out-neighborhoods: gamma >= rho again, each
       packed vertex needing its own cover set.
@@ -118,21 +122,23 @@ def packing_against(
     building an auxiliary graph.  Otherwise the independent-set kernel
     solves the in-neighborhood graph, and a value above gamma raises."""
     n = d.n
-    hoods = [m | (1 << v) if closed else m for v, m in enumerate(d.in_adj)]
-    sizes = [m.bit_count() for m in hoods]
+    hoods = [m | 1 << v for v, m in enumerate(d.in_adj)] if closed else d.in_adj
+    sizes = list(map(int.bit_count, hoods))
     pack = _ordered_packing(hoods, sizes, n)
     k = pack.bit_count()
     valid = validate.is_packing if closed else validate.is_open_packing
     if gamma is not None and k >= gamma:
         certified = True
     else:
-        free = sizes.count(0)
-        least = min(filter(None, sizes), default=0)
+        if closed:  # no closed in-neighborhood is empty
+            free, least = 0, min(sizes, default=0)
+        else:
+            free, least = sizes.count(0), min(filter(None, sizes), default=0)
         certified = k >= free + (n // least if least else 0)
         if not certified and gamma is None:
-            rest = sum(1 << v for v, s in enumerate(sizes) if s)
-            outs = [d.out_closed(w) for w in range(n)] if closed else d.out_adj
-            chosen, _ = _greedy_cover(outs, rest)
+            outs = [m | 1 << w for w, m in enumerate(d.out_adj)] if closed else d.out_adj
+            # what they cover: every vertex but the free ones
+            chosen, _ = _greedy_cover(outs, reduce(or_, outs, 0))
             certified = k >= free + chosen.bit_count()
     if certified and valid(d, pack):
         rho = k

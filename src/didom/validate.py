@@ -14,26 +14,38 @@ from didom.core import Digraph, UndirectedGraph
 
 def is_dominating_set(d: Digraph, members: int) -> bool:
     """Union of closed out-neighborhoods of ``members`` covers V."""
+    out_adj = d.out_adj
     covered = members
-    for v in bitset.iter_bits(members):
-        covered |= d.out_adj[v]
+    rem = members
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        covered |= out_adj[low.bit_length() - 1]
     return covered == bitset.full(d.n)
 
 
 def is_total_dominating_set(d: Digraph, members: int) -> bool:
     """Union of open out-neighborhoods of ``members`` covers V."""
+    out_adj = d.out_adj
     covered = 0
-    for v in bitset.iter_bits(members):
-        covered |= d.out_adj[v]
+    rem = members
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        covered |= out_adj[low.bit_length() - 1]
     return covered == bitset.full(d.n)
 
 
 def _packing_by_definition(d: Digraph, members: int) -> bool:
     # No arcs joining members, and no vertex with arcs to two members.
-    for v in bitset.iter_bits(members):
-        if d.out_adj[v] & members:
+    out_adj = d.out_adj
+    rem = members
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        if out_adj[low.bit_length() - 1] & members:
             return False
-    for m in d.out_adj:
+    for m in out_adj:
         if (m & members).bit_count() >= 2:
             return False
     return True
@@ -41,9 +53,13 @@ def _packing_by_definition(d: Digraph, members: int) -> bool:
 
 def _packing_by_disjointness(d: Digraph, members: int) -> bool:
     # Closed in-neighborhoods of members are pairwise disjoint.
+    in_adj = d.in_adj
     seen = 0
-    for v in bitset.iter_bits(members):
-        closed_in = d.in_adj[v] | (1 << v)
+    rem = members
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        closed_in = in_adj[low.bit_length() - 1] | low
         if closed_in & seen:
             return False
         seen |= closed_in
@@ -66,10 +82,14 @@ def is_open_packing(d: Digraph, members: int) -> bool:
     misses the union of those before it."""
     in_adj = d.in_adj
     seen = 0
-    for v in bitset.iter_bits(members):
-        if in_adj[v] & seen:
+    rem = members
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        hood = in_adj[low.bit_length() - 1]
+        if hood & seen:
             return False
-        seen |= in_adj[v]
+        seen |= hood
     return True
 
 
@@ -81,13 +101,13 @@ def is_fractional_packing(d: Digraph, num: list[int], den: int) -> bool:
     if len(num) != d.n or den <= 0 or any(w < 0 for w in num):
         return False
     for v in range(d.n):
-        if num[v] + sum(num[u] for u in bitset.iter_bits(d.out_adj[v])) > den:
+        if num[v] + sum(num[u] for u in bitset.to_list(d.out_adj[v])) > den:
             return False
     return True
 
 
 def is_clique(g: UndirectedGraph, members: int) -> bool:
-    for v in bitset.iter_bits(members):
+    for v in bitset.to_list(members):
         rest = members & ~(1 << v)
         if rest & ~g.adj[v]:
             return False

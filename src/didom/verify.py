@@ -393,8 +393,8 @@ def check_C4_equality(g: Digraph, *, timeout_ms) -> dict:
         prod, pmap = cartesian_product(g, c4)
         side_a, side_b = part
         partition_witness = bitset.from_iter(
-            [pmap.encode(x, u_idx) for x in bitset.iter_bits(side_a)]
-            + [pmap.encode(x, v_idx) for x in bitset.iter_bits(side_b)]
+            [pmap.encode(x, u_idx) for x in bitset.to_list(side_a)]
+            + [pmap.encode(x, v_idx) for x in bitset.to_list(side_b)]
         )
         if not validate.is_dominating_set(prod, partition_witness):
             # the construction itself is wrong, whatever the hypothesis
@@ -544,7 +544,7 @@ def _helly(d: Digraph, closed: bool, hyp: bool, deadline: Deadline) -> dict:
     failing = None
     for k in cliques:
         common = bitset.full(d.n)
-        for v in bitset.iter_bits(k):
+        for v in bitset.to_list(k):
             common &= hoods[v]
             if not common:
                 break

@@ -102,7 +102,7 @@ class TestDerivedInAdjacency:
         sub = induced_subdigraph(d, members)
         assert sub.in_adj == in_masks_from_arcs(sub)
         assert [m.bit_count() for m in sub.in_adj] == [
-            (d.in_adj[v] & members).bit_count() for v in bitset.iter_bits(members)
+            (d.in_adj[v] & members).bit_count() for v in bitset.to_list(members)
         ]
 
 
@@ -167,7 +167,7 @@ class TestUnderlying:
         un = underlying_graph(d)
         for v in range(un.n):
             assert not un.adj[v] >> v & 1
-            for w in bitset.iter_bits(un.adj[v]):
+            for w in bitset.to_list(un.adj[v]):
                 assert un.adj[w] >> v & 1
 
 
@@ -268,7 +268,7 @@ def girth_oracle(g):
         while frontier and v not in dist:
             nxt = []
             for x in frontier:
-                for y in bitset.iter_bits(g.adj[x]):
+                for y in bitset.to_list(g.adj[x]):
                     if y not in dist and {x, y} != {u, v}:
                         dist[y] = dist[x] + 1
                         nxt.append(y)

@@ -32,7 +32,7 @@ def _exhaustive_alpha(adj, n):
     """Largest independent set size, by subset enumeration."""
     best = 0
     for mask in range(1 << n):
-        if all(not adj[v] & mask for v in bitset.iter_bits(mask)):
+        if all(not adj[v] & mask for v in bitset.to_list(mask)):
             best = max(best, mask.bit_count())
     return best
 
@@ -159,7 +159,7 @@ class TestPureSetCover:
         size, chosen = _bnb_py.min_set_cover([0b011, 0b110, 0b100], 0b111)
         assert size == 2 and chosen.bit_count() == 2
         covered = 0
-        for i in bitset.iter_bits(chosen):
+        for i in bitset.to_list(chosen):
             covered |= [0b011, 0b110, 0b100][i]
         assert covered == 0b111
 
@@ -186,7 +186,7 @@ class TestPureSetCover:
             size, chosen = result
             assert chosen >> len(sets) == 0 and chosen.bit_count() == size
             covered = 0
-            for i in bitset.iter_bits(chosen):
+            for i in bitset.to_list(chosen):
                 covered |= sets[i]
             assert covered & universe == universe
 
@@ -377,7 +377,7 @@ class TestPureMis:
             size, witness = _bnb_py.max_independent_set(adj, n)
             assert size == _exhaustive_alpha(adj, n)
             assert witness.bit_count() == size
-            assert all(not adj[v] & witness for v in bitset.iter_bits(witness))
+            assert all(not adj[v] & witness for v in bitset.to_list(witness))
 
     def test_search_deeper_than_recursion_limit(self):
         # rho-open of 200 out-stars K1,3 and a bidirected 5-cycle: greedy's

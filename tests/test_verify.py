@@ -71,6 +71,22 @@ class TestRecords:
             "seed",
         }
 
+    @pytest.mark.parametrize("include_timings", [True, False])
+    def test_to_json_is_sorted_dumps(self, include_timings):
+        records = [
+            VerificationRecord("c", "i", True, 1, 1, HOLDS),
+            VerificationRecord(
+                "thm:product", "G □ T · n=3 é", None, None, None, TIMEOUT,
+                witnesses={"arcs": [[0, 1], [2, 0]], "set": [1]}, elapsed_ms=0.12345,
+                seed=None, extras={"zeta": None, "alpha": {"b": 2, "a": [1, 2]}},
+            ),
+        ]
+        for rec in records:
+            text = rec.to_json(include_timings)
+            assert text == json.dumps(rec.to_dict(include_timings), sort_keys=True)
+            assert text.isascii()
+        assert "\\u00e9" in records[1].to_json(include_timings)
+
     def test_bad_verdict_rejected(self):
         with pytest.raises(ValueError):
             VerificationRecord("c", "i", True, 1, 1, "maybe")
