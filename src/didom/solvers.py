@@ -11,8 +11,10 @@ graph.  Every answer is ``(size, witness mask)``, and every kernel answer
 passes one check, ``_checked``, which re-validates the witness through
 :mod:`didom.validate` and its size before any caller sees it (a certified
 greedy packing is validated before it is returned); `brute_force_invariant`
-provides a solver-independent oracle for small instances.  An undirected
-graph is a symmetric digraph, so it goes through the digraph solvers as its
+provides a solver-independent oracle for small instances.  Every solver
+takes an optional ``errors.Deadline`` (None: no bound), which bounds all
+its searches together and counts their nodes.  An undirected graph is a
+symmetric digraph, so it goes through the digraph solvers as its
 bidirected digraph.
 """
 
@@ -57,17 +59,15 @@ def _checked(answer: tuple[int, int], valid, d: Digraph, what: str) -> tuple[int
     return answer
 
 
-def domination_number(
-    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> tuple[int, int]:
+def domination_number(d: Digraph, *, deadline: Optional[Deadline] = None) -> tuple[int, int]:
     """Minimum vertices whose closed out-neighborhoods cover V, plus witness."""
     sets = [m | 1 << v for v, m in enumerate(d.out_adj)]  # closed ones always cover
-    answer = kernels.min_set_cover(sets, bitset.full(d.n), Deadline(timeout_ms))
+    answer = kernels.min_set_cover(sets, bitset.full(d.n), deadline)
     return _checked(answer, validate.is_dominating_set, d, "dominating")
 
 
 def total_domination_number(
-    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+    d: Digraph, *, deadline: Optional[Deadline] = None
 ) -> Optional[tuple[int, int]]:
     """Minimum vertices whose open out-neighborhoods cover V.
 
@@ -75,26 +75,22 @@ def total_domination_number(
     """
     if d.n == 0 or d.min_in_degree == 0:
         return None
-    answer = kernels.min_set_cover(d.out_adj, bitset.full(d.n), Deadline(timeout_ms))
+    answer = kernels.min_set_cover(d.out_adj, bitset.full(d.n), deadline)
     return _checked(answer, validate.is_total_dominating_set, d, "total dominating")
 
 
-def packing_number(
-    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> tuple[int, int]:
+def packing_number(d: Digraph, *, deadline: Optional[Deadline] = None) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint closed in-neighborhoods."""
-    return packing_against(d, None, timeout_ms=timeout_ms)
+    return packing_against(d, None, deadline=deadline)
 
 
-def open_packing_number(
-    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> tuple[int, int]:
+def open_packing_number(d: Digraph, *, deadline: Optional[Deadline] = None) -> tuple[int, int]:
     """Largest set of vertices with pairwise disjoint open in-neighborhoods."""
-    return packing_against(d, None, closed=False, timeout_ms=timeout_ms)
+    return packing_against(d, None, closed=False, deadline=deadline)
 
 
 def packing_against(
-    d: Digraph, gamma: Optional[int], *, closed: bool = True, timeout_ms=DEFAULT_TIMEOUT_MS
+    d: Digraph, gamma: Optional[int], *, closed: bool = True, deadline: Optional[Deadline] = None
 ) -> tuple[int, int]:
     """A maximum packing (open packing unless ``closed``) of d, given its
     solved domination (total domination) number, or None when that is
@@ -144,7 +140,7 @@ def packing_against(
         rho = k
     else:
         aux = (closed_in_neighborhood_graph if closed else open_in_neighborhood_graph)(d)
-        answer = kernels.max_independent_set(aux.adj, aux.n, Deadline(timeout_ms))
+        answer = kernels.max_independent_set(aux.adj, aux.n, deadline)
         what = "packing" if closed else "open packing"
         rho, pack = _checked(answer, valid, d, what)
     # an explicit test, not an assert, so that it also runs under -O
@@ -157,23 +153,23 @@ def packing_against(
 
 
 def undirected_domination_number(
-    g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+    g: UndirectedGraph, *, deadline: Optional[Deadline] = None
 ) -> tuple[int, int]:
-    return domination_number(g, timeout_ms=timeout_ms)
+    return domination_number(g, deadline=deadline)
 
 
 def two_packing_number(
-    g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+    g: UndirectedGraph, *, deadline: Optional[Deadline] = None
 ) -> tuple[int, int]:
     """Largest set with pairwise disjoint closed neighborhoods."""
-    return packing_number(g, timeout_ms=timeout_ms)
+    return packing_number(g, deadline=deadline)
 
 
 def undirected_open_packing_number(
-    g: UndirectedGraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+    g: UndirectedGraph, *, deadline: Optional[Deadline] = None
 ) -> tuple[int, int]:
     """Largest set of vertices no two of which share a common neighbor."""
-    return open_packing_number(g, timeout_ms=timeout_ms)
+    return open_packing_number(g, deadline=deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +212,21 @@ def brute_force_invariant(d: Digraph, which: str) -> Optional[int]:
 
 
 def partition_two_dominating_sets(
-    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
+    d: Digraph, *, deadline: Optional[Deadline] = None
 ) -> Optional[tuple[int, int]]:
     """Partition V into two dominating sets, or None when impossible.
 
     Backtracking two-coloring in vertex order, first side first, vertex 0
     fixed on the first side: every closed in-neighborhood must meet both
     sides.  Each side has at least gamma vertices, so when n = 2*gamma every
-    such partition is a partition into two minimum dominating sets.
+    such partition is a partition into two minimum dominating sets.  Each
+    node of the search polls ``deadline`` (None: no bound).
     """
     n = d.n
     in_closed = [d.in_closed(v) for v in range(n)]
     if any(m.bit_count() < 2 for m in in_closed):
         return None
-    deadline = Deadline(timeout_ms)
+    poll = Deadline().poll if deadline is None else deadline.poll
     full = bitset.full(n)
 
     def feasible(side_a: int, side_b: int, assigned: int) -> bool:
@@ -245,7 +242,7 @@ def partition_two_dominating_sets(
     side_a = side_b = 0
     v, side = 0, 0
     while v < n:
-        deadline.poll()
+        poll()
         bit = 1 << v
         a, b = (side_a | bit, side_b) if side == 0 else (side_a, side_b | bit)
         if feasible(a, b, bitset.full(v + 1)):
@@ -269,15 +266,14 @@ def partition_two_dominating_sets(
 # ---------------------------------------------------------------------------
 
 
-def all_maximum_packings(
-    d: Digraph, *, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
-) -> list[int]:
+def all_maximum_packings(d: Digraph, *, deadline: Optional[Deadline] = None) -> list[int]:
     """Every maximum packing of d, as bitmasks in ascending mask order; more
     than ``PACKING_CAP`` of them raise CliqueLimitExceeded.  The packing
-    number comes from ``packing_against``; the enumeration's deadline starts
-    before it, so one timeout bounds the solve and the enumeration."""
-    deadline = Deadline(timeout_ms)
-    target, _ = packing_against(d, None, timeout_ms=timeout_ms)
+    number comes from ``packing_against``, which gets the same ``deadline``
+    (None: no bound), so it bounds the solve and the enumeration together
+    and counts the nodes of both."""
+    deadline = Deadline() if deadline is None else deadline
+    target, _ = packing_against(d, None, deadline=deadline)
     deadline.poll()  # the root, a leaf only when d has no vertices
     if not target:
         return [0]
@@ -325,12 +321,13 @@ def compute_invariants(
     """The JSON object ``didom invariants`` prints: gamma, gamma_t, rho and
     open rho of d, each an entry ``{"status", "value", "witness"}`` (plus
     its ``elapsed_ms`` with ``include_timings``) whose status is ``ok``,
-    ``timeout`` or ``undefined`` (no total dominating set)."""
+    ``timeout`` or ``undefined`` (no total dominating set).  Each entry is
+    solved under its own ``Deadline`` of ``timeout_ms``."""
 
     def entry(solve, *args, **kwargs) -> dict:
         start = perf_counter()
         try:
-            answer = solve(d, *args, timeout_ms=timeout_ms, **kwargs)
+            answer = solve(d, *args, deadline=Deadline(timeout_ms), **kwargs)
             status = STATUS_OK if answer else STATUS_UNDEFINED
         except SolveTimeout:
             answer, status = None, TIMEOUT

@@ -93,35 +93,30 @@ CLAIM_OPEN_HELLY = "lemma:open-helly"
 EXPECTED_FAILURE_CLAIMS = frozenset({CLAIM_VIZING, CLAIM_ACYCLIC})
 
 
-def _checker(
-    claim: str, name: Optional[Callable[..., str]] = None, *, one_deadline: bool = False
-):
+def _checker(claim: str, name: Optional[Callable[..., str]] = None):
     """Decorator: the public checker of ``claim`` whose mathematics is the
-    decorated body, ``body(*args, timeout_ms)``, which returns the verdict
+    decorated body, ``body(*args, deadline)``, which returns the verdict
     fields (as ``_verdict`` gives them).  ``check(*args, instance=None,
-    timeout_ms=DEFAULT_TIMEOUT_MS)`` names the record ``instance``, else
-    ``name(*args)`` (the digraph's descriptor by default), passes the
-    deadline to the body, times the record, and turns a solve past its
-    deadline into a ``timeout`` record.  The suite passes both keywords.
-    With ``one_deadline`` the body takes ``deadline`` instead: one
-    ``Deadline`` of ``timeout_ms`` for the whole check, started before the
-    record is named, since on a large digraph the name alone can take as
-    long as a search."""
+    timeout_ms=DEFAULT_TIMEOUT_MS)`` starts one ``Deadline`` of
+    ``timeout_ms`` for the whole check, names the record ``instance``, else
+    ``name(*args)`` (the digraph's descriptor by default), hands the body
+    the deadline, which bounds every solve and search of the check
+    together, times the record, and turns a search past it into a
+    ``timeout`` record.  The suite passes both keywords.  The deadline
+    starts before the record is named, since on a large digraph the name
+    alone can take as long as a search."""
 
     def decorate(body):
         def check(
             *args, instance: Optional[str] = None, timeout_ms: Optional[float] = DEFAULT_TIMEOUT_MS
         ) -> VerificationRecord:
-            if one_deadline:
-                bound = {"deadline": Deadline(timeout_ms)}
-            else:
-                bound = {"timeout_ms": timeout_ms}
+            deadline = Deadline(timeout_ms)
             # the suite names its records, which spares it the default name;
             # the descriptor is looked up per call, where a tracer may wrap it
             inst = instance or (name or digraph_descriptor)(*args)
             start = perf_counter()
             try:
-                record = VerificationRecord(claim, inst, **body(*args, **bound))
+                record = VerificationRecord(claim, inst, **body(*args, deadline=deadline))
             except SolveTimeout:
                 record = VerificationRecord(claim, inst, None, None, None, TIMEOUT)
             record.elapsed_ms = (perf_counter() - start) * 1000.0
@@ -146,13 +141,13 @@ def _verdict(
     )
 
 
-def _gammas(g: Digraph, h: Digraph, timeout_ms) -> tuple[int, int, int, int]:
+def _gammas(g: Digraph, h: Digraph, deadline) -> tuple[int, int, int, int]:
     """gamma(G), gamma(H), gamma(G [] H) and a minimum dominating set of
     G [] H, each solved exactly."""
-    gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
-    gamma_h, _ = domination_number(h, timeout_ms=timeout_ms)
+    gamma_g, _ = domination_number(g, deadline=deadline)
+    gamma_h, _ = domination_number(h, deadline=deadline)
     prod, _ = cartesian_product(g, h)
-    lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
+    lhs, dom = domination_number(prod, deadline=deadline)
     return gamma_g, gamma_h, lhs, dom
 
 
@@ -165,14 +160,14 @@ def _pair_instance(spec_g: Digraph, spec_h: Digraph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _solve_packing_vs_domination(d: Digraph, closed: bool, timeout_ms) -> tuple:
+def _solve_packing_vs_domination(d: Digraph, closed: bool, deadline) -> tuple:
     """(gamma, dominating set, rho, packing) of d, open and total unless
     ``closed``.  The domination side is solved first, by a solver looked up
     when the check runs; the total one may be (None, None) (no such set).
     The packing side comes from ``solvers.packing_against``."""
     dom_solver = domination_number if closed else total_domination_number
-    gamma, dom = dom_solver(d, timeout_ms=timeout_ms) or (None, None)
-    rho, pack = packing_against(d, gamma, closed=closed, timeout_ms=timeout_ms)
+    gamma, dom = dom_solver(d, deadline=deadline) or (None, None)
+    rho, pack = packing_against(d, gamma, closed=closed, deadline=deadline)
     return gamma, dom, rho, pack
 
 
@@ -186,38 +181,38 @@ def _packing_witnesses(pack: int, dom: Optional[int], keys=("packing", "dominati
 
 
 def _packing_vs_domination(
-    d: Digraph, hyp: bool, timeout_ms, closed: bool = True, keys=("packing", "dominating_set")
+    d: Digraph, hyp: bool, deadline, closed: bool = True, keys=("packing", "dominating_set")
 ) -> dict:
     """The packing number (open packing number unless ``closed``) against
     the domination (total domination) number of d, witnessed under ``keys``,
     as ``_solve_packing_vs_domination`` solves them."""
-    gamma, dom, rho, pack = _solve_packing_vs_domination(d, closed, timeout_ms)
+    gamma, dom, rho, pack = _solve_packing_vs_domination(d, closed, deadline)
     return _verdict(hyp, rho, gamma, rho == gamma, _packing_witnesses(pack, dom, keys))
 
 
 @_checker(CLAIM_MEIR_MOON, name=lambda d: f"tree:n={d.n},edges={underlying_graph(d).edges()}")
-def check_meir_moon(d: Digraph, *, timeout_ms) -> dict:
+def check_meir_moon(d: Digraph, *, deadline) -> dict:
     """2-packing number equals domination number on trees: the ditree
     theorem on the bidirected digraph of d's underlying graph."""
     tree = underlying_graph(d)
     return _packing_vs_domination(
-        tree, is_tree(tree), timeout_ms, keys=("two_packing", "dominating_set")
+        tree, is_tree(tree), deadline, keys=("two_packing", "dominating_set")
     )
 
 
 @_checker(CLAIM_DITREE_PACKING)
-def check_packing_equals_domination(d: Digraph, *, timeout_ms) -> dict:
+def check_packing_equals_domination(d: Digraph, *, deadline) -> dict:
     """Packing number equals domination number on ditrees."""
-    return _packing_vs_domination(d, is_ditree(d), timeout_ms)
+    return _packing_vs_domination(d, is_ditree(d), deadline)
 
 
 @_checker(CLAIM_DITREE_OPEN_PACKING)
-def check_open_packing_equals_total_domination(d: Digraph, *, timeout_ms) -> dict:
+def check_open_packing_equals_total_domination(d: Digraph, *, deadline) -> dict:
     """Open packing number equals total domination number on ditrees with
     minimum in-degree at least 1."""
     hyp = is_ditree(d) and d.n > 0 and d.min_in_degree >= 1
     return _packing_vs_domination(
-        d, hyp, timeout_ms, closed=False, keys=("open_packing", "total_dominating_set")
+        d, hyp, deadline, closed=False, keys=("open_packing", "total_dominating_set")
     )
 
 
@@ -227,7 +222,7 @@ def check_open_packing_equals_total_domination(d: Digraph, *, timeout_ms) -> dic
 
 
 @_checker(CLAIM_DIRECT_TOTAL, name=_pair_instance)
-def check_total_domination_direct_product(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
+def check_total_domination_direct_product(g: Digraph, h: Digraph, *, deadline) -> dict:
     """gamma_t(G x H) = gamma_t(G) gamma_t(H) when the first factor's open
     packing number equals its total domination number (both factors need
     minimum in-degree 1).  The product is solved exactly, and the
@@ -236,10 +231,10 @@ def check_total_domination_direct_product(g: Digraph, h: Digraph, *, timeout_ms)
     is verified against the solved value."""
     if not (g.n > 0 and h.n > 0 and g.min_in_degree >= 1 and h.min_in_degree >= 1):
         return _verdict(False, None, None, extras={"reason": "a factor has a source vertex"})
-    gt_g, _ = total_domination_number(g, timeout_ms=timeout_ms)
-    gt_h, _ = total_domination_number(h, timeout_ms=timeout_ms)
-    ro_g, _ = packing_against(g, gt_g, closed=False, timeout_ms=timeout_ms)
-    ro_h, _ = packing_against(h, gt_h, closed=False, timeout_ms=timeout_ms)
+    gt_g, _ = total_domination_number(g, deadline=deadline)
+    gt_h, _ = total_domination_number(h, deadline=deadline)
+    ro_g, _ = packing_against(g, gt_g, closed=False, deadline=deadline)
+    ro_h, _ = packing_against(h, gt_h, closed=False, deadline=deadline)
     hyp = ro_g == gt_g
     rhs = gt_g * gt_h
     sandwich_low = max(ro_g * gt_h, ro_h * gt_g)
@@ -250,7 +245,7 @@ def check_total_domination_direct_product(g: Digraph, h: Digraph, *, timeout_ms)
         "rho_open_G": ro_g,
         "rho_open_H": ro_h,
     }
-    lhs, dom = total_domination_number(prod, timeout_ms=timeout_ms)
+    lhs, dom = total_domination_number(prod, deadline=deadline)
     fields = _verdict(
         hyp, lhs, rhs, lhs == rhs,
         {"product_total_dominating_set": bitset.to_list(dom)}, extras=extras,
@@ -266,12 +261,12 @@ def check_total_domination_direct_product(g: Digraph, h: Digraph, *, timeout_ms)
 # ---------------------------------------------------------------------------
 
 
-def _cartesian_bound(g: Digraph, h: Digraph, timeout_ms, bound) -> dict:
+def _cartesian_bound(g: Digraph, h: Digraph, deadline, bound) -> dict:
     """gamma(G [] H) >= rhs, with gamma(G), gamma(H) and gamma(G [] H)
     solved exactly; ``bound(gamma_G, gamma_H, lhs)`` gives ``(rhs, extras)``
     and its extras join the factor values.  A ``fails`` verdict carries the
     product dominating set as its counterwitness."""
-    gamma_g, gamma_h, lhs, dom = _gammas(g, h, timeout_ms)
+    gamma_g, gamma_h, lhs, dom = _gammas(g, h, deadline)
     rhs, extras = bound(gamma_g, gamma_h, lhs)
     extras.update({"gamma_G": gamma_g, "gamma_H": gamma_h})
     witnesses = {"product_dominating_set": bitset.to_list(dom)} if lhs < rhs else {}
@@ -279,29 +274,29 @@ def _cartesian_bound(g: Digraph, h: Digraph, timeout_ms, bound) -> dict:
 
 
 @_checker(CLAIM_PACKING_LOWER, name=_pair_instance)
-def check_packing_lower_bound(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
+def check_packing_lower_bound(g: Digraph, h: Digraph, *, deadline) -> dict:
     """gamma(G [] H) >= max(gamma(G) rho(H), gamma(H) rho(G))."""
 
     def bound(gamma_g, gamma_h, lhs):
-        rho_g, _ = packing_against(g, gamma_g, timeout_ms=timeout_ms)
-        rho_h, _ = packing_against(h, gamma_h, timeout_ms=timeout_ms)
+        rho_g, _ = packing_against(g, gamma_g, deadline=deadline)
+        rho_h, _ = packing_against(h, gamma_h, deadline=deadline)
         return max(gamma_g * rho_h, gamma_h * rho_g), {"rho_G": rho_g, "rho_H": rho_h}
 
-    return _cartesian_bound(g, h, timeout_ms, bound)
+    return _cartesian_bound(g, h, deadline, bound)
 
 
 @_checker(CLAIM_VIZING, name=_pair_instance)
-def check_vizing_inequality(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
+def check_vizing_inequality(g: Digraph, h: Digraph, *, deadline) -> dict:
     """gamma(G [] H) >= gamma(G) gamma(H): true for ditree factors, false in
     general; failures are first-class findings with a small dominating set
     attached as the counterwitness."""
     return _cartesian_bound(
-        g, h, timeout_ms, lambda gamma_g, gamma_h, lhs: (gamma_g * gamma_h, {})
+        g, h, deadline, lambda gamma_g, gamma_h, lhs: (gamma_g * gamma_h, {})
     )
 
 
 @_checker(CLAIM_HALF_VIZING, name=_pair_instance)
-def check_half_vizing_bound(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
+def check_half_vizing_bound(g: Digraph, h: Digraph, *, deadline) -> dict:
     """gamma(G [] H) >= (gamma(G) gamma(H) + max(gamma(G), gamma(H))) / 2.
 
     Unconditional; ``extras['slack_x2']`` records twice the slack so
@@ -312,7 +307,7 @@ def check_half_vizing_bound(g: Digraph, h: Digraph, *, timeout_ms) -> dict:
         # gamma of the product is an integer, so ceil the half-sum
         return -(-twice // 2), {"slack_x2": 2 * lhs - twice}
 
-    return _cartesian_bound(g, h, timeout_ms, bound)
+    return _cartesian_bound(g, h, deadline, bound)
 
 
 def gm_square_dominating_set(m: int) -> tuple[Digraph, int]:
@@ -349,7 +344,7 @@ def gm_square_fractional_packing(m: int) -> tuple[list[int], int]:
 
 
 @_checker(CLAIM_GM_FAILURE, name=lambda m: f"Gm:{m}|Gm:{m}")
-def check_Gm_vizing_failure(m: int, *, timeout_ms) -> dict:
+def check_Gm_vizing_failure(m: int, *, deadline) -> dict:
     """The explicit dominating set of G_m [] G_m has size m^2 + 2m, strictly
     below gamma(G_m)^2 = (m+1)^2.  The exact product value is certified by a
     fractional packing of value m^2 + 2m for m >= 3 and solved for m <= 2;
@@ -366,7 +361,7 @@ def check_Gm_vizing_failure(m: int, *, timeout_ms) -> dict:
         if not validate.is_fractional_packing(prod, num, den) or exact != m * m + 2 * m:
             raise AssertionError(f"fractional packing of Gm:{m}|Gm:{m} does not certify its gamma")
     else:
-        exact, _ = domination_number(prod, timeout_ms=timeout_ms)
+        exact, _ = domination_number(prod, deadline=deadline)
     ok = ok and exact <= size and exact < rhs
     extras = {"dominates": dominates, "gamma_product": exact}
     witnesses = {"product_dominating_set": bitset.to_list(witness)}
@@ -379,11 +374,11 @@ def check_Gm_vizing_failure(m: int, *, timeout_ms) -> dict:
 
 
 @_checker(CLAIM_C4_EQUALITY)
-def check_C4_equality(g: Digraph, *, timeout_ms) -> dict:
+def check_C4_equality(g: Digraph, *, deadline) -> dict:
     """Digraphs partitionable into two minimum dominating sets satisfy
     gamma(G [] C4^(0,2,0,2)) = 2 gamma(G); any two-dominating-set partition
     additionally certifies the upper bound gamma <= n(G)."""
-    part = partition_two_dominating_sets(g, timeout_ms=timeout_ms)
+    part = partition_two_dominating_sets(g, deadline=deadline)
     extras = {}
     witnesses = {}
     if part is not None:
@@ -408,7 +403,7 @@ def check_C4_equality(g: Digraph, *, timeout_ms) -> dict:
         extras["upper_bound_n"] = g.n
         witnesses["side_a"] = bitset.to_list(side_a)
         witnesses["side_b"] = bitset.to_list(side_b)
-    gamma_g, _ = domination_number(g, timeout_ms=timeout_ms)
+    gamma_g, _ = domination_number(g, deadline=deadline)
     # each side dominates, so has at least gamma vertices: n = 2 gamma
     # makes both sides minimum
     hyp = part is not None and g.n == 2 * gamma_g
@@ -418,7 +413,7 @@ def check_C4_equality(g: Digraph, *, timeout_ms) -> dict:
     if hyp:
         witnesses["minimum_side_a"] = bitset.to_list(side_a)
         witnesses["minimum_side_b"] = bitset.to_list(side_b)
-        lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
+        lhs, dom = domination_number(prod, deadline=deadline)
         witnesses["product_dominating_set"] = bitset.to_list(dom)
     return _verdict(hyp, lhs, rhs, lhs == rhs, witnesses, extras=extras)
 
@@ -432,12 +427,12 @@ def _strong_support_with_two_nonisolated(d: Digraph) -> Optional[int]:
 
 
 @_checker(CLAIM_STRONG_SUPPORT, name=_pair_instance)
-def check_strong_support_condition(t: Digraph, g: Digraph, *, timeout_ms) -> dict:
+def check_strong_support_condition(t: Digraph, g: Digraph, *, deadline) -> dict:
     """Necessary condition, checked contrapositively: when the product
     equality gamma(T [] G) = gamma(T) gamma(G) holds exactly, T must not
     contain a strong support vertex adjacent to two non-isolated leaves."""
     hyp = is_ditree(t) and underlying_connected(g) and g.n > 0
-    gamma_t_val, gamma_g, lhs, _ = _gammas(t, g, timeout_ms)
+    gamma_t_val, gamma_g, lhs, _ = _gammas(t, g, deadline)
     rhs = gamma_t_val * gamma_g
     bad_vertex = _strong_support_with_two_nonisolated(t)
     extras = {
@@ -459,12 +454,12 @@ def attach_isolated_leaf(d: Digraph, attach_at: int) -> Digraph:
 
 
 @_checker(CLAIM_ISOLATED_LEAF, name=lambda t, h, at: f"{_pair_instance(t, h)};attach={at}")
-def check_isolated_leaf_extension(t: Digraph, h: Digraph, attach_at: int, *, timeout_ms) -> dict:
+def check_isolated_leaf_extension(t: Digraph, h: Digraph, attach_at: int, *, deadline) -> dict:
     """Attaching a new isolated leaf that raises gamma by one preserves the
     product equality gamma(T [] H) = gamma(T) gamma(H)."""
     t_ext = attach_isolated_leaf(t, attach_at)
-    gamma_t_val, gamma_h, base, _ = _gammas(t, h, timeout_ms)
-    gamma_ext, _ = domination_number(t_ext, timeout_ms=timeout_ms)
+    gamma_t_val, gamma_h, base, _ = _gammas(t, h, deadline)
+    gamma_ext, _ = domination_number(t_ext, deadline=deadline)
     base_equality = base == gamma_t_val * gamma_h
     extras = {
         "gamma_T": gamma_t_val,
@@ -474,7 +469,7 @@ def check_isolated_leaf_extension(t: Digraph, h: Digraph, attach_at: int, *, tim
     }
     hyp = is_ditree(t) and gamma_ext == gamma_t_val + 1 and base_equality
     prod, _ = cartesian_product(t_ext, h)
-    lhs, dom = domination_number(prod, timeout_ms=timeout_ms)
+    lhs, dom = domination_number(prod, deadline=deadline)
     rhs = gamma_ext * gamma_h
     fails = hyp and lhs != rhs
     witnesses = {"product_dominating_set": bitset.to_list(dom)} if fails else {}
@@ -482,7 +477,7 @@ def check_isolated_leaf_extension(t: Digraph, h: Digraph, attach_at: int, *, tim
 
 
 @_checker(CLAIM_MAX_PACKING, name=_pair_instance)
-def check_max_packing_dominates(t1: Digraph, t2: Digraph, *, timeout_ms) -> dict:
+def check_max_packing_dominates(t1: Digraph, t2: Digraph, *, deadline) -> dict:
     """For ditree pairs attaining the product equality, every maximum packing
     dominates its underlying tree, and all maximum packings of one factor
     contain all of its isolated leaves (a disjunction across the pair)."""
@@ -493,7 +488,7 @@ def check_max_packing_dominates(t1: Digraph, t2: Digraph, *, timeout_ms) -> dict
         reason = "both factors must be ditrees"
     if reason:
         return _verdict(False, None, None, extras={"reason": reason})
-    gamma_1, gamma_2, lhs, _ = _gammas(t1, t2, timeout_ms)
+    gamma_1, gamma_2, lhs, _ = _gammas(t1, t2, deadline)
     rhs = gamma_1 * gamma_2
     extras = {"gamma_T1": gamma_1, "gamma_T2": gamma_2}
     if lhs != rhs:
@@ -503,7 +498,7 @@ def check_max_packing_dominates(t1: Digraph, t2: Digraph, *, timeout_ms) -> dict
     witnesses, missing = {}, {}
     for i, t in ((1, t1), (2, t2)):
         iso = classify_leaves(t).isolated_leaves
-        packs = all_maximum_packings(t, timeout_ms=timeout_ms)
+        packs = all_maximum_packings(t, deadline=deadline)
         if not witnesses:
             un = underlying_graph(t)
             for p in packs:
@@ -556,14 +551,14 @@ def _helly(d: Digraph, closed: bool, hyp: bool, deadline: Deadline) -> dict:
     return _verdict(hypotheses_met, contained, len(cliques), failing is None, witnesses)
 
 
-@_checker(CLAIM_CLOSED_HELLY, one_deadline=True)
+@_checker(CLAIM_CLOSED_HELLY)
 def check_closed_helly_lemma(d: Digraph, *, deadline) -> dict:
     """Every maximal clique of the closed in-neighborhood graph sits inside
     some closed out-neighborhood (hypothesis: underlying girth >= 7)."""
     return _helly(d, True, True, deadline)
 
 
-@_checker(CLAIM_OPEN_HELLY, one_deadline=True)
+@_checker(CLAIM_OPEN_HELLY)
 def check_open_helly_lemma(d: Digraph, *, deadline) -> dict:
     """Open variant: maximal cliques of the open in-neighborhood graph sit
     inside open out-neighborhoods (hypotheses: girth >= 7 and min in-degree
@@ -591,10 +586,10 @@ def _check_acyclic_sizes(who: str, exhaustive: int, budget: int, max_n: int) -> 
 
 
 @_checker(CLAIM_ACYCLIC, name=lambda d, arcs, seed: arc_list_descriptor(d.n, arcs))
-def _check_dag(d: Digraph, arcs: list, seed: Optional[int], *, timeout_ms) -> dict:
+def _check_dag(d: Digraph, arcs: list, seed: Optional[int], *, deadline) -> dict:
     """rho against gamma on one DAG, whose ``arcs`` name it and join the
     witnesses."""
-    fields = _packing_vs_domination(d, True, timeout_ms)
+    fields = _packing_vs_domination(d, True, deadline)
     fields["witnesses"]["arcs"] = [list(a) for a in arcs]
     fields["seed"] = seed
     return fields
@@ -731,9 +726,8 @@ def run_suite(
 # Suite configuration: a plain-text key-value file.
 #
 #   seed 42                   # global RNG seed
-#   timeout_ms 60000          # per-solve deadline, product solves included,
-#                             # and one per Helly check as a whole; a check
-#                             # past it gives a timeout record
+#   timeout_ms 60000          # one deadline per record, for all its solves
+#                             # and searches; a record past it is a timeout
 #   out results.jsonl
 #   check <claim-id> <instance-source>
 #
@@ -924,11 +918,13 @@ def _dags_source(source: str, rng: random.Random):
 
 
 @_checker(CLAIM_ACYCLIC)
-def _fold_acyclic(exhaustive: int, budget: int, max_n: int, seed: int, *, timeout_ms) -> dict:
+def _fold_acyclic(exhaustive: int, budget: int, max_n: int, seed: int, *, deadline) -> dict:
     """The acyclic search folded into one summary record carrying the first
-    failure's witnesses; with no failure, any DAG past its deadline makes it
-    a ``timeout`` record, since the equality was not checked there.  A search
-    of no DAG checked nothing, so its record is ``hypothesis_not_met``.
+    failure's witnesses; with no failure, any DAG whose solve passes the
+    record's one deadline makes it a ``timeout`` record, since the equality
+    was not checked there.  A DAG reached after the deadline still counts
+    if its root certifies it.  A search of no DAG checked nothing, so its
+    record is ``hypothesis_not_met``.
     Each DAG is solved once and builds no record; the first whose rho
     differs from gamma gives the witnesses, as its ``_check_dag`` record
     would carry them.  The ``dags:`` source has checked the sizes."""
@@ -937,7 +933,7 @@ def _fold_acyclic(exhaustive: int, budget: int, max_n: int, seed: int, *, timeou
     for d, _ in _acyclic_instances(max_n, budget, seed, exhaustive):
         total += 1
         try:
-            gamma, dom, rho, pack = _solve_packing_vs_domination(d, True, timeout_ms)
+            gamma, dom, rho, pack = _solve_packing_vs_domination(d, True, deadline)
         except SolveTimeout:
             continue
         if rho == gamma:

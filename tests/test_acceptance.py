@@ -16,6 +16,7 @@ from didom.auxgraph import (
     open_in_neighborhood_graph,
 )
 from didom.core import build_digraph, underlying_graph
+from didom.errors import Deadline
 from didom.families import (
     all_digraphs,
     enumerate_ditrees,
@@ -93,7 +94,7 @@ def test_criterion_03_gm_square():
     for m in (1, 2, 3, 4, 5):
         with Criterion(f"3b(m={m})", "exact product value below gamma^2", 60.0):
             prod, _ = verify.gm_square_dominating_set(m)
-            exact = domination_number(prod, timeout_ms=60_000)[0]
+            exact = domination_number(prod, deadline=Deadline(60_000))[0]
             assert exact < (m + 1) ** 2
             # the suite certifies m >= 3 without a solve: the two must agree
             assert verify.check_Gm_vizing_failure(m).extras["gamma_product"] == exact
@@ -148,7 +149,7 @@ def test_criterion_07_half_bound_sharpness(directed_triangle):
         assert rec.extras["slack_x2"] == 0
     with Criterion("7b", "strongly connected family pins slack zero at 27", 180.0):
         h9 = gen_H_m(3)
-        gamma_h9, dom = domination_number(h9, timeout_ms=120_000)
+        gamma_h9, dom = domination_number(h9, deadline=Deadline(120_000))
         assert gamma_h9 == 18
         assert validate.is_dominating_set(h9, dom) and dom.bit_count() == 18
         g1 = gen_G_m(1)

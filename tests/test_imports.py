@@ -7,7 +7,11 @@ level must be read somewhere in ``src/didom`` outside its own definition.
 No module under ``src/didom`` has a ``global`` statement, and only
 ``errors.py``, where ``Deadline`` turns a timeout into a clock time, imports
 ``monotonic``.  No function under ``src/didom`` calls itself.  Only three
-solvers call the kernel entry points of ``didom.kernels``."""
+solvers call the kernel entry points of ``didom.kernels``.  A timeout in
+milliseconds is read only at the edges, the public checkers,
+``compute_invariants`` and ``search_acyclic_problem``: no other function
+under ``src/didom`` takes a ``timeout_ms`` or builds a bounded
+``Deadline``, and everything below them takes the ``Deadline`` itself."""
 
 import ast
 from pathlib import Path
@@ -196,6 +200,68 @@ def test_only_the_invariant_solvers_call_the_kernels():
         "solvers.domination_number: min_set_cover",
         "solvers.packing_against: max_independent_set",
         "solvers.total_domination_number: min_set_cover",
+    ]
+
+
+def timeout_edges(module: str, source: str) -> list[str]:
+    """The functions in ``source`` that take a ``timeout_ms`` parameter or
+    build a ``Deadline`` from arguments (a bounded one), each as
+    ``module.<function path>: timeout_ms`` or ``: Deadline(...)``."""
+    found = []
+
+    def visit(node, path: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{path}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    a = child.args
+                    params = a.posonlyargs + a.args + a.kwonlyargs
+                    if any(arg.arg == "timeout_ms" for arg in params):
+                        found.append(f"{inner}: timeout_ms")
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "Deadline" and (child.args or child.keywords):
+                    found.append(f"{path}: Deadline(...)")
+            visit(child, path)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_detects_timeout_edges():
+    source = (
+        "from didom import errors\nfrom didom.errors import Deadline\n"
+        "def solve(d, *, timeout_ms=None):\n    return d\n"
+        "def unbounded(d, deadline=None):\n"
+        "    return Deadline() if deadline is None else deadline\n"
+        "class C:\n    def m(self, timeout_ms, /):\n"
+        "        def inner():\n            return errors.Deadline(timeout_ms=5)\n"
+        "        return Deadline(timeout_ms)\n"
+    )
+    assert timeout_edges("mod", source) == [
+        "mod.solve: timeout_ms",
+        "mod.C.m: timeout_ms",
+        "mod.C.m.inner: Deadline(...)",
+        "mod.C.m: Deadline(...)",
+    ]
+
+
+def test_only_the_edges_read_timeouts():
+    found = [
+        edge
+        for path in PACKAGE_MODULES
+        for edge in timeout_edges(path.stem, path.read_text())
+    ]
+    assert sorted(found) == [
+        "errors.Deadline.__init__: timeout_ms",
+        "solvers.compute_invariants.entry: Deadline(...)",
+        "solvers.compute_invariants: timeout_ms",
+        "verify._checker.decorate.check: Deadline(...)",
+        "verify._checker.decorate.check: timeout_ms",
+        "verify.search_acyclic_problem: timeout_ms",
     ]
 
 

@@ -203,7 +203,7 @@ class TestPureSetCover:
         script = """
             import sys
             from didom.core import build_digraph
-            from didom.errors import SolveTimeout
+            from didom.errors import Deadline, SolveTimeout
             from didom.solvers import domination_number
             cycle = [(v, (v + 1) % 4) for v in range(4)]
             arcs = [(4 * c + a, 4 * c + b) for c in range(200) for u, v in cycle
@@ -211,7 +211,7 @@ class TestPureSetCover:
             d = build_digraph(800, arcs)
             sys.setrecursionlimit(150)
             try:
-                domination_number(d, timeout_ms=500)
+                domination_number(d, deadline=Deadline(500))
             except SolveTimeout:
                 print("timeout")
         """
@@ -315,6 +315,7 @@ class TestSearchTreePinned:
             )
             for backend in ("pure", "compiled")
         ],
+        indirect=["backend"],
     )
     def test_cartesian_domination_tree(self, request, backend, left, right, nodes, witness):
         result, count = _solve(
@@ -322,6 +323,13 @@ class TestSearchTreePinned:
         )
         assert result == (len(witness), bitset.from_iter(witness))
         assert count == nodes
+        # the solver takes the same tree, counted on the caller's deadline
+        prod, _ = products.cartesian_product(
+            families.build_family(left), families.build_family(right)
+        )
+        deadline = Deadline()
+        assert solvers.domination_number(prod, deadline=deadline) == result
+        assert deadline.nodes == nodes
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_branch_tie_goes_to_largest_live_set(self, request, backend):
@@ -336,7 +344,7 @@ class TestSearchTreePinned:
         assert result == (3, bitset.from_iter((0, 4, 5)))
         assert count == 3
 
-    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize("backend", ["pure", "compiled"], indirect=True)
     @pytest.mark.parametrize(
         "m, graph, nodes, witness", _PINNED_PACKINGS,
         ids=[f"Gm:{m}-{graph}-{nodes}" for m, graph, nodes, _ in _PINNED_PACKINGS],
@@ -348,6 +356,25 @@ class TestSearchTreePinned:
         result, count = _solve(request, backend, "max_independent_set", list(aux.adj), aux.n)
         assert result == (len(witness), bitset.from_iter(witness))
         assert count == nodes
+        # no root bound certifies the solver's greedy packing, so it takes
+        # the same tree, counted on the caller's deadline
+        solve = solvers.packing_number if graph == "closed" else solvers.open_packing_number
+        deadline = Deadline()
+        assert solve(prod, deadline=deadline) == result
+        assert deadline.nodes == nodes
+
+    def test_all_maximum_packings_counts_both_searches(self, backend, monkeypatch):
+        # one deadline counts the packing solve, the pinned 121 nodes, and
+        # the enumeration of the 6 maximum packings after it; a stand-in for
+        # the solve that takes no node leaves the enumeration's alone
+        gm = families.build_family("Gm:3")
+        prod, _ = products.cartesian_product(gm, gm)
+        both = Deadline()
+        packs = solvers.all_maximum_packings(prod, deadline=both)
+        monkeypatch.setattr(solvers, "packing_against", lambda d, gamma, deadline: (13, 0))
+        enumeration = Deadline()
+        assert solvers.all_maximum_packings(prod, deadline=enumeration) == packs
+        assert (len(packs), both.nodes, enumeration.nodes) == (6, 121 + 190_382, 190_382)
 
 
 class TestPureMis:
@@ -387,14 +414,14 @@ class TestPureMis:
         script = """
             import sys
             from didom.core import build_digraph
-            from didom.errors import SolveTimeout
+            from didom.errors import Deadline, SolveTimeout
             from didom.solvers import open_packing_number
             arcs = [(4 * i, 4 * i + k) for i in range(200) for k in (1, 2, 3)]
             arcs += [(800 + v, 800 + (v + s) % 5) for v in range(5) for s in (1, 4)]
             d = build_digraph(805, arcs)
             sys.setrecursionlimit(150)
             try:
-                open_packing_number(d, timeout_ms=500)
+                open_packing_number(d, deadline=Deadline(500))
             except SolveTimeout:
                 print("timeout")
         """
@@ -719,13 +746,13 @@ class TestTimeouts:
                 _bnb_py.max_independent_set(*self._mis_graph(), Deadline(5000))
             elif search == "partition":
                 d = families.build_family("corona:n=20")
-                solvers.partition_two_dominating_sets(d, timeout_ms=5000)
+                solvers.partition_two_dominating_sets(d, deadline=Deadline(5000))
             elif search == "packings":
                 # 16 disjoint bidirected edges: the packing number is
                 # certified at the root, after 0 nodes, and 2^16 maximum
                 # packings follow
                 edges = [a for i in range(0, 32, 2) for a in ((i, i + 1), (i + 1, i))]
-                solvers.all_maximum_packings(build_digraph(32, edges), timeout_ms=5000)
+                solvers.all_maximum_packings(build_digraph(32, edges), deadline=Deadline(5000))
             else:
                 # 8 disjoint edges have 2^8 maximal cliques
                 g = build_undirected(16, [(i, i + 1) for i in range(0, 16, 2)])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -478,10 +479,10 @@ class TestPartition:
         assert result is not None
 
     def test_stops_at_deadline(self):
-        from didom.errors import SolveTimeout
+        from didom.errors import Deadline, SolveTimeout
 
         with pytest.raises(SolveTimeout):
-            partition_two_dominating_sets(build_family("corona:n=500"), timeout_ms=0)
+            partition_two_dominating_sets(build_family("corona:n=500"), deadline=Deadline(0))
 
     def test_thousand_vertices_past_the_recursion_limit(self):
         # a search that recursed once per vertex hit Python's default
@@ -524,13 +525,13 @@ class TestAllMaximumPackings:
             assert all_maximum_packings(d) == brute
 
     def test_stops_at_deadline(self):
-        from didom.errors import SolveTimeout
+        from didom.errors import Deadline, SolveTimeout
 
         # 16 disjoint bidirected edges have 2^16 maximum packings
         d = build_digraph(32, [a for i in range(0, 32, 2) for a in ((i, i + 1), (i + 1, i))])
         start = perf_counter()
         with pytest.raises(SolveTimeout):
-            all_maximum_packings(d, timeout_ms=50)
+            all_maximum_packings(d, deadline=Deadline(50))
         assert perf_counter() - start < 1.0
 
     def test_search_deeper_than_recursion_limit(self):
@@ -569,6 +570,23 @@ class TestInvariantReport:
         prod, _ = cartesian_product(gm, gm)
         rep = compute_invariants(prod, timeout_ms=0, include_timings=False)
         assert rep["gamma"] == {"status": "timeout", "value": None, "witness": None}
+
+    @pytest.mark.parametrize("ticks, last", [(517, "ok"), (516, "timeout")])
+    def test_each_entry_has_its_own_deadline(self, monkeypatch, ticks, last):
+        # a clock that advances one tick per read, on the pure backend, which
+        # reads it at every search node: the four entries of Gm:3 [] Gm:3
+        # take 66, 15, 121 and 517 nodes, 719 in all, so 517 ticks answer
+        # every entry and 516 stop only the last one
+        from didom import errors
+
+        clock = itertools.count(0)
+        monkeypatch.setattr(errors, "monotonic", lambda: next(clock))
+        monkeypatch.setattr(kernels, "_compiled", None)
+        gm = gen_G_m(3)
+        prod, _ = cartesian_product(gm, gm)
+        rep = compute_invariants(prod, timeout_ms=ticks * 1000, include_timings=False)
+        statuses = [rep[key]["status"] for key in ("gamma", "gamma_t", "rho", "rho_open")]
+        assert statuses == ["ok", "ok", "ok", last]
 
     @pytest.mark.parametrize(
         "spec, exact_solves",

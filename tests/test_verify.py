@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import didom.verify as verify
-from didom import bitset, solvers, validate
+from didom import bitset, errors, kernels, solvers, validate
 from didom.core import build_digraph, build_undirected, underlying_graph
 from didom.errors import SolveTimeout
 from didom.families import (
@@ -421,9 +421,9 @@ class TestC4Equality:
         def counted(name):
             solve = getattr(verify, name)
 
-            def run(d, timeout_ms=None):
+            def run(d, deadline=None):
                 calls[name, d is g] += 1
-                return solve(d, timeout_ms=timeout_ms)
+                return solve(d, deadline=deadline)
 
             monkeypatch.setattr(verify, name, run)
 
@@ -586,6 +586,24 @@ class TestCheckerShape:
         given = checker(*args, instance="given", timeout_ms=0)
         assert (given.instance, given.verdict) == ("given", TIMEOUT)
 
+    @pytest.mark.parametrize(
+        "ticks, verdict, reads", [(120, TIMEOUT, 122), (146, TIMEOUT, 148), (147, HOLDS, 148)]
+    )
+    def test_one_deadline_bounds_every_solve(self, monkeypatch, ticks, verdict, reads):
+        # a clock that advances one tick per read, on the pure backend, which
+        # reads it at every search node: the record's five solves take 0, 3,
+        # 44, 0 and 100 nodes, so its one deadline, read once at the start,
+        # must allow 147 ticks, and a smaller one stops the record at the
+        # first node past it, whichever solve that node is in
+        clock = itertools.count(0)
+        monkeypatch.setattr(errors, "monotonic", lambda: next(clock))
+        monkeypatch.setattr(kernels, "_compiled", None)
+        rec = verify.check_isolated_leaf_extension(
+            gen_K1_star(), gen_G_m(3), 1, timeout_ms=ticks * 1000
+        )
+        assert rec.verdict == verdict
+        assert next(clock) == reads
+
 
 class TestFailsBranches:
     """The theorems hold, so the `fails` branches are reached by replacing
@@ -606,7 +624,7 @@ class TestFailsBranches:
         # ditree 2 -> 1 <-> 0: the packing {0} misses vertex 2, the
         # isolated leaf, and does not dominate the underlying path
         t = build_digraph(3, [(0, 1), (1, 0), (2, 1)])
-        monkeypatch.setattr(verify, "all_maximum_packings", lambda d, timeout_ms=None: [0b001])
+        monkeypatch.setattr(verify, "all_maximum_packings", lambda d, deadline=None: [0b001])
         rec = verify.check_max_packing_dominates(t, t)
         assert rec.verdict == FAILS and rec.hypotheses_met is True
         assert (rec.lhs, rec.rhs) == (4, 4)
@@ -623,7 +641,7 @@ class TestFailsBranches:
         t2 = build_digraph(3, [(0, 1), (1, 0), (2, 1)])
         monkeypatch.setattr(
             verify, "all_maximum_packings",
-            lambda d, timeout_ms=None: [0b101] if d is t1 else [0b001],
+            lambda d, deadline=None: [0b101] if d is t1 else [0b001],
         )
         rec = verify.check_max_packing_dominates(t1, t2)
         assert rec.verdict == FAILS and rec.hypotheses_met is True
@@ -649,8 +667,8 @@ class TestFailsBranches:
         c3 = gen_oriented_cycle(3)
         solve = verify.total_domination_number
 
-        def too_large(d, timeout_ms=None):
-            value, dom = solve(d, timeout_ms=timeout_ms)
+        def too_large(d, deadline=None):
+            value, dom = solve(d, deadline=deadline)
             return (value + 1, dom) if d.n == 9 else (value, dom)
 
         monkeypatch.setattr(verify, "total_domination_number", too_large)
@@ -668,10 +686,10 @@ class TestFailsBranches:
         # up in ``verify`` when they run
         fakes = {(verify, "domination_number"): 8, (verify, "total_domination_number"): 10}
         for (module, name), value in fakes.items():
-            monkeypatch.setattr(module, name, lambda d, timeout_ms=None, v=value: (v, 0))
+            monkeypatch.setattr(module, name, lambda d, deadline=None, v=value: (v, 0))
         monkeypatch.setattr(
             verify, "packing_against",
-            lambda d, gamma, closed=True, timeout_ms=None: (7 if closed else 9, 0),
+            lambda d, gamma, closed=True, deadline=None: (7 if closed else 9, 0),
         )
         p3 = gen_bidirected_path(3)
         records = [
@@ -695,7 +713,7 @@ class TestFailsBranches:
         solve = verify.domination_number
         monkeypatch.setattr(
             verify, "domination_number",
-            lambda d, timeout_ms=None: (3, 0b111) if d is g else solve(d, timeout_ms=timeout_ms),
+            lambda d, deadline=None: (3, 0b111) if d is g else solve(d, deadline=deadline),
         )
         rec = verify.check_C4_equality(g)
         assert rec.verdict == FAILS and rec.hypotheses_met is True
@@ -706,7 +724,7 @@ class TestFailsBranches:
 
     def test_c4_partition_witness_not_dominating(self, monkeypatch):
         monkeypatch.setattr(
-            verify, "partition_two_dominating_sets", lambda g, timeout_ms=None: (0, 0)
+            verify, "partition_two_dominating_sets", lambda g, deadline=None: (0, 0)
         )
         rec = verify.check_C4_equality(gen_bidirected_path(3))
         assert rec.verdict == FAILS and rec.hypotheses_met is False
@@ -1146,10 +1164,10 @@ check problem:acyclic-packing-domination dags:exhaustive=3,random=400,n=5
         monkeypatch.setattr(verify.families, "random_dag", lambda n, p, seed: next(dags))
         solve = verify.domination_number
 
-        def domination_number(d, timeout_ms=None):
+        def domination_number(d, deadline=None):
             if d is stuck:
                 raise SolveTimeout("search exceeded its deadline")
-            return solve(d, timeout_ms=timeout_ms)
+            return solve(d, deadline=deadline)
 
         monkeypatch.setattr(verify, "domination_number", domination_number)
         cfg = verify.parse_suite_config(
