@@ -5,10 +5,12 @@ Three solvers are the package's only route to the kernels:
 cover over out-neighborhoods, and ``packing_against`` is the one caller of
 the independent-set kernel.  Every packing-type number, the target of
 ``all_maximum_packings`` included, is solved by ``packing_against``: a greedy
-packing that meets an upper bound is returned as it is, and only otherwise
-is the packing a maximum independent set of the auxiliary in-neighborhood
-graph.  Every answer is ``(size, witness mask)``, and every kernel answer
-passes one check, ``_checked``, which re-validates the witness through
+packing that meets an upper bound (gamma, the sorted in-neighborhood sizes,
+or a clique cover of the auxiliary in-neighborhood graph read off the
+in-neighborhoods without building that graph) is returned as it is, and
+only otherwise is the packing a maximum independent set of that graph.
+Every answer is ``(size, witness mask)``, and every kernel answer passes
+one check, ``_checked``, which re-validates the witness through
 :mod:`didom.validate` and its size before any caller sees it (a certified
 greedy packing is validated before it is returned); `brute_force_invariant`
 provides a solver-independent oracle for small instances.  Every solver
@@ -27,7 +29,7 @@ from time import perf_counter
 from typing import Optional
 
 from didom import bitset, kernels, validate
-from didom._bnb_py import _greedy_cover, _ordered_packing
+from didom._bnb_py import _ordered_packing
 from didom.auxgraph import closed_in_neighborhood_graph, open_in_neighborhood_graph
 from didom.core import Digraph, UndirectedGraph
 from didom.errors import CliqueLimitExceeded, Deadline, SolveTimeout
@@ -89,6 +91,54 @@ def open_packing_number(d: Digraph, *, deadline: Optional[Deadline] = None) -> t
     return packing_against(d, None, closed=False, deadline=deadline)
 
 
+def _sorted_size_bound(sizes: list[int], union: int) -> int:
+    """An upper bound on the packing number from the hood sizes alone: the
+    largest t whose t smallest sizes sum to at most ``union``, the size of
+    the union of all hoods (n in the closed case).  A packing's hoods are
+    disjoint inside that union.  The empty hoods, only those of sources in
+    the open case, come first and always fit; every other size is at least
+    the least nonzero one, so this is never above ``free + union //
+    least``."""
+    t = 0
+    for size in sorted(sizes):
+        union -= size
+        if union < 0:
+            break
+        t += 1
+    return t
+
+
+def _hood_clique_cover(hoods: list[int], outs: list[int], most: int) -> int:
+    """The number of cliques in the greedy clique cover of the
+    in-neighborhood graph that the independent-set kernel's root computes:
+    the lowest vertex v left, then each vertex left, in index order, whose
+    hood meets the hoods of every member so far.  The graph is never built.
+    The vertices whose hood meets u's are the out-neighbors (``outs``) of
+    u's hood, so each new member narrows the candidates to those, reading
+    its hood's ``outs`` only until they hold every candidate.  The count
+    stops once it passes ``most``."""
+    left = (1 << len(hoods)) - 1
+    count = 0
+    while left and count <= most:
+        low = left & -left
+        cand = left ^ low
+        clique = low
+        while cand:
+            rem = hoods[low.bit_length() - 1]
+            row = 0
+            while rem and row != cand:
+                bit = rem & -rem
+                rem ^= bit
+                row |= outs[bit.bit_length() - 1] & cand
+            cand = row
+            low = cand & -cand
+            cand ^= low
+            clique |= low
+        left &= ~clique
+        count += 1
+    return count
+
+
 def packing_against(
     d: Digraph, gamma: Optional[int], *, closed: bool = True, deadline: Optional[Deadline] = None
 ) -> tuple[int, int]:
@@ -96,23 +146,23 @@ def packing_against(
     solved domination (total domination) number, or None when that is
     undefined or unsolved; every packing solve runs here.
 
-    The greedy packing is the cover kernel's root packing,
-    ``_bnb_py._ordered_packing``, of the closed (open) in-neighborhoods.  It
-    is maximum when it meets an upper bound on the packing number, tried
-    cheapest first:
+    The packing number is alpha of the in-neighborhood graph, in which two
+    vertices are adjacent when their closed (open) in-neighborhoods, their
+    hoods, meet.  The greedy packing is the cover kernel's root packing,
+    ``_bnb_py._ordered_packing``, of the hoods.  It is maximum when it meets
+    an upper bound on the packing number, tried cheapest first:
 
     - gamma itself.  Weak duality: a dominating set meets every closed
       in-neighborhood and a packing's are disjoint, so rho <= gamma (and
       rho_o <= gamma_t, read openly).  A valid greedy packing above gamma
       raises AssertionError.
-    - Counting: the ``free`` vertices with empty in-neighborhoods, which
-      join every maximal packing, plus n // the least nonempty
-      in-neighborhood, since the others are disjoint.  Only the open case
-      has free vertices (the sources): every closed in-neighborhood holds
-      its own vertex.
-    - Only without gamma, ``free`` plus a greedy cover of the other
-      vertices by closed (open) out-neighborhoods: gamma >= rho again, each
-      packed vertex needing its own cover set.
+    - Sorted sizes (``_sorted_size_bound``): a packing's hoods are disjoint
+      inside the union of all hoods, so no more of them fit there than of
+      the smallest hoods.
+    - The greedy clique cover of the in-neighborhood graph
+      (``_hood_clique_cover``), read off the hoods and the out-neighborhoods
+      without building the graph: each clique holds at most one packed
+      vertex.
 
     A greedy packing that meets a bound and validates is returned without
     building an auxiliary graph.  Otherwise the independent-set kernel
@@ -123,19 +173,13 @@ def packing_against(
     pack = _ordered_packing(hoods, sizes, n)
     k = pack.bit_count()
     valid = validate.is_packing if closed else validate.is_open_packing
-    if gamma is not None and k >= gamma:
-        certified = True
-    else:
-        if closed:  # no closed in-neighborhood is empty
-            free, least = 0, min(sizes, default=0)
-        else:
-            free, least = sizes.count(0), min(filter(None, sizes), default=0)
-        certified = k >= free + (n // least if least else 0)
-        if not certified and gamma is None:
-            outs = [m | 1 << w for w, m in enumerate(d.out_adj)] if closed else d.out_adj
-            # what they cover: every vertex but the free ones
-            chosen, _ = _greedy_cover(outs, reduce(or_, outs, 0))
-            certified = k >= free + chosen.bit_count()
+    certified = (
+        gamma is not None and k >= gamma
+        or k >= _sorted_size_bound(sizes, n if closed else reduce(or_, hoods, 0).bit_count())
+        or k >= _hood_clique_cover(
+            hoods, [m | 1 << w for w, m in enumerate(d.out_adj)] if closed else d.out_adj, k
+        )
+    )
     if certified and valid(d, pack):
         rho = k
     else:

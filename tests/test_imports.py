@@ -7,7 +7,9 @@ level must be read somewhere in ``src/didom`` outside its own definition.
 No module under ``src/didom`` has a ``global`` statement, and only
 ``errors.py``, where ``Deadline`` turns a timeout into a clock time, imports
 ``monotonic``.  No function under ``src/didom`` calls itself.  Only three
-solvers call the kernel entry points of ``didom.kernels``.  A timeout in
+solvers call the kernel entry points of ``didom.kernels``, and only
+``_bnb_py`` calls ``_greedy_cover``, the cover kernel's root greedy, so no
+solver recomputes it beside the kernel.  A timeout in
 milliseconds is read only at the edges, the public checkers,
 ``compute_invariants`` and ``search_acyclic_problem``: no other function
 under ``src/didom`` takes a ``timeout_ms`` or builds a bounded
@@ -201,6 +203,40 @@ def test_only_the_invariant_solvers_call_the_kernels():
         "solvers.packing_against: max_independent_set",
         "solvers.total_domination_number: min_set_cover",
     ]
+
+
+def greedy_cover_uses(source: str) -> list[str]:
+    """The calls of ``_greedy_cover`` in ``source``, by name or as an
+    attribute, and the imports of it, each with its line, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "_greedy_cover" for alias in node.names):
+                found.append((node.lineno, "import"))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "_greedy_cover":
+                found.append((node.lineno, "call"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_detects_greedy_cover_uses():
+    source = (
+        "from didom._bnb_py import _greedy_cover as g, _ordered_packing\n"
+        "from didom import _bnb_py\n"
+        "def solve(masks):\n    def inner():\n        return _bnb_py._greedy_cover(masks, 1)\n"
+        "    return _greedy_cover(masks, 0), _ordered_packing(masks, [], 0), inner\n"
+    )
+    assert greedy_cover_uses(source) == ["import (line 1)", "call (line 5)", "call (line 6)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_the_cover_kernel_runs_the_greedy_cover(path):
+    found = greedy_cover_uses(path.read_text())
+    if path.name == "_bnb_py.py":  # min_set_cover's root
+        assert found
+    else:
+        assert found == []
 
 
 def timeout_edges(module: str, source: str) -> list[str]:

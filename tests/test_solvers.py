@@ -203,16 +203,18 @@ def _misreport(solve, delta):
 
 _P4 = build_undirected(4, [(0, 1), (1, 2), (2, 3)])
 _CYCLE5 = gen_oriented_cycle(5)
-# packing solves that every root bound leaves to the kernel:
-# a directed triangle plus an isolated vertex, rho = 2 (counting bound 4,
-# greedy cover 3);
-_TRIANGLE_K1 = build_digraph(4, [(0, 1), (1, 3), (3, 0)])
-# rho_o = 2 (counting bound 4, greedy cover 3);
-_OPEN_SHORT = build_digraph(4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 3)])
-# C4 plus an isolated vertex, two-packing number 2 (5 and 3);
-_C4_K1 = build_undirected(5, [(0, 3), (3, 2), (2, 4), (4, 0)])
-# C6, whose open packing number is 2 (3 and 4)
-_C6 = build_undirected(6, [(v, (v + 1) % 6) for v in range(6)])
+# packing solves that every root bound leaves to the kernel, since each
+# greedy packing (k vertices) is below the packing number, which no valid
+# upper bound undercuts:
+# a 2-cycle 0 <-> 1 with the arcs 0 -> 3 and 1 -> 2, k = 1 < rho = 2;
+_RHO_SHORT = build_digraph(4, [(0, 1), (0, 3), (1, 0), (1, 2)])
+# k = 2 < rho_o = 3;
+_OPEN_SHORT = build_digraph(4, [(0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (3, 1)])
+# the 5-cycle 0..4 plus a vertex 5 joined to 0 and 1, k = 1 below its
+# two-packing number 2;
+_C5_TRIANGLE = build_undirected(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (3, 4)])
+# k = 1 below its open packing number 2
+_OPEN_SHORT_GRAPH = build_undirected(5, [(0, 1), (0, 3), (0, 4), (1, 3), (2, 3), (2, 4)])
 
 
 class TestSizeMisreport:
@@ -236,22 +238,28 @@ class TestSizeMisreport:
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda: packing_number(_TRIANGLE_K1),
+            lambda: packing_number(_RHO_SHORT),
             lambda: open_packing_number(_OPEN_SHORT),
-            lambda: two_packing_number(_C4_K1),
-            lambda: undirected_open_packing_number(_C6),
-            lambda: all_maximum_packings(_TRIANGLE_K1),
+            lambda: two_packing_number(_C5_TRIANGLE),
+            lambda: undirected_open_packing_number(_OPEN_SHORT_GRAPH),
+            lambda: all_maximum_packings(_RHO_SHORT),
         ],
         ids=[
             "rho", "rho_open", "two-packing", "undirected-open-packing", "all-maximum-packings",
         ],
     )
     def test_packing_size_one_over(self, monkeypatch, solve):
-        monkeypatch.setattr(
-            kernels, "max_independent_set", _misreport(kernels.max_independent_set, 1)
-        )
+        calls = []
+        over = _misreport(kernels.max_independent_set, 1)
+
+        def counted(*args):
+            calls.append(args)
+            return over(*args)
+
+        monkeypatch.setattr(kernels, "max_independent_set", counted)
         with pytest.raises(AssertionError):
             solve()
+        assert calls  # the misreport reached the solver, not a root bound
 
 
 class TestBruteForceOracle:
@@ -295,8 +303,9 @@ class TestBruteForceOracle:
 
 class TestPackingRoot:
     """Every packing solve first compares its greedy packing with gamma,
-    when given, with the counting bound and, without gamma, with a greedy
-    cover; a packing that meets one is returned with no auxiliary graph."""
+    when given, with the sorted-size bound and with the greedy clique cover
+    of the in-neighbourhood graph; a packing that meets one is returned with
+    no auxiliary graph."""
 
     _KINDS = (("rho", packing_number, validate.is_packing),
               ("rho_open", open_packing_number, validate.is_open_packing))
@@ -312,22 +321,34 @@ class TestPackingRoot:
                         assert valid(g, witness) and witness.bit_count() == value
 
     @pytest.mark.parametrize(
-        "d, closed, counting_only",
+        "d, closed, sizes_only",
         [
-            # rho(cycle:5) = 2 = 5 // 2, so no greedy cover is taken
-            pytest.param(gen_oriented_cycle(5), True, True, id="counting-bound"),
-            # rho(K1star) = 4, below the counting bound 7 and equal to the
-            # size of a greedy cover by closed out-neighbourhoods
-            pytest.param(build_family("K1star"), True, False, id="greedy-cover"),
+            # rho(cycle:5) = 2: two closed in-neighbourhoods of size 2 fit
+            # in 5 vertices, three do not
+            pytest.param(gen_oriented_cycle(5), True, True, id="sorted-size"),
             # the out-star 0 -> 1, 2, 3: the source joins every maximal open
-            # packing, and one open out-neighbourhood covers the rest, so
-            # rho_o = 1 + 1, while the counting bound is 1 + 4
+            # packing, and the other open in-neighbourhoods, {0} each, fill
+            # their union {0} once, so rho_o = 1 + 1 (the old counting bound
+            # was 1 + 4)
             pytest.param(
-                build_digraph(4, [(0, 1), (0, 2), (0, 3)]), False, False, id="open-with-source"
+                build_digraph(4, [(0, 1), (0, 2), (0, 3)]), False, True, id="open-with-source"
             ),
+            # the out-star 0 -> 1, 2: every closed in-neighbourhood holds 0,
+            # so one clique covers the graph and rho = 1, while the sizes
+            # 1, 2, 2 give 2
+            pytest.param(build_digraph(3, [(0, 1), (0, 2)]), True, False, id="clique-cover"),
+            # the out-star 0 -> 1, 2, 3 plus 1 -> 2: the source is a clique of
+            # its own and the rest share 0, so rho_o = 2, while the sizes
+            # 0, 1, 1, 2 in a union of 2 give 3
+            pytest.param(
+                build_digraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), False, False,
+                id="clique-cover-with-source",
+            ),
+            # rho_o(Gm:3) = 5, below the sorted-size bound 6
+            pytest.param(build_family("Gm:3"), False, False, id="Gm3-open"),
         ],
     )
-    def test_certified_without_auxiliary_graph(self, monkeypatch, d, closed, counting_only):
+    def test_certified_without_auxiliary_graph(self, monkeypatch, d, closed, sizes_only):
         def refuse(*args, **kwargs):
             raise AssertionError("the root left a certified packing to the kernel")
 
@@ -335,12 +356,67 @@ class TestPackingRoot:
             monkeypatch.setattr(module, "closed_in_neighborhood_graph", refuse)
             monkeypatch.setattr(module, "open_in_neighborhood_graph", refuse)
         monkeypatch.setattr(kernels, "max_independent_set", refuse)
-        if counting_only:
-            monkeypatch.setattr(solvers, "_greedy_cover", refuse)
+        if sizes_only:
+            monkeypatch.setattr(solvers, "_hood_clique_cover", refuse)
         which, solve, valid = self._KINDS[not closed]
         value, witness = solve(d)
         assert value == brute_force_invariant(d, which)
         assert valid(d, witness) and witness.bit_count() == value
+
+    @staticmethod
+    def _bounds(d, closed):
+        """The sorted-size bound, the in-neighbourhood clique cover, the old
+        counting bound ``free + n // least`` and, from the built graph, its
+        greedy clique cover as the independent-set kernel's root takes it."""
+        hoods = [d.in_closed(v) if closed else d.in_adj[v] for v in range(d.n)]
+        outs = [d.out_closed(w) if closed else d.out_adj[w] for w in range(d.n)]
+        sizes = [m.bit_count() for m in hoods]
+        union = bitset.from_iter(v for m in hoods for v in bitset.to_list(m))
+        least = min(filter(None, sizes), default=0)
+        counting = sizes.count(0) + (d.n // least if least else 0)
+        adj = (auxgraph.closed_in_neighborhood_graph if closed
+               else auxgraph.open_in_neighborhood_graph)(d).adj
+        left, greedy = bitset.full(d.n), 0
+        while left:
+            low = left & -left
+            cand = left & adj[low.bit_length() - 1]
+            clique = low
+            while cand:
+                u = cand & -cand
+                clique |= u
+                cand &= adj[u.bit_length() - 1]
+            left &= ~clique
+            greedy += 1
+        return (
+            solvers._sorted_size_bound(sizes, union.bit_count()),
+            solvers._hood_clique_cover(hoods, outs, d.n),
+            counting,
+            greedy,
+        )
+
+    def test_bounds_against_oracle(self):
+        # every digraph on at most 3 vertices, 1,000 seeded random ones on
+        # at most 8, and the underlying graphs of both, in both kinds
+        rng = random.Random(38)
+        digraphs = [d for n in range(4) for d in all_digraphs(n)]
+        digraphs += [
+            random_digraph(rng.randint(1, 8), rng.uniform(0.05, 0.9), rng.getrandbits(32))
+            for _ in range(1000)
+        ]
+        for d in digraphs:
+            for g in (d, underlying_graph(d)):
+                for closed, which in ((True, "rho"), (False, "rho_open")):
+                    rho = brute_force_invariant(g, which)
+                    sized, cover, counting, kernel_cover = self._bounds(g, closed)
+                    assert rho <= sized <= counting
+                    assert rho <= cover == kernel_cover
+                    assert solvers.packing_against(g, None, closed=closed)[0] == rho
+
+    def test_clique_cover_stops_past_most(self):
+        # ten isolated vertices take ten cliques; the count stops at most + 1
+        hoods = [1 << v for v in range(10)]
+        assert solvers._hood_clique_cover(hoods, hoods, 10) == 10
+        assert solvers._hood_clique_cover(hoods, hoods, 3) == 4
 
 
 class TestWitnessValidation:
@@ -361,11 +437,15 @@ class TestWitnessValidation:
             if total is not None:
                 assert validate.is_total_dominating_set(d, total[1])
 
-    def test_sweep_witnesses_pinned(self, backend):
+    def test_sweep_witnesses_pinned(self, backend, exact_packing_solves):
         # 2,000 digraphs like the observation sweep's: n in 1..10, arc
         # densities 0.1-0.9; one digest over the (value, witness) of all
         # seven invariants, so a change to any kernel's root order or
-        # search that moves a witness fails here
+        # search that moves a witness fails here.  The packing root's
+        # bounds leave 342 of the 8,000 packing solves to the
+        # independent-set kernel (1,167 with the counting bound and the
+        # greedy dominating set it had before the sorted-size bound and
+        # the clique cover).
         rng = random.Random(3)
         answers = []
         for _ in range(2000):
@@ -382,8 +462,9 @@ class TestWitnessValidation:
             ))
         assert (
             hashlib.sha256(repr(answers).encode("ascii")).hexdigest()
-            == "219ff91c19134a419af9d9f0c763aa577143855a3d1fe284979fa889246f6331"
+            == "6f34c7381b02aed54d04ac8652b03680c3fab892f7e65b2a2bf3c281c593d112"
         )
+        assert exact_packing_solves == {"closed": 163, "open": 179}
 
     def test_open_packing_is_pairwise_disjointness(self):
         # every vertex subset of small random digraphs, against the
@@ -595,9 +676,10 @@ class TestInvariantReport:
     def test_packings_taken_against_dominations(self, exact_packing_solves, spec, exact_solves):
         # path:7 is a ditree, so both greedy packings meet gamma and gamma_t;
         # Gm:3 has rho = 3 < gamma = 4, and its greedy packing meets the
-        # counting bound 7 // 2; fig5corona's greedy packing has 2 vertices,
-        # below rho = gamma = 3 and the counting bound 3, so its closed
-        # packing alone goes to the kernel
+        # sorted-size bound 3: three closed in-neighbourhoods of size 2 fit
+        # in its 7 vertices, a fourth does not; fig5corona's greedy packing
+        # has 2 vertices, below rho = gamma = 3, the sorted-size bound 3 and
+        # the clique cover 3, so its closed packing alone goes to the kernel
         d = build_family(spec)
         rep = compute_invariants(d)
         assert exact_packing_solves == exact_solves
@@ -624,15 +706,18 @@ class TestRevalidationSurvivesOptimize:
             solvers.partition_two_dominating_sets(families.fig5_corona())
             """,
             # a report whose packing number exceeds its domination number:
-            # no root bound certifies the greedy packing of a directed
-            # triangle plus an isolated vertex (rho = 2 < gamma = 3), and
-            # the kernel's answer, all four vertices, is taken as valid
+            # no root bound certifies the greedy packing of _RHO_SHORT
+            # (k = 1 < rho = 2 = gamma), and the kernel's answer, all four
+            # vertices, is taken as valid; a report that never reaches the
+            # kernel exits 0 and fails
             """
             from didom import core, kernels, solvers, validate
             kernels.max_independent_set = lambda adj, n, deadline: (n, (1 << n) - 1)
             validate.is_packing = lambda d, s: True
             try:
-                solvers.compute_invariants(core.build_digraph(4, [(0, 1), (1, 3), (3, 0)]))
+                solvers.compute_invariants(
+                    core.build_digraph(4, [(0, 1), (0, 3), (1, 0), (1, 2)])
+                )
             except AssertionError as exc:
                 if "exceeds its domination bound" in str(exc):
                     raise

@@ -817,8 +817,9 @@ class TestAcyclicSearch:
 
 class TestPairCertificate:
     """The pair checkers take rho = gamma (rho_o = gamma_t) from a greedy
-    packing that validates and is as large as the solved domination value
-    or a counting bound, and otherwise fall back to the kernel."""
+    packing that validates and is as large as the solved domination value,
+    the sorted-size bound or the in-neighbourhood clique cover, and
+    otherwise fall back to the kernel."""
 
     def test_ditrees_match_oracle(self, exact_packing_solves):
         # every labelled ditree on n <= 5 vertices and every 64th one on 6
@@ -842,8 +843,8 @@ class TestPairCertificate:
                 with_gamma_t += rec.rhs is not None
         # the greedy packing certifies 14,808 of the 15,509 closed pairs;
         # every open pair with a total dominating set is certified by
-        # gamma_t, and the 11,994 ditrees without one by the counting bound
-        # or a greedy cover
+        # gamma_t, and the 11,994 ditrees without one by the sorted-size
+        # bound or the clique cover
         assert (checked, with_gamma_t) == (15509, 3515)
         assert calls == {"closed": 701}
 
