@@ -7,13 +7,16 @@
  * packing of the residual instance (gamma >= rho) and that packing's
  * remainder term, which implies the size bound count + ceil(left / max_cov).
  * A greedy answer that meets a root bound (for covers the size bound, tested
- * before any element table is built, the conflict packing or the ordered
- * packing; for independent sets the clique cover) is optimal and is returned
- * without a search, after 0 nodes.  Under a deadline every node reads
- * CLOCK_MONOTONIC, the clock of Python's time.monotonic().  A call returns
- * the optimum size, INFEASIBLE, TIMED_OUT or NO_MEMORY, stores its node
- * count in *nodes and its witness in out, as little-endian bytes: the
- * chosen sets of a cover, the vertices of an independent set. */
+ * before any element table is built, the conflict packing or the residual
+ * packing with every set live, one loop at the root and at every node; for
+ * independent sets the clique cover) is optimal and is returned without a
+ * search, after 0 nodes.  The independent-set search scans the available
+ * vertices once per reduction pass, as the pure kernel does, and the pass
+ * that takes no vertex names the branching one.  Under a deadline every
+ * node reads CLOCK_MONOTONIC, the clock of Python's time.monotonic().  A
+ * call returns the optimum size, INFEASIBLE, TIMED_OUT or NO_MEMORY, stores
+ * its node count in *nodes and its witness in out, as little-endian bytes:
+ * the chosen sets of a cover, the vertices of an independent set. */
 
 /* clock_gettime and CLOCK_MONOTONIC are POSIX, outside strict C99 */
 #ifndef _POSIX_C_SOURCE
@@ -117,14 +120,12 @@ static int conflict_bound(Cover *c, const word *unc) {
 }
 
 /* Sorts the elements of unc into c->order by increasing live count, the
- * number of their sets in avail (all of them when avail is NULL), ties in
- * element order as the pure kernel's stable sort keeps them; returns how
- * many there are. */
+ * number of their sets in avail, ties in element order as the pure
+ * kernel's stable sort keeps them; returns how many there are. */
 static int order_by_live_count(Cover *c, const word *unc, const word *avail) {
     int n_order = 0;
     EACH(e, unc, c->ne) {
-        const word *cv = COVERS(c, e);
-        int cnt = popcount_and(cv, avail ? avail : cv, c->ns), pos = n_order++;
+        int cnt = popcount_and(COVERS(c, e), avail, c->ns), pos = n_order++;
         for (; pos > 0 && c->order_cnt[pos - 1] > cnt; pos--) {
             c->order[pos] = c->order[pos - 1];
             c->order_cnt[pos] = c->order_cnt[pos - 1];
@@ -135,30 +136,33 @@ static int order_by_live_count(Cover *c, const word *unc, const word *avail) {
     return n_order;
 }
 
-/* The root's packing bound: the elements of uni in order_by_live_count
- * order, each kept when its sets miss those of every element kept before
- * it.  Kept elements need pairwise distinct sets (gamma >= rho). */
-static int ordered_packing(Cover *c, const word *uni) {
-    const int ns = c->ns, n_order = order_by_live_count(c, uni, NULL);
-    int kept = 0;
-    memset(c->used, 0, BYTES(ns));
-    for (int t = 0; t < n_order; t++) {
-        const word *cv = COVERS(c, c->order[t]);
-        int disjoint = 1;
-        FOR_W(ns) disjoint &= !(cv[w] & c->used[w]);
-        if (!disjoint) continue;
-        FOR_W(ns) c->used[w] |= cv[w];
-        kept++;
-    }
-    return kept;
-}
-
 /* The largest coverage among e's sets in avail, as of the last subsumption
  * pass. */
 static int largest_live(const Cover *c, int e, const word *avail) {
     int top = 0;
     EACH(i, COVERS(c, e), c->ns) if (HAS(avail, i) && c->size[i] > top) top = c->size[i];
     return top;
+}
+
+/* Packing bound, gamma >= rho on the residual instance: the n_order
+ * elements of c->order in turn, each kept when its sets in avail miss
+ * those of every element kept before it, as kept elements need pairwise
+ * distinct sets.  The count goes on from kept and stops once it reaches
+ * the incumbent; below it, each kept element adds the largest coverage
+ * among its live sets to *reach.  Returns the count. */
+static int packing_bound(Cover *c, int n_order, const word *avail, int kept, int *reach) {
+    const int ns = c->ns;
+    memset(c->used, 0, BYTES(ns));
+    for (int t = 0; t < n_order; t++) {
+        const word *cv = COVERS(c, c->order[t]);
+        int disjoint = 1;
+        FOR_W(ns) disjoint &= !(cv[w] & avail[w] & c->used[w]);
+        if (!disjoint) continue;
+        FOR_W(ns) c->used[w] |= cv[w] & avail[w];
+        if (++kept >= c->best) break;
+        *reach += largest_live(c, c->order[t], avail);
+    }
+    return kept;
 }
 
 /* gone: the elements covered since the last subsumption pass; gone_all
@@ -251,26 +255,13 @@ static void cover_dfs(Cover *c, int d, int count, int gone_all) {
      * packing and its remainder. */
     if (count + conflict_bound(c, unc) >= c->best) return;
     left = popcount_and(unc, unc, ne);
-    /* Packing bound, gamma >= rho on the residual instance: uncovered
-     * elements whose live sets are pairwise disjoint each need their own
-     * set.  Greedy over the elements insertion-sorted by live count, ties in
-     * element order as in the pure kernel's levels; run only when the
-     * conflict bound fails.  Each kept element adds the largest coverage
-     * among its live sets to reach, for the remainder test below.  A valid
-     * bound prunes no subtree holding a cover smaller than the incumbent,
-     * so incumbents and witness are unchanged. */
-    memset(c->used, 0, BYTES(ns));
+    /* The residual packing over the uncovered elements, run only when the
+     * conflict bound fails; its reach feeds the remainder test below.  A
+     * valid bound prunes no subtree holding a cover smaller than the
+     * incumbent, so incumbents and witness are unchanged. */
     n_order = order_by_live_count(c, unc, avail);
-    kept = count;
-    for (int t = 0; t < n_order; t++) {
-        const word *cv = COVERS(c, c->order[t]);
-        int disjoint = 1;
-        FOR_W(ns) disjoint &= !(cv[w] & avail[w] & c->used[w]);
-        if (!disjoint) continue;
-        FOR_W(ns) c->used[w] |= cv[w] & avail[w];
-        if (++kept >= c->best) return;
-        reach += largest_live(c, c->order[t], avail);
-    }
+    kept = packing_bound(c, n_order, avail, count, &reach);
+    if (kept >= c->best) return;
     /* Remainder: the kept elements' sets cover at most reach elements, and
      * each further set at most max_cov.  As reach <= (kept - count) *
      * max_cov, it prunes wherever count + ceil(left / max_cov) would.  At
@@ -320,8 +311,8 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
                         int n_sets, int ne, double deadline, unsigned char *out, int64_t *nodes) {
     Cover c = {.s = {deadline, 0, 0}, .ne = ne, .ns = n_sets / 64 + 1, .n_sets = n_sets};
     const int ns = c.ns, n_el = 64 * ne;
-    int max_size = 0;
-    word *block = calloc((size_t)n_sets * ne + (size_t)n_el * (ns + ne) + 5 * ns + 3 * ne, sizeof(word));
+    int max_size = 0, reach = 0;
+    word *every, *block = calloc((size_t)n_sets * ne + (size_t)n_el * (ns + ne) + 5 * ns + 3 * ne, sizeof(word));
     word *uni = block;
     int result = INFEASIBLE;
 
@@ -363,19 +354,19 @@ int didom_min_set_cover(const unsigned char *universe, const unsigned char *mask
         }
     if (conflict_bound(&c, uni) >= c.best) goto answered;
     result = NO_MEMORY;
-    /* a child is entered only below the incumbent size: depth < best */
-    c.cands = malloc(((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el) * sizeof(int));
-    if (!c.cands) goto done;
+    /* a child is entered only below the incumbent size: depth < best; zeroed
+     * sizes, as no subsumption pass has run, give the root a reach of 0 */
+    c.cands = calloc((size_t)(c.best + 2) * n_sets + 2 * (size_t)n_el, sizeof(int));
+    c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
+    if (!c.cands || !c.frames) goto done;
     c.size = c.cands + (size_t)(c.best + 1) * n_sets;
     c.order = c.size + n_sets;
     c.order_cnt = c.order + n_el;
-    if (ordered_packing(&c, uni) < c.best) {
-        c.frames = calloc((size_t)(c.best + 1) * (2 * ne + 3 * ns), sizeof(word));
-        if (!c.frames) goto done;
-        memcpy(c.frames, uni, BYTES(ne));
-        for (int i = 0; i < n_sets; i++) c.frames[2 * ne + (i >> 6)] |= BIT(i);
+    memcpy(c.frames, uni, BYTES(ne));
+    every = c.frames + 2 * ne; /* the root's avail */
+    for (int i = 0; i < n_sets; i++) every[i >> 6] |= BIT(i);
+    if (packing_bound(&c, order_by_live_count(&c, uni, every), every, 0, &reach) < c.best)
         cover_dfs(&c, 0, 0, 1);
-    }
 answered:
     *nodes = c.s.nodes;
     result = c.s.timed_out ? TIMED_OUT : c.best;
@@ -417,16 +408,25 @@ static int clique_cover_bound(Mis *m, const word *avail) {
 }
 
 /* Branching on the maximum-degree vertex (take first), with degree <= 1
- * reductions. */
+ * reductions.  Each reduction pass scans the available vertices once: the
+ * first vertex of degree <= 1 is taken, and a pass that finds none names
+ * the branching vertex, the first of maximum degree. */
 static void mis_dfs(Mis *m, int d, int size) {
     const int nw = m->nw;
     word *avail = m->frames + (size_t)d * 2 * nw, *mask = avail + nw, *child = mask + nw;
-    int best_v = -1, best_d = -1, v;
+    int best_v = -1, v;
 
     if (poll_deadline(&m->s)) return;
     for (;;) {
-        for (v = next_bit(avail, nw, 0); v >= 0; v = next_bit(avail, nw, v + 1))
-            if (popcount_and(ADJ(m, v), avail, nw) <= 1) break;
+        int best_d = -1;
+        for (v = next_bit(avail, nw, 0); v >= 0; v = next_bit(avail, nw, v + 1)) {
+            int deg = popcount_and(ADJ(m, v), avail, nw);
+            if (deg <= 1) break;
+            if (deg > best_d) {
+                best_d = deg;
+                best_v = v;
+            }
+        }
         if (v < 0) break;
         FOR_W(nw) avail[w] &= ~CLOSED(m, v)[w];
         mask[v >> 6] |= BIT(v);
@@ -440,13 +440,6 @@ static void mis_dfs(Mis *m, int d, int size) {
         return;
     }
     if (size + clique_cover_bound(m, avail) <= m->best) return;
-    EACH(u, avail, nw) {
-        int deg = popcount_and(ADJ(m, u), avail, nw);
-        if (deg > best_d) {
-            best_d = deg;
-            best_v = u;
-        }
-    }
     FOR_W(nw) {
         child[w] = avail[w] & ~CLOSED(m, best_v)[w];
         child[nw + w] = mask[w];

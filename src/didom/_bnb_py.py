@@ -9,13 +9,11 @@ independent set for vertex v.
 A change to the search here must be made there too.  The two are not
 line-for-line twins: the pure cover search keeps per-node tables of live
 counts and coverage sizes, which the C kernel recomputes at every node
-from its word arrays; the independent-set search names its branching
-vertex in its last reduction scan, where the C kernel scans once more; and
-both keep their search path in a list where the C kernels recurse, so no
-recursion limit bounds their depth.  Each kernel takes an
-``errors.Deadline`` (None: no bound) and polls it once per search node, so
-the caller reads the search's node count off the deadline it passed, as it
-does for the C kernels.
+from its word arrays, and both keep their search path in a list where the
+C kernels recurse, so no recursion limit bounds their depth.  Each kernel
+takes an ``errors.Deadline`` (None: no bound) and polls it once per search
+node, so the caller reads the search's node count off the deadline it
+passed, as it does for the C kernels.
 
 Both kernels first check their greedy answer against a root bound.  An
 answer that meets it is optimal and is returned without a search, after 0

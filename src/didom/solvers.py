@@ -91,23 +91,6 @@ def open_packing_number(d: Digraph, *, deadline: Optional[Deadline] = None) -> t
     return packing_against(d, None, closed=False, deadline=deadline)
 
 
-def _sorted_size_bound(sizes: list[int], union: int) -> int:
-    """An upper bound on the packing number from the hood sizes alone: the
-    largest t whose t smallest sizes sum to at most ``union``, the size of
-    the union of all hoods (n in the closed case).  A packing's hoods are
-    disjoint inside that union.  The empty hoods, only those of sources in
-    the open case, come first and always fit; every other size is at least
-    the least nonzero one, so this is never above ``free + union //
-    least``."""
-    t = 0
-    for size in sorted(sizes):
-        union -= size
-        if union < 0:
-            break
-        t += 1
-    return t
-
-
 def _hood_clique_cover(hoods: list[int], outs: list[int], most: int) -> int:
     """The number of cliques in the greedy clique cover of the
     in-neighborhood graph that the independent-set kernel's root computes:
@@ -156,9 +139,9 @@ def packing_against(
       in-neighborhood and a packing's are disjoint, so rho <= gamma (and
       rho_o <= gamma_t, read openly).  A valid greedy packing above gamma
       raises AssertionError.
-    - Sorted sizes (``_sorted_size_bound``): a packing's hoods are disjoint
-      inside the union of all hoods, so no more of them fit there than of
-      the smallest hoods.
+    - Sorted sizes: a packing's hoods are disjoint inside the union of all
+      hoods (n in the closed case), so k is maximum when k = n or the
+      k + 1 smallest in-neighborhoods overflow their union.
     - The greedy clique cover of the in-neighborhood graph
       (``_hood_clique_cover``), read off the hoods and the out-neighborhoods
       without building the graph: each clique holds at most one packed
@@ -175,7 +158,8 @@ def packing_against(
     valid = validate.is_packing if closed else validate.is_open_packing
     certified = (
         gamma is not None and k >= gamma
-        or k >= _sorted_size_bound(sizes, n if closed else reduce(or_, hoods, 0).bit_count())
+        or k >= n
+        or sum(sorted(sizes)[: k + 1]) > (n if closed else reduce(or_, hoods, 0).bit_count())
         or k >= _hood_clique_cover(
             hoods, [m | 1 << w for w, m in enumerate(d.out_adj)] if closed else d.out_adj, k
         )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -363,6 +364,40 @@ class TestSearchTreePinned:
         assert solve(prod, deadline=deadline) == result
         assert deadline.nodes == nodes
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    @pytest.mark.parametrize(
+        "n, edges, nodes, witness",
+        [
+            # the root pass sees 6 at degree 4, then takes the pendant 7 and
+            # with it 6's neighbour 1; the next pass finds 0, 3, 5 and 6 at
+            # degree 3 and branches on 0, where a best degree kept from the
+            # first pass would branch on 6 and take 5 nodes
+            pytest.param(
+                8, [(0, 2), (0, 3), (0, 6), (1, 6), (1, 7), (2, 4), (3, 5), (3, 6),
+                    (4, 5), (5, 6)],
+                3, (2, 3, 7), id="kept-vertex",
+            ),
+            # the hub 0 on the 5-cycle 1 2 3 5 6 and its pendant 4: the root
+            # pass sees 0 at degree 4, then takes 4 and with it 0; the 5-cycle
+            # left branches on 1, where a best degree kept from the first
+            # pass would branch on the taken 0 and take 5 nodes
+            pytest.param(
+                7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 5), (5, 6), (6, 1)],
+                3, (1, 3, 4), id="taken-vertex",
+            ),
+        ],
+    )
+    def test_each_reduction_pass_names_its_own_branch_vertex(
+        self, request, backend, n, edges, nodes, witness
+    ):
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        result, count = _solve(request, backend, "max_independent_set", adj, n)
+        assert result == (len(witness), bitset.from_iter(witness))
+        assert count == nodes
+
     def test_all_maximum_packings_counts_both_searches(self, backend, monkeypatch):
         # one deadline counts the packing solve, the pinned 121 nodes, and
         # the enumeration of the 6 maximum packings after it; a stand-in for
@@ -661,6 +696,101 @@ def test_compiled_source_is_strict_c99(c_compiler):
     flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only"]
     proc = subprocess.run([c_compiler, *flags, str(source)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run by a Python whose ASan runtime is preloaded: the kernels built with
+# the sanitizers from the path in argv[1] must reproduce the pure kernels'
+# answers and node counts on seeded random instances, some wider than a
+# word, and the pinned trees given as JSON on stdin.
+_SANITIZED_RUN = """
+    import functools, importlib.util, itertools, json, operator, random, sys
+    from didom import _bnb_py, bitset, kernels
+    from didom.errors import Deadline
+
+    spec = importlib.util.spec_from_file_location("_didom_sanitized", sys.argv[1])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    compiled = kernels.CompiledKernels(module)
+
+    def run(kernel, fn, *args):
+        deadline = Deadline()
+        return getattr(kernel, fn)(*args, deadline), deadline.nodes
+
+    calls = 0
+    for fn, args, expected in json.load(sys.stdin):
+        assert run(compiled, fn, *args) == (tuple(expected[0]), expected[1]), (fn, args)
+        calls += 1
+    rng = random.Random(39)
+    for _ in range(150):
+        # a cover of 6-16 elements or, wider than a word, 60-140
+        n = rng.choice((rng.randint(6, 16), rng.randint(60, 140)))
+        sets = [
+            bitset.from_iter(rng.sample(range(n), rng.randint(2, max(3, n // 5))))
+            for _ in range(rng.randint(n // 4, n // 2) if n > 16 else rng.randint(3, 12))
+        ]
+        # a graph of 4-16 vertices or 60-100, the wide ones not sparse
+        v = rng.choice((rng.randint(4, 16), rng.randint(60, 100)))
+        p = rng.choice((0.3, 0.6) if v > 64 else (0.1, 0.3, 0.6))
+        adj = [0] * v
+        for a, b in itertools.combinations(range(v), 2):
+            if rng.random() < p:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        for fn, args in (
+            ("min_set_cover", (sets, functools.reduce(operator.or_, sets))),
+            ("max_independent_set", (adj, v)),
+        ):
+            assert run(compiled, fn, *args) == run(_bnb_py, fn, *args), (fn, args)
+            calls += 1
+    print(calls)
+"""
+
+
+def test_compiled_kernels_under_sanitizers(c_compiler, tmp_path):
+    # the C source built with AddressSanitizer and UndefinedBehaviorSanitizer,
+    # any report fatal: an out-of-bounds read or write that crosses an
+    # allocation, or undefined arithmetic, aborts the run
+    cffi = pytest.importorskip("cffi", reason="cffi is not installed")
+    from didom._kernels_build import CDEF
+
+    libasan = subprocess.run(
+        [c_compiler, "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    if not os.path.isabs(libasan) or not os.path.exists(libasan):
+        pytest.skip(f"no AddressSanitizer runtime for {c_compiler}")
+    flags = [
+        "-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-fno-omit-frame-pointer",
+    ]
+    ffi = cffi.FFI()
+    ffi.cdef(CDEF)
+    ffi.set_source(
+        "_didom_sanitized", Path(kernels.__file__).with_name("_bnb.c").read_text(),
+        extra_compile_args=flags, extra_link_args=flags,
+    )
+    built = ffi.compile(tmpdir=str(tmp_path))
+    pinned = [
+        ("min_set_cover", _closed_neighbourhoods(left, right), nodes, witness)
+        for left, right, nodes, witness in _PINNED_TREES
+    ]
+    for m, graph, nodes, witness in _PINNED_PACKINGS:
+        family = families.build_family(f"Gm:{m}")
+        prod, _ = products.cartesian_product(family, family)
+        aux = getattr(auxgraph, f"{graph}_in_neighborhood_graph")(prod)
+        pinned.append(("max_independent_set", (list(aux.adj), aux.n), nodes, witness))
+    cases = [
+        (fn, args, [[len(witness), bitset.from_iter(witness)], nodes])
+        for fn, args, nodes, witness in pinned
+    ]
+    src = os.path.dirname(os.path.dirname(solvers.__file__))
+    env = dict(
+        os.environ, PYTHONPATH=src, LD_PRELOAD=libasan, ASAN_OPTIONS="detect_leaks=0",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_SANITIZED_RUN), built],
+        input=json.dumps(cases), env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.split() == [str(len(pinned) + 300)]
 
 
 class TestTimeouts:

@@ -365,9 +365,11 @@ class TestPackingRoot:
 
     @staticmethod
     def _bounds(d, closed):
-        """The sorted-size bound, the in-neighbourhood clique cover, the old
-        counting bound ``free + n // least`` and, from the built graph, its
-        greedy clique cover as the independent-set kernel's root takes it."""
+        """The sorted-size bound (the largest t whose t smallest hood sizes
+        sum to at most the size of the union of all hoods), the
+        in-neighbourhood clique cover, the old counting bound ``free + n //
+        least`` and, from the built graph, its greedy clique cover as the
+        independent-set kernel's root takes it."""
         hoods = [d.in_closed(v) if closed else d.in_adj[v] for v in range(d.n)]
         outs = [d.out_closed(w) if closed else d.out_adj[w] for w in range(d.n)]
         sizes = [m.bit_count() for m in hoods]
@@ -388,7 +390,7 @@ class TestPackingRoot:
             left &= ~clique
             greedy += 1
         return (
-            solvers._sorted_size_bound(sizes, union.bit_count()),
+            sum(total <= union.bit_count() for total in itertools.accumulate(sorted(sizes))),
             solvers._hood_clique_cover(hoods, outs, d.n),
             counting,
             greedy,
